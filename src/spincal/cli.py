@@ -283,8 +283,10 @@ def run_trajectory(cfg: RunConfig):
     if cfg.method == "projection":
         n_seg = max(1, int(round(cfg.t_end / cfg.sample_dt)))
         times = np.linspace(0.0, cfg.t_end, n_seg + 1)
+        # every output is M-invariant, so the M-gauge alignment is skipped
         traj = dynamics.projection_trajectory(space, pt0, times, lax_x=cfg.lax_x,
-                                              invariants=cfg.monitors)
+                                              invariants=cfg.monitors, align_gauge=False,
+                                              on_wall="truncate")
     else:
         traj = dynamics.integrate_direct(space, pt0, cfg.t_end, tol=cfg.tol,
                                          sample_dt=cfg.sample_dt, lax_x=cfg.lax_x,
@@ -306,6 +308,8 @@ def cmd_simulate_one(cfg: RunConfig, out_dir: str) -> int:
     report["method"] = cfg.method
     report["drift"] = dynamics.monitor(space, traj)
     report["corrections"] = {"m_part": traj.m_drift, "orbit_spectrum": traj.orbit_drift}
+    if traj.freeze_residual is not None:
+        report["corrections"]["freeze_residual"] = traj.freeze_residual
     if traj.wall_time is not None:
         report["status"] = "wall_collision"
         report["last_safe_time"] = traj.wall_time

@@ -15,8 +15,10 @@ matrix L(x) = p - coth(ad_q) xi - x xi; for su(n+1, n) this reproduces the
 classical two-coupling BC_n Hamiltonian (1/4) tr(L^2) exactly.  The time
 evolution q' = p, p' = [w^2(ad_q) xi, coth(ad_q) xi]_A,
 xi' = [y_M - w^2(ad_q) xi, xi] with w(z) = 1/sinh(z) is the canonical flow
-of this H; the gauge generator y_M is zero on the thick slice and comes
-from the freezing solve for spinless runs.
+of this H; the gauge generator y_M is zero on the thick slice.  For the
+spinless catalog models a y_M exists at every chamber point that makes xi'
+vanish (the freezing gauge, see :func:`freezing_solve`), so in that gauge
+the spin is constant and only (q, p) move.
 """
 
 from __future__ import annotations
@@ -145,6 +147,8 @@ class Trajectory:
     m_drift: float = 0.0       # max M-part removed by the per-step projection
     orbit_drift: float = 0.0   # max spectrum-restoring correction applied
     wall_time: float | None = None  # set when truncated by a wall event
+    n_steps: int = 0           # direct integrator: steps accepted by the error control
+    freeze_residual: float | None = None  # freeze gauge: worst certified |xi'|
 
     def __len__(self):
         return len(self.times)
@@ -230,16 +234,20 @@ def _match_spectra(spectra: np.ndarray) -> np.ndarray:
 # Equations of motion
 # ---------------------------------------------------------------------------
 
-def _rhs_components(space: SymmetricSpaceData, q, cplus, cm, y_m_mat=None):
-    """Core evolution formulas in basis coefficients."""
+def _force(space: SymmetricSpaceData, q, cplus):
+    """p' = [w^2(ad_q) xi, coth(ad_q) xi]_A in coordinates, and w^2(ad_q) xi."""
     av = space.alpha_cols(q)
     sinh = np.sinh(av)
     w2 = cplus / sinh ** 2
     ct = cplus * np.cosh(av) / sinh
     W2 = np.einsum("j,jab->ab", w2, space.eplus)
     CT = np.einsum("j,jab->ab", ct, space.eminus)
-    dp_mat = W2 @ CT - CT @ W2
-    dp = algebra.coords_of(space, dp_mat)
+    return algebra.coords_of(space, W2 @ CT - CT @ W2), W2
+
+
+def _rhs_components(space: SymmetricSpaceData, q, cplus, cm, y_m_mat=None):
+    """Core evolution formulas in basis coefficients."""
+    dp, W2 = _force(space, q, cplus)
     Xi = np.einsum("j,jab->ab", cplus, space.eplus)
     if cm is not None and space.dim_m and np.any(cm):
         Xi = Xi + np.einsum("j,jab->ab", cm, space.m_basis)
@@ -282,13 +290,12 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 class _DirectSystem:
     """Packed-state view of the reduced equations for the stepper."""
 
-    def __init__(self, space: SymmetricSpaceData, gauge: str, mu_coeffs=None):
+    def __init__(self, space: SymmetricSpaceData, gauge: str):
         self.space = space
         self.nc = space.n_coords
         self.K = space.K
         self.dm = space.dim_m
         self.gauge = gauge
-        self.mu_coeffs = mu_coeffs
 
     def pack(self, q, p, cplus, cm):
         return np.concatenate([q, p, cplus, cm])
@@ -300,14 +307,11 @@ class _DirectSystem:
     def __call__(self, t, y):
         space = self.space
         q, p, cplus, cm = self.unpack(y)
-        y_m_mat = None
         if self.gauge == "freeze":
-            res = freezing_solve(space, q, algebra.reconstruct(space, cplus=cplus))
-            if res.y_m is None:
-                raise AdmissibilityError(
-                    f"no freezing gauge at q = {q} (residual {res.residual:.3e})")
-            y_m_mat = res.y_m
-        dp, dxi = _rhs_components(space, q, cplus, cm, y_m_mat)
+            # the spin is held still; integrate_direct certifies the gauge
+            return np.concatenate([p, _force(space, q, cplus)[0],
+                                   np.zeros(self.K + self.dm)])
+        dp, dxi = _rhs_components(space, q, cplus, cm)
         dcplus = -np.einsum("ab,jba->j", dxi, space.eplus).real
         dcm = -np.einsum("ab,jba->j", dxi, space.m_basis).real if self.dm \
             else np.zeros(0)
@@ -342,12 +346,17 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
                      on_wall: str = "raise") -> Trajectory:
     """Adaptive Dormand-Prince 5(4) integration of the reduced equations.
 
-    After every accepted step the spin variable is re-projected onto M-perp
-    and its per-block spectrum is restored to the initial one (the exact
-    flow preserves both; the corrections are logged).  Integration halts
-    with :class:`WallProximityError` if the configuration approaches a
-    chamber wall; with ``on_wall="truncate"`` the samples collected before
-    the event are returned instead, with ``wall_time`` set.
+    In the zero gauge, after every accepted step the spin variable is
+    re-projected onto M-perp and its per-block spectrum is restored to the
+    initial one (the exact flow preserves both; the corrections are logged).
+    In the freezing gauge the spin is held constant, and the gauge is
+    certified by :func:`freezing_solve` on the initial spin at t = 0 and
+    after every accepted step: a failed certificate raises
+    :class:`AdmissibilityError`, and the worst frozen residual is logged as
+    ``freeze_residual``.  Integration halts with :class:`WallProximityError`
+    if the configuration approaches a chamber wall; with
+    ``on_wall="truncate"`` the samples collected before the event are
+    returned instead, with ``wall_time`` set.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -362,15 +371,33 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
 
     sys = _DirectSystem(space, gauge)
     free = pt0.xi.is_zero
+    freeze = gauge == "freeze"
     cm0 = np.zeros(space.dim_m)
     y = sys.pack(pt0.q, pt0.p, pt0.xi.coeffs.copy(), cm0)
-    spec_ref = None if free else _block_spectra_ref(space, pt0.xi.xi)
+    spec_ref = None if free or freeze else _block_spectra_ref(space, pt0.xi.xi)
 
     m_drift = 0.0
     orbit_drift = 0.0
+    freeze_residual = 0.0
+    n_steps = 0
+
+    def certify(q):
+        nonlocal freeze_residual
+        res = freezing_solve(space, q, pt0.xi)
+        if not res.accepted:
+            raise AdmissibilityError(
+                f"no freezing gauge at q = {q} (residual {res.residual:.3e})")
+        freeze_residual = max(freeze_residual, res.frozen_residual)
 
     def correct(yv):
-        nonlocal m_drift, orbit_drift
+        nonlocal m_drift, orbit_drift, n_steps
+        n_steps += 1
+        if freeze:
+            # a point past the wall ends the run at the stepper's wall check
+            q = sys.unpack(yv)[0]
+            if algebra.min_root_value(space, q) >= algebra.EPS_WALL:
+                certify(q)
+            return yv
         if free:
             return yv
         q, p, cplus, cm = sys.unpack(yv)
@@ -383,10 +410,14 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
 
     def sample(t, yv):
         q, p, cplus, _ = sys.unpack(yv)
+        if freeze:
+            return PhasePoint(q=q.copy(), p=p.copy(), xi=pt0.xi)
         xi = SpinPoint(xi=algebra.reconstruct(space, cplus=cplus),
                        coeffs=cplus.copy(), on_slice=True)
         return PhasePoint(q=q.copy(), p=p.copy(), xi=xi)
 
+    if freeze:
+        certify(pt0.q)
     pts = [sample(0.0, y)]
     h = min(sample_dt, 0.05) * 0.1
     wall_time = None
@@ -399,7 +430,8 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     times_done = times[:len(pts)]
     return _attach_monitors(space, times_done, pts, lax_x, invariants,
                             m_drift=m_drift, orbit_drift=orbit_drift,
-                            wall_time=wall_time)
+                            wall_time=wall_time, n_steps=n_steps,
+                            freeze_residual=freeze_residual if freeze else None)
 
 
 def _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, sample, pts):
@@ -451,8 +483,7 @@ def _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, samp
         t = t_target
 
 
-def _attach_monitors(space, times, pts, lax_x, invariants, m_drift=0.0,
-                     orbit_drift=0.0, wall_time=None):
+def _attach_monitors(space, times, pts, lax_x, invariants, **stats):
     energy = np.array([hamiltonian(space, pt) for pt in pts])
     spectra = {}
     for x in lax_x:
@@ -464,8 +495,7 @@ def _attach_monitors(space, times, pts, lax_x, invariants, m_drift=0.0,
         inv[spec.label()] = np.array([invariant_value(space, spec, L) for L in Ls])
     return Trajectory(times=np.asarray(times, dtype=float), points=list(pts),
                       energy=energy, lax_x=tuple(float(x) for x in lax_x),
-                      lax_spectra=spectra, invariants=inv,
-                      m_drift=m_drift, orbit_drift=orbit_drift, wall_time=wall_time)
+                      lax_spectra=spectra, invariants=inv, **stats)
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +548,14 @@ def _comm(A, B):
     return A @ B - B @ A
 
 
-def _k_matrices(space, pt, x, y):
+def _pairings(space, f, x, h, y, pt):
+    """<xi, [(grad f)+(K(x)), (grad h)+(K(y))]> and the same pairing of the
+    minus parts, with K(x) = J_minus - x xi on the constraint surface."""
     up = orbits.build_slice_point(space, pt.q, pt.p, pt.xi)
     xi = pt.xi.xi
-    return up.j_minus - x * xi, up.j_minus - y * xi, xi
+    gf_p, gf_m = algebra.split(space, gradient(space, f, up.j_minus - x * xi))
+    gh_p, gh_m = algebra.split(space, gradient(space, h, up.j_minus - y * xi))
+    return pair(xi, _comm(gf_p, gh_p)), pair(xi, _comm(gf_m, gh_m))
 
 
 def bracket_formula(space: SymmetricSpaceData, f: InvariantSpec, x: float,
@@ -535,30 +569,24 @@ def bracket_formula(space: SymmetricSpaceData, f: InvariantSpec, x: float,
     Vanishes identically for two full invariants, and for a compact-group
     invariant against a full invariant at y^2 = 1.
     """
-    Kx, Ky, xi = _k_matrices(space, pt, x, y)
-    gf_p, gf_m = algebra.split(space, gradient(space, f, Kx))
-    gh_p, gh_m = algebra.split(space, gradient(space, h, Ky))
-    return x * y * pair(xi, _comm(gf_p, gh_p)) - pair(xi, _comm(gf_m, gh_m))
+    plus, minus = _pairings(space, f, x, h, y, pt)
+    return x * y * plus - minus
 
 
 def identity_413(space: SymmetricSpaceData, f: InvariantSpec, x: float,
                  h: InvariantSpec, y: float, pt: PhasePoint) -> float:
     """Residual of x <xi,[A^f+(x), A^h+(y)]> = y <xi,[A^f-(x), A^h-(y)]>,
     valid for f compact-invariant and h fully invariant."""
-    Kx, Ky, xi = _k_matrices(space, pt, x, y)
-    gf_p, gf_m = algebra.split(space, gradient(space, f, Kx))
-    gh_p, gh_m = algebra.split(space, gradient(space, h, Ky))
-    return abs(x * pair(xi, _comm(gf_p, gh_p)) - y * pair(xi, _comm(gf_m, gh_m)))
+    plus, minus = _pairings(space, f, x, h, y, pt)
+    return abs(x * plus - y * minus)
 
 
 def identity_416(space: SymmetricSpaceData, f: InvariantSpec, x: float,
                  h: InvariantSpec, y: float, pt: PhasePoint) -> float:
     """Mirror identity y <xi,[A^f+, A^h+]> = x <xi,[A^f-, A^h-]> for two
     fully invariant generators."""
-    Kx, Ky, xi = _k_matrices(space, pt, x, y)
-    gf_p, gf_m = algebra.split(space, gradient(space, f, Kx))
-    gh_p, gh_m = algebra.split(space, gradient(space, h, Ky))
-    return abs(y * pair(xi, _comm(gf_p, gh_p)) - x * pair(xi, _comm(gf_m, gh_m)))
+    plus, minus = _pairings(space, f, x, h, y, pt)
+    return abs(y * plus - x * minus)
 
 
 # ---------------------------------------------------------------------------
@@ -768,15 +796,78 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     return PhasePoint(q=q_t, p=p_t, xi=xi_sp)
 
 
+def _wall_contact(space, pt0, spec, t_a, pt_a, t_b, pt_b) -> bool:
+    """Whether the Hamiltonian projection flow (trace power k = 2, where
+    q' = p) touches a chamber wall between two samples; other generators are
+    checked at the samples only.
+
+    Projected points always lie in the chamber, so a wall crossing shows up
+    as a reflection: some root's velocity alpha(p) turns from negative to
+    positive.  On such an interval the minimum of min_alpha alpha(q(t)) is
+    located on the exact flow; it is a contact if it falls below the wall
+    floor or lands on a point the projection rejects.  The search is skipped
+    when the speed bound |alpha(p)| <= |alpha| sqrt(2 H) (H is conserved and
+    the potential non-negative) keeps alpha(q) above the floor between the
+    samples.
+    """
+    if (spec.cls, spec.k) != ("trace_power", 2):
+        return False
+    turned = (space.root_values(pt_a.p) < 0.0) & (space.root_values(pt_b.p) > 0.0)
+    if not np.any(turned):
+        return False
+    speed = np.linalg.norm(space.root_coef, axis=1) * math.sqrt(2.0 * hamiltonian(space, pt0))
+    lowest = (space.root_values(pt_a.q) + space.root_values(pt_b.q)
+              - speed * (t_b - t_a)) / 2.0
+    if np.all(lowest[turned] > algebra.EPS_WALL):
+        return False
+
+    def margin(t):
+        try:
+            q = flow_projection(space, pt0, t, spec, align_gauge=False).q
+        except (WallProximityError, algebra.DegenerateSpectrumError):
+            return -1.0
+        return algebra.min_root_value(space, q)
+
+    res = scipy.optimize.minimize_scalar(margin, bounds=(t_a, t_b), method="bounded",
+                                         options={"xatol": 1e-10})
+    return res.fun < algebra.EPS_WALL
+
+
 def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
                           spec: InvariantSpec = InvariantSpec("trace_power", 2),
                           lax_x: tuple = (0.0, 1.0), invariants: tuple = (),
-                          align_gauge: bool = True) -> Trajectory:
-    """Sample the projection-method flow on a time grid."""
+                          align_gauge: bool = True, on_wall: str = "raise") -> Trajectory:
+    """Sample the projection-method flow on a time grid.
+
+    A wall contact, at a sample or between two samples (see
+    :func:`_wall_contact`), raises :class:`WallProximityError`; with
+    ``on_wall="truncate"`` the samples before it are returned instead, with
+    ``wall_time`` set to the last of them.  ``align_gauge=False`` skips the
+    M-gauge alignment, which changes nothing M-invariant (q, p, energy, Lax
+    spectra, invariants).
+    """
+    if on_wall not in ("raise", "truncate"):
+        raise ValueError("on_wall must be 'raise' or 'truncate'")
     times = np.asarray(times, dtype=float)
-    pts = [flow_projection(space, pt0, t, spec, align_gauge=align_gauge)
-           if t != 0.0 else pt0 for t in times]
-    return _attach_monitors(space, times, pts, lax_x, invariants)
+    pts = []
+    wall_time = None
+    for t in times:
+        t_prev = float(times[len(pts) - 1]) if pts else None
+        try:
+            pt = flow_projection(space, pt0, t, spec, align_gauge=align_gauge) \
+                if t != 0.0 else pt0
+            if pts and _wall_contact(space, pt0, spec, t_prev, pts[-1], t, pt):
+                raise WallProximityError(
+                    f"trajectory reached a chamber wall in ({t_prev:.6g}, {t:.6g}]",
+                    t=t_prev)
+        except WallProximityError:
+            if on_wall == "raise" or not pts:
+                raise
+            wall_time = t_prev
+            break
+        pts.append(pt)
+    return _attach_monitors(space, times[:len(pts)], pts, lax_x, invariants,
+                            wall_time=wall_time)
 
 
 # ---------------------------------------------------------------------------

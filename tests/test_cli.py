@@ -7,6 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
+
+from spincal import cli, dynamics
 
 
 def run_cli(*args):
@@ -94,6 +97,55 @@ def test_simulate_wall_collision_exit_2(tmp_path):
     report = json.loads((tmp_path / "o" / "drift_report.json").read_text())
     assert report["status"] == "wall_collision"
     assert 0.0 < report["last_safe_time"] < 1.0
+
+
+def test_simulate_projection_wall_collision_writes_report(tmp_path):
+    # free motion through the q1 = q2 wall at t = 5/6, between two samples
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(
+        model={"type": "free"}, initial={"q": [1.5, 1.0], "p": [-0.3, 0.3]},
+        monitors=[], t_end=5.0, method="projection"))
+    out = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert out.returncode == 2, out.stderr
+    report = json.loads((tmp_path / "o" / "drift_report.json").read_text())
+    assert report["status"] == "wall_collision"
+    assert report["last_safe_time"] == 0.5
+    data = read_csv(tmp_path / "o" / "trajectory.csv")
+    assert data["t"].tolist() == [0.0, 0.5]
+
+
+def test_simulate_reports_freeze_residual_on_freeze_runs_only(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {"runs": [
+        base_run_config(name="freeze"),
+        base_run_config(name="zero", t_end=1.0, model={
+            "type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2, "seed": 3}),
+    ]})
+    out = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert out.returncode == 0, out.stderr
+    freeze = json.loads((tmp_path / "o" / "freeze" / "drift_report.json").read_text())
+    assert freeze["corrections"]["freeze_residual"] < 1e-8
+    assert freeze["corrections"]["orbit_spectrum"] == 0.0
+    zero = json.loads((tmp_path / "o" / "zero" / "drift_report.json").read_text())
+    assert set(zero["corrections"]) == {"m_part", "orbit_spectrum"}
+
+
+def test_projection_run_skips_gauge_alignment(tmp_path, monkeypatch):
+    calls = []
+    minimize = scipy.optimize.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(t_end=1.0))
+    code = cli.main(["simulate", "--config", cfg, "--method", "projection",
+                     "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert calls == []
+    # the library default still aligns, through the counted minimizer
+    space, pt0 = cli.build_initial_point(cli.parse_run(base_run_config(t_end=1.0)))
+    dynamics.flow_projection(space, pt0, 0.5)
+    assert calls
 
 
 def test_simulate_jobs_multi_run(tmp_path):

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from spincal import algebra, dynamics, orbits
+from spincal import algebra, dynamics, models, orbits
 from spincal.dynamics import InvariantSpec
 from spincal.orbits import OrbitSpec
 
@@ -214,6 +217,41 @@ def test_integrate_frozen_gauge_keeps_spin(su21):
         assert np.abs(ptt.xi.xi - xi.xi).max() < 1e-7
 
 
+def count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_freeze_gauge_certifies_constant_spin(su32, monkeypatch):
+    mu = orbits.xi_red(su32, "bc", 3.0, 1.0)
+    pt = dynamics.make_phase_point(su32, np.array([2.0, 1.0]), np.array([0.1, -0.2]), mu)
+    calls = count_calls(monkeypatch, dynamics, "freezing_solve")
+    traj = dynamics.integrate_direct(su32, pt, 3.0, tol=1e-10, sample_dt=0.5,
+                                     gauge="freeze")
+    assert traj.n_steps > 0
+    assert len(calls) == 1 + traj.n_steps  # t = 0 plus every accepted step
+    for ptt in traj.points:
+        assert ptt.xi.coeffs.tobytes() == mu.coeffs.tobytes()
+    assert traj.m_drift == 0.0 and traj.orbit_drift == 0.0
+    assert traj.freeze_residual < 1e-8
+    zero = dynamics.integrate_direct(su32, pt, 0.5, tol=1e-10, sample_dt=0.5)
+    assert zero.freeze_residual is None
+
+
+def test_freeze_gauge_rejects_generic_spin(su22, rng):
+    pt = generic_su22_point(su22, rng)
+    with pytest.raises(algebra.AdmissibilityError):
+        dynamics.integrate_direct(su22, pt, 1.0, tol=1e-10, sample_dt=0.5,
+                                  gauge="freeze")
+
+
 # ---------------------------------------------------------------------------
 # Invariants: values and gradients
 # ---------------------------------------------------------------------------
@@ -408,6 +446,76 @@ def test_flow_projection_free_motion(su22):
         out = dynamics.flow_projection(su22, pt, t)
         assert np.abs(out.q - (q0 + t * p0)).max() < 1e-10
         assert np.abs(out.p - p0).max() < 1e-10
+
+
+@pytest.fixture(scope="module")
+def catalog_spaces():
+    return {model: models.model_space(model) for model in models.CATALOG}
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=st.sampled_from(models.CATALOG), t=st.floats(0.1, 1.5), data=st.data())
+def test_projection_gauge_alignment_changes_no_invariant(catalog_spaces, model, t, data):
+    space = catalog_spaces[model]
+    nc = space.n_coords
+    gaps = data.draw(st.lists(st.floats(0.5, 1.8), min_size=nc, max_size=nc))
+    q = np.cumsum(gaps[::-1])[::-1]
+    p = np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=nc, max_size=nc)))
+    if space.spec.family == "sl_kc":
+        q, p = q - q.mean(), p - p.mean()
+    pt = dynamics.make_phase_point(space, q, p, models.model_spin(space, model))
+    try:
+        aligned = dynamics.flow_projection(space, pt, t, align_gauge=True)
+    except (algebra.WallProximityError, algebra.DegenerateSpectrumError):
+        reject()
+    raw = dynamics.flow_projection(space, pt, t, align_gauge=False)
+    assert np.abs(aligned.q - raw.q).max() <= 1e-12
+    assert np.abs(aligned.p - raw.p).max() <= 1e-12
+    h = dynamics.hamiltonian(space, aligned)
+    assert abs(h - dynamics.hamiltonian(space, raw)) <= 1e-12 * max(1.0, abs(h))
+    pair = dynamics._match_spectra(np.array([
+        dynamics.sorted_spectrum(dynamics.lax_minus(space, aligned)),
+        dynamics.sorted_spectrum(dynamics.lax_minus(space, raw))]))
+    assert np.abs(pair[0] - pair[1]).max() <= 1e-12 * max(1.0, np.abs(pair[0]).max())
+    # L(1) is far from normal: its computed eigenvalues carry roundoff noise
+    # near 1e-12 on BC_3 for either gauge, so both spectra are compared
+    # through the power sums tr L^k, k = 1..N, which determine them
+    for x in (0.0, 1.0):
+        La, Lr = dynamics.lax(space, aligned, x), dynamics.lax(space, raw, x)
+        scale = max(1.0, np.linalg.norm(La, 2))
+        for k in range(1, space.N + 1):
+            diff = np.trace(np.linalg.matrix_power(La, k) - np.linalg.matrix_power(Lr, k))
+            assert abs(diff) <= 1e-12 * scale ** k, (x, k)
+
+
+def test_projection_wall_contact_between_samples(su22):
+    # free motion through the q1 = q2 wall at t = 5/6; every sample is in
+    # the chamber, the t = 1 one as the Weyl reflection of the free path
+    pt = dynamics.make_phase_point(su22, np.array([1.5, 1.0]), np.array([-0.3, 0.3]))
+    times = np.linspace(0.0, 2.0, 5)
+    with pytest.raises(algebra.WallProximityError):
+        dynamics.projection_trajectory(su22, pt, times)
+    traj = dynamics.projection_trajectory(su22, pt, times, on_wall="truncate")
+    assert traj.wall_time == 0.5
+    assert traj.times.tolist() == [0.0, 0.5]
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.0])
+def test_projection_bounce_or_wall_contact_matches_direct(sl3, kappa, monkeypatch):
+    # q1 - q2 turns around between the samples; the transverse momentum
+    # makes the speed bound loose, so the exact flow is searched.  A weak
+    # barrier (kappa = 0.05) turns it at 0.16; free motion hits the wall
+    xi = orbits.xi_red(sl3, "kks", kappa) if kappa else orbits.zero_spin(sl3)
+    pt = dynamics.make_phase_point(sl3, np.array([1.0, 0.2, -1.2]),
+                                   np.array([0.7, 1.3, -2.0]), xi)
+    searches = count_calls(monkeypatch, scipy.optimize, "minimize_scalar")
+    traj = dynamics.projection_trajectory(sl3, pt, np.linspace(0.0, 2.0, 3),
+                                          on_wall="truncate")
+    assert searches
+    direct = dynamics.integrate_direct(sl3, pt, 2.0, tol=1e-10, sample_dt=1.0,
+                                       on_wall="truncate")
+    assert traj.wall_time == direct.wall_time
+    assert traj.times.tolist() == direct.times.tolist()
 
 
 @pytest.mark.parametrize("case", ["su21_spin", "su22_spin", "su22_spinless"])
