@@ -42,8 +42,8 @@ for x, drift in report["lax_spectra"].items():
 print("invariant monitors:")
 for label, drift in report["invariants"].items():
     print(f"  {label:28s} {drift:.2e}")
-print(f"per-step corrections: M-part {traj.m_drift:.2e}, "
-      f"orbit spectrum {traj.orbit_drift:.2e}")
+print(f"largest M-part of xi' at the samples: {traj.m_drift:.2e}; "
+      f"largest per-step orbit-spectrum correction: {traj.orbit_drift:.2e}")
 
 print("\nspin moves along its orbit (gauge motion) while the reduced point"
       " is transported; sorted block spectra of xi stay fixed:")

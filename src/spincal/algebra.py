@@ -178,6 +178,7 @@ class SymmetricSpaceData:
     a_basis: np.ndarray      # (rank, N, N) orthonormal basis of A
     root_coef: np.ndarray    # (R, n_coords)
     coord_weight: float      # tr(embed(unit coordinate)^2)
+    fplus: np.ndarray        # (K, K, K) M-perp structure constants, see build_space
 
     @property
     def K(self) -> int:
@@ -384,14 +385,15 @@ def _build_su(spec: SpaceSpec) -> SymmetricSpaceData:
     m_basis = _gram_schmidt(raw_m, lambda X, Y: float(-np.trace(X @ Y).real)) \
         if raw_m else np.zeros((0, N, N), complex)
 
+    eplus = np.array(eplus)
     return SymmetricSpaceData(
         spec=spec, N=N, n_coords=n, rank=n,
         roots=tuple(roots), mult=tuple(mult),
-        eplus=np.array(eplus), eminus=np.array(eminus),
+        eplus=eplus, eminus=np.array(eminus),
         e_root=np.array(e_root, dtype=int), e_labels=tuple(labels),
         m_basis=m_basis, a_basis=np.array(a_basis),
         root_coef=np.array([r.coef for r in roots]),
-        coord_weight=2.0,
+        coord_weight=2.0, fplus=_structure_constants(eplus),
     )
 
 
@@ -441,22 +443,25 @@ def _build_sl(spec: SpaceSpec) -> SymmetricSpaceData:
     a_basis = _gram_schmidt(raw_a, lambda X, Y: float(np.trace(X @ Y).real))
     m_basis = _gram_schmidt(raw_m, lambda X, Y: float(-np.trace(X @ Y).real))
 
+    eplus = np.array(eplus)
     return SymmetricSpaceData(
         spec=spec, N=N, n_coords=k, rank=k - 1,
         roots=tuple(roots), mult=tuple(mult),
-        eplus=np.array(eplus), eminus=np.array(eminus),
+        eplus=eplus, eminus=np.array(eminus),
         e_root=np.array(e_root, dtype=int), e_labels=tuple(labels),
         m_basis=m_basis, a_basis=a_basis,
         root_coef=np.array([r.coef for r in roots]),
-        coord_weight=1.0,
+        coord_weight=1.0, fplus=_structure_constants(eplus),
     )
 
 
 def build_space(spec: SpaceSpec) -> SymmetricSpaceData:
     """Construct roots, multiplicities and the orthonormal root basis.
 
-    The returned object is immutable (arrays are write-protected) and safe
-    to share read-only across concurrent tasks.
+    Also precomputes the M-perp structure constants ``fplus[i, j, k]``, the
+    coefficient of [E+_i, E+_j] along E+_k; the M-part of that bracket is
+    not kept.  The returned object is immutable (arrays are write-protected)
+    and safe to share read-only across concurrent tasks.
     """
     if spec.family == "su_mn":
         space = _build_su(spec)
@@ -465,9 +470,20 @@ def build_space(spec: SpaceSpec) -> SymmetricSpaceData:
     else:
         raise AdmissibilityError(f"unknown family {spec.family!r}")
     for arr in (space.eplus, space.eminus, space.e_root, space.m_basis,
-                space.a_basis, space.root_coef):
+                space.a_basis, space.root_coef, space.fplus):
         arr.setflags(write=False)
     return space
+
+
+def _structure_constants(eplus: np.ndarray) -> np.ndarray:
+    """fplus = -(T - T^T01) with T_ijk = Re tr(E+_i E+_j E+_k), one row i at
+    a time (a single three-operand contraction is far slower)."""
+    K, N = eplus.shape[0], eplus.shape[1]
+    right = eplus.transpose(0, 2, 1).reshape(K, N * N)  # row k: (E+_k)^T flattened
+    T = np.empty((K, K, K))
+    for i in range(K):
+        T[i] = ((eplus[i] @ eplus).reshape(K, N * N) @ right.T).real
+    return T.transpose(1, 0, 2) - T
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def write_json(path: str, payload: dict):
 
 def _report_base(cfg: RunConfig) -> dict:
     return {"tool": "spincal", "version": __version__,
-            "config_sha256": config_hash(cfg.raw), "run": cfg.name}
+            "config_sha256": config_hash(cfg.raw), "run": cfg.name, "seed": cfg.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +283,8 @@ def run_trajectory(cfg: RunConfig):
     if cfg.method == "projection":
         n_seg = max(1, int(round(cfg.t_end / cfg.sample_dt)))
         times = np.linspace(0.0, cfg.t_end, n_seg + 1)
-        # every output is M-invariant, so the M-gauge alignment is skipped
         traj = dynamics.projection_trajectory(space, pt0, times, lax_x=cfg.lax_x,
-                                              invariants=cfg.monitors, align_gauge=False,
-                                              on_wall="truncate")
+                                              invariants=cfg.monitors, on_wall="truncate")
     else:
         traj = dynamics.integrate_direct(space, pt0, cfg.t_end, tol=cfg.tol,
                                          sample_dt=cfg.sample_dt, lax_x=cfg.lax_x,
@@ -375,7 +373,9 @@ def cmd_verify(args) -> int:
     if not spaces:
         raise ConfigError("verify config must list at least one space")
     specs = [parse_space(obj) for obj in spaces]
-    seed = int(args.seed if args.seed is not None else raw.get("seed", 0))
+    if args.seed is not None:
+        raw = {**raw, "seed": args.seed}  # the hash covers the effective config
+    seed = int(raw.get("seed", 0))
     n_draws = int(raw.get("n_draws", 100))
     report = checks.run_verify(specs, seed=seed, n_draws=n_draws)
     report.update({"tool": "spincal", "version": __version__,
@@ -444,11 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _prepare_runs(args) -> tuple:
     raw = load_config(args.config)
     runs = parse_runs(raw)
+    overrides = {key: val for key, val in (("method", args.method), ("seed", args.seed))
+                 if val is not None}
     for cfg in runs:
-        if args.method:
-            cfg.method = args.method
-        if args.seed is not None:
-            cfg.seed = args.seed
+        cfg.raw = {**cfg.raw, **overrides}  # the hash covers the effective config
+        cfg.method = overrides.get("method", cfg.method)
+        cfg.seed = overrides.get("seed", cfg.seed)
     out_base = args.out or runs[0].raw.get("out_dir", ".")
     return runs, out_base
 

@@ -19,6 +19,12 @@ of this H; the gauge generator y_M is zero on the thick slice.  For the
 spinless catalog models a y_M exists at every chamber point that makes xi'
 vanish (the freezing gauge, see :func:`freezing_solve`), so in that gauge
 the spin is constant and only (q, p) move.
+
+The direct integrator works on the basis coefficients c+ of xi alone, with
+the state (q, p, c+).  By the root grading the zero-gauge xi' has no M-part,
+so p' = -grad V and xi' = [xi, w^2(ad_q) xi] are closed forms in c+: the
+latter through the structure constants ``space.fplus``.  :func:`eom_rhs`
+evaluates the same field on N x N matrices and is the reference for both.
 """
 
 from __future__ import annotations
@@ -124,9 +130,9 @@ class InvariantSpec:
 
 @dataclass
 class EomRhs:
-    """Right-hand side of the reduced evolution equations; the M-part of the
-    spin derivative vanishes identically on the thick slice and is reported
-    as a consistency diagnostic."""
+    """Right-hand side of the reduced evolution equations as N x N matrices.
+    In the zero gauge the M-part of the spin derivative vanishes by the root
+    grading; its norm is reported as a consistency diagnostic."""
 
     dq: np.ndarray
     dp: np.ndarray
@@ -144,7 +150,7 @@ class Trajectory:
     lax_x: tuple
     lax_spectra: dict          # x -> (T, N) complex, sorted by (re, im)
     invariants: dict           # label -> (T,) float
-    m_drift: float = 0.0       # max M-part removed by the per-step projection
+    m_drift: float = 0.0       # direct, zero gauge: max M-part of xi' at the samples
     orbit_drift: float = 0.0   # max spectrum-restoring correction applied
     wall_time: float | None = None  # set when truncated by a wall event
     n_steps: int = 0           # direct integrator: steps accepted by the error control
@@ -235,35 +241,34 @@ def _match_spectra(spectra: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _force(space: SymmetricSpaceData, q, cplus):
-    """p' = [w^2(ad_q) xi, coth(ad_q) xi]_A in coordinates, and w^2(ad_q) xi."""
+    """p' = -grad V = (1/s) sum_j c_j^2 cosh(alpha_j) / sinh^3(alpha_j) coef_j."""
     av = space.alpha_cols(q)
-    sinh = np.sinh(av)
-    w2 = cplus / sinh ** 2
-    ct = cplus * np.cosh(av) / sinh
-    W2 = np.einsum("j,jab->ab", w2, space.eplus)
-    CT = np.einsum("j,jab->ab", ct, space.eminus)
-    return algebra.coords_of(space, W2 @ CT - CT @ W2), W2
+    w = cplus ** 2 * np.cosh(av) / np.sinh(av) ** 3
+    return (w @ space.root_coef[space.e_root]) / space.coord_weight
 
 
-def _rhs_components(space: SymmetricSpaceData, q, cplus, cm, y_m_mat=None):
-    """Core evolution formulas in basis coefficients."""
-    dp, W2 = _force(space, q, cplus)
-    Xi = np.einsum("j,jab->ab", cplus, space.eplus)
-    if cm is not None and space.dim_m and np.any(cm):
-        Xi = Xi + np.einsum("j,jab->ab", cm, space.m_basis)
-    Y = -W2 if y_m_mat is None else y_m_mat - W2
-    dxi = Y @ Xi - Xi @ Y
-    return dp, dxi
+def _spin_rate(space: SymmetricSpaceData, q, cplus):
+    """M-perp coefficients of xi' = [xi, w^2(ad_q) xi] (zero gauge) from the
+    structure constants: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk."""
+    w2 = cplus / np.sinh(space.alpha_cols(q)) ** 2
+    return -cplus @ np.tensordot(w2, space.fplus, axes=1)
 
 
 def eom_rhs(space: SymmetricSpaceData, pt: PhasePoint, y_m: np.ndarray | None = None) -> EomRhs:
     """Reduced evolution vector field at pt with gauge generator y_m in M
-    (default zero, the thick-slice choice)."""
+    (default zero, the thick-slice choice), evaluated on N x N matrices:
+    the reference for the coefficient formulas the direct integrator uses."""
     algebra.require_off_wall(space, pt.q)
     if pt.xi.is_zero:
         z = np.zeros((space.N, space.N), complex)
         return EomRhs(dq=pt.p.copy(), dp=np.zeros_like(pt.p), dxi=z, m_part_norm=0.0)
-    dp, dxi = _rhs_components(space, pt.q, pt.xi.coeffs, None, y_m)
+    av = space.alpha_cols(pt.q)
+    c = pt.xi.coeffs
+    W2 = np.einsum("j,jab->ab", c / np.sinh(av) ** 2, space.eplus)
+    CT = np.einsum("j,jab->ab", c / np.tanh(av), space.eminus)
+    dp = algebra.coords_of(space, _comm(W2, CT))
+    Y = -W2 if y_m is None else y_m - W2
+    dxi = _comm(Y, pt.xi.xi)
     m_norm = float(np.linalg.norm(algebra.decompose(space, dxi)[1]))
     return EomRhs(dq=pt.p.copy(), dp=dp, dxi=dxi, m_part_norm=m_norm)
 
@@ -288,34 +293,24 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 
 
 class _DirectSystem:
-    """Packed-state view of the reduced equations for the stepper."""
+    """Packed-state view (q, p, c+) of the reduced equations for the stepper."""
 
     def __init__(self, space: SymmetricSpaceData, gauge: str):
         self.space = space
         self.nc = space.n_coords
-        self.K = space.K
-        self.dm = space.dim_m
         self.gauge = gauge
 
-    def pack(self, q, p, cplus, cm):
-        return np.concatenate([q, p, cplus, cm])
-
     def unpack(self, y):
-        nc, K = self.nc, self.K
-        return (y[:nc], y[nc:2 * nc], y[2 * nc:2 * nc + K], y[2 * nc + K:])
+        nc = self.nc
+        return y[:nc], y[nc:2 * nc], y[2 * nc:]
 
     def __call__(self, t, y):
         space = self.space
-        q, p, cplus, cm = self.unpack(y)
-        if self.gauge == "freeze":
-            # the spin is held still; integrate_direct certifies the gauge
-            return np.concatenate([p, _force(space, q, cplus)[0],
-                                   np.zeros(self.K + self.dm)])
-        dp, dxi = _rhs_components(space, q, cplus, cm)
-        dcplus = -np.einsum("ab,jba->j", dxi, space.eplus).real
-        dcm = -np.einsum("ab,jba->j", dxi, space.m_basis).real if self.dm \
-            else np.zeros(0)
-        return np.concatenate([p, dp, dcplus, dcm])
+        q, p, cplus = self.unpack(y)
+        # in the freezing gauge the spin is held still; integrate_direct
+        # certifies the gauge
+        dc = np.zeros(space.K) if self.gauge == "freeze" else _spin_rate(space, q, cplus)
+        return np.concatenate([p, _force(space, q, cplus), dc])
 
 
 def _block_spectra_ref(space: SymmetricSpaceData, xi: np.ndarray):
@@ -346,9 +341,10 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
                      on_wall: str = "raise") -> Trajectory:
     """Adaptive Dormand-Prince 5(4) integration of the reduced equations.
 
-    In the zero gauge, after every accepted step the spin variable is
-    re-projected onto M-perp and its per-block spectrum is restored to the
-    initial one (the exact flow preserves both; the corrections are logged).
+    The state is (q, p, c+), see the module docstring.  In the zero gauge,
+    after every accepted step the per-block spectrum of the spin is restored
+    to the initial one (the exact flow preserves it; the corrections are
+    logged), and ``m_drift`` is the largest M-part of xi' at the samples.
     In the freezing gauge the spin is held constant, and the gauge is
     certified by :func:`freezing_solve` on the initial spin at t = 0 and
     after every accepted step: a failed certificate raises
@@ -372,11 +368,9 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     sys = _DirectSystem(space, gauge)
     free = pt0.xi.is_zero
     freeze = gauge == "freeze"
-    cm0 = np.zeros(space.dim_m)
-    y = sys.pack(pt0.q, pt0.p, pt0.xi.coeffs.copy(), cm0)
+    y = np.concatenate([pt0.q, pt0.p, pt0.xi.coeffs])
     spec_ref = None if free or freeze else _block_spectra_ref(space, pt0.xi.xi)
 
-    m_drift = 0.0
     orbit_drift = 0.0
     freeze_residual = 0.0
     n_steps = 0
@@ -390,7 +384,7 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
         freeze_residual = max(freeze_residual, res.frozen_residual)
 
     def correct(yv):
-        nonlocal m_drift, orbit_drift, n_steps
+        nonlocal orbit_drift, n_steps
         n_steps += 1
         if freeze:
             # a point past the wall ends the run at the stepper's wall check
@@ -400,16 +394,15 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
             return yv
         if free:
             return yv
-        q, p, cplus, cm = sys.unpack(yv)
-        m_drift = max(m_drift, float(np.linalg.norm(cm)))
+        q, p, cplus = sys.unpack(yv)
         xi = algebra.reconstruct(space, cplus=cplus)
         fixed = _restore_block_spectra(space, xi, spec_ref)
         orbit_drift = max(orbit_drift, float(np.linalg.norm(fixed - xi)))
         cplus_new = -np.einsum("ab,jba->j", fixed, space.eplus).real
-        return sys.pack(q, p, cplus_new, np.zeros(space.dim_m))
+        return np.concatenate([q, p, cplus_new])
 
     def sample(t, yv):
-        q, p, cplus, _ = sys.unpack(yv)
+        q, p, cplus = sys.unpack(yv)
         if freeze:
             return PhasePoint(q=q.copy(), p=p.copy(), xi=pt0.xi)
         xi = SpinPoint(xi=algebra.reconstruct(space, cplus=cplus),
@@ -427,6 +420,9 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
         if on_wall == "raise":
             raise
         wall_time = exc.t
+    # the M-part of xi' vanishes on the slice; its largest value at the
+    # samples is kept as a consistency diagnostic
+    m_drift = 0.0 if freeze else max(eom_rhs(space, pt).m_part_norm for pt in pts)
     times_done = times[:len(pts)]
     return _attach_monitors(space, times_done, pts, lax_x, invariants,
                             m_drift=m_drift, orbit_drift=orbit_drift,
@@ -634,33 +630,6 @@ def freezing_solve(space: SymmetricSpaceData, q, mu,
 # Projection-method integration
 # ---------------------------------------------------------------------------
 
-def _align_m_gauge(space: SymmetricSpaceData, xi: np.ndarray, ref: np.ndarray,
-                   n_restarts: int = 2) -> np.ndarray:
-    """Fix the residual M-gauge freedom by minimizing the distance of the
-    M-conjugated spin to a reference representative (coarse multistart plus
-    local refinement); only M-invariant quantities are ever asserted on."""
-    if space.dim_m == 0 or np.abs(xi).max(initial=0.0) == 0.0:
-        return xi
-
-    def conjugated(z):
-        g = scipy.linalg.expm(np.einsum("b,bij->ij", z, space.m_basis))
-        return g @ xi @ g.conj().T
-
-    def objective(z):
-        return float(np.linalg.norm(conjugated(z) - ref) ** 2)
-
-    rng = np.random.default_rng(12345)
-    starts = [np.zeros(space.dim_m)]
-    starts += [rng.uniform(-math.pi, math.pi, space.dim_m) for _ in range(n_restarts)]
-    best_z, best_val = starts[0], objective(starts[0])
-    for z0 in starts:
-        res = scipy.optimize.minimize(objective, z0, method="BFGS",
-                                      options={"gtol": 1e-12, "maxiter": 200})
-        if res.fun < best_val:
-            best_z, best_val = res.x, res.fun
-    return conjugated(best_z)
-
-
 def _polar_orthonormalize(A: np.ndarray) -> np.ndarray:
     U, _, Vh = np.linalg.svd(A, full_matrices=False)
     return U @ Vh
@@ -747,8 +716,7 @@ def _split_candidates(sig, k):
 
 
 def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
-                    spec: InvariantSpec = InvariantSpec("trace_power", 2),
-                    align_gauge: bool = True) -> PhasePoint:
+                    spec: InvariantSpec = InvariantSpec("trace_power", 2)) -> PhasePoint:
     """Exact time-t map of the invariant flow generated by f(K(1)) via the
     projection method.
 
@@ -757,7 +725,9 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     J_0 = J_-^0 + tanh(ad_{q_0}) J_-^0, and projected back to the chamber by
     re-diagonalizing Lambda(t).  Only fully group-invariant generators
     (trace powers) admit this closed flow; spec = trace_power(2) reproduces
-    the Hamiltonian flow of the model itself.
+    the Hamiltonian flow of the model itself.  The spin is returned in
+    whatever residual M-gauge the re-diagonalization picks: q, p, the energy,
+    Lax spectra and invariants do not depend on it.
     """
     if spec.cls != "trace_power":
         raise AdmissibilityError("the projection flow requires a fully invariant generator")
@@ -787,12 +757,8 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     if np.linalg.norm(cm) > 1e-7:
         raise RuntimeError(
             f"projected spin drifted off the slice (M-part {np.linalg.norm(cm):.3e})")
-    xi_clean = algebra.reconstruct(space, cplus=cplus)
-    if align_gauge:
-        xi_clean = _align_m_gauge(space, xi_clean, pt0.xi.xi)
-        cplus = -np.einsum("ab,jba->j", xi_clean, space.eplus).real
-        xi_clean = algebra.reconstruct(space, cplus=cplus)
-    xi_sp = SpinPoint(xi=xi_clean, coeffs=cplus, on_slice=True)
+    xi_sp = SpinPoint(xi=algebra.reconstruct(space, cplus=cplus), coeffs=cplus,
+                      on_slice=True)
     return PhasePoint(q=q_t, p=p_t, xi=xi_sp)
 
 
@@ -823,7 +789,7 @@ def _wall_contact(space, pt0, spec, t_a, pt_a, t_b, pt_b) -> bool:
 
     def margin(t):
         try:
-            q = flow_projection(space, pt0, t, spec, align_gauge=False).q
+            q = flow_projection(space, pt0, t, spec).q
         except (WallProximityError, algebra.DegenerateSpectrumError):
             return -1.0
         return algebra.min_root_value(space, q)
@@ -836,15 +802,13 @@ def _wall_contact(space, pt0, spec, t_a, pt_a, t_b, pt_b) -> bool:
 def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
                           spec: InvariantSpec = InvariantSpec("trace_power", 2),
                           lax_x: tuple = (0.0, 1.0), invariants: tuple = (),
-                          align_gauge: bool = True, on_wall: str = "raise") -> Trajectory:
+                          on_wall: str = "raise") -> Trajectory:
     """Sample the projection-method flow on a time grid.
 
     A wall contact, at a sample or between two samples (see
     :func:`_wall_contact`), raises :class:`WallProximityError`; with
     ``on_wall="truncate"`` the samples before it are returned instead, with
-    ``wall_time`` set to the last of them.  ``align_gauge=False`` skips the
-    M-gauge alignment, which changes nothing M-invariant (q, p, energy, Lax
-    spectra, invariants).
+    ``wall_time`` set to the last of them.
     """
     if on_wall not in ("raise", "truncate"):
         raise ValueError("on_wall must be 'raise' or 'truncate'")
@@ -854,8 +818,7 @@ def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
     for t in times:
         t_prev = float(times[len(pts) - 1]) if pts else None
         try:
-            pt = flow_projection(space, pt0, t, spec, align_gauge=align_gauge) \
-                if t != 0.0 else pt0
+            pt = flow_projection(space, pt0, t, spec) if t != 0.0 else pt0
             if pts and _wall_contact(space, pt0, spec, t_prev, pts[-1], t, pt):
                 raise WallProximityError(
                     f"trajectory reached a chamber wall in ({t_prev:.6g}, {t:.6g}]",

@@ -118,6 +118,24 @@ def test_basis_membership_and_theta_parity(spec):
         assert np.abs(algebra.theta(sp, sp.eminus[j]) + sp.eminus[j]).max() < 1e-14
 
 
+CORE_SPACES = [SpaceSpec.su(2, 1), SpaceSpec.su(2, 2), SpaceSpec.su(3, 2),
+               SpaceSpec.su(6, 3), SpaceSpec.sl(3), SpaceSpec.sl(4)]
+
+
+@pytest.mark.parametrize("spec", CORE_SPACES, ids=lambda s: s.label())
+def test_structure_constants_fplus(spec):
+    sp = build_space(spec)
+    f = sp.fplus
+    assert f.shape == (sp.K, sp.K, sp.K)
+    assert np.abs(f + f.transpose(1, 0, 2)).max() == 0.0
+    for i in range(sp.K):
+        for j in range(sp.K):
+            br = sp.eplus[i] @ sp.eplus[j] - sp.eplus[j] @ sp.eplus[i]
+            want = algebra.project(sp, br, "mperp")
+            got = np.einsum("k,kab->ab", f[i, j], sp.eplus)
+            assert np.abs(got - want).max() < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # theta / split / project
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from spincal import cli, dynamics
+from spincal import cli
 
 
 def run_cli(*args):
@@ -142,10 +142,35 @@ def test_projection_run_skips_gauge_alignment(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "o")])
     assert code == 0
     assert calls == []
-    # the library default still aligns, through the counted minimizer
-    space, pt0 = cli.build_initial_point(cli.parse_run(base_run_config(t_end=1.0)))
-    dynamics.flow_projection(space, pt0, 0.5)
-    assert calls
+
+
+def test_config_hash_covers_cli_overrides(tmp_path):
+    raw = base_run_config(
+        space={"family": "su_mn", "m": 2, "n": 2},
+        model={"type": "orbit", "kappa_m": 1.0, "kappa_n": 0.5, "x": 0.2},
+        initial={"q": [1.6, 0.7], "p": [0.3, -0.3]}, t_end=0.5, monitors=[])
+    cfg = write_config(tmp_path / "cfg.json", raw)
+    reports, trajs = {}, {}
+    for tag, extra in (("raw", []), ("s1", ["--seed", "1"]), ("s2", ["--seed", "2"]),
+                       ("proj", ["--method", "projection"])):
+        out = tmp_path / tag
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), *extra]) == 0
+        reports[tag] = json.loads((out / "drift_report.json").read_text())
+        trajs[tag] = (out / "trajectory.csv").read_bytes()
+    assert reports["raw"]["config_sha256"] == cli.config_hash(raw)
+    assert [reports[t]["seed"] for t in ("raw", "s1", "s2")] == [0, 1, 2]
+    assert trajs["s1"] != trajs["s2"]
+    assert len({r["config_sha256"] for r in reports.values()}) == 4
+
+    vraw = {"spaces": [{"family": "su_mn", "m": 2, "n": 1}], "n_draws": 2}
+    vcfg = write_config(tmp_path / "v.json", vraw)
+    hashes = []
+    for extra in ([], ["--seed", "1"], ["--seed", "2"]):
+        out = tmp_path / f"v{len(hashes)}"
+        assert cli.main(["verify", "--config", vcfg, "--out", str(out), *extra]) == 0
+        hashes.append(json.loads((out / "verify_report.json").read_text())["config_sha256"])
+    assert hashes[0] == cli.config_hash(vraw)
+    assert len(set(hashes)) == 3
 
 
 def test_simulate_jobs_multi_run(tmp_path):
