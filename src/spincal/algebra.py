@@ -52,6 +52,7 @@ __all__ = [
     "WallProximityError",
     "DegenerateSpectrumError",
     "StepSizeError",
+    "OffSliceError",
     "EPS_MEMBERSHIP",
     "EPS_WALL",
     "EPS_REGULAR",
@@ -84,6 +85,10 @@ class DegenerateSpectrumError(RuntimeError):
 
 class StepSizeError(RuntimeError):
     """Adaptive integrator step size underflowed."""
+
+
+class OffSliceError(RuntimeError):
+    """A projected spin left the gauge slice (its M-part is not negligible)."""
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +588,7 @@ def is_in_chamber(space: SymmetricSpaceData, q, margin: float = 0.0) -> bool:
 
 
 def min_root_value(space: SymmetricSpaceData, q) -> float:
-    return float(np.min(space.root_values(q)))
+    return float(space.root_values(q).min())
 
 
 def require_off_wall(space: SymmetricSpaceData, q, eps: float = EPS_WALL, t=None):

@@ -16,7 +16,8 @@ significant digits, '.' decimal and ',' separators; all files are written
 to a temporary name and atomically renamed, and outputs are deterministic
 for a fixed config and seed.  Exit codes: 0 success, 1 configuration or
 usage error, 2 chamber-wall collision (the report carries the last safe
-time).
+time), 3 integration failure: step-size underflow, degenerate spectrum or
+spin off the slice (the report carries the status and the error).
 """
 
 from __future__ import annotations
@@ -33,12 +34,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, algebra, checks, dynamics, models, orbits
-from .algebra import AdmissibilityError, SpaceSpec, WallProximityError
+from .algebra import (
+    AdmissibilityError,
+    DegenerateSpectrumError,
+    OffSliceError,
+    SpaceSpec,
+    StepSizeError,
+    SymmetricSpaceData,
+    WallProximityError,
+)
 from .dynamics import InvariantSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_WALL = 2
+EXIT_FAILURE = 3
+
+# integration failures a run reports as its status (exit EXIT_FAILURE)
+FAILURE_STATUS = {
+    StepSizeError: "step_size_failure",
+    DegenerateSpectrumError: "degenerate_spectrum",
+    OffSliceError: "off_slice",
+}
 
 DEFAULT_LAX_X = (0.0, 0.5, 1.0)
 
@@ -93,6 +110,7 @@ def parse_space(obj) -> SpaceSpec:
 class RunConfig:
     name: str
     space_spec: SpaceSpec
+    space: SymmetricSpaceData = field(repr=False, compare=False)
     model: dict
     q: np.ndarray
     p: np.ndarray
@@ -176,8 +194,8 @@ def parse_run(obj: dict, default_name: str = "run") -> RunConfig:
         raise ConfigError("gauge must be 'zero' or 'freeze'")
     seed = int(model.get("seed", obj.get("seed", 0)))
     name = obj.get("name", default_name)
-    return RunConfig(name=name, space_spec=space_spec, model=dict(model), q=q, p=p,
-                     t_end=t_end, tol=tol, sample_dt=sample_dt,
+    return RunConfig(name=name, space_spec=space_spec, space=space, model=dict(model),
+                     q=q, p=p, t_end=t_end, tol=tol, sample_dt=sample_dt,
                      monitors=tuple(monitors), lax_x=lax_x, method=method,
                      gauge=gauge, seed=seed, raw=obj)
 
@@ -254,7 +272,7 @@ def _report_base(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_initial_point(cfg: RunConfig):
-    space = algebra.build_space(cfg.space_spec)
+    space = cfg.space
     m = cfg.model
     mtype = m["type"]
     if mtype == "free":
@@ -293,8 +311,23 @@ def run_trajectory(cfg: RunConfig):
     return space, traj
 
 
+def _write_failure(cfg: RunConfig, exc: Exception, path: str) -> int:
+    """Report a run that an integration failure stopped."""
+    report = _report_base(cfg)
+    report["method"] = cfg.method
+    report["status"] = next(status for cls, status in FAILURE_STATUS.items()
+                            if isinstance(exc, cls))
+    report["error"] = str(exc)
+    write_json(path, report)
+    print(f"[{cfg.name}] integration failed ({report['status']}): {exc}", file=sys.stderr)
+    return EXIT_FAILURE
+
+
 def cmd_simulate_one(cfg: RunConfig, out_dir: str) -> int:
-    space, traj = run_trajectory(cfg)
+    try:
+        space, traj = run_trajectory(cfg)
+    except tuple(FAILURE_STATUS) as exc:
+        return _write_failure(cfg, exc, os.path.join(out_dir, "drift_report.json"))
     nc = space.n_coords
     header = (["t"] + [f"q{i + 1}" for i in range(nc)]
               + [f"p{i + 1}" for i in range(nc)] + ["H"])
@@ -320,7 +353,10 @@ def cmd_simulate_one(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_spectrum_one(cfg: RunConfig, out_dir: str) -> int:
-    space, traj = run_trajectory(cfg)
+    try:
+        space, traj = run_trajectory(cfg)
+    except tuple(FAILURE_STATUS) as exc:
+        return _write_failure(cfg, exc, os.path.join(out_dir, "spectrum_report.json"))
     header = ["t"]
     for x in traj.lax_x:
         for i in range(space.N):
@@ -337,8 +373,8 @@ def cmd_spectrum_one(cfg: RunConfig, out_dir: str) -> int:
 
     report = _report_base(cfg)
     report["method"] = cfg.method
-    report["isospectrality_drift"] = {
-        f"x={x:g}": dynamics.monitor(space, traj)["lax_spectra"][x] for x in traj.lax_x}
+    drift = dynamics.monitor(space, traj)["lax_spectra"]
+    report["isospectrality_drift"] = {f"x={x:g}": drift[x] for x in traj.lax_x}
     if traj.wall_time is not None:
         report["status"] = "wall_collision"
         report["last_safe_time"] = traj.wall_time

@@ -192,12 +192,23 @@ def hamiltonian_via_lax(space: SymmetricSpaceData, pt: PhasePoint) -> float:
 
 
 def lax(space: SymmetricSpaceData, pt: PhasePoint, x: float) -> np.ndarray:
-    """Spectral-parameter Lax matrix L(x) = p - coth(ad_q) xi - x xi."""
+    """Spectral-parameter Lax matrix L(x) = p - coth(ad_q) xi - x xi.
+
+    On-slice spin has no A- or M-part, so coth(ad_q) xi is the coefficient
+    scaling sum_j (c_j / tanh alpha_j(q)) E-_j; other spin goes through
+    :func:`algebra.ad_fn`.
+    """
     algebra.require_off_wall(space, pt.q)
     L = algebra.embed(space, pt.p)
-    if not pt.xi.is_zero:
-        L = L - algebra.ad_fn(space, "coth", pt.q, pt.xi.xi) - x * pt.xi.xi
-    return L
+    if pt.xi.is_zero:
+        return L
+    if pt.xi.on_slice and pt.xi.coeffs is not None:
+        K, N = space.K, space.N
+        coth_xi = ((pt.xi.coeffs / np.tanh(space.alpha_cols(pt.q)))
+                   @ space.eminus.reshape(K, N * N)).reshape(N, N)
+    else:
+        coth_xi = algebra.ad_fn(space, "coth", pt.q, pt.xi.xi)
+    return L - coth_xi - x * pt.xi.xi
 
 
 def lax_minus(space: SymmetricSpaceData, pt: PhasePoint) -> np.ndarray:
@@ -240,20 +251,6 @@ def _match_spectra(spectra: np.ndarray) -> np.ndarray:
 # Equations of motion
 # ---------------------------------------------------------------------------
 
-def _force(space: SymmetricSpaceData, q, cplus):
-    """p' = -grad V = (1/s) sum_j c_j^2 cosh(alpha_j) / sinh^3(alpha_j) coef_j."""
-    av = space.alpha_cols(q)
-    w = cplus ** 2 * np.cosh(av) / np.sinh(av) ** 3
-    return (w @ space.root_coef[space.e_root]) / space.coord_weight
-
-
-def _spin_rate(space: SymmetricSpaceData, q, cplus):
-    """M-perp coefficients of xi' = [xi, w^2(ad_q) xi] (zero gauge) from the
-    structure constants: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk."""
-    w2 = cplus / np.sinh(space.alpha_cols(q)) ** 2
-    return -cplus @ np.tensordot(w2, space.fplus, axes=1)
-
-
 def eom_rhs(space: SymmetricSpaceData, pt: PhasePoint, y_m: np.ndarray | None = None) -> EomRhs:
     """Reduced evolution vector field at pt with gauge generator y_m in M
     (default zero, the thick-slice choice), evaluated on N x N matrices:
@@ -278,57 +275,84 @@ def eom_rhs(space: SymmetricSpaceData, pt: PhasePoint, y_m: np.ndarray | None = 
 # ---------------------------------------------------------------------------
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+# first same as last: the seventh stage is evaluated at (t + h, y5)
+_DP_B5 = _DP_A[6]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4  # y5 - y4 = h * (_DP_E @ ks)
 
 
 class _DirectSystem:
-    """Packed-state view (q, p, c+) of the reduced equations for the stepper."""
+    """Packed-state view (q, p, c+) of the reduced equations for the stepper,
+    with the flat basis arrays its right-hand side and the spin restoration
+    work on."""
 
     def __init__(self, space: SymmetricSpaceData, gauge: str):
+        K, N = space.K, space.N
         self.space = space
         self.nc = space.n_coords
         self.gauge = gauge
+        self.coef = space.root_coef[space.e_root]  # alpha_j(q) = coef[j] @ q
+        self.force_coef = self.coef / space.coord_weight
+        self.neg_fplus = -space.fplus.reshape(K * K, K)
+        self.eplus = space.eplus.reshape(K, N * N)  # row j: E+_j
+        self.eplus_t = space.eplus.transpose(0, 2, 1).reshape(K, N * N)  # row j: (E+_j)^T
 
     def unpack(self, y):
         nc = self.nc
         return y[:nc], y[nc:2 * nc], y[2 * nc:]
 
     def __call__(self, t, y):
-        space = self.space
-        q, p, cplus = self.unpack(y)
-        # in the freezing gauge the spin is held still; integrate_direct
-        # certifies the gauge
-        dc = np.zeros(space.K) if self.gauge == "freeze" else _spin_rate(space, q, cplus)
-        return np.concatenate([p, _force(space, q, cplus), dc])
+        nc = self.nc
+        cplus = y[2 * nc:]
+        av = self.coef @ y[:nc]
+        w2 = cplus / np.sinh(av) ** 2
+        out = np.empty_like(y)
+        out[:nc] = y[nc:2 * nc]
+        # p' = -grad V = (1/s) sum_j c_j^2 cosh(alpha_j) / sinh^3(alpha_j) coef_j
+        np.matmul(cplus * w2 / np.tanh(av), self.force_coef, out=out[nc:2 * nc])
+        if self.gauge == "freeze":
+            # the spin is held still; integrate_direct certifies the gauge
+            out[2 * nc:] = 0.0
+        else:
+            # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk
+            np.matmul((w2[:, None] * cplus).ravel(), self.neg_fplus, out=out[2 * nc:])
+        return out
+
+    def spin(self, cplus) -> np.ndarray:
+        """xi = sum_j c_j E+_j as an N x N matrix (algebra.reconstruct)."""
+        N = self.space.N
+        return (cplus @ self.eplus).reshape(N, N)
+
+    def spin_coeffs(self, xi) -> np.ndarray:
+        """c_j = -Re tr(xi E+_j), the M-perp coefficients of algebra.decompose."""
+        return -(self.eplus_t @ xi.ravel()).real
+
+
+def _spin_blocks(space: SymmetricSpaceData) -> tuple:
+    """Diagonal blocks of the compact factors that on-slice spin lives in."""
+    if space.spec.family == "su_mn":
+        m = space.spec.m
+        return (slice(0, m), slice(m, space.N))
+    return (slice(0, space.N),)
 
 
 def _block_spectra_ref(space: SymmetricSpaceData, xi: np.ndarray):
-    if space.spec.family == "su_mn":
-        m = space.spec.m
-        return (np.linalg.eigvalsh(-1j * xi[:m, :m]),
-                np.linalg.eigvalsh(-1j * xi[m:, m:]))
-    return (np.linalg.eigvalsh(-1j * xi),)
+    return tuple(np.linalg.eigvalsh(-1j * xi[sl, sl]) for sl in _spin_blocks(space))
 
 
 def _restore_block_spectra(space: SymmetricSpaceData, xi: np.ndarray, ref) -> np.ndarray:
     out = xi.copy()
-    if space.spec.family == "su_mn":
-        m = space.spec.m
-        blocks = [(slice(0, m), ref[0]), (slice(m, space.N), ref[1])]
-    else:
-        blocks = [(slice(0, space.N), ref[0])]
-    for sl, target in blocks:
+    for sl, target in zip(_spin_blocks(space), ref):
         w, V = np.linalg.eigh(-1j * xi[sl, sl])
         out[sl, sl] = (V * (1j * target)) @ V.conj().T
     return out
@@ -349,10 +373,11 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     certified by :func:`freezing_solve` on the initial spin at t = 0 and
     after every accepted step: a failed certificate raises
     :class:`AdmissibilityError`, and the worst frozen residual is logged as
-    ``freeze_residual``.  Integration halts with :class:`WallProximityError`
-    if the configuration approaches a chamber wall; with
-    ``on_wall="truncate"`` the samples collected before the event are
-    returned instead, with ``wall_time`` set.
+    ``freeze_residual``.  Where no restoration changes the state (freezing
+    gauge, zero spin) the last stage of a step is the first of the next.
+    Integration halts with :class:`WallProximityError` if the configuration
+    approaches a chamber wall; with ``on_wall="truncate"`` the samples
+    collected before the event are returned instead, with ``wall_time`` set.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -384,6 +409,7 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
         freeze_residual = max(freeze_residual, res.frozen_residual)
 
     def correct(yv):
+        # returns the state to continue from; may update yv in place
         nonlocal orbit_drift, n_steps
         n_steps += 1
         if freeze:
@@ -394,19 +420,17 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
             return yv
         if free:
             return yv
-        q, p, cplus = sys.unpack(yv)
-        xi = algebra.reconstruct(space, cplus=cplus)
+        xi = sys.spin(sys.unpack(yv)[2])
         fixed = _restore_block_spectra(space, xi, spec_ref)
         orbit_drift = max(orbit_drift, float(np.linalg.norm(fixed - xi)))
-        cplus_new = -np.einsum("ab,jba->j", fixed, space.eplus).real
-        return np.concatenate([q, p, cplus_new])
+        yv[2 * sys.nc:] = sys.spin_coeffs(fixed)
+        return yv
 
     def sample(t, yv):
         q, p, cplus = sys.unpack(yv)
-        if freeze:
+        if freeze or free:
             return PhasePoint(q=q.copy(), p=p.copy(), xi=pt0.xi)
-        xi = SpinPoint(xi=algebra.reconstruct(space, cplus=cplus),
-                       coeffs=cplus.copy(), on_slice=True)
+        xi = SpinPoint(xi=sys.spin(cplus), coeffs=cplus.copy(), on_slice=True)
         return PhasePoint(q=q.copy(), p=p.copy(), xi=xi)
 
     if freeze:
@@ -415,7 +439,10 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     h = min(sample_dt, 0.05) * 0.1
     wall_time = None
     try:
-        _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, sample, pts)
+        # a stage past a wall evaluates to inf/nan: the error norm rejects it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, sample,
+                           pts, fsal=freeze or free)
     except WallProximityError as exc:
         if on_wall == "raise":
             raise
@@ -430,9 +457,12 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
                             freeze_residual=freeze_residual if freeze else None)
 
 
-def _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, sample, pts):
+def _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, sample, pts,
+                   fsal):
     n_steps = 0
     t = 0.0
+    ks = np.empty((7, y.size))
+    ks[0] = sys(t, y)  # the first stage at (t, y), kept over a rejected step
     for t_target in times[1:]:
         while t < t_target - 1e-14 * t_end:
             h = min(h, t_target - t)
@@ -443,22 +473,13 @@ def _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, samp
                         f"trajectory stalled against a chamber wall at t = {t:.6g}",
                         t=t)
                 raise StepSizeError(f"step size underflow at t = {t:.6g}")
-            ks = np.empty((7, y.size))
-            try:
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    ks[0] = sys(t, y)
-                    for i in range(1, 7):
-                        yi = y + h * np.tensordot(np.array(_DP_A[i]), ks[:i], axes=(0, 0))
-                        ks[i] = sys(t + _DP_C[i] * h, yi)
-            except WallProximityError:
-                # a stage left the chamber: reject and retry with a smaller step
-                h *= 0.2
-                continue
-            y5 = y + h * (_DP_B5 @ ks)
-            y4 = y + h * (_DP_B4 @ ks)
-            scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-            if not np.isfinite(err):
+            for i in range(1, 7):
+                yi = y + h * (_DP_A[i, :i] @ ks[:i])
+                ks[i] = sys(t + _DP_C[i] * h, yi)
+            y5 = yi  # the last stage's argument
+            r = h * (_DP_E @ ks) / (tol + tol * np.maximum(np.abs(y), np.abs(y5)))
+            err = math.sqrt(float(r @ r) / r.size)
+            if not math.isfinite(err):
                 h *= 0.2
                 continue
             if err <= 1.0:
@@ -473,6 +494,9 @@ def _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, samp
                 n_steps += 1
                 if n_steps > max_steps:
                     raise StepSizeError("maximum number of steps exceeded")
+                # where correct() left y5 as it was, its stage is the
+                # next first stage
+                ks[0] = ks[6] if fsal else sys(t, y)
             factor = 0.9 * (err + 1e-300) ** (-0.2)
             h *= min(5.0, max(0.2, factor))
         pts.append(sample(t_target, y))
@@ -481,14 +505,16 @@ def _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, samp
 
 def _attach_monitors(space, times, pts, lax_x, invariants, **stats):
     energy = np.array([hamiltonian(space, pt) for pt in pts])
-    spectra = {}
-    for x in lax_x:
-        raw = np.array([sorted_spectrum(lax(space, pt, x)) for pt in pts])
-        spectra[float(x)] = _match_spectra(raw)
-    inv = {}
-    for spec in invariants:
-        Ls = [lax(space, pt, spec.x) for pt in pts]
-        inv[spec.label()] = np.array([invariant_value(space, spec, L) for L in Ls])
+    # L(x) = L(0) - x xi: one Lax matrix per sample serves every x
+    lax0 = [lax(space, pt, 0.0) for pt in pts]
+
+    def lax_at(x):
+        return [L0 - x * pt.xi.xi for L0, pt in zip(lax0, pts)]
+
+    spectra = {float(x): _match_spectra(np.array([sorted_spectrum(L) for L in lax_at(x)]))
+               for x in lax_x}
+    inv = {spec.label(): np.array([invariant_value(space, spec, L) for L in lax_at(spec.x)])
+           for spec in invariants}
     return Trajectory(times=np.asarray(times, dtype=float), points=list(pts),
                       energy=energy, lax_x=tuple(float(x) for x in lax_x),
                       lax_spectra=spectra, invariants=inv, **stats)
@@ -755,7 +781,7 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     cplus = -np.einsum("ab,jba->j", xi_rot, space.eplus).real
     cm = -np.einsum("ab,jba->j", xi_rot, space.m_basis).real if space.dim_m else np.zeros(0)
     if np.linalg.norm(cm) > 1e-7:
-        raise RuntimeError(
+        raise algebra.OffSliceError(
             f"projected spin drifted off the slice (M-part {np.linalg.norm(cm):.3e})")
     xi_sp = SpinPoint(xi=algebra.reconstruct(space, cplus=cplus), coeffs=cplus,
                       on_slice=True)

@@ -4,12 +4,13 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from spincal import cli
+from spincal import algebra, cli, dynamics
 
 
 def run_cli(*args):
@@ -183,6 +184,55 @@ def test_simulate_jobs_multi_run(tmp_path):
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "o" / "one" / "trajectory.csv").exists()
     assert (tmp_path / "o" / "two" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command,report_name", [("simulate", "drift_report.json"),
+                                                 ("spectrum", "spectrum_report.json")])
+@pytest.mark.parametrize("target,method,exc,status", [
+    ("integrate_direct", "direct", algebra.StepSizeError, "step_size_failure"),
+    ("flow_projection", "projection", algebra.DegenerateSpectrumError, "degenerate_spectrum"),
+    ("flow_projection", "projection", algebra.OffSliceError, "off_slice"),
+])
+def test_integration_failure_exit_3_writes_report(tmp_path, command, report_name,
+                                                  target, method, exc, status):
+    # the first run of the batch fails; the second still runs and succeeds
+    real = getattr(dynamics, target)
+    calls = []
+
+    def fail_first_run(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise exc("injected failure")
+        return real(*args, **kwargs)
+
+    cfg = write_config(tmp_path / "cfg.json", {"runs": [
+        base_run_config(name="bad", t_end=0.5, method=method),
+        base_run_config(name="good", t_end=0.5, method=method),
+    ]})
+    with mock.patch.object(dynamics, target, fail_first_run):
+        code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_FAILURE == 3
+    bad = json.loads((tmp_path / "o" / "bad" / report_name).read_text())
+    assert bad["status"] == status
+    assert bad["error"] == "injected failure"
+    assert bad["run"] == "bad" and bad["method"] == method
+    good = json.loads((tmp_path / "o" / "good" / report_name).read_text())
+    assert good["status"] == "ok"
+
+
+def test_each_run_builds_its_space_and_monitor_once(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {"runs": [
+        base_run_config(name="one", t_end=0.5, lax_x=[0.0, 0.5, 1.0]),
+        base_run_config(name="two", t_end=0.5, space={"family": "su_mn", "m": 2, "n": 1},
+                        model={"type": "bc", "kappa": 1.0, "x": 0.3},
+                        initial={"q": [1.0], "p": [0.2]}),
+    ]})
+    for command in ("simulate", "spectrum"):
+        with mock.patch.object(algebra, "build_space", wraps=algebra.build_space) as build, \
+                mock.patch.object(dynamics, "monitor", wraps=dynamics.monitor) as monitor:
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert build.call_count == 2
+        assert monitor.call_count == 2
 
 
 # ---------------------------------------------------------------------------

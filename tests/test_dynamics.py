@@ -180,6 +180,83 @@ def test_direct_rhs_matches_matrix_reference(label, seed):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+@settings(max_examples=30, deadline=None)
+@given(label=st.sampled_from(sorted(CORE_SPACES)), seed=st.integers(0, 2 ** 32 - 1),
+       x=st.sampled_from([0.0, 0.5, 1.0]))
+def test_lax_coefficient_scaling_matches_ad_fn(label, seed, x):
+    # on-slice spin: coth(ad_q) xi by scaling coefficients; the same matrix
+    # without its coefficients goes through algebra.ad_fn
+    space = CORE_SPACES[label]
+    pt = checks.random_phase_point(space, np.random.default_rng(seed))
+    bare = dynamics.PhasePoint(q=pt.q, p=pt.p, xi=orbits.SpinPoint(xi=pt.xi.xi))
+    with mock.patch.object(algebra, "ad_fn", wraps=algebra.ad_fn) as ad_fn:
+        got = dynamics.lax(space, pt, x)
+        assert ad_fn.call_count == 0
+        want = dynamics.lax(space, bare, x)
+        assert ad_fn.call_count == 1
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("label", sorted(CORE_SPACES))
+def test_flat_basis_round_trip_matches_reconstruct(label):
+    # the spin restoration of integrate_direct builds xi and reads c+ back
+    # through the flat basis instead of algebra.reconstruct / decompose
+    space = CORE_SPACES[label]
+    sys = dynamics._DirectSystem(space, "zero")
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        pt = checks.random_phase_point(space, rng)
+        c = pt.xi.coeffs
+        xi = sys.spin(c)
+        assert np.abs(xi - algebra.reconstruct(space, cplus=c)).max() <= 1e-14
+        # restore the spectrum of a perturbed spin, as after a step
+        drifted = sys.spin(c + 1e-9 * rng.standard_normal(c.size))
+        fixed = dynamics._restore_block_spectra(space, drifted,
+                                                dynamics._block_spectra_ref(space, xi))
+        got = sys.spin_coeffs(fixed)
+        assert np.abs(got - algebra.decompose(space, fixed)[2]).max() <= 1e-14
+
+
+def test_dormand_prince_tableau():
+    A = dynamics._DP_A
+    assert A.shape == (7, 7)
+    assert not np.triu(A).any()  # explicit: stage i uses stages < i only
+    assert np.abs(A.sum(axis=1) - dynamics._DP_C).max() <= 1e-15
+    assert abs(dynamics._DP_B5.sum() - 1.0) <= 1e-15
+    assert abs(dynamics._DP_B4.sum() - 1.0) <= 1e-15
+    # first same as last: the seventh stage is taken at y5
+    assert np.array_equal(A[6], dynamics._DP_B5) and dynamics._DP_C[6] == 1.0
+
+
+def count_rhs_calls(space, pt, **kwargs):
+    rhs = dynamics._DirectSystem.__call__
+    calls = []
+
+    def counted(self, t, y):
+        calls.append(1)
+        return rhs(self, t, y)
+
+    with mock.patch.object(dynamics._DirectSystem, "__call__", counted):
+        traj = dynamics.integrate_direct(space, pt, **kwargs)
+    return len(calls), traj
+
+
+def test_fsal_only_where_the_state_is_not_restored(su32, su22, rng):
+    # freezing gauge: the last stage of a step is the next one's first
+    mu = orbits.xi_red(su32, "bc", 3.0, 1.0)
+    pt = dynamics.make_phase_point(su32, np.array([2.0, 1.0]), np.array([0.1, -0.2]), mu)
+    n_calls, traj = count_rhs_calls(su32, pt, t_end=3.0, tol=1e-10, sample_dt=0.5,
+                                    gauge="freeze")
+    assert traj.n_steps > 0
+    assert n_calls < 7 * traj.n_steps
+    # zero gauge: the spectrum restoration changes y5, so every step
+    # evaluates its first stage afresh
+    n_calls, traj = count_rhs_calls(su22, generic_su22_point(su22, rng), t_end=1.0,
+                                    tol=1e-10, sample_dt=0.5)
+    assert traj.n_steps > 0 and traj.orbit_drift > 0.0
+    assert n_calls >= 7 * traj.n_steps
+
+
 def test_eom_frozen_spin(su21, sl3):
     # with the solved gauge the catalog spin data are stationary
     cases = [(su21, orbits.xi_red(su21, "bc", 1.0, 0.3), np.array([0.9])),
