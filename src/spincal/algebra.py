@@ -34,6 +34,7 @@ __all__ = [
     "decompose",
     "reconstruct",
     "ad_fn",
+    "ad_fn_slice",
     "weyl_act",
     "membership_residual",
     "project_to_algebra",
@@ -710,6 +711,19 @@ def ad_fn(space: SymmetricSpaceData, phi, q, X: np.ndarray,
         a = phi0 * a
         cm = phi0 * cm
     return reconstruct(space, a=a, cm=cm, cplus=new_plus, cminus=new_minus)
+
+
+def ad_fn_slice(space: SymmetricSpaceData, phi: str, q, cplus) -> np.ndarray:
+    """:func:`ad_fn` on on-slice spin xi = sum_j c_j E+_j, from c = cplus.
+
+    xi has no A- or M-part, so phi(ad_q) xi is sum_j phi(alpha_j(q)) c_j E-_j
+    for odd phi (E+_j for even phi): no round trip, no pole check.  q must
+    be regular.
+    """
+    func, parity, _ = PHI_FUNCTIONS[phi]
+    basis = space.eminus if parity == "odd" else space.eplus
+    K, N = space.K, space.N
+    return ((func(space.alpha_cols(q)) * cplus) @ basis.reshape(K, N * N)).reshape(N, N)
 
 
 # ---------------------------------------------------------------------------

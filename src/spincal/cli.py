@@ -28,7 +28,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,8 +310,12 @@ def run_trajectory(cfg: RunConfig):
     return space, traj
 
 
-def _write_failure(cfg: RunConfig, exc: Exception, path: str) -> int:
-    """Report a run that an integration failure stopped."""
+def _write_failure(cfg: RunConfig, exc: Exception, data_path: str, path: str) -> int:
+    """Report a run that an integration failure stopped.  A data file that
+    an earlier run left at data_path is removed: it would pass for this
+    run's output."""
+    if os.path.exists(data_path):
+        os.remove(data_path)
     report = _report_base(cfg)
     report["method"] = cfg.method
     report["status"] = next(status for cls, status in FAILURE_STATUS.items()
@@ -327,7 +330,8 @@ def cmd_simulate_one(cfg: RunConfig, out_dir: str) -> int:
     try:
         space, traj = run_trajectory(cfg)
     except tuple(FAILURE_STATUS) as exc:
-        return _write_failure(cfg, exc, os.path.join(out_dir, "drift_report.json"))
+        return _write_failure(cfg, exc, os.path.join(out_dir, "trajectory.csv"),
+                              os.path.join(out_dir, "drift_report.json"))
     nc = space.n_coords
     header = (["t"] + [f"q{i + 1}" for i in range(nc)]
               + [f"p{i + 1}" for i in range(nc)] + ["H"])
@@ -356,7 +360,8 @@ def cmd_spectrum_one(cfg: RunConfig, out_dir: str) -> int:
     try:
         space, traj = run_trajectory(cfg)
     except tuple(FAILURE_STATUS) as exc:
-        return _write_failure(cfg, exc, os.path.join(out_dir, "spectrum_report.json"))
+        return _write_failure(cfg, exc, os.path.join(out_dir, "spectrum.csv"),
+                              os.path.join(out_dir, "spectrum_report.json"))
     header = ["t"]
     for x in traj.lax_x:
         for i in range(space.N):
@@ -385,16 +390,9 @@ def cmd_spectrum_one(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_WALL if traj.wall_time is not None else EXIT_OK
 
 
-def _run_many(runs, out_base, jobs, worker) -> int:
-    def _one(cfg):
-        out_dir = out_base if len(runs) == 1 else os.path.join(out_base, cfg.name)
-        return worker(cfg, out_dir)
-
-    if jobs > 1 and len(runs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(_one, runs))
-    else:
-        codes = [_one(cfg) for cfg in runs]
+def _run_many(runs, out_base, worker) -> int:
+    codes = [worker(cfg, out_base if len(runs) == 1 else os.path.join(out_base, cfg.name))
+             for cfg in runs]
     return max(codes)
 
 
@@ -456,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=["direct", "projection"],
                        help="override the integration method")
         p.add_argument("--seed", type=int, help="override the sampling seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="run independent config entries concurrently")
         p.add_argument("--out", default=None, help="output directory")
 
     p_sim = sub.add_parser("simulate", help="integrate and write trajectory + drift report")
@@ -495,10 +491,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             runs, out = _prepare_runs(args)
-            return _run_many(runs, out, args.jobs, cmd_simulate_one)
+            return _run_many(runs, out, cmd_simulate_one)
         if args.command == "spectrum":
             runs, out = _prepare_runs(args)
-            return _run_many(runs, out, args.jobs, cmd_spectrum_one)
+            return _run_many(runs, out, cmd_spectrum_one)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "couplings":

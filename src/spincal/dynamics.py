@@ -194,21 +194,15 @@ def hamiltonian_via_lax(space: SymmetricSpaceData, pt: PhasePoint) -> float:
 def lax(space: SymmetricSpaceData, pt: PhasePoint, x: float) -> np.ndarray:
     """Spectral-parameter Lax matrix L(x) = p - coth(ad_q) xi - x xi.
 
-    On-slice spin has no A- or M-part, so coth(ad_q) xi is the coefficient
-    scaling sum_j (c_j / tanh alpha_j(q)) E-_j; other spin goes through
-    :func:`algebra.ad_fn`.
+    On the zero set of the momentum map, L(0) = J_minus and
+    L(1) = J_minus + tanh(ad_q) J_minus.  The spin is on the slice, so
+    coth(ad_q) xi is a scaling of its coefficients (:func:`algebra.ad_fn_slice`).
     """
     algebra.require_off_wall(space, pt.q)
     L = algebra.embed(space, pt.p)
     if pt.xi.is_zero:
         return L
-    if pt.xi.on_slice and pt.xi.coeffs is not None:
-        K, N = space.K, space.N
-        coth_xi = ((pt.xi.coeffs / np.tanh(space.alpha_cols(pt.q)))
-                   @ space.eminus.reshape(K, N * N)).reshape(N, N)
-    else:
-        coth_xi = algebra.ad_fn(space, "coth", pt.q, pt.xi.xi)
-    return L - coth_xi - x * pt.xi.xi
+    return L - algebra.ad_fn_slice(space, "coth", pt.q, pt.xi.coeffs) - x * pt.xi.xi
 
 
 def lax_minus(space: SymmetricSpaceData, pt: PhasePoint) -> np.ndarray:
@@ -221,7 +215,7 @@ def lax_cal(space: SymmetricSpaceData, pt: PhasePoint) -> np.ndarray:
     algebra.require_off_wall(space, pt.q)
     L = algebra.embed(space, pt.p)
     if not pt.xi.is_zero:
-        L = L - algebra.ad_fn(space, "inv_sinh", pt.q, pt.xi.xi)
+        L = L - algebra.ad_fn_slice(space, "inv_sinh", pt.q, pt.xi.coeffs)
     return L
 
 
@@ -572,11 +566,10 @@ def _comm(A, B):
 
 def _pairings(space, f, x, h, y, pt):
     """<xi, [(grad f)+(K(x)), (grad h)+(K(y))]> and the same pairing of the
-    minus parts, with K(x) = J_minus - x xi on the constraint surface."""
-    up = orbits.build_slice_point(space, pt.q, pt.p, pt.xi)
+    minus parts, with K(x) = J_minus - x xi = L(x) on the constraint surface."""
     xi = pt.xi.xi
-    gf_p, gf_m = algebra.split(space, gradient(space, f, up.j_minus - x * xi))
-    gh_p, gh_m = algebra.split(space, gradient(space, h, up.j_minus - y * xi))
+    gf_p, gf_m = algebra.split(space, gradient(space, f, lax(space, pt, x)))
+    gh_p, gh_m = algebra.split(space, gradient(space, h, lax(space, pt, y)))
     return pair(xi, _comm(gf_p, gh_p)), pair(xi, _comm(gf_m, gh_m))
 
 
@@ -620,15 +613,19 @@ def freezing_solve(space: SymmetricSpaceData, q, mu,
     """Solve [y_M, w(ad_q) mu] = [w(ad_q) mu, w'(ad_q) mu]_{A-perp} for
     y_M in M by least squares over the M basis.
 
-    Acceptance requires the linear residual below ``accept_tol``; the frozen
-    condition [y_M - w^2(ad_q) mu, mu] = 0 and the hyperbolic commutator
-    identity behind the equivalence are evaluated as diagnostics.
+    A matrix mu, or a SpinPoint without coefficients, goes through
+    :func:`orbits.spin_point`, which rejects an A- or M-part.  Acceptance
+    requires the linear residual below ``accept_tol``; the frozen condition
+    [y_M - w^2(ad_q) mu, mu] = 0 and the hyperbolic commutator identity
+    behind the equivalence are evaluated as diagnostics.
     """
-    mu_mat = mu.xi if isinstance(mu, SpinPoint) else np.asarray(mu, dtype=complex)
+    if not isinstance(mu, SpinPoint) or mu.coeffs is None:
+        mu = orbits.spin_point(space, mu.xi if isinstance(mu, SpinPoint) else mu)
+    mu_mat, c = mu.xi, mu.coeffs
     q = np.asarray(q, dtype=float)
     algebra.require_off_wall(space, q)
-    w_mu = algebra.ad_fn(space, "inv_sinh", q, mu_mat)
-    wp_mu = algebra.ad_fn(space, "d_inv_sinh", q, mu_mat)
+    w_mu = algebra.ad_fn_slice(space, "inv_sinh", q, c)
+    wp_mu = algebra.ad_fn_slice(space, "d_inv_sinh", q, c)
     rhs_mat = _comm(w_mu, wp_mu)
     rhs = algebra.decompose(space, rhs_mat)[3]  # A-perp coefficients
 
@@ -642,7 +639,7 @@ def freezing_solve(space: SymmetricSpaceData, q, mu,
         y_m = np.zeros((space.N, space.N), complex)
         residual = float(np.linalg.norm(rhs))
 
-    w2_mu = algebra.ad_fn(space, "inv_sinh_sq", q, mu_mat)
+    w2_mu = algebra.ad_fn_slice(space, "inv_sinh_sq", q, c)
     frozen = float(np.linalg.norm(_comm(y_m - w2_mu, mu_mat)))
     ident = float(np.linalg.norm(
         _comm(w2_mu, mu_mat) - algebra.ad_fn(space, "sinh", q, rhs_mat)))
@@ -746,10 +743,10 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     """Exact time-t map of the invariant flow generated by f(K(1)) via the
     projection method.
 
-    The slice datum is lifted to (Lambda_0, J_-^0, xi^0), transported along
-    Lambda(t) = exp(t grad f(J_0)) Lambda_0 exp(-t theta(grad f(J_0))) with
-    J_0 = J_-^0 + tanh(ad_{q_0}) J_-^0, and projected back to the chamber by
-    re-diagonalizing Lambda(t).  Only fully group-invariant generators
+    The slice datum is lifted to (Lambda_0, J_-^0 = L(0), xi^0), transported
+    along Lambda(t) = exp(t grad f(J_0)) Lambda_0 exp(-t theta(grad f(J_0)))
+    with J_0 = J_-^0 + tanh(ad_{q_0}) J_-^0 = L(1) (the momentum map
+    vanishes), and projected back to the chamber by re-diagonalizing Lambda(t).  Only fully group-invariant generators
     (trace powers) admit this closed flow; spec = trace_power(2) reproduces
     the Hamiltonian flow of the model itself.  The spin is returned in
     whatever residual M-gauge the re-diagonalization picks: q, p, the energy,
@@ -757,9 +754,8 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     """
     if spec.cls != "trace_power":
         raise AdmissibilityError("the projection flow requires a fully invariant generator")
-    up = orbits.build_slice_point(space, pt0.q, pt0.p, pt0.xi)
-    J0 = up.j_minus + algebra.ad_fn(space, "tanh", pt0.q, up.j_minus)
-    G = gradient(space, spec, J0)
+    j_minus = lax(space, pt0, 0.0)
+    G = gradient(space, spec, lax(space, pt0, 1.0))
     # Lambda(t) = E Lambda_0 E+ with E = expm(t grad f): never assemble the
     # full product (its condition number squares the exponent spread); work
     # with the half-factor W = E Lambda_0^(1/2), whose large singular values
@@ -771,15 +767,14 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     else:
         W_inv = orbits.expm_herm(-algebra.embed(space, pt0.q)) @ scipy.linalg.expm(-t * G)
         q_t, g = _chamber_gauge_sl(space, W, W_inv)
-    Jm_rot = g.conj().T @ up.j_minus @ g
-    xi_rot = g.conj().T @ up.xi.xi @ g
+    Jm_rot = g.conj().T @ j_minus @ g
+    xi_rot = g.conj().T @ pt0.xi.xi @ g
     p_t = algebra.coords_of(space, Jm_rot)
 
     if pt0.xi.is_zero:
         return PhasePoint(q=q_t, p=p_t, xi=orbits.zero_spin(space))
     # drop the numerical M-part before re-certifying the slice condition
-    cplus = -np.einsum("ab,jba->j", xi_rot, space.eplus).real
-    cm = -np.einsum("ab,jba->j", xi_rot, space.m_basis).real if space.dim_m else np.zeros(0)
+    _, cm, cplus, _ = algebra.decompose(space, xi_rot)
     if np.linalg.norm(cm) > 1e-7:
         raise algebra.OffSliceError(
             f"projected spin drifted off the slice (M-part {np.linalg.norm(cm):.3e})")

@@ -244,15 +244,13 @@ def random_orbit_point(space: SymmetricSpaceData, spec: OrbitSpec,
 # Momentum map and the gauge slice
 # ---------------------------------------------------------------------------
 
-def diagonalize_flat(space: SymmetricSpaceData, Q: np.ndarray,
-                     require_chamber: bool = False, tol_degenerate: float = 1e-9):
+def diagonalize_flat(space: SymmetricSpaceData, Q: np.ndarray):
     """Conjugate Q in g-minus into the flat: Q = g q^ g^-1 with g compact.
 
     For su(m,n) the off-diagonal block is SVD-decomposed (singular values in
     descending order give the chamber representative); for sl(k,C) a
     Hermitian eigendecomposition sorted descending is used.  Returns
-    (q, g).  With ``require_chamber`` the coordinates must be regular,
-    strictly inside the open chamber and nondegenerate.
+    (q, g); q may lie on a wall.
     """
     if space.spec.family == "su_mn":
         m, n = space.spec.m, space.spec.n
@@ -266,14 +264,6 @@ def diagonalize_flat(space: SymmetricSpaceData, Q: np.ndarray,
         w, V = np.linalg.eigh(0.5 * (Q + Q.conj().T))
         q = w[::-1].copy()
         g = V[:, ::-1].copy()
-    if require_chamber:
-        if not algebra.is_in_chamber(space, q, margin=algebra.EPS_WALL):
-            raise algebra.WallProximityError(
-                f"diagonalized point is outside the open chamber: q = {q}")
-        gaps = np.abs(np.diff(np.sort(q)))
-        if gaps.size and gaps.min() < tol_degenerate:
-            raise algebra.DegenerateSpectrumError(
-                f"near-degenerate flat coordinates: min gap {gaps.min():.3e}")
     return q, g
 
 
@@ -287,15 +277,11 @@ def moment_map(space: SymmetricSpaceData, point: UnreducedPoint) -> np.ndarray:
             f"Lambda is not a noncompact group element (log residual {bad:.3e})")
     q, g = diagonalize_flat(space, Q)
     Jm_rot = g.conj().T @ point.j_minus @ g
-    if algebra.is_regular(space, q):
-        Jp_rot = algebra.ad_fn(space, "tanh", q, Jm_rot)
-    else:
-        # tanh(0) = 0 on any degenerate directions: evaluate componentwise on
-        # the regular part only; a vanishing flat is the Lambda = 1 case.
-        a, cm, cplus, cminus = algebra.decompose(space, Jm_rot)
-        av = space.alpha_cols(q)
-        vals = np.tanh(av)
-        Jp_rot = algebra.reconstruct(space, cplus=vals * cminus, cminus=vals * cplus)
+    # tanh(ad_q) componentwise: it kills the A- and M-parts and needs no
+    # regular q (tanh(0) = 0; a vanishing flat is the Lambda = 1 case)
+    _, _, cplus, cminus = algebra.decompose(space, Jm_rot)
+    vals = np.tanh(space.alpha_cols(q))
+    Jp_rot = algebra.reconstruct(space, cplus=vals * cminus, cminus=vals * cplus)
     return g @ Jp_rot @ g.conj().T + point.xi.xi
 
 
@@ -306,12 +292,12 @@ def build_slice_point(space: SymmetricSpaceData, q, p, xi: SpinPoint) -> Unreduc
     p = np.asarray(p, dtype=float)
     if not algebra.is_in_chamber(space, q):
         raise algebra.WallProximityError(f"q = {q} is not in the open Weyl chamber")
-    if not xi.on_slice:
-        raise MembershipError("xi must be on the slice (vanishing M-part)")
+    if not xi.on_slice or xi.coeffs is None:
+        raise MembershipError("xi must be an on-slice SpinPoint (vanishing M-part)")
     Lam = expm_herm(2.0 * algebra.embed(space, q))
     Jm = algebra.embed(space, p)
     if not xi.is_zero:
-        Jm = Jm - algebra.ad_fn(space, "coth", q, xi.xi)
+        Jm = Jm - algebra.ad_fn_slice(space, "coth", q, xi.coeffs)
     return UnreducedPoint(Lam=Lam, j_minus=Jm, xi=xi)
 
 

@@ -179,8 +179,7 @@ def test_simulate_jobs_multi_run(tmp_path):
         base_run_config(name="one"),
         base_run_config(name="two", initial={"q": [2.5, 1.2], "p": [0.0, 0.0]}),
     ]})
-    out = run_cli("simulate", "--config", cfg, "--jobs", "2",
-                  "--out", str(tmp_path / "o"))
+    out = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"))
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "o" / "one" / "trajectory.csv").exists()
     assert (tmp_path / "o" / "two" / "trajectory.csv").exists()
@@ -218,6 +217,24 @@ def test_integration_failure_exit_3_writes_report(tmp_path, command, report_name
     assert bad["run"] == "bad" and bad["method"] == method
     good = json.loads((tmp_path / "o" / "good" / report_name).read_text())
     assert good["status"] == "ok"
+
+
+@pytest.mark.parametrize("command,data_name,report_name", [
+    ("simulate", "trajectory.csv", "drift_report.json"),
+    ("spectrum", "spectrum.csv", "spectrum_report.json"),
+])
+def test_failed_run_removes_stale_data_file(tmp_path, command, data_name, report_name):
+    # a good run, then a failing run of the same config into the same directory:
+    # the first run's data file must not stay next to the failure report
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(t_end=0.5))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert (out / data_name).exists()
+    with mock.patch.object(dynamics, "integrate_direct",
+                           side_effect=algebra.StepSizeError("injected failure")):
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_FAILURE
+    assert not (out / data_name).exists()
+    assert json.loads((out / report_name).read_text())["status"] == "step_size_failure"
 
 
 def test_each_run_builds_its_space_and_monitor_once(tmp_path):

@@ -184,17 +184,39 @@ def test_direct_rhs_matches_matrix_reference(label, seed):
 @given(label=st.sampled_from(sorted(CORE_SPACES)), seed=st.integers(0, 2 ** 32 - 1),
        x=st.sampled_from([0.0, 0.5, 1.0]))
 def test_lax_coefficient_scaling_matches_ad_fn(label, seed, x):
-    # on-slice spin: coth(ad_q) xi by scaling coefficients; the same matrix
-    # without its coefficients goes through algebra.ad_fn
+    # on-slice spin: coth(ad_q) xi by scaling coefficients, no algebra.ad_fn call
     space = CORE_SPACES[label]
     pt = checks.random_phase_point(space, np.random.default_rng(seed))
-    bare = dynamics.PhasePoint(q=pt.q, p=pt.p, xi=orbits.SpinPoint(xi=pt.xi.xi))
     with mock.patch.object(algebra, "ad_fn", wraps=algebra.ad_fn) as ad_fn:
         got = dynamics.lax(space, pt, x)
         assert ad_fn.call_count == 0
-        want = dynamics.lax(space, bare, x)
-        assert ad_fn.call_count == 1
+    want = (algebra.embed(space, pt.p) - algebra.ad_fn(space, "coth", pt.q, pt.xi.xi)
+            - x * pt.xi.xi)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.sampled_from(sorted(CORE_SPACES)), seed=st.integers(0, 2 ** 32 - 1),
+       phi=st.sampled_from(sorted(algebra.PHI_FUNCTIONS)))
+def test_ad_fn_slice_matches_ad_fn(label, seed, phi):
+    space = CORE_SPACES[label]
+    pt = checks.random_phase_point(space, np.random.default_rng(seed))
+    got = algebra.ad_fn_slice(space, phi, pt.q, pt.xi.coeffs)
+    want = algebra.ad_fn(space, phi, pt.q, pt.xi.xi)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(label=st.sampled_from(sorted(CORE_SPACES)), seed=st.integers(0, 2 ** 32 - 1))
+def test_lax_is_the_slice_lift(label, seed):
+    # the closed form flow_projection and _pairings rely on: on the zero set
+    # of the momentum map J_minus = L(0) and J_minus + tanh(ad_q) J_minus = L(1)
+    space = CORE_SPACES[label]
+    pt = checks.random_phase_point(space, np.random.default_rng(seed))
+    j_minus = orbits.build_slice_point(space, pt.q, pt.p, pt.xi).j_minus
+    j0 = j_minus + algebra.ad_fn(space, "tanh", pt.q, j_minus)
+    assert np.abs(dynamics.lax(space, pt, 0.0) - j_minus).max() <= 1e-12
+    assert np.abs(dynamics.lax(space, pt, 1.0) - j0).max() <= 1e-12
 
 
 @pytest.mark.parametrize("label", sorted(CORE_SPACES))
@@ -521,6 +543,12 @@ def test_freezing_identity_434(su32, rng):
         Z = np.einsum("j,jab->ab", rng.standard_normal(su32.K), su32.eplus)
         res = dynamics.freezing_solve(su32, q, Z)
         assert res.identity_residual < 1e-10
+
+
+def test_freezing_rejects_m_part(su22, rng):
+    q = algebra.random_chamber_point(su22, rng)
+    with pytest.raises(ValueError):
+        dynamics.freezing_solve(su22, q, su22.m_basis[0])
 
 
 def test_freezing_generic_spin_logged(su22, rng):
