@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from . import algebra, orbits
 from .algebra import (
@@ -45,6 +43,8 @@ from .algebra import (
     pair,
 )
 from .orbits import SpinPoint
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "PhasePoint",
@@ -224,21 +224,59 @@ def sorted_spectrum(X: np.ndarray) -> np.ndarray:
 
 
 def _match_spectra(spectra: np.ndarray) -> np.ndarray:
-    """Permute each row to the minimum-cost matching against the first row.
+    """Permute each row to the minimum-cost matching against the first row,
+    the cost of a matching being sum |lambda - lambda_ref|.
 
     Lexicographic complex sorting is unstable when real parts are equal to
     roundoff, which would show up as spurious drift; optimal assignment
     against the initial spectrum gives continuous eigenvalue tracks.
+
+    A row is matched without a solver when it can be laid out so that every
+    eigenvalue lies within half its reference value's gap to the other
+    reference values (less a margin for the rounding of the costs and of the
+    solver's sums), and the eigenvalues on the slots of a repeated reference
+    value are bitwise equal.  Then every eigenvalue sits at its nearest
+    reference value, as many at each as its multiplicity, any other matching
+    costs strictly more, and all optimal matchings give the same bits: those
+    of ``scipy.optimize.linear_sum_assignment``.  Rows in reference order
+    are tried as they are, then laid out by nearest reference value; the
+    rest (near-ties, non-finite entries) go to the solver.
     """
     out = spectra.copy()
-    ref = out[0]
-    for i in range(1, out.shape[0]):
-        cost = np.abs(out[i][:, None] - ref[None, :])
-        row, col = scipy.optimize.linear_sum_assignment(cost)
-        aligned = np.empty_like(out[i])
-        aligned[col] = out[i][row]
-        out[i] = aligned
+    if len(out) < 2:
+        return out
+    ref, rows = out[0], out[1:]
+    sep = np.abs(ref[:, None] - ref)
+    same = sep == 0.0
+    first = same.argmax(axis=1)  # first slot holding each slot's value
+    margin = 16 * len(ref) * _EPS * float(sep.max())
+    sep[same] = np.inf
+    radius = 0.5 * (sep.min(axis=1) - margin)
+    ok = _certified(rows, ref, radius, first)
+    if not ok.all():
+        # rows out of reference order: each eigenvalue to a slot of its
+        # nearest reference value (argmin takes the first of equal slots)
+        todo = np.flatnonzero(~ok)
+        moved = rows[todo]
+        nearest = np.abs(moved[:, :, None] - ref).argmin(axis=2)
+        order = np.argsort(nearest, axis=1, kind="stable")
+        aligned = np.empty_like(moved)
+        aligned[:, np.argsort(first, kind="stable")] = np.take_along_axis(moved, order, axis=1)
+        ok = _certified(aligned, ref, radius, first)
+        rows[todo[ok]] = aligned[ok]
+        for i in todo[~ok] + 1:
+            import scipy.optimize  # the fallback alone needs scipy
+            row, col = scipy.optimize.linear_sum_assignment(np.abs(out[i][:, None] - ref))
+            out[i, col] = out[i, row]
     return out
+
+
+def _certified(aligned, ref, radius, first) -> np.ndarray:
+    """Rows of ``aligned`` whose every entry lies within its slot's radius
+    and equals, bit for bit, the entry on the first slot of its value."""
+    near = np.abs(aligned - ref) < radius
+    equal = aligned.take(first, axis=1).view(np.int64) == aligned.view(np.int64)
+    return near.all(axis=1) & equal.all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +798,7 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     # full product (its condition number squares the exponent spread); work
     # with the half-factor W = E Lambda_0^(1/2), whose large singular values
     # and vectors are accurate, and recover the gauge from those alone.
+    import scipy.linalg  # a general expm: loaded on the first projection flow
     S0 = orbits.expm_herm(algebra.embed(space, pt0.q))
     W = scipy.linalg.expm(t * G) @ S0
     if space.spec.family == "su_mn":
@@ -815,6 +854,7 @@ def _wall_contact(space, pt0, spec, t_a, pt_a, t_b, pt_b) -> bool:
             return -1.0
         return algebra.min_root_value(space, q)
 
+    import scipy.optimize
     res = scipy.optimize.minimize_scalar(margin, bounds=(t_a, t_b), method="bounded",
                                          options={"xatol": 1e-10})
     return res.fun < algebra.EPS_WALL

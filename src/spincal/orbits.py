@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import algebra
 from .algebra import (
@@ -48,6 +47,7 @@ __all__ = [
     "emptiness_probe",
     "ReductionReport",
     "expm_herm",
+    "expm_antiherm",
     "logm_herm",
     "diagonalize_flat",
 ]
@@ -63,6 +63,13 @@ def expm_herm(H: np.ndarray) -> np.ndarray:
     H = 0.5 * (H + H.conj().T)
     w, V = np.linalg.eigh(H)
     return (V * np.exp(w)) @ V.conj().T
+
+
+def expm_antiherm(Z: np.ndarray) -> np.ndarray:
+    """exp(Z) for anti-Hermitian Z, a unitary: Z = iH with H Hermitian."""
+    H = -0.5j * (Z - Z.conj().T)
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(1j * w)) @ V.conj().T
 
 
 def logm_herm(P: np.ndarray) -> np.ndarray:
@@ -234,7 +241,7 @@ def random_orbit_point(space: SymmetricSpaceData, spec: OrbitSpec,
     """Ad-conjugate the base point by a random compact group element."""
     xi0 = orbit_base_point(space, spec)
     Z = algebra.random_gplus_element(space, rng, scale=1.0)
-    g = scipy.linalg.expm(Z)
+    g = expm_antiherm(Z)
     # global phase det-correction acts trivially under Ad; applied for cleanliness
     g = g * np.exp(-1j * np.angle(np.linalg.det(g)) / space.N)
     return spin_point(space, g @ xi0 @ g.conj().T, require_slice=False)

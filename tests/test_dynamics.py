@@ -383,6 +383,92 @@ def test_freeze_gauge_rejects_generic_spin(su22, rng):
 
 
 # ---------------------------------------------------------------------------
+# Spectrum matching
+# ---------------------------------------------------------------------------
+
+def lsa_matching(spectra, reverse_slots=False):
+    """Reference: each row laid out by scipy's optimal assignment against row
+    0; ``reverse_slots`` solves the same problem with the reference slots in
+    reverse order, which breaks exact ties the other way."""
+    out = spectra.copy()
+    last = spectra.shape[1] - 1
+    for i in range(1, len(out)):
+        cost = np.abs(spectra[i][:, None] - spectra[0])
+        if reverse_slots:
+            row, col = scipy.optimize.linear_sum_assignment(cost[:, ::-1])
+            col = last - col
+        else:
+            row, col = scipy.optimize.linear_sum_assignment(cost)
+        out[i, col] = spectra[i, row]
+    return out
+
+
+@st.composite
+def spectra_rows(draw):
+    """Reference spectra with exact repeats (a block of 0j, values drawn twice)
+    and rows that move, swap, relocate, tie or flip the sign of zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_values = draw(st.integers(1, 6))
+    imag = draw(st.sampled_from([0.0, 1.0]))
+    pool = rng.standard_normal(n_values) + imag * 1j * rng.standard_normal(n_values)
+    ref = np.concatenate([rng.choice(pool, draw(st.integers(1, 6))),
+                          np.zeros(draw(st.integers(0, 3)), complex)])
+    n = len(ref)
+    rows = [ref]
+    for _ in range(draw(st.integers(0, 5))):
+        noise = draw(st.sampled_from([0.0, 1e-15, 1e-9, 0.05, 0.5, 2.0]))
+        row = ref + noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        keep = rng.random(n) < 0.5  # some entries stay bitwise on their reference
+        row[keep] = ref[keep]
+        kind = draw(st.sampled_from(["plain", "relocate", "tie", "signed_zero"]))
+        i, j, k = rng.integers(n, size=3)
+        if kind == "relocate":  # an entry moves next to another reference value
+            row[i] = ref[j] + 1e-9 * rng.standard_normal()
+        elif kind == "tie":  # an entry on or an ulp-scale nudge off a midpoint
+            nudge = draw(st.sampled_from([0.0, 1e-15, 1e-12]))
+            row[i] = 0.5 * (ref[j] + ref[k]) + nudge * (ref[k] - ref[j])
+        elif kind == "signed_zero":
+            row[ref == 0] = -0j
+        rows.append(row if draw(st.booleans()) else rng.permutation(row))
+    return np.array(rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(spectra=spectra_rows())
+def test_match_spectra_bits_equal_the_assignment_solver(spectra):
+    want = lsa_matching(spectra)
+    # a row whose optimal layouts differ in bits has no certificate: the
+    # matcher must hand it to the solver, whose tie-breaking it reproduces
+    other = lsa_matching(spectra, reverse_slots=True)
+    ambiguous = np.any(other.view(np.int64) != want.view(np.int64), axis=1).sum()
+    solver = scipy.optimize.linear_sum_assignment
+    with mock.patch.object(scipy.optimize, "linear_sum_assignment", wraps=solver) as calls:
+        got = dynamics._match_spectra(spectra)
+    assert got.tobytes() == want.tobytes()
+    assert calls.call_count >= ambiguous
+
+
+def test_match_spectra_single_row_and_repeated_zeros():
+    one = np.array([[1.0 + 0j, 0j, 0j, -2.0 + 0j]])
+    assert dynamics._match_spectra(one).tobytes() == one.tobytes()
+    rows = np.array([[1.0, 0.0, 0.0, -2.0], [0.0, 1.0 + 1e-12, -2.0, 0.0]], complex)
+    got = dynamics._match_spectra(rows)
+    assert got.tobytes() == lsa_matching(rows).tobytes()
+    assert got[1].tobytes() == np.array([1.0 + 1e-12, 0.0, 0.0, -2.0], complex).tobytes()
+
+
+@pytest.mark.parametrize("where", [(1, 1), (0, 2), (2, 0)])
+def test_match_spectra_nan_raises_like_the_solver(where):
+    spectra = np.array([[1.0, 2.0, 3.0], [1.1, 2.1, 2.9], [3.0, 2.0, 1.0]], complex)
+    spectra[where] = np.nan
+    with pytest.raises(ValueError) as want:
+        lsa_matching(spectra)
+    with pytest.raises(ValueError) as got:
+        dynamics._match_spectra(spectra)
+    assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
 # Invariants: values and gradients
 # ---------------------------------------------------------------------------
 

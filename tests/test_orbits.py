@@ -268,7 +268,31 @@ def test_random_orbit_point_deterministic(su22):
     spec = OrbitSpec.su(kappa_m=1.0, kappa_n=0.5, x=0.2)
     a = orbits.random_orbit_point(su22, spec, np.random.default_rng(7)).xi
     b = orbits.random_orbit_point(su22, spec, np.random.default_rng(7)).xi
-    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["su22", "su32", "sl3"])
+def test_expm_antiherm_is_unitary_and_matches_expm(fixture, rng, request):
+    # random_orbit_point's group element, from eigh instead of a general expm
+    import scipy.linalg
+    sp = request.getfixturevalue(fixture)
+    for _ in range(5):
+        Z = algebra.random_gplus_element(sp, rng, scale=1.0)
+        g = orbits.expm_antiherm(Z)
+        assert np.abs(g @ g.conj().T - np.eye(sp.N)).max() < 1e-13
+        assert np.abs(g - scipy.linalg.expm(Z)).max() < 1e-13
+
+
+def test_random_orbit_point_sl_kc(sl3, rng):
+    spec = OrbitSpec.kks(0.9)
+    ref = sorted_block_spectra(sl3, orbits.orbit_base_point(sl3, spec))
+    a = orbits.random_orbit_point(sl3, spec, np.random.default_rng(7)).xi
+    b = orbits.random_orbit_point(sl3, spec, np.random.default_rng(7)).xi
+    assert a.tobytes() == b.tobytes()
+    for _ in range(5):
+        xi = orbits.random_orbit_point(sl3, spec, rng).xi
+        assert np.abs(sorted_block_spectra(sl3, xi) - ref).max() < 1e-10
+        assert np.abs(algebra.project(sl3, xi, "gminus")).max() < 1e-12
 
 
 @pytest.mark.parametrize("fixture,speckw", [
