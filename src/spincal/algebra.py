@@ -525,13 +525,6 @@ def project_to_algebra(space: SymmetricSpaceData, X: np.ndarray) -> np.ndarray:
     return X - (np.trace(X) / space.N) * np.eye(space.N)
 
 
-def check_membership(space: SymmetricSpaceData, X: np.ndarray, tol: float = EPS_MEMBERSHIP) -> np.ndarray:
-    res = membership_residual(space, X)
-    if res > tol:
-        raise MembershipError(f"matrix is not in {space.label()} (residual {res:.3e})")
-    return np.asarray(X, dtype=complex)
-
-
 def theta(space: SymmetricSpaceData, X: np.ndarray) -> np.ndarray:
     """Cartan involution: fixes the compact part, negates the noncompact part."""
     X = np.asarray(X, dtype=complex)
@@ -592,11 +585,11 @@ def min_root_value(space: SymmetricSpaceData, q) -> float:
     return float(space.root_values(q).min())
 
 
-def require_off_wall(space: SymmetricSpaceData, q, eps: float = EPS_WALL, t=None):
+def require_off_wall(space: SymmetricSpaceData, q):
     val = min_root_value(space, q)
-    if val < eps:
+    if val < EPS_WALL:
         raise WallProximityError(
-            f"chamber wall proximity: min alpha(q) = {val:.3e} < {eps:.1e}", t=t)
+            f"chamber wall proximity: min alpha(q) = {val:.3e} < {EPS_WALL:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -669,15 +662,15 @@ PHI_FUNCTIONS: dict[str, tuple[Callable, str, float | None]] = {
 }
 
 
-def ad_fn(space: SymmetricSpaceData, phi, q, X: np.ndarray,
-          tol_pole: float = 1e-9) -> np.ndarray:
+def ad_fn(space: SymmetricSpaceData, phi, q, X: np.ndarray) -> np.ndarray:
     """Apply phi(ad_q) componentwise through the root decomposition.
 
     phi is a name from ``PHI_FUNCTIONS`` or a (callable, parity, value_at_0)
     triple with parity "odd" or "even".  Odd functions exchange the M-perp
     and A-perp ladders, even functions preserve them; A- and M-components
     are scaled by phi(0).  A pole of phi at zero (value_at_0 = None) is only
-    legal when X has no A- or M-component.
+    legal when X has no A- or M-component (one above 1e-9 raises).  This is
+    the general-matrix form; on-slice spin goes through :func:`ad_fn_slice`.
     """
     if isinstance(phi, str):
         try:
@@ -702,7 +695,7 @@ def ad_fn(space: SymmetricSpaceData, phi, q, X: np.ndarray,
 
     if phi0 is None:
         sz = max(np.abs(a).max(initial=0.0), np.abs(cm).max(initial=0.0))
-        if sz > tol_pole:
+        if sz > 1e-9:
             raise ValueError(
                 f"phi has a pole at 0 but X has A/M components of size {sz:.3e}")
         a = np.zeros_like(a)

@@ -191,13 +191,11 @@ def noninvolution_witness(rng: np.random.Generator, n_draws: int = 60) -> CheckR
                        1.0 / best if best > 0 else np.inf, 1e4, details=details)
 
 
-def reduction_checks(rng: np.random.Generator, max_n: int = 3) -> list:
+def reduction_checks(rng: np.random.Generator) -> list:
     """Single-point BC reductions, the emptiness probe and Eq-style coupling
     relation draws."""
     out = []
     for n, kappa, x in [(1, 1.0, 0.4), (2, 3.0, 1.0), (3, 2.0, 0.5)]:
-        if n > max_n:
-            continue
         space = algebra.build_space(SpaceSpec.su(n + 1, n))
         rep = orbits.reduce_orbit_check(space, kappa, x, rng, n_samples=24)
         res = max(rep.diag_constraint_residual, rep.normal_form_residual,

@@ -92,14 +92,29 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _value(obj: dict, key: str, conv, where: str, *default):
+    """conv(obj[key]), or conv(default) when the key is absent and a default
+    is given; a value of the wrong JSON type (null for a number, a number
+    for a list) is a ConfigError."""
+    val = obj.get(key, *default) if default else _need(obj, key, where)
+    try:
+        return conv(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"invalid value for {key!r} in {where}: {val!r}") from None
+
+
+MODEL_NUMBERS = {"kappa": float, "x": float, "kappa_m": float, "kappa_n": float,
+                 "m_ambient": int, "seed": int}
+
+
 def parse_space(obj) -> SpaceSpec:
     _check_keys(obj, SPACE_KEYS, "space")
     family = _need(obj, "family", "space")
     try:
         if family == "su_mn":
-            return SpaceSpec.su(int(_need(obj, "m", "space")), int(_need(obj, "n", "space")))
+            return SpaceSpec.su(_value(obj, "m", int, "space"), _value(obj, "n", int, "space"))
         if family == "sl_kc":
-            return SpaceSpec.sl(int(_need(obj, "k", "space")))
+            return SpaceSpec.sl(_value(obj, "k", int, "space"))
     except AdmissibilityError as exc:
         raise ConfigError(str(exc))
     raise ConfigError(f"unknown space family {family!r}")
@@ -131,13 +146,15 @@ def parse_run(obj: dict, default_name: str = "run") -> RunConfig:
 
     model = _need(obj, "model", "run config")
     _check_keys(model, MODEL_KEYS, "model")
+    model = {key: _value(model, key, MODEL_NUMBERS[key], "model") if key in MODEL_NUMBERS
+             else val for key, val in model.items()}
     mtype = _need(model, "type", "model")
     if mtype not in ("free", "bc", "c", "d", "a", "orbit"):
         raise ConfigError(f"unknown model type {mtype!r}")
     if mtype in ("bc", "c", "d", "a"):
         n_model = space_spec.k if mtype == "a" else space_spec.n
-        msg = models.validate_params(mtype, n_model, float(model.get("kappa", 0.0)),
-                                     float(model.get("x", 0.0)))
+        msg = models.validate_params(mtype, n_model, model.get("kappa", 0.0),
+                                     model.get("x", 0.0))
         if msg is not None:
             raise ConfigError(f"inadmissible {mtype} model: {msg}")
         expect = {
@@ -151,8 +168,8 @@ def parse_run(obj: dict, default_name: str = "run") -> RunConfig:
 
     initial = _need(obj, "initial", "run config")
     _check_keys(initial, {"q", "p"}, "initial")
-    q = np.asarray(_need(initial, "q", "initial"), dtype=float)
-    p = np.asarray(_need(initial, "p", "initial"), dtype=float)
+    q, p = (_value(initial, key, lambda v: np.asarray(v, dtype=float), "initial")
+            for key in ("q", "p"))
     if q.shape != (space.n_coords,) or p.shape != (space.n_coords,):
         raise ConfigError(f"initial q and p must have {space.n_coords} components "
                           f"for {space_spec.label()}")
@@ -161,38 +178,39 @@ def parse_run(obj: dict, default_name: str = "run") -> RunConfig:
     if not algebra.is_in_chamber(space, q):
         raise ConfigError(f"initial q = {q.tolist()} is not in the open Weyl chamber")
 
-    t_end = float(_need(obj, "t_end", "run config"))
+    t_end = _value(obj, "t_end", float, "run config")
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
-    tol = float(_need(obj, "tol", "run config"))
+    tol = _value(obj, "tol", float, "run config")
     if not (0.0 < tol <= 1e-4):
         raise ConfigError("tol must lie in (0, 1e-4]")
-    sample_dt = float(obj.get("sample_dt", t_end / 200.0))
+    sample_dt = _value(obj, "sample_dt", float, "run config", t_end / 200.0)
     if sample_dt <= 0:
         raise ConfigError("sample_dt must be positive")
 
     monitors = []
-    for mon in obj.get("monitors", []):
+    for mon in _value(obj, "monitors", list, "run config", []):
         _check_keys(mon, MONITOR_KEYS, "monitor")
         try:
             spec = InvariantSpec(_need(mon, "class", "monitor"),
-                                 int(_need(mon, "k", "monitor")),
-                                 float(mon.get("x", 0.0)))
+                                 _value(mon, "k", int, "monitor"),
+                                 _value(mon, "x", float, "monitor", 0.0))
         except ValueError as exc:
             raise ConfigError(str(exc))
         if spec.cls == "block_invariant" and space_spec.family != "su_mn":
             raise ConfigError("block invariants require the su(m,n) family")
         monitors.append(spec)
 
-    lax_x = tuple(float(x) for x in obj.get("lax_x", DEFAULT_LAX_X))
+    lax_x = _value(obj, "lax_x", lambda v: tuple(float(x) for x in v), "run config",
+                   DEFAULT_LAX_X)
     method = obj.get("method", "direct")
     if method not in ("direct", "projection"):
         raise ConfigError("method must be 'direct' or 'projection'")
     gauge = obj.get("gauge", "freeze" if mtype in ("bc", "c", "d", "a") else "zero")
     if gauge not in ("zero", "freeze"):
         raise ConfigError("gauge must be 'zero' or 'freeze'")
-    seed = int(model.get("seed", obj.get("seed", 0)))
-    name = obj.get("name", default_name)
+    seed = model.get("seed", _value(obj, "seed", int, "run config", 0))
+    name = _value(obj, "name", str, "run config", default_name)
     return RunConfig(name=name, space_spec=space_spec, space=space, model=dict(model),
                      q=q, p=p, t_end=t_end, tol=tol, sample_dt=sample_dt,
                      monitors=tuple(monitors), lax_x=lax_x, method=method,
@@ -278,18 +296,16 @@ def build_initial_point(cfg: RunConfig):
         xi = orbits.zero_spin(space)
     elif mtype in ("bc", "c", "d", "a"):
         n_model = cfg.space_spec.k if mtype == "a" else cfg.space_spec.n
-        model = models.SpinlessModel(mtype, n_model, float(m.get("kappa", 0.0)),
-                                     float(m.get("x", 0.0)),
-                                     m_ambient=int(m.get("m_ambient", 0)))
+        model = models.SpinlessModel(mtype, n_model, m.get("kappa", 0.0), m.get("x", 0.0),
+                                     m_ambient=m.get("m_ambient", 0))
         xi = models.model_spin(space, model)
     else:  # orbit
         rng = np.random.default_rng(cfg.seed)
         if cfg.space_spec.family == "sl_kc":
-            spec = orbits.OrbitSpec.kks(float(m.get("kappa", 1.0)))
+            spec = orbits.OrbitSpec.kks(m.get("kappa", 1.0))
         else:
-            spec = orbits.OrbitSpec.su(kappa_m=float(m.get("kappa_m", 0.0)),
-                                       kappa_n=float(m.get("kappa_n", 0.0)),
-                                       x=float(m.get("x", 0.0)))
+            spec = orbits.OrbitSpec.su(kappa_m=m.get("kappa_m", 0.0),
+                                       kappa_n=m.get("kappa_n", 0.0), x=m.get("x", 0.0))
         xi = orbits.random_slice_spin(space, spec, rng)
     return space, dynamics.make_phase_point(space, cfg.q, cfg.p, xi)
 
@@ -403,14 +419,16 @@ def _run_many(runs, out_base, worker) -> int:
 def cmd_verify(args) -> int:
     raw = load_config(args.config)
     _check_keys(raw, VERIFY_KEYS, "verify config")
-    spaces = raw.get("spaces", [])
+    spaces = _value(raw, "spaces", list, "verify config", [])
     if not spaces:
         raise ConfigError("verify config must list at least one space")
     specs = [parse_space(obj) for obj in spaces]
     if args.seed is not None:
         raw = {**raw, "seed": args.seed}  # the hash covers the effective config
-    seed = int(raw.get("seed", 0))
-    n_draws = int(raw.get("n_draws", 100))
+    seed = _value(raw, "seed", int, "verify config", 0)
+    n_draws = _value(raw, "n_draws", int, "verify config", 100)
+    if n_draws < 1:
+        raise ConfigError("n_draws must be at least 1")
     report = checks.run_verify(specs, seed=seed, n_draws=n_draws)
     report.update({"tool": "spincal", "version": __version__,
                    "config_sha256": config_hash(raw)})

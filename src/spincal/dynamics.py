@@ -30,7 +30,7 @@ evaluates the same field on N x N matrices and is the reference for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -321,6 +321,7 @@ _DP_B5 = _DP_A[6]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4  # y5 - y4 = h * (_DP_E @ ks)
+_MAX_STEPS = 5_000_000   # accepted steps before StepSizeError
 
 
 class _DirectSystem:
@@ -393,8 +394,7 @@ def _restore_block_spectra(space: SymmetricSpaceData, xi: np.ndarray, ref) -> np
 def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
                      tol: float = 1e-10, sample_dt: float | None = None,
                      lax_x: tuple = (0.0, 1.0), invariants: tuple = (),
-                     gauge: str = "zero", max_steps: int = 5_000_000,
-                     on_wall: str = "raise") -> Trajectory:
+                     gauge: str = "zero", on_wall: str = "raise") -> Trajectory:
     """Adaptive Dormand-Prince 5(4) integration of the reduced equations.
 
     The state is (q, p, c+), see the module docstring.  In the zero gauge,
@@ -473,8 +473,8 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     try:
         # a stage past a wall evaluates to inf/nan: the error norm rejects it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, sample,
-                           pts, fsal=freeze or free)
+            _step_segments(space, sys, times, y, h, tol, t_end, correct, sample, pts,
+                           fsal=freeze or free)
     except WallProximityError as exc:
         if on_wall == "raise":
             raise
@@ -489,8 +489,7 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
                             freeze_residual=freeze_residual if freeze else None)
 
 
-def _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, sample, pts,
-                   fsal):
+def _step_segments(space, sys, times, y, h, tol, t_end, correct, sample, pts, fsal):
     n_steps = 0
     t = 0.0
     ks = np.empty((7, y.size))
@@ -524,7 +523,7 @@ def _step_segments(space, sys, times, y, h, tol, t_end, max_steps, correct, samp
                         f"trajectory reached a chamber wall in ({t_prev:.6g}, {t:.6g}]",
                         t=t_prev)
                 n_steps += 1
-                if n_steps > max_steps:
+                if n_steps > _MAX_STEPS:
                     raise StepSizeError("maximum number of steps exceeded")
                 # where correct() left y5 as it was, its stage is the
                 # next first stage
@@ -646,16 +645,17 @@ def identity_416(space: SymmetricSpaceData, f: InvariantSpec, x: float,
 # Freezing gauge
 # ---------------------------------------------------------------------------
 
-def freezing_solve(space: SymmetricSpaceData, q, mu,
-                   accept_tol: float = 1e-9) -> FreezingResult:
+def freezing_solve(space: SymmetricSpaceData, q, mu) -> FreezingResult:
     """Solve [y_M, w(ad_q) mu] = [w(ad_q) mu, w'(ad_q) mu]_{A-perp} for
     y_M in M by least squares over the M basis.
 
     A matrix mu, or a SpinPoint without coefficients, goes through
-    :func:`orbits.spin_point`, which rejects an A- or M-part.  Acceptance
-    requires the linear residual below ``accept_tol``; the frozen condition
-    [y_M - w^2(ad_q) mu, mu] = 0 and the hyperbolic commutator identity
-    behind the equivalence are evaluated as diagnostics.
+    :func:`orbits.spin_point`, which rejects an A- or M-part.  Only A-perp
+    coefficients are read: those of the stacked commutators [M_b, w(ad_q) mu]
+    and of the right-hand side, on which (it lies in A + A-perp) sinh(ad_q)
+    is a coefficient scaling.  Acceptance requires the linear residual below
+    1e-9; the frozen condition [y_M - w^2(ad_q) mu, mu] = 0 and the
+    commutator identity behind the equivalence are diagnostics.
     """
     if not isinstance(mu, SpinPoint) or mu.coeffs is None:
         mu = orbits.spin_point(space, mu.xi if isinstance(mu, SpinPoint) else mu)
@@ -664,24 +664,19 @@ def freezing_solve(space: SymmetricSpaceData, q, mu,
     algebra.require_off_wall(space, q)
     w_mu = algebra.ad_fn_slice(space, "inv_sinh", q, c)
     wp_mu = algebra.ad_fn_slice(space, "d_inv_sinh", q, c)
-    rhs_mat = _comm(w_mu, wp_mu)
-    rhs = algebra.decompose(space, rhs_mat)[3]  # A-perp coefficients
-
-    if space.dim_m:
-        cols = np.stack([algebra.decompose(space, _comm(Mb, w_mu))[3]
-                         for Mb in space.m_basis], axis=1)
-        z, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-        y_m = np.einsum("b,bij->ij", z, space.m_basis)
-        residual = float(np.linalg.norm(cols @ z - rhs))
-    else:
-        y_m = np.zeros((space.N, space.N), complex)
-        residual = float(np.linalg.norm(rhs))
+    # A-perp coefficients, contracted as algebra.decompose does
+    rhs = np.einsum("ab,jba->j", _comm(w_mu, wp_mu), space.eminus).real
+    comms = space.m_basis @ w_mu - w_mu @ space.m_basis
+    cols = np.einsum("kab,jba->jk", comms, space.eminus).real
+    z, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
+    y_m = np.einsum("b,bij->ij", z, space.m_basis)
+    residual = float(np.linalg.norm(cols @ z - rhs))
 
     w2_mu = algebra.ad_fn_slice(space, "inv_sinh_sq", q, c)
     frozen = float(np.linalg.norm(_comm(y_m - w2_mu, mu_mat)))
-    ident = float(np.linalg.norm(
-        _comm(w2_mu, mu_mat) - algebra.ad_fn(space, "sinh", q, rhs_mat)))
-    ok = residual < accept_tol and frozen < 1e-8 and ident < 1e-8
+    sinh_rhs = algebra.reconstruct(space, cplus=np.sinh(space.alpha_cols(q)) * rhs)
+    ident = float(np.linalg.norm(_comm(w2_mu, mu_mat) - sinh_rhs))
+    ok = residual < 1e-9 and frozen < 1e-8 and ident < 1e-8
     return FreezingResult(y_m=y_m if ok else None, residual=residual,
                           frozen_residual=frozen, identity_residual=ident,
                           accepted=ok)
@@ -696,11 +691,11 @@ def _polar_orthonormalize(A: np.ndarray) -> np.ndarray:
     return U @ Vh
 
 
-def _require_chamber_coords(space, q, tol_degenerate=1e-9):
+def _require_chamber_coords(space, q):
     if not algebra.is_in_chamber(space, q, margin=algebra.EPS_WALL):
         raise WallProximityError(f"projected point is outside the open chamber: q = {q}")
     gaps = np.abs(np.diff(np.sort(q)))
-    if gaps.size and gaps.min() < tol_degenerate:
+    if gaps.size and gaps.min() < 1e-9:
         raise algebra.DegenerateSpectrumError(
             f"near-degenerate flat coordinates: min gap {gaps.min():.3e}")
 
@@ -822,10 +817,9 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     return PhasePoint(q=q_t, p=p_t, xi=xi_sp)
 
 
-def _wall_contact(space, pt0, spec, t_a, pt_a, t_b, pt_b) -> bool:
+def _wall_contact(space, pt0, t_a, pt_a, t_b, pt_b) -> bool:
     """Whether the Hamiltonian projection flow (trace power k = 2, where
-    q' = p) touches a chamber wall between two samples; other generators are
-    checked at the samples only.
+    q' = p) touches a chamber wall between two samples.
 
     Projected points always lie in the chamber, so a wall crossing shows up
     as a reflection: some root's velocity alpha(p) turns from negative to
@@ -836,8 +830,6 @@ def _wall_contact(space, pt0, spec, t_a, pt_a, t_b, pt_b) -> bool:
     the potential non-negative) keeps alpha(q) above the floor between the
     samples.
     """
-    if (spec.cls, spec.k) != ("trace_power", 2):
-        return False
     turned = (space.root_values(pt_a.p) < 0.0) & (space.root_values(pt_b.p) > 0.0)
     if not np.any(turned):
         return False
@@ -849,7 +841,7 @@ def _wall_contact(space, pt0, spec, t_a, pt_a, t_b, pt_b) -> bool:
 
     def margin(t):
         try:
-            q = flow_projection(space, pt0, t, spec).q
+            q = flow_projection(space, pt0, t).q
         except (WallProximityError, algebra.DegenerateSpectrumError):
             return -1.0
         return algebra.min_root_value(space, q)
@@ -861,10 +853,9 @@ def _wall_contact(space, pt0, spec, t_a, pt_a, t_b, pt_b) -> bool:
 
 
 def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
-                          spec: InvariantSpec = InvariantSpec("trace_power", 2),
                           lax_x: tuple = (0.0, 1.0), invariants: tuple = (),
                           on_wall: str = "raise") -> Trajectory:
-    """Sample the projection-method flow on a time grid.
+    """Sample the projection-method Hamiltonian flow on a time grid.
 
     A wall contact, at a sample or between two samples (see
     :func:`_wall_contact`), raises :class:`WallProximityError`; with
@@ -879,8 +870,8 @@ def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
     for t in times:
         t_prev = float(times[len(pts) - 1]) if pts else None
         try:
-            pt = flow_projection(space, pt0, t, spec) if t != 0.0 else pt0
-            if pts and _wall_contact(space, pt0, spec, t_prev, pts[-1], t, pt):
+            pt = flow_projection(space, pt0, t) if t != 0.0 else pt0
+            if pts and _wall_contact(space, pt0, t_prev, pts[-1], t, pt):
                 raise WallProximityError(
                     f"trajectory reached a chamber wall in ({t_prev:.6g}, {t:.6g}]",
                     t=t_prev)
@@ -909,8 +900,9 @@ def r12_build(space: SymmetricSpaceData, q):
             for j in range(space.K)]
 
 
-def monitor(space: SymmetricSpaceData, traj: Trajectory, specs: tuple = ()) -> dict:
-    """Max relative drift of invariant monitors along a trajectory.
+def monitor(space: SymmetricSpaceData, traj: Trajectory) -> dict:
+    """Max relative drift of the trajectory's energy, Lax spectra and
+    invariant monitors.
 
     Each drift is max_t |v(t) - v(0)| / max(1, |v(0)|); Lax spectra drift in
     the sorted-eigenvalue sup norm with the same scaling.
@@ -923,17 +915,8 @@ def monitor(space: SymmetricSpaceData, traj: Trajectory, specs: tuple = ()) -> d
         scale = max(1.0, float(np.abs(v0).max()) if np.ndim(v0) else abs(v0))
         return float(np.max(np.abs(vals - vals[0]))) / scale
 
-    report = {
+    return {
         "energy": rel_drift(traj.energy),
         "lax_spectra": {x: rel_drift(arr) for x, arr in traj.lax_spectra.items()},
-        "invariants": {},
+        "invariants": {label: rel_drift(vals) for label, vals in traj.invariants.items()},
     }
-    for label, vals in traj.invariants.items():
-        report["invariants"][label] = rel_drift(vals)
-    for spec in specs:
-        label = spec.label()
-        if label not in report["invariants"]:
-            vals = np.array([invariant_value(space, spec, lax(space, pt, spec.x))
-                             for pt in traj.points])
-            report["invariants"][label] = rel_drift(vals)
-    return report

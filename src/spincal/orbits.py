@@ -26,7 +26,6 @@ from .algebra import (
     AdmissibilityError,
     MembershipError,
     SymmetricSpaceData,
-    pair,
 )
 
 __all__ = [
@@ -53,6 +52,7 @@ __all__ = [
 ]
 
 EPS_ONSLICE = 1e-10
+_EPS_NORM = 1e-10   # relative bound of the |u|^2 = k kappa orbit constraint
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ class UnreducedPoint:
 # ---------------------------------------------------------------------------
 
 def spin_point(space: SymmetricSpaceData, xi: np.ndarray,
-               require_slice: bool = True, tol: float = EPS_ONSLICE) -> SpinPoint:
+               require_slice: bool = True) -> SpinPoint:
     """Wrap an orbit element; certifies g-plus membership and, if requested,
     the slice condition (vanishing M-part) along with the coefficient
     expansion in the M-perp basis."""
@@ -156,8 +156,8 @@ def spin_point(space: SymmetricSpaceData, xi: np.ndarray,
     a, cm, cplus, _ = algebra.decompose(space, xi)
     m_norm = float(np.linalg.norm(cm))
     if not require_slice:
-        return SpinPoint(xi=xi, coeffs=None, on_slice=m_norm < tol)
-    if m_norm > tol:
+        return SpinPoint(xi=xi, coeffs=None, on_slice=m_norm < EPS_ONSLICE)
+    if m_norm > EPS_ONSLICE:
         raise MembershipError(f"xi has a nonzero M-part (norm {m_norm:.3e})")
     recon = algebra.reconstruct(space, cplus=cplus)
     if np.abs(recon - xi).max(initial=0.0) > 1e-12 * max(1.0, np.abs(xi).max()):
@@ -174,13 +174,13 @@ def zero_spin(space: SymmetricSpaceData) -> SpinPoint:
 # Rank-one orbit representatives
 # ---------------------------------------------------------------------------
 
-def eta_of_u(u: np.ndarray, kappa: float, tol: float = 1e-10) -> np.ndarray:
+def eta_of_u(u: np.ndarray, kappa: float) -> np.ndarray:
     """Traceless anti-Hermitian projector i(u u+ - (u+u/k) 1) on the minimal
     orbit with parameter kappa; requires |u|^2 = k * kappa."""
     u = np.asarray(u, dtype=complex).reshape(-1)
     k = u.size
     norm2 = float(np.vdot(u, u).real)
-    if abs(norm2 - k * kappa) > tol * max(1.0, k * kappa):
+    if abs(norm2 - k * kappa) > _EPS_NORM * max(1.0, k * kappa):
         raise AdmissibilityError(
             f"norm constraint violated: |u|^2 = {norm2:.12g}, expected {k * kappa:.12g}")
     return 1j * (np.outer(u, u.conj()) - (norm2 / k) * np.eye(k))
@@ -450,15 +450,20 @@ def emptiness_probe(space: SymmetricSpaceData, kappa: float, x: float,
         raise AdmissibilityError("emptiness_probe applies to su(n+1, n)")
     if x == 0.0:
         raise AdmissibilityError("the probe targets x != 0 (x = 0 meets the slice)")
-    C = _central_element(m, n)
-    best = np.inf
-    for _ in range(n_samples):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v *= math.sqrt(n * kappa) / np.linalg.norm(v)
-        xi = _embed_su_factor(space, eta_of_u(v, kappa), "n") + x * C
-        cm = algebra.decompose(space, xi)[1]
-        best = min(best, float(np.linalg.norm(cm)))
-    return best
+    # xi = embed_n(eta(v)) + x C has M-coefficients cm_b = -Re tr(xi M_b):
+    # with B_b = M_b[m:, m:] and |v|^2 = n kappa, a quadratic form in v plus
+    # a constant, cm_b = Im(v+ B_b v) - kappa Im tr B_b - x Re tr(C M_b)
+    draws = rng.standard_normal((n_samples, 2, n))  # the (re, im) pairs of each v
+    v = draws[:, 0] + 1j * draws[:, 1]
+    v *= (math.sqrt(n * kappa) / np.linalg.norm(v, axis=1))[:, None]
+    norm2 = np.einsum("si,si->s", v.conj(), v).real
+    if np.any(np.abs(norm2 - n * kappa) > _EPS_NORM * max(1.0, n * kappa)):
+        raise AdmissibilityError(f"norm constraint |v|^2 = {n * kappa:.12g} violated")
+    B = space.m_basis[:, m:, m:]
+    const = (-kappa * np.trace(B, axis1=1, axis2=2).imag
+             - x * np.einsum("ab,jba->j", _central_element(m, n), space.m_basis).real)
+    cm = np.einsum("si,bij,sj->sb", v.conj(), B, v).imag + const
+    return float(np.linalg.norm(cm, axis=1).min())
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +471,7 @@ def emptiness_probe(space: SymmetricSpaceData, kappa: float, x: float,
 # ---------------------------------------------------------------------------
 
 def _slice_moduli_su(space: SymmetricSpaceData, spec: OrbitSpec,
-                     rng: np.random.Generator, max_tries: int = 200):
+                     rng: np.random.Generator):
     """Sample squared moduli (t for the size-m factor, s for the size-n one)
     compatible with the vanishing-M-part conditions.
 
@@ -517,7 +522,7 @@ def _slice_moduli_su(space: SymmetricSpaceData, spec: OrbitSpec,
         if np.any(t > T + 1e-12):
             raise AdmissibilityError("slice moduli constraints are infeasible")
         return t, s
-    for _ in range(max_tries):
+    for _ in range(200):
         cand = rng.dirichlet(np.ones(n)) * total_t
         if np.all(cand <= T + 1e-14):
             t[:n] = cand

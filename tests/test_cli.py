@@ -279,6 +279,38 @@ def test_invalid_configs_exit_1(tmp_path, mutate):
     assert not (tmp_path / "o").exists() or not list((tmp_path / "o").iterdir())
 
 
+VERIFY_SPACE = [{"family": "su_mn", "m": 2, "n": 1}]
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("simulate", base_run_config(t_end=None)),
+    ("simulate", base_run_config(lax_x=1.0)),
+    ("simulate", base_run_config(monitors=5)),
+    ("simulate", base_run_config(monitors=[{"class": "trace_power", "k": None}])),
+    ("simulate", base_run_config(space={"family": "su_mn", "m": None, "n": 2})),
+    ("simulate", base_run_config(model={"type": "bc", "kappa": [3.0], "x": 1.0})),
+    ("simulate", base_run_config(initial={"q": {"q1": 2.0}, "p": [0.1, -0.2]})),
+    ("simulate", base_run_config(lax_x=[0.0, None])),
+    ("verify", {"spaces": VERIFY_SPACE, "n_draws": None}),
+    ("verify", {"spaces": VERIFY_SPACE, "seed": [0]}),
+    ("verify", {"spaces": 5}),
+])
+def test_wrong_json_type_is_a_config_error(tmp_path, capsys, command, payload):
+    # a value of the wrong JSON type exits 1 with an error line, no traceback
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid value for")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_draws", [0, -5])
+def test_verify_rejects_fewer_than_one_draw(tmp_path, capsys, n_draws):
+    cfg = write_config(tmp_path / "v.json", {"spaces": VERIFY_SPACE, "n_draws": n_draws})
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "n_draws must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "verify_report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincal import algebra, checks, dynamics, orbits
+from spincal import algebra, checks, dynamics, models, orbits
 from spincal.dynamics import InvariantSpec
 from spincal.orbits import OrbitSpec
 
@@ -647,6 +647,63 @@ def test_freezing_generic_spin_logged(su22, rng):
         res = dynamics.freezing_solve(su22, q, mu)
         outcomes.append((res.accepted, res.residual))
     print("generic-spin freezing outcomes (accepted, residual):", outcomes)
+
+
+CATALOG_SPACES = [models.model_space(model) for model in models.CATALOG]
+
+
+def freezing_reference(space, q, xi):
+    """freezing_solve on N x N matrices: every phi(ad_q) through
+    algebra.ad_fn and every A-perp part read by algebra.decompose."""
+    w = algebra.ad_fn(space, "inv_sinh", q, xi)
+    wp = algebra.ad_fn(space, "d_inv_sinh", q, xi)
+    rhs_mat = w @ wp - wp @ w
+    rhs = algebra.decompose(space, rhs_mat)[3]
+    cols = np.array([algebra.decompose(space, Mb @ w - w @ Mb)[3]
+                     for Mb in space.m_basis]).reshape(space.dim_m, space.K).T
+    z = np.linalg.lstsq(cols, rhs, rcond=None)[0]
+    y_m = np.einsum("b,bij->ij", z, space.m_basis)
+    w2 = algebra.ad_fn(space, "inv_sinh_sq", q, xi)
+    return {"residual": np.linalg.norm(cols @ z - rhs), "y_m": y_m,
+            "frozen_residual": np.linalg.norm((y_m - w2) @ xi - xi @ (y_m - w2)),
+            "identity_residual": np.linalg.norm(
+                w2 @ xi - xi @ w2 - algebra.ad_fn(space, "sinh", q, rhs_mat))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, len(models.CATALOG) - 1), seed=st.integers(0, 2 ** 32 - 1),
+       generic=st.booleans())
+def test_freezing_solve_matches_matrix_reference(index, seed, generic):
+    # the coefficient solve against the N x N formulation, on the catalog
+    # spins (accepted) and on random M-perp elements of the same spaces
+    space = CATALOG_SPACES[index]
+    rng = np.random.default_rng(seed)
+    q = algebra.random_chamber_point(space, rng)
+    if generic:
+        c = rng.standard_normal(space.K)
+        mu = orbits.SpinPoint(xi=algebra.reconstruct(space, cplus=c), coeffs=c,
+                              on_slice=True)
+    else:
+        mu = models.model_spin(space, models.CATALOG[index])
+    res = dynamics.freezing_solve(space, q, mu)
+    ref = freezing_reference(space, q, mu.xi)
+    for key in ("residual", "frozen_residual", "identity_residual"):
+        assert abs(getattr(res, key) - ref[key]) <= 1e-12 * max(1.0, ref[key]), key
+    if not generic:
+        assert res.accepted
+    if res.accepted:
+        assert np.abs(res.y_m - ref["y_m"]).max() <= 1e-12 * max(1.0, np.abs(ref["y_m"]).max())
+
+
+def test_freezing_solve_reads_coefficients_only(monkeypatch, rng):
+    decomposes = count_calls(monkeypatch, algebra, "decompose")
+    ad_fns = count_calls(monkeypatch, algebra, "ad_fn")
+    for model, space in zip(models.CATALOG, CATALOG_SPACES):
+        mu = models.model_spin(space, model)
+        decomposes.clear()
+        assert dynamics.freezing_solve(space, algebra.random_chamber_point(space, rng),
+                                       mu).accepted
+        assert len(decomposes) == 0 and len(ad_fns) == 0
 
 
 # ---------------------------------------------------------------------------

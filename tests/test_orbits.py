@@ -1,6 +1,7 @@
 """Tests for coadjoint orbits, the momentum map and the gauge slice."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -249,6 +250,34 @@ def test_emptiness_probe(su32, rng):
     # O~(n, kappa) + x C misses the slice for x != 0: M-part bounded below
     margin = orbits.emptiness_probe(su32, 1.0, 0.5, rng, n_samples=2000)
     assert margin > 1e-3
+
+
+def emptiness_reference(space, kappa, x, rng, n_samples):
+    """The probe as a per-sample loop: build each orbit matrix through
+    eta_of_u and read its M-part with algebra.decompose."""
+    m, n = space.spec.m, space.spec.n
+    C = orbits._central_element(m, n)
+    best = np.inf
+    for _ in range(n_samples):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v *= math.sqrt(n * kappa) / np.linalg.norm(v)
+        xi = orbits._embed_su_factor(space, orbits.eta_of_u(v, kappa), "n") + x * C
+        best = min(best, frob(algebra.decompose(space, xi)[1]))
+    return best
+
+
+@pytest.mark.parametrize("n,kappa,x", [(1, 1.0, 0.4), (2, 1.0, 0.5), (2, 3.0, -1.0),
+                                       (3, 2.0, 0.3)])
+def test_emptiness_probe_matches_per_sample_loop(n, kappa, x):
+    space = algebra.build_space(SpaceSpec.su(n + 1, n))
+    rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    with mock.patch.object(algebra, "decompose", wraps=algebra.decompose) as decompose:
+        margin = orbits.emptiness_probe(space, kappa, x, rng, n_samples=1500)
+        assert decompose.call_count == 0
+    want = emptiness_reference(space, kappa, x, rng_ref, 1500)
+    assert abs(margin - want) <= 1e-14 * want
+    # the batch draws what the loop draws: later checks see the same stream
+    assert rng.standard_normal() == rng_ref.standard_normal()
 
 
 # ---------------------------------------------------------------------------
