@@ -54,6 +54,7 @@ __all__ = [
     "DegenerateSpectrumError",
     "StepSizeError",
     "OffSliceError",
+    "FreezeCertificateError",
     "EPS_MEMBERSHIP",
     "EPS_WALL",
     "EPS_REGULAR",
@@ -90,6 +91,10 @@ class StepSizeError(RuntimeError):
 
 class OffSliceError(RuntimeError):
     """A projected spin left the gauge slice (its M-part is not negligible)."""
+
+
+class FreezeCertificateError(AdmissibilityError):
+    """No freezing gauge holds the spin still at a point of a run."""
 
 
 # ---------------------------------------------------------------------------

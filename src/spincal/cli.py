@@ -16,8 +16,9 @@ significant digits, '.' decimal and ',' separators; all files are written
 to a temporary name and atomically renamed, and outputs are deterministic
 for a fixed config and seed.  Exit codes: 0 success, 1 configuration or
 usage error, 2 chamber-wall collision (the report carries the last safe
-time), 3 integration failure: step-size underflow, degenerate spectrum or
-spin off the slice (the report carries the status and the error).
+time), 3 integration failure: step-size underflow, degenerate spectrum,
+spin off the slice or a failed freezing-gauge certificate (the report
+carries the status and the error).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from . import __version__, algebra, checks, dynamics, models, orbits
 from .algebra import (
     AdmissibilityError,
     DegenerateSpectrumError,
+    FreezeCertificateError,
     OffSliceError,
     SpaceSpec,
     StepSizeError,
@@ -54,6 +56,7 @@ FAILURE_STATUS = {
     StepSizeError: "step_size_failure",
     DegenerateSpectrumError: "degenerate_spectrum",
     OffSliceError: "off_slice",
+    FreezeCertificateError: "freeze_certificate_failure",
 }
 
 DEFAULT_LAX_X = (0.0, 0.5, 1.0)
@@ -103,8 +106,16 @@ def _value(obj: dict, key: str, conv, where: str, *default):
         raise ConfigError(f"invalid value for {key!r} in {where}: {val!r}") from None
 
 
+def _integer(val) -> int:
+    """An integer config value: a JSON integer, or a float with an integral
+    value; a bool or a fractional number is rejected."""
+    if isinstance(val, bool) or not float(val).is_integer():
+        raise ValueError("not an integer")
+    return int(val)
+
+
 MODEL_NUMBERS = {"kappa": float, "x": float, "kappa_m": float, "kappa_n": float,
-                 "m_ambient": int, "seed": int}
+                 "m_ambient": _integer, "seed": _integer}
 
 
 def parse_space(obj) -> SpaceSpec:
@@ -112,9 +123,10 @@ def parse_space(obj) -> SpaceSpec:
     family = _need(obj, "family", "space")
     try:
         if family == "su_mn":
-            return SpaceSpec.su(_value(obj, "m", int, "space"), _value(obj, "n", int, "space"))
+            return SpaceSpec.su(_value(obj, "m", _integer, "space"),
+                                _value(obj, "n", _integer, "space"))
         if family == "sl_kc":
-            return SpaceSpec.sl(_value(obj, "k", int, "space"))
+            return SpaceSpec.sl(_value(obj, "k", _integer, "space"))
     except AdmissibilityError as exc:
         raise ConfigError(str(exc))
     raise ConfigError(f"unknown space family {family!r}")
@@ -193,7 +205,7 @@ def parse_run(obj: dict, default_name: str = "run") -> RunConfig:
         _check_keys(mon, MONITOR_KEYS, "monitor")
         try:
             spec = InvariantSpec(_need(mon, "class", "monitor"),
-                                 _value(mon, "k", int, "monitor"),
+                                 _value(mon, "k", _integer, "monitor"),
                                  _value(mon, "x", float, "monitor", 0.0))
         except ValueError as exc:
             raise ConfigError(str(exc))
@@ -209,7 +221,7 @@ def parse_run(obj: dict, default_name: str = "run") -> RunConfig:
     gauge = obj.get("gauge", "freeze" if mtype in ("bc", "c", "d", "a") else "zero")
     if gauge not in ("zero", "freeze"):
         raise ConfigError("gauge must be 'zero' or 'freeze'")
-    seed = model.get("seed", _value(obj, "seed", int, "run config", 0))
+    seed = model.get("seed", _value(obj, "seed", _integer, "run config", 0))
     name = _value(obj, "name", str, "run config", default_name)
     return RunConfig(name=name, space_spec=space_spec, space=space, model=dict(model),
                      q=q, p=p, t_end=t_end, tol=tol, sample_dt=sample_dt,
@@ -310,20 +322,51 @@ def build_initial_point(cfg: RunConfig):
     return space, dynamics.make_phase_point(space, cfg.q, cfg.p, xi)
 
 
-def run_trajectory(cfg: RunConfig):
-    space, pt0 = build_initial_point(cfg)
-    gauge = cfg.gauge if not pt0.xi.is_zero else "zero"
-    if cfg.method == "projection":
-        n_seg = max(1, int(round(cfg.t_end / cfg.sample_dt)))
-        times = np.linspace(0.0, cfg.t_end, n_seg + 1)
-        traj = dynamics.projection_trajectory(space, pt0, times, lax_x=cfg.lax_x,
-                                              invariants=cfg.monitors, on_wall="truncate")
-    else:
-        traj = dynamics.integrate_direct(space, pt0, cfg.t_end, tol=cfg.tol,
-                                         sample_dt=cfg.sample_dt, lax_x=cfg.lax_x,
-                                         invariants=cfg.monitors, gauge=gauge,
-                                         on_wall="truncate")
-    return space, traj
+def run_trajectories(runs) -> list:
+    """Per run, (space, Trajectory) or the exception that stopped it.
+
+    The direct runs that share a space, effective gauge, zero or nonzero
+    spin, t_end, sample_dt and tol are integrated by one
+    :func:`dynamics.integrate_direct_batch` call; each keeps its own
+    monitors.  An integration failure or a configuration error a run raises
+    is kept as its result, so that :func:`cmd_simulate_one` and
+    :func:`cmd_spectrum_one` meet it in run order, as if the runs had been
+    integrated one after another.
+    """
+    results = [None] * len(runs)
+    groups = {}
+    for i, cfg in enumerate(runs):
+        try:
+            space, pt0 = build_initial_point(cfg)
+            if cfg.method == "projection":
+                n_seg = max(1, int(round(cfg.t_end / cfg.sample_dt)))
+                times = np.linspace(0.0, cfg.t_end, n_seg + 1)
+                results[i] = space, dynamics.projection_trajectory(
+                    space, pt0, times, lax_x=cfg.lax_x, invariants=cfg.monitors,
+                    on_wall="truncate")
+                continue
+        except (*FAILURE_STATUS, ValueError, WallProximityError) as exc:
+            results[i] = exc
+            continue
+        free = pt0.xi.is_zero
+        key = (cfg.space_spec, "zero" if free else cfg.gauge, free,
+               cfg.t_end, cfg.sample_dt, cfg.tol)
+        groups.setdefault(key, []).append((i, pt0))
+    for (_, gauge, _, t_end, sample_dt, tol), members in groups.items():
+        space = runs[members[0][0]].space
+        trajs = dynamics.integrate_direct_batch(
+            space, [pt0 for _, pt0 in members], t_end, tol=tol, sample_dt=sample_dt,
+            monitors=[(runs[i].lax_x, runs[i].monitors) for i, _ in members],
+            gauge=gauge, on_wall="truncate")
+        for (i, _), traj in zip(members, trajs):
+            results[i] = traj if isinstance(traj, Exception) else (runs[i].space, traj)
+    return results
+
+
+def _unpack(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _write_failure(cfg: RunConfig, exc: Exception, data_path: str, path: str) -> int:
@@ -342,9 +385,10 @@ def _write_failure(cfg: RunConfig, exc: Exception, data_path: str, path: str) ->
     return EXIT_FAILURE
 
 
-def cmd_simulate_one(cfg: RunConfig, out_dir: str) -> int:
+def cmd_simulate_one(cfg: RunConfig, out_dir: str, result) -> int:
+    """Write a run's outputs from its entry of :func:`run_trajectories`."""
     try:
-        space, traj = run_trajectory(cfg)
+        space, traj = _unpack(result)
     except tuple(FAILURE_STATUS) as exc:
         return _write_failure(cfg, exc, os.path.join(out_dir, "trajectory.csv"),
                               os.path.join(out_dir, "drift_report.json"))
@@ -372,9 +416,10 @@ def cmd_simulate_one(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_WALL if traj.wall_time is not None else EXIT_OK
 
 
-def cmd_spectrum_one(cfg: RunConfig, out_dir: str) -> int:
+def cmd_spectrum_one(cfg: RunConfig, out_dir: str, result) -> int:
+    """Write a run's spectrum outputs from its entry of :func:`run_trajectories`."""
     try:
-        space, traj = run_trajectory(cfg)
+        space, traj = _unpack(result)
     except tuple(FAILURE_STATUS) as exc:
         return _write_failure(cfg, exc, os.path.join(out_dir, "spectrum.csv"),
                               os.path.join(out_dir, "spectrum_report.json"))
@@ -407,8 +452,9 @@ def cmd_spectrum_one(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _run_many(runs, out_base, worker) -> int:
-    codes = [worker(cfg, out_base if len(runs) == 1 else os.path.join(out_base, cfg.name))
-             for cfg in runs]
+    codes = [worker(cfg, out_base if len(runs) == 1 else os.path.join(out_base, cfg.name),
+                    result)
+             for cfg, result in zip(runs, run_trajectories(runs))]
     return max(codes)
 
 
@@ -425,8 +471,8 @@ def cmd_verify(args) -> int:
     specs = [parse_space(obj) for obj in spaces]
     if args.seed is not None:
         raw = {**raw, "seed": args.seed}  # the hash covers the effective config
-    seed = _value(raw, "seed", int, "verify config", 0)
-    n_draws = _value(raw, "n_draws", int, "verify config", 100)
+    seed = _value(raw, "seed", _integer, "verify config", 0)
+    n_draws = _value(raw, "n_draws", _integer, "verify config", 100)
     if n_draws < 1:
         raise ConfigError("n_draws must be at least 1")
     report = checks.run_verify(specs, seed=seed, n_draws=n_draws)

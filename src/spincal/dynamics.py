@@ -37,6 +37,7 @@ import numpy as np
 from . import algebra, orbits
 from .algebra import (
     AdmissibilityError,
+    FreezeCertificateError,
     StepSizeError,
     SymmetricSpaceData,
     WallProximityError,
@@ -60,6 +61,7 @@ __all__ = [
     "lax_cal",
     "eom_rhs",
     "integrate_direct",
+    "integrate_direct_batch",
     "flow_projection",
     "projection_trajectory",
     "invariant_value",
@@ -321,54 +323,60 @@ _DP_B5 = _DP_A[6]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4  # y5 - y4 = h * (_DP_E @ ks)
+_DP_ROWS = [_DP_A[i, :i] for i in range(1, 7)]  # stage i combines stages < i
 _MAX_STEPS = 5_000_000   # accepted steps before StepSizeError
 
 
 class _DirectSystem:
     """Packed-state view (q, p, c+) of the reduced equations for the stepper,
-    with the flat basis arrays its right-hand side and the spin restoration
-    work on."""
+    one run per row, with the flat basis arrays its right-hand side and the
+    spin restoration work on."""
 
     def __init__(self, space: SymmetricSpaceData, gauge: str):
         K, N = space.K, space.N
         self.space = space
         self.nc = space.n_coords
         self.gauge = gauge
-        self.coef = space.root_coef[space.e_root]  # alpha_j(q) = coef[j] @ q
-        self.force_coef = self.coef / space.coord_weight
+        coef = space.root_coef[space.e_root]  # alpha_j(q) = coef[j] @ q
+        self.coef_t = np.ascontiguousarray(coef.T)
+        self.force_coef = coef / space.coord_weight
+        self.root_coef_t = np.ascontiguousarray(space.root_coef.T)
         self.neg_fplus = -space.fplus.reshape(K * K, K)
         self.eplus = space.eplus.reshape(K, N * N)  # row j: E+_j
         self.eplus_t = space.eplus.transpose(0, 2, 1).reshape(K, N * N)  # row j: (E+_j)^T
 
-    def unpack(self, y):
+    def __call__(self, t, Y):
+        """The field at the rows of Y, shape (B, 2n+K); t holds their times
+        (the field is autonomous)."""
         nc = self.nc
-        return y[:nc], y[nc:2 * nc], y[2 * nc:]
-
-    def __call__(self, t, y):
-        nc = self.nc
-        cplus = y[2 * nc:]
-        av = self.coef @ y[:nc]
+        cplus = Y[:, 2 * nc:]
+        av = Y[:, :nc] @ self.coef_t
         w2 = cplus / np.sinh(av) ** 2
-        out = np.empty_like(y)
-        out[:nc] = y[nc:2 * nc]
+        out = np.empty_like(Y)
+        out[:, :nc] = Y[:, nc:2 * nc]
         # p' = -grad V = (1/s) sum_j c_j^2 cosh(alpha_j) / sinh^3(alpha_j) coef_j
-        np.matmul(cplus * w2 / np.tanh(av), self.force_coef, out=out[nc:2 * nc])
+        out[:, nc:2 * nc] = (cplus * w2 / np.tanh(av)) @ self.force_coef
         if self.gauge == "freeze":
-            # the spin is held still; integrate_direct certifies the gauge
-            out[2 * nc:] = 0.0
+            # the spin is held still; integrate_direct_batch certifies the gauge
+            out[:, 2 * nc:] = 0.0
         else:
-            # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk
-            np.matmul((w2[:, None] * cplus).ravel(), self.neg_fplus, out=out[2 * nc:])
+            # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk,
+            # one (B, K^2) @ (K^2, K) product for every row
+            pairs = (w2[:, :, None] * cplus[:, None, :]).reshape(len(Y), -1)
+            out[:, 2 * nc:] = pairs @ self.neg_fplus
         return out
 
     def spin(self, cplus) -> np.ndarray:
-        """xi = sum_j c_j E+_j as an N x N matrix (algebra.reconstruct)."""
+        """xi = sum_j c_j E+_j as N x N matrices, one per row of cplus
+        (algebra.reconstruct)."""
         N = self.space.N
-        return (cplus @ self.eplus).reshape(N, N)
+        return (cplus @ self.eplus).reshape(cplus.shape[:-1] + (N, N))
 
     def spin_coeffs(self, xi) -> np.ndarray:
-        """c_j = -Re tr(xi E+_j), the M-perp coefficients of algebra.decompose."""
-        return -(self.eplus_t @ xi.ravel()).real
+        """c_j = -Re tr(xi E+_j) for each matrix of xi, the M-perp
+        coefficients of algebra.decompose."""
+        N = self.space.N
+        return -(xi.reshape(xi.shape[:-2] + (N * N,)) @ self.eplus_t.T).real
 
 
 def _spin_blocks(space: SymmetricSpaceData) -> tuple:
@@ -379,23 +387,35 @@ def _spin_blocks(space: SymmetricSpaceData) -> tuple:
     return (slice(0, space.N),)
 
 
-def _block_spectra_ref(space: SymmetricSpaceData, xi: np.ndarray):
-    return tuple(np.linalg.eigvalsh(-1j * xi[sl, sl]) for sl in _spin_blocks(space))
+def _block_spectra_ref(space: SymmetricSpaceData, xi: np.ndarray) -> np.ndarray:
+    """The restoration targets of a stack of spins: i times the spectrum of
+    -i xi on each block, at that block's slots of the last axis, with a unit
+    axis before it (shape (..., 1, N))."""
+    spectra = [np.linalg.eigvalsh(-1j * xi[..., sl, sl]) for sl in _spin_blocks(space)]
+    return (1j * np.concatenate(spectra, axis=-1))[..., None, :]
 
 
 def _restore_block_spectra(space: SymmetricSpaceData, xi: np.ndarray, ref) -> np.ndarray:
+    """xi with each block's spectrum set to ref's, by one stacked eigh per
+    block over a stack of spins."""
     out = xi.copy()
-    for sl, target in zip(_spin_blocks(space), ref):
-        w, V = np.linalg.eigh(-1j * xi[sl, sl])
-        out[sl, sl] = (V * (1j * target)) @ V.conj().T
+    for sl in _spin_blocks(space):
+        w, V = np.linalg.eigh(-1j * xi[..., sl, sl])
+        out[..., sl, sl] = (V * ref[..., sl]) @ V.conj().swapaxes(-1, -2)
     return out
+
+
+def _row_dots(a, b) -> np.ndarray:
+    """a_r . b_r for every row r, each rounded as the 1-D dot product is."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
                      tol: float = 1e-10, sample_dt: float | None = None,
                      lax_x: tuple = (0.0, 1.0), invariants: tuple = (),
                      gauge: str = "zero", on_wall: str = "raise") -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) integration of the reduced equations.
+    """Adaptive Dormand-Prince 5(4) integration of the reduced equations:
+    :func:`integrate_direct_batch` with one member, whose failure is raised.
 
     The state is (q, p, c+), see the module docstring.  In the zero gauge,
     after every accepted step the per-block spectrum of the spin is restored
@@ -404,12 +424,42 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     In the freezing gauge the spin is held constant, and the gauge is
     certified by :func:`freezing_solve` on the initial spin at t = 0 and
     after every accepted step: a failed certificate raises
-    :class:`AdmissibilityError`, and the worst frozen residual is logged as
-    ``freeze_residual``.  Where no restoration changes the state (freezing
-    gauge, zero spin) the last stage of a step is the first of the next.
-    Integration halts with :class:`WallProximityError` if the configuration
-    approaches a chamber wall; with ``on_wall="truncate"`` the samples
-    collected before the event are returned instead, with ``wall_time`` set.
+    :class:`FreezeCertificateError`, and the worst frozen residual is logged
+    as ``freeze_residual``.  Where no restoration changes the state
+    (freezing gauge, zero spin) the last stage of a step is the first of the
+    next.  Integration halts with :class:`WallProximityError` if the
+    configuration approaches a chamber wall; with ``on_wall="truncate"`` the
+    samples collected before the event are returned instead, with
+    ``wall_time`` set.  A step-size underflow raises :class:`StepSizeError`.
+    """
+    traj, = integrate_direct_batch(space, [pt0], t_end, tol=tol, sample_dt=sample_dt,
+                                   monitors=[(lax_x, invariants)], gauge=gauge,
+                                   on_wall=on_wall)
+    if isinstance(traj, Exception):
+        raise traj
+    return traj
+
+
+def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
+                           tol: float = 1e-10, sample_dt: float | None = None,
+                           monitors=None, gauge: str = "zero",
+                           on_wall: str = "raise") -> list:
+    """Integrate several phase points on one space with one Dormand-Prince
+    5(4) loop that advances them as the rows of a (B, 2n+K) state.
+
+    Each member keeps its own time, step size, sample index, accept/reject
+    decision and wall check, exactly as :func:`integrate_direct` describes
+    for one run; finished members drop out of the active rows.  Every
+    Runge-Kutta stage is one right-hand-side call over the active rows, and
+    the spectrum restoration one stacked ``eigh`` per spin block over the
+    accepted rows.  The spins must be all zero or all nonzero.  ``monitors``
+    holds one ``(lax_x, invariants)`` pair per member (default ``(0, 1)``
+    and none).
+
+    Returns one entry per member, in order: its :class:`Trajectory`, or the
+    exception that stopped it alone (:class:`StepSizeError`,
+    :class:`FreezeCertificateError`, or with ``on_wall="raise"``
+    :class:`WallProximityError`).
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -417,134 +467,213 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
         raise ValueError("gauge must be 'zero' or 'freeze'")
     if on_wall not in ("raise", "truncate"):
         raise ValueError("on_wall must be 'raise' or 'truncate'")
+    pts = list(pts)
+    if monitors is None:
+        monitors = [((0.0, 1.0), ())] * len(pts)
+    if len(monitors) != len(pts):
+        raise ValueError("monitors must hold one (lax_x, invariants) pair per member")
+    free = pts[0].xi.is_zero
+    if any(pt.xi.is_zero != free for pt in pts):
+        raise ValueError("the spins of a batch must be all zero or all nonzero")
     if sample_dt is None:
         sample_dt = t_end / 200.0
     n_seg = max(1, int(round(t_end / sample_dt)))
     times = np.linspace(0.0, t_end, n_seg + 1)
 
     sys = _DirectSystem(space, gauge)
-    free = pt0.xi.is_zero
+    nc = sys.nc
     freeze = gauge == "freeze"
-    y = np.concatenate([pt0.q, pt0.p, pt0.xi.coeffs])
-    spec_ref = None if free or freeze else _block_spectra_ref(space, pt0.xi.xi)
+    y0 = np.array([np.concatenate([pt.q, pt.p, pt.xi.coeffs]) for pt in pts])
+    spec_ref = (None if free or freeze
+                else _block_spectra_ref(space, np.array([pt.xi.xi for pt in pts])))
+    drift_sq = np.zeros(len(pts))  # largest squared spectrum correction
+    freeze_residual = np.zeros(len(pts))
+    stopped = [None] * len(pts)  # the failure that ended a member
 
-    orbit_drift = 0.0
-    freeze_residual = 0.0
-    n_steps = 0
-
-    def certify(q):
-        nonlocal freeze_residual
-        res = freezing_solve(space, q, pt0.xi)
+    def certify(m, q) -> bool:
+        res = freezing_solve(space, q, pts[m].xi)
         if not res.accepted:
-            raise AdmissibilityError(
+            stopped[m] = FreezeCertificateError(
                 f"no freezing gauge at q = {q} (residual {res.residual:.3e})")
-        freeze_residual = max(freeze_residual, res.frozen_residual)
+            return False
+        freeze_residual[m] = max(freeze_residual[m], res.frozen_residual)
+        return True
 
-    def correct(yv):
-        # returns the state to continue from; may update yv in place
-        nonlocal orbit_drift, n_steps
-        n_steps += 1
+    def correct(members, Y5, past_wall):
+        # the states to continue from, for the accepted rows Y5 of members,
+        # and which of them end here: past a wall, or with a failed certificate
         if freeze:
-            # a point past the wall ends the run at the stepper's wall check
-            q = sys.unpack(yv)[0]
-            if algebra.min_root_value(space, q) >= algebra.EPS_WALL:
-                certify(q)
-            return yv
+            # a point past the wall ends the member at the stepper's wall check
+            bad = [k for k in np.flatnonzero(~past_wall) if not certify(members[k], Y5[k, :nc])]
+            if bad:
+                past_wall = past_wall.copy()
+                past_wall[bad] = True
+            return Y5, past_wall
         if free:
-            return yv
-        xi = sys.spin(sys.unpack(yv)[2])
-        fixed = _restore_block_spectra(space, xi, spec_ref)
-        orbit_drift = max(orbit_drift, float(np.linalg.norm(fixed - xi)))
-        yv[2 * sys.nc:] = sys.spin_coeffs(fixed)
-        return yv
-
-    def sample(t, yv):
-        q, p, cplus = sys.unpack(yv)
-        if freeze or free:
-            return PhasePoint(q=q.copy(), p=p.copy(), xi=pt0.xi)
-        xi = SpinPoint(xi=sys.spin(cplus), coeffs=cplus.copy(), on_slice=True)
-        return PhasePoint(q=q.copy(), p=p.copy(), xi=xi)
+            return Y5, past_wall
+        xi = sys.spin(Y5[:, 2 * nc:])
+        fixed = _restore_block_spectra(space, xi, spec_ref[members])
+        d = (fixed - xi).reshape(len(members), -1)
+        # squared Frobenius norms, each as np.linalg.norm sums them
+        drift_sq[members] = np.maximum(drift_sq[members],
+                                       _row_dots(d.real, d.real) + _row_dots(d.imag, d.imag))
+        Y5[:, 2 * nc:] = sys.spin_coeffs(fixed)
+        return Y5, past_wall
 
     if freeze:
-        certify(pt0.q)
-    pts = [sample(0.0, y)]
-    h = min(sample_dt, 0.05) * 0.1
-    wall_time = None
-    try:
-        # a stage past a wall evaluates to inf/nan: the error norm rejects it
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            _step_segments(space, sys, times, y, h, tol, t_end, correct, sample, pts,
-                           fsal=freeze or free)
-    except WallProximityError as exc:
-        if on_wall == "raise":
-            raise
-        wall_time = exc.t
-    # the M-part of xi' vanishes on the slice; its largest value at the
-    # samples is kept as a consistency diagnostic
-    m_drift = 0.0 if freeze else max(eom_rhs(space, pt).m_part_norm for pt in pts)
-    times_done = times[:len(pts)]
-    return _attach_monitors(space, times_done, pts, lax_x, invariants,
-                            m_drift=m_drift, orbit_drift=orbit_drift,
-                            wall_time=wall_time, n_steps=n_steps,
-                            freeze_residual=freeze_residual if freeze else None)
+        for m, pt in enumerate(pts):
+            certify(m, pt.q)
+    # a stage past a wall evaluates to inf/nan: the error norm rejects it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        samples, counts, n_steps = _step_batch(space, sys, y0, times, tol, t_end,
+                                               min(sample_dt, 0.05) * 0.1, correct,
+                                               stopped, fsal=freeze or free)
+
+    out = []
+    for m, pt0 in enumerate(pts):
+        exc, wall_time = stopped[m], None
+        if isinstance(exc, WallProximityError) and on_wall == "truncate":
+            exc, wall_time = None, exc.t
+        if exc is not None:
+            out.append(exc)
+            continue
+        pts_m = [_sample_point(sys, pt0, y, freeze or free) for y in samples[m, :counts[m]]]
+        # the M-part of xi' vanishes on the slice; its largest value at the
+        # samples is kept as a consistency diagnostic
+        m_drift = 0.0 if freeze else max(eom_rhs(space, pt).m_part_norm for pt in pts_m)
+        lax_x, invariants = monitors[m]
+        out.append(_attach_monitors(space, times[:counts[m]], pts_m, lax_x, invariants,
+                                    m_drift=m_drift, orbit_drift=math.sqrt(drift_sq[m]),
+                                    wall_time=wall_time, n_steps=int(n_steps[m]),
+                                    freeze_residual=(float(freeze_residual[m])
+                                                     if freeze else None)))
+    return out
 
 
-def _step_segments(space, sys, times, y, h, tol, t_end, correct, sample, pts, fsal):
-    n_steps = 0
-    t = 0.0
-    ks = np.empty((7, y.size))
-    ks[0] = sys(t, y)  # the first stage at (t, y), kept over a rejected step
-    for t_target in times[1:]:
-        while t < t_target - 1e-14 * t_end:
-            h = min(h, t_target - t)
-            if h < 1e-14 * max(1.0, t_end):
+def _sample_point(sys, pt0, y, const_spin) -> PhasePoint:
+    q, p, cplus = y[:sys.nc].copy(), y[sys.nc:2 * sys.nc].copy(), y[2 * sys.nc:].copy()
+    if const_spin:
+        return PhasePoint(q=q, p=p, xi=pt0.xi)
+    return PhasePoint(q=q, p=p, xi=SpinPoint(xi=sys.spin(cplus), coeffs=cplus, on_slice=True))
+
+
+def _step_batch(space, sys, y0, times, tol, t_end, h0, correct, stopped, fsal):
+    """Dormand-Prince 5(4) over the sample grid for the rows of y0 whose
+    member has not stopped.  Returns the samples, shape (B, T, 2n+K), how
+    many of them each member reached, and its accepted steps.  A member that
+    stalls, underflows, exceeds the step budget, reaches a wall or fails in
+    ``correct`` gets its exception in ``stopped`` and drops out."""
+    B, D = y0.shape
+    last = len(times) - 1
+    samples = np.empty((B, len(times), D))
+    samples[:, 0] = y0
+    counts = np.ones(B, dtype=int)
+    n_steps = np.zeros(B, dtype=int)
+    rows = np.array([m for m in range(B) if stopped[m] is None], dtype=int)  # active members
+    Y = y0[rows]
+    t = np.zeros(rows.size)
+    h = np.full(rows.size, h0)
+    seg = np.ones(rows.size, dtype=int)  # index of each row's next sample
+    t_seg = times[seg]  # each row's next sample time
+    t_eps = 1e-14 * t_end
+    t_due = t_seg - t_eps  # a row at or past it takes its sample
+    ks = np.empty((rows.size, 7, D))
+    if rows.size:
+        ks[:, 0] = sys(t, Y)  # the first stage at (t, y), kept over a rejected step
+    h_min = 1e-14 * max(1.0, t_end)
+    attempts = 0
+    moved = True  # rows have advanced: take their samples and clamp their steps
+    while rows.size:
+        if moved:
+            due = t >= t_due
+            while due.any():
+                r = np.flatnonzero(due)
+                samples[rows[r], seg[r]] = Y[r]
+                counts[rows[r]] += 1
+                t[r] = t_seg[r]
+                seg[r] += 1
+                keep = seg <= last
+                rows, Y, t, h, seg, ks = (a[keep] for a in (rows, Y, t, h, seg, ks))
+                t_seg = times[seg]
+                t_due = t_seg - t_eps
+                due = t >= t_due
+            if not rows.size:
+                break
+            # a rejected step only shrinks h: the clamp holds until the next accept
+            h = np.minimum(h, t_seg - t)
+            moved = False
+        if h.min() < h_min:
+            tiny = h < h_min
+            for r in np.flatnonzero(tiny):
                 # persistent rejection right at a chamber wall is a wall event
-                if algebra.min_root_value(space, sys.unpack(y)[0]) < 1e-3:
-                    raise WallProximityError(
-                        f"trajectory stalled against a chamber wall at t = {t:.6g}",
-                        t=t)
-                raise StepSizeError(f"step size underflow at t = {t:.6g}")
-            for i in range(1, 7):
-                yi = y + h * (_DP_A[i, :i] @ ks[:i])
-                ks[i] = sys(t + _DP_C[i] * h, yi)
-            y5 = yi  # the last stage's argument
-            r = h * (_DP_E @ ks) / (tol + tol * np.maximum(np.abs(y), np.abs(y5)))
-            err = math.sqrt(float(r @ r) / r.size)
-            if not math.isfinite(err):
-                h *= 0.2
-                continue
-            if err <= 1.0:
-                t_prev = t
-                t += h
-                y = correct(y5)
-                q_new = sys.unpack(y)[0]
-                if algebra.min_root_value(space, q_new) < algebra.EPS_WALL:
-                    raise WallProximityError(
-                        f"trajectory reached a chamber wall in ({t_prev:.6g}, {t:.6g}]",
-                        t=t_prev)
-                n_steps += 1
-                if n_steps > _MAX_STEPS:
-                    raise StepSizeError("maximum number of steps exceeded")
-                # where correct() left y5 as it was, its stage is the
-                # next first stage
-                ks[0] = ks[6] if fsal else sys(t, y)
-            factor = 0.9 * (err + 1e-300) ** (-0.2)
-            h *= min(5.0, max(0.2, factor))
-        pts.append(sample(t_target, y))
-        t = t_target
+                if algebra.min_root_value(space, Y[r, :sys.nc]) < 1e-3:
+                    stopped[rows[r]] = WallProximityError(
+                        f"trajectory stalled against a chamber wall at t = {t[r]:.6g}",
+                        t=float(t[r]))
+                else:
+                    stopped[rows[r]] = StepSizeError(f"step size underflow at t = {t[r]:.6g}")
+            rows, Y, t, h, seg, t_seg, t_due, ks = (
+                a[~tiny] for a in (rows, Y, t, h, seg, t_seg, t_due, ks))
+            continue
+        attempts += 1
+        hc = h[:, None]
+        for i, a in enumerate(_DP_ROWS, start=1):
+            yi = Y + hc * (a @ ks[:, :i])
+            ks[:, i] = sys(t, yi)  # the field is autonomous: t is the step's start
+        y5 = yi  # the last stage's argument
+        r = hc * (_DP_E @ ks) / (tol + tol * np.maximum(np.abs(Y), np.abs(y5)))
+        err = [math.sqrt(sq / D) for sq in _row_dots(r, r).tolist()]
+        # a non-finite error gives the factor 0.2, a retry with a fifth of h
+        h_step, h = h, h * np.array([min(5.0, max(0.2, 0.9 * (e + 1e-300) ** (-0.2)))
+                                     for e in err])
+        ok = [k for k, e in enumerate(err) if e <= 1.0]
+        if not ok:
+            continue
+        moved = True
+        acc = slice(None) if len(ok) == rows.size else np.array(ok)
+        members = rows[acc]
+        t_prev = t[acc]
+        t_new = t_prev + h_step[acc]
+        past_wall = (y5[acc, :sys.nc] @ sys.root_coef_t).min(axis=1) < algebra.EPS_WALL
+        # correct() marks the rows that end here: past a wall or uncertified
+        Y[acc], failed = correct(members, y5[acc], past_wall)
+        n_steps[members] += 1
+        if attempts > _MAX_STEPS:  # no member takes more steps than there were attempts
+            failed = failed | (n_steps[members] > _MAX_STEPS)
+        any_failed = failed.any()
+        if any_failed:
+            for k in np.flatnonzero(failed):
+                if past_wall[k]:
+                    stopped[members[k]] = WallProximityError(
+                        f"trajectory reached a chamber wall in ({t_prev[k]:.6g}, {t_new[k]:.6g}]",
+                        t=float(t_prev[k]))
+                elif stopped[members[k]] is None:
+                    stopped[members[k]] = StepSizeError("maximum number of steps exceeded")
+        t[acc] = t_new  # after the messages: t_prev may be a view of t
+        if not any_failed:
+            # where correct() left y5 as it was, its stage is the next first stage
+            ks[acc, 0] = ks[acc, 6] if fsal else sys(t[acc], Y[acc])
+            continue
+        go = np.array(ok)[~failed]
+        if go.size:
+            ks[go, 0] = ks[go, 6] if fsal else sys(t[go], Y[go])
+        keep = np.ones(rows.size, dtype=bool)
+        keep[np.array(ok)[failed]] = False
+        rows, Y, t, h, seg, t_seg, t_due, ks = (
+            a[keep] for a in (rows, Y, t, h, seg, t_seg, t_due, ks))
+    return samples, counts, n_steps
 
 
 def _attach_monitors(space, times, pts, lax_x, invariants, **stats):
     energy = np.array([hamiltonian(space, pt) for pt in pts])
     # L(x) = L(0) - x xi: one Lax matrix per sample serves every x
-    lax0 = [lax(space, pt, 0.0) for pt in pts]
-
-    def lax_at(x):
-        return [L0 - x * pt.xi.xi for L0, pt in zip(lax0, pts)]
-
-    spectra = {float(x): _match_spectra(np.array([sorted_spectrum(L) for L in lax_at(x)]))
+    lax0 = np.array([lax(space, pt, 0.0) for pt in pts])
+    xis = np.array([pt.xi.xi for pt in pts])
+    # one stacked eigvals per x: LAPACK runs per matrix, as sorted_spectrum does
+    spectra = {float(x): _match_spectra(np.sort_complex(np.linalg.eigvals(lax0 - x * xis)))
                for x in lax_x}
-    inv = {spec.label(): np.array([invariant_value(space, spec, L) for L in lax_at(spec.x)])
+    inv = {spec.label(): np.array([invariant_value(space, spec, L)
+                                   for L in lax0 - spec.x * xis])
            for spec in invariants}
     return Trajectory(times=np.asarray(times, dtype=float), points=list(pts),
                       energy=energy, lax_x=tuple(float(x) for x in lax_x),
@@ -793,13 +922,12 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     # full product (its condition number squares the exponent spread); work
     # with the half-factor W = E Lambda_0^(1/2), whose large singular values
     # and vectors are accurate, and recover the gauge from those alone.
-    import scipy.linalg  # a general expm: loaded on the first projection flow
     S0 = orbits.expm_herm(algebra.embed(space, pt0.q))
-    W = scipy.linalg.expm(t * G) @ S0
+    W = orbits.expm(t * G) @ S0
     if space.spec.family == "su_mn":
         q_t, g = _chamber_gauge_su(space, W)
     else:
-        W_inv = orbits.expm_herm(-algebra.embed(space, pt0.q)) @ scipy.linalg.expm(-t * G)
+        W_inv = orbits.expm_herm(-algebra.embed(space, pt0.q)) @ orbits.expm(-t * G)
         q_t, g = _chamber_gauge_sl(space, W, W_inv)
     Jm_rot = g.conj().T @ j_minus @ g
     xi_rot = g.conj().T @ pt0.xi.xi @ g

@@ -48,11 +48,13 @@ __all__ = [
     "expm_herm",
     "expm_antiherm",
     "logm_herm",
+    "expm",
     "diagonalize_flat",
 ]
 
 EPS_ONSLICE = 1e-10
 _EPS_NORM = 1e-10   # relative bound of the |u|^2 = k kappa orbit constraint
+_PROBE_BLOCK = 2048  # emptiness_probe samples per block
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +72,43 @@ def expm_antiherm(Z: np.ndarray) -> np.ndarray:
     H = -0.5j * (Z - Z.conj().T)
     w, V = np.linalg.eigh(H)
     return (V * np.exp(1j * w)) @ V.conj().T
+
+
+# The degree-13 Pade approximant of exp is exact to double precision for
+# 1-norms up to _THETA13 (Higham 2005, Table 2.3).  Its numerator is V + U
+# and denominator V - U, with U = A (A6 W1 + W2), V = A6 Z1 + Z2 and each of
+# W1, W2, Z1, Z2 a combination of I, A2, A4, A6 (rows of _PADE13, from the
+# coefficients b_0..b_13 of (2.2) there)
+_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+        33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE13 = np.array([[0.0, _B13[9], _B13[11], _B13[13]],
+                    [_B13[1], _B13[3], _B13[5], _B13[7]],
+                    [0.0, _B13[8], _B13[10], _B13[12]],
+                    [_B13[0], _B13[2], _B13[4], _B13[6]]])
+_THETA13 = 5.371920351148152
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) for a general square matrix: the degree-13 Pade approximant
+    with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)
+    1179-1193)."""
+    n = len(A)
+    norm = float(np.abs(A).sum(axis=0).max())
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    if s:
+        A = A * 2.0 ** -s
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    powers = np.array([np.eye(n), A2, A4, A6]).reshape(4, n * n)
+    W1, W2, Z1, Z2 = (_PADE13 @ powers).reshape(4, n, n)
+    U = A @ (A6 @ W1 + W2)
+    V = A6 @ Z1 + Z2
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
 
 
 def logm_herm(P: np.ndarray) -> np.ndarray:
@@ -453,17 +492,22 @@ def emptiness_probe(space: SymmetricSpaceData, kappa: float, x: float,
     # xi = embed_n(eta(v)) + x C has M-coefficients cm_b = -Re tr(xi M_b):
     # with B_b = M_b[m:, m:] and |v|^2 = n kappa, a quadratic form in v plus
     # a constant, cm_b = Im(v+ B_b v) - kappa Im tr B_b - x Re tr(C M_b)
-    draws = rng.standard_normal((n_samples, 2, n))  # the (re, im) pairs of each v
-    v = draws[:, 0] + 1j * draws[:, 1]
-    v *= (math.sqrt(n * kappa) / np.linalg.norm(v, axis=1))[:, None]
-    norm2 = np.einsum("si,si->s", v.conj(), v).real
-    if np.any(np.abs(norm2 - n * kappa) > _EPS_NORM * max(1.0, n * kappa)):
-        raise AdmissibilityError(f"norm constraint |v|^2 = {n * kappa:.12g} violated")
     B = space.m_basis[:, m:, m:]
     const = (-kappa * np.trace(B, axis1=1, axis2=2).imag
              - x * np.einsum("ab,jba->j", _central_element(m, n), space.m_basis).real)
-    cm = np.einsum("si,bij,sj->sb", v.conj(), B, v).imag + const
-    return float(np.linalg.norm(cm, axis=1).min())
+    margin = np.inf
+    # blocks of draws continue one generator stream; each block's arrays stay
+    # small enough for the allocator to hand them back
+    for start in range(0, n_samples, _PROBE_BLOCK):
+        draws = rng.standard_normal((min(_PROBE_BLOCK, n_samples - start), 2, n))
+        v = draws[:, 0] + 1j * draws[:, 1]  # the (re, im) pairs of each v
+        v *= (math.sqrt(n * kappa) / np.linalg.norm(v, axis=1))[:, None]
+        norm2 = np.einsum("si,si->s", v.conj(), v).real
+        if np.any(np.abs(norm2 - n * kappa) > _EPS_NORM * max(1.0, n * kappa)):
+            raise AdmissibilityError(f"norm constraint |v|^2 = {n * kappa:.12g} violated")
+        cm = np.einsum("si,bij,sj->sb", v.conj(), B, v).imag + const
+        margin = min(margin, float(np.linalg.norm(cm, axis=1).min()))
+    return margin
 
 
 # ---------------------------------------------------------------------------

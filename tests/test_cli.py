@@ -188,7 +188,7 @@ def test_simulate_jobs_multi_run(tmp_path):
 @pytest.mark.parametrize("command,report_name", [("simulate", "drift_report.json"),
                                                  ("spectrum", "spectrum_report.json")])
 @pytest.mark.parametrize("target,method,exc,status", [
-    ("integrate_direct", "direct", algebra.StepSizeError, "step_size_failure"),
+    ("integrate_direct_batch", "direct", algebra.StepSizeError, "step_size_failure"),
     ("flow_projection", "projection", algebra.DegenerateSpectrumError, "degenerate_spectrum"),
     ("flow_projection", "projection", algebra.OffSliceError, "off_slice"),
 ])
@@ -200,6 +200,9 @@ def test_integration_failure_exit_3_writes_report(tmp_path, command, report_name
 
     def fail_first_run(*args, **kwargs):
         calls.append(1)
+        if target == "integrate_direct_batch":
+            # both runs share one batch: the first member's result is the failure
+            return [exc("injected failure"), *real(*args, **kwargs)[1:]]
         if len(calls) == 1:
             raise exc("injected failure")
         return real(*args, **kwargs)
@@ -219,6 +222,75 @@ def test_integration_failure_exit_3_writes_report(tmp_path, command, report_name
     assert good["status"] == "ok"
 
 
+def free_run(name, q, p):
+    return base_run_config(name=name, model={"type": "free"},
+                           initial={"q": q, "p": p}, monitors=[])
+
+
+def test_batch_failures_match_runs_one_by_one(tmp_path):
+    # one member reaches a wall and one underflows (its right-hand side is
+    # NaN); every member's outputs and the exit code are those of running
+    # the runs one by one
+    runs = [free_run("ok1", [2.0, 1.0], [0.1, 0.05]),
+            free_run("wall", [1.5, 1.0], [-0.3, 0.3]),
+            free_run("stall", [9.0, 4.0], [0.0, 0.0]),
+            free_run("ok2", [2.5, 1.2], [0.0, 0.1])]
+    rhs = dynamics._DirectSystem.__call__
+
+    def nan_for_stall(self, t, Y):
+        out = rhs(self, t, Y)
+        out[~(Y[:, 0] < 8.0)] = np.nan  # the rows of "stall" (q1 = 9), NaN or not
+        return out
+
+    with mock.patch.object(dynamics._DirectSystem, "__call__", nan_for_stall):
+        code = cli.main(["simulate", "--config", write_config(tmp_path / "b.json", {"runs": runs}),
+                         "--out", str(tmp_path / "batch")])
+        alone = [cli.main(["simulate", "--config", write_config(tmp_path / "one.json", run),
+                           "--out", str(tmp_path / "alone" / run["name"])]) for run in runs]
+    assert alone == [0, 2, 3, 0] and code == max(alone)
+    for run in runs:
+        got, want = tmp_path / "batch" / run["name"], tmp_path / "alone" / run["name"]
+        reports = [json.loads((d / "drift_report.json").read_text()) for d in (got, want)]
+        assert reports[0]["status"] == reports[1]["status"]
+        assert (got / "trajectory.csv").exists() == (want / "trajectory.csv").exists()
+        if run["name"] != "stall":
+            a, b = (np.loadtxt(d / "trajectory.csv", delimiter=",", skiprows=1)
+                    for d in (got, want))
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+    assert reports[0]["status"] == "ok"
+
+
+def test_failed_freeze_certificate_fails_its_run_alone(tmp_path):
+    # a generic orbit spin has no freezing gauge: exit 3 with its report
+    cfg = write_config(tmp_path / "cfg.json", {"runs": [
+        base_run_config(name="generic", gauge="freeze", t_end=0.5,
+                        model={"type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2}),
+        base_run_config(name="bc", t_end=0.5),
+    ]})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    report = json.loads((tmp_path / "o" / "generic" / "drift_report.json").read_text())
+    assert report["status"] == "freeze_certificate_failure"
+    assert report["error"].startswith("no freezing gauge at q = ")
+    assert not (tmp_path / "o" / "generic" / "trajectory.csv").exists()
+    bc = json.loads((tmp_path / "o" / "bc" / "drift_report.json").read_text())
+    assert bc["status"] == "ok"
+
+
+def test_batch_outputs_deterministic_bytes(tmp_path):
+    orbit = {"type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2}
+    cfg = write_config(tmp_path / "cfg.json", {"runs": [
+        base_run_config(name=f"r{i}", model={**orbit, "seed": i},
+                        initial={"q": [2.0 + 0.3 * i, 1.0], "p": [0.1, -0.2]})
+        for i in range(3)]})
+    for out in ("a", "b"):
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    for i in range(3):
+        for name in ("trajectory.csv", "drift_report.json"):
+            assert (tmp_path / "a" / f"r{i}" / name).read_bytes() == \
+                (tmp_path / "b" / f"r{i}" / name).read_bytes()
+
+
 @pytest.mark.parametrize("command,data_name,report_name", [
     ("simulate", "trajectory.csv", "drift_report.json"),
     ("spectrum", "spectrum.csv", "spectrum_report.json"),
@@ -230,8 +302,8 @@ def test_failed_run_removes_stale_data_file(tmp_path, command, data_name, report
     out = tmp_path / "o"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
     assert (out / data_name).exists()
-    with mock.patch.object(dynamics, "integrate_direct",
-                           side_effect=algebra.StepSizeError("injected failure")):
+    with mock.patch.object(dynamics, "integrate_direct_batch",
+                           return_value=[algebra.StepSizeError("injected failure")]):
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_FAILURE
     assert not (out / data_name).exists()
     assert json.loads((out / report_name).read_text())["status"] == "step_size_failure"
@@ -301,6 +373,34 @@ def test_wrong_json_type_is_a_config_error(tmp_path, capsys, command, payload):
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: invalid value for")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("simulate", base_run_config(space={"family": "su_mn", "m": 3.9, "n": 2.2})),
+    ("simulate", base_run_config(space={"family": "su_mn", "m": True, "n": True})),
+    ("simulate", base_run_config(space={"family": "sl_kc", "k": 2.5})),
+    ("simulate", base_run_config(model={"type": "bc", "kappa": 3.0, "x": 1.0,
+                                        "m_ambient": 1.5})),
+    ("simulate", base_run_config(model={"type": "orbit", "seed": 1.5})),
+    ("simulate", base_run_config(seed=True)),
+    ("simulate", base_run_config(monitors=[{"class": "trace_power", "k": 2.9}])),
+    ("verify", {"spaces": VERIFY_SPACE, "n_draws": 1.5}),
+    ("verify", {"spaces": VERIFY_SPACE, "seed": 0.5}),
+    ("verify", {"spaces": [{"family": "su_mn", "m": 2, "n": False}]}),
+])
+def test_non_integral_integer_is_a_config_error(tmp_path, capsys, command, payload):
+    # an integer key holding a bool or a fractional number is not truncated
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid value for")
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_float_is_an_integer():
+    assert cli.parse_space({"family": "su_mn", "m": 3.0, "n": 2}) == algebra.SpaceSpec.su(3, 2)
+    for bad in ({"family": "su_mn", "m": 3.9, "n": 2.2}, {"family": "su_mn", "m": True, "n": 1}):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_space(bad)
 
 
 @pytest.mark.parametrize("n_draws", [0, -5])

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,15 +166,15 @@ def test_direct_rhs_matches_matrix_reference(label, seed):
     rhs = dynamics._DirectSystem.__call__
     states = []
 
-    def recording(self, t, y):
-        states.append(y.copy())
-        return rhs(self, t, y)
+    def recording(self, t, Y):
+        states.extend(Y.copy())  # one state per row
+        return rhs(self, t, Y)
 
     with mock.patch.object(dynamics._DirectSystem, "__call__", recording):
         dynamics.integrate_direct(space, pt, 1e-3, sample_dt=1e-3)
     nc = space.n_coords
     assert {y.size for y in states} == {2 * nc + space.K}
-    dy = rhs(dynamics._DirectSystem(space, "zero"), 0.0, states[0])
+    dy, = rhs(dynamics._DirectSystem(space, "zero"), np.zeros(1), states[0][None])
     ref = dynamics.eom_rhs(space, pt)
     dc_ref = -np.einsum("ab,jba->j", ref.dxi, space.eplus).real
     for got, want in ((dy[:nc], ref.dq), (dy[nc:2 * nc], ref.dp), (dy[2 * nc:], dc_ref)):
@@ -251,16 +252,17 @@ def test_dormand_prince_tableau():
 
 
 def count_rhs_calls(space, pt, **kwargs):
+    """RHS evaluations of one run: the rows of every right-hand-side call."""
     rhs = dynamics._DirectSystem.__call__
-    calls = []
+    rows = []
 
-    def counted(self, t, y):
-        calls.append(1)
-        return rhs(self, t, y)
+    def counted(self, t, Y):
+        rows.append(len(Y))
+        return rhs(self, t, Y)
 
     with mock.patch.object(dynamics._DirectSystem, "__call__", counted):
         traj = dynamics.integrate_direct(space, pt, **kwargs)
-    return len(calls), traj
+    return sum(rows), traj
 
 
 def test_fsal_only_where_the_state_is_not_restored(su32, su22, rng):
@@ -277,6 +279,80 @@ def test_fsal_only_where_the_state_is_not_restored(su32, su22, rng):
                                     tol=1e-10, sample_dt=0.5)
     assert traj.n_steps > 0 and traj.orbit_drift > 0.0
     assert n_calls >= 7 * traj.n_steps
+
+
+def member_point(space, seed, near_wall, free):
+    """A random point, with zero spin if ``free``.  Near the wall, q is
+    scaled so that its smallest root value is at most 0.05: a spin barrier
+    makes the start stiff, free motion often reaches the wall."""
+    rng = np.random.default_rng(seed)
+    pt = checks.random_phase_point(space, rng)
+    q = pt.q * min(1.0, 0.05 / algebra.min_root_value(space, pt.q)) if near_wall else pt.q
+    return dynamics.make_phase_point(space, q, pt.p, None if free else pt.xi)
+
+
+def assert_same_run(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.n_steps == want.n_steps and len(got) == len(want)
+    assert (got.wall_time is None) == (want.wall_time is None)
+    if want.wall_time is not None:
+        assert abs(got.wall_time - want.wall_time) <= 1e-12 * max(1.0, want.wall_time)
+    got_states, want_states = (np.array([np.concatenate([p.q, p.p, p.xi.coeffs])
+                                         for p in tr.points]) for tr in (got, want))
+    for a, b in ((got_states, want_states), (got.energy, want.energy),
+                 (got.times, want.times)):
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.sampled_from(sorted(CORE_SPACES)), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.integers(2, 5), near_wall=st.lists(st.booleans(), min_size=5, max_size=5),
+       free=st.booleans(), order=st.permutations(range(5)))
+def test_batch_members_match_single_runs(label, seed, size, near_wall, free, order):
+    # every member of a batch, in the given order and shuffled, is its own
+    # integrate_direct run to roundoff, with the same accepted steps
+    space = CORE_SPACES[label]
+    pts = [member_point(space, seed + i, near_wall[i], free) for i in range(size)]
+    kwargs = dict(tol=1e-10, sample_dt=0.25, on_wall="truncate")
+    singles = []
+    for pt in pts:
+        try:
+            singles.append(dynamics.integrate_direct(space, pt, 1.0, **kwargs))
+        except algebra.StepSizeError as exc:
+            singles.append(exc)
+    for got, want in zip(dynamics.integrate_direct_batch(space, pts, 1.0, **kwargs), singles):
+        assert_same_run(got, want)
+    shuffled = [i for i in order if i < size]
+    batch = dynamics.integrate_direct_batch(space, [pts[i] for i in shuffled], 1.0, **kwargs)
+    for i, got in zip(shuffled, batch):
+        assert_same_run(got, singles[i])
+
+
+def test_batch_rejects_mixed_spins(su22, rng):
+    pts = [generic_su22_point(su22, rng),
+           dynamics.make_phase_point(su22, np.array([1.6, 0.7]), np.array([0.1, 0.0]))]
+    with pytest.raises(ValueError):
+        dynamics.integrate_direct_batch(su22, pts, 1.0)
+
+
+def test_batch_failures_stay_per_member(su22, rng):
+    # a member aimed at a wall and a member whose certificate fails return
+    # their exceptions; the others are unchanged by them
+    free = [dynamics.make_phase_point(su22, np.array([1.5, 1.0]), np.array([-0.3, 0.3])),
+            dynamics.make_phase_point(su22, np.array([2.0, 0.8]), np.array([0.15, -0.1]))]
+    wall, ok = dynamics.integrate_direct_batch(su22, free, 4.0, sample_dt=0.5)
+    assert isinstance(wall, algebra.WallProximityError)
+    alone = dynamics.integrate_direct(su22, free[1], 4.0, sample_dt=0.5)
+    assert ok.n_steps == alone.n_steps
+    generic = generic_su22_point(su22, rng)
+    spins = [generic, dynamics.make_phase_point(su22, generic.q, generic.p,
+                                                orbits.xi_red(su22, "d", 1.5))]
+    failed, frozen = dynamics.integrate_direct_batch(su22, spins, 1.0, sample_dt=0.5,
+                                                     gauge="freeze")
+    assert isinstance(failed, algebra.FreezeCertificateError)
+    assert frozen.n_steps > 0 and frozen.freeze_residual < 1e-8
 
 
 def test_eom_frozen_spin(su21, sl3):
@@ -380,6 +456,36 @@ def test_freeze_gauge_rejects_generic_spin(su22, rng):
     with pytest.raises(algebra.AdmissibilityError):
         dynamics.integrate_direct(su22, pt, 1.0, tol=1e-10, sample_dt=0.5,
                                   gauge="freeze")
+
+
+@pytest.mark.parametrize("label", ["su(2,2)", "su(6,3)", "sl(4,C)"])
+def test_monitor_spectra_equal_per_sample_eigvals(label):
+    # one stacked eigvals per x gives the bits of sorted_spectrum per sample
+    space = CORE_SPACES[label]
+    pt = checks.random_phase_point(space, np.random.default_rng(4))
+    traj = dynamics.integrate_direct(space, pt, 1.0, tol=1e-10, sample_dt=0.125,
+                                     lax_x=(0.0, 0.5, 1.0), on_wall="truncate")
+    for x, spectra in traj.lax_spectra.items():
+        per_sample = [dynamics.sorted_spectrum(dynamics.lax(space, p, 0.0) - x * p.xi.xi)
+                      for p in traj.points]
+        assert spectra.tobytes() == dynamics._match_spectra(np.array(per_sample)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, len(models.CATALOG) - 1), seed=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(-5.0, 5.0))
+def test_expm_matches_scipy_on_projection_generators(index, seed, t):
+    # flow_projection's exp(t grad f(L(1))) for f = tr X^2 / 2 on the catalog models
+    space = CATALOG_SPACES[index]
+    rng = np.random.default_rng(seed)
+    q = algebra.random_chamber_point(space, rng)
+    p = rng.standard_normal(space.n_coords)
+    if space.spec.family == "sl_kc":
+        p -= p.mean()
+    pt = dynamics.make_phase_point(space, q, p, models.model_spin(space, models.CATALOG[index]))
+    G = dynamics.gradient(space, InvariantSpec("trace_power", 2), dynamics.lax(space, pt, 1.0))
+    want = scipy.linalg.expm(t * G)
+    assert np.abs(orbits.expm(t * G) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

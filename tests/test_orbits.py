@@ -1,6 +1,7 @@
 """Tests for coadjoint orbits, the momentum map and the gauge slice."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -278,6 +279,25 @@ def test_emptiness_probe_matches_per_sample_loop(n, kappa, x):
     assert abs(margin - want) <= 1e-14 * want
     # the batch draws what the loop draws: later checks see the same stream
     assert rng.standard_normal() == rng_ref.standard_normal()
+
+
+def test_emptiness_probe_in_blocks_matches_one_shot():
+    # 5,000 samples span three blocks, the last one partial: same margin and
+    # the same generator stream as the per-sample loop, and no array holds
+    # more than one block of samples
+    space = algebra.build_space(SpaceSpec.su(3, 2))
+    rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    margin = orbits.emptiness_probe(space, 1.0, 0.5, rng, n_samples=5000)
+    want = emptiness_reference(space, 1.0, 0.5, rng_ref, 5000)
+    assert abs(margin - want) <= 1e-14 * want
+    assert rng.standard_normal() == rng_ref.standard_normal()
+    tracemalloc.start()
+    try:
+        orbits.emptiness_probe(space, 1.0, 0.5, np.random.default_rng(0), n_samples=10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024  # one-shot arrays of 10^4 samples reach 1.4 MB
 
 
 # ---------------------------------------------------------------------------
