@@ -35,6 +35,7 @@ __all__ = [
     "reconstruct",
     "ad_fn",
     "ad_fn_slice",
+    "sinh_sq",
     "weyl_act",
     "membership_residual",
     "project_to_algebra",
@@ -58,6 +59,7 @@ __all__ = [
     "EPS_MEMBERSHIP",
     "EPS_WALL",
     "EPS_REGULAR",
+    "FAR_ROOT",
 ]
 
 EPS_MEMBERSHIP = 1e-10   # entrywise tolerance for algebra membership
@@ -146,9 +148,6 @@ class Root:
     l: int = 0
     coef: tuple = ()
 
-    def alpha(self, q) -> float:
-        return float(np.dot(self.coef, q))
-
     def label(self) -> str:
         if self.kind == "diff":
             return f"e{self.k}-e{self.l}"
@@ -212,9 +211,6 @@ class SymmetricSpaceData:
     def root_values(self, q) -> np.ndarray:
         """alpha(q) over the positive roots."""
         return self.root_coef @ np.asarray(q, dtype=float)
-
-    def multiplicity(self, root: Root) -> int:
-        return self.mult[self.roots.index(root)]
 
     def label(self) -> str:
         return self.spec.label()
@@ -651,8 +647,31 @@ def project(space: SymmetricSpaceData, X: np.ndarray, part: str) -> np.ndarray:
     return reconstruct(space, cminus=cminus)
 
 
-def _coth(z):
-    return np.cosh(z) / np.sinh(z)
+#: root values up to which the pole functions below are their plain
+#: formulas; beyond, where sinh^2 and then sinh overflow (cosh/sinh turns
+#: NaN past about 710), they are exp(-|z|) forms that tend to their limits
+FAR_ROOT = 350.0
+
+
+def _far_form(plain, far):
+    """plain(z), with far(z) at the entries beyond FAR_ROOT.  |z|^2 below
+    FAR_ROOT^2 (one dot product) rules out such entries."""
+    def phi(z):
+        if np.vdot(z, z) <= FAR_ROOT ** 2:
+            return plain(z)
+        return np.where(np.abs(z) > FAR_ROOT, far(z), plain(np.clip(z, -FAR_ROOT, FAR_ROOT)))
+    return phi
+
+
+#: sinh(z)^2, inf beyond FAR_ROOT (1/sinh^2 is below 4e-304 there)
+sinh_sq = _far_form(lambda z: np.sinh(z) ** 2, lambda z: np.full(np.shape(z), np.inf))
+_coth = _far_form(lambda z: np.cosh(z) / np.sinh(z), np.sign)
+_inv_sinh = _far_form(lambda z: 1.0 / np.sinh(z),
+                      lambda z: 2.0 * np.sign(z) * np.exp(-np.abs(z)))
+_inv_sinh_sq = _far_form(lambda z: 1.0 / np.sinh(z) ** 2,
+                         lambda z: 4.0 * np.exp(-2.0 * np.abs(z)))
+_d_inv_sinh = _far_form(lambda z: -np.cosh(z) / np.sinh(z) ** 2,
+                        lambda z: -2.0 * np.exp(-np.abs(z)))
 
 
 #: phi name -> (callable, parity, value at 0 or None for a pole)
@@ -661,9 +680,9 @@ PHI_FUNCTIONS: dict[str, tuple[Callable, str, float | None]] = {
     "coth": (_coth, "odd", None),
     "sinh": (np.sinh, "odd", 0.0),
     "cosh": (np.cosh, "even", 1.0),
-    "inv_sinh": (lambda z: 1.0 / np.sinh(z), "odd", None),
-    "inv_sinh_sq": (lambda z: 1.0 / np.sinh(z) ** 2, "even", None),
-    "d_inv_sinh": (lambda z: -np.cosh(z) / np.sinh(z) ** 2, "even", None),
+    "inv_sinh": (_inv_sinh, "odd", None),
+    "inv_sinh_sq": (_inv_sinh_sq, "even", None),
+    "d_inv_sinh": (_d_inv_sinh, "even", None),
 }
 
 

@@ -150,8 +150,10 @@ def bracket_checks(space: SymmetricSpaceData, rng: np.random.Generator,
         x, y = rng.uniform(-2.0, 2.0, size=2)
         f2 = InvariantSpec("trace_power", int(rng.integers(2, 5)))
         h2 = InvariantSpec("trace_power", int(rng.integers(2, 5)))
-        worst_gg = max(worst_gg, abs(dynamics.bracket_formula(space, f2, x, h2, y, pt)))
-        worst_416 = max(worst_416, dynamics.identity_416(space, f2, x, h2, y, pt))
+        # bracket_formula and identity_416 of one evaluation of the pairings
+        plus, minus = dynamics.bracket_pairings(space, f2, x, h2, y, pt)
+        worst_gg = max(worst_gg, abs(x * y * plus - minus))
+        worst_416 = max(worst_416, abs(y * plus - x * minus))
         if has_block:
             fb = InvariantSpec("block_invariant", int(rng.integers(1, 3)))
             ysign = 1.0 if rng.uniform() < 0.5 else -1.0

@@ -75,7 +75,8 @@ RUN_KEYS = {
     "monitors", "lax_x", "method", "gauge", "seed", "out_dir",
 }
 SPACE_KEYS = {"family", "m", "n", "k"}
-MODEL_KEYS = {"type", "kappa", "x", "m_ambient", "kappa_m", "kappa_n", "seed"}
+MODEL_KEYS = {"type", "kappa", "x", "kappa_m", "kappa_n", "seed"}
+CATALOG_TYPES = ("bc", "c", "d", "a")
 MONITOR_KEYS = {"class", "k", "x"}
 VERIFY_KEYS = {"spaces", "seed", "n_draws"}
 
@@ -115,7 +116,7 @@ def _integer(val) -> int:
 
 
 MODEL_NUMBERS = {"kappa": float, "x": float, "kappa_m": float, "kappa_n": float,
-                 "m_ambient": _integer, "seed": _integer}
+                 "seed": _integer}
 
 
 def parse_space(obj) -> SpaceSpec:
@@ -135,11 +136,8 @@ def parse_space(obj) -> SpaceSpec:
 @dataclass
 class RunConfig:
     name: str
-    space_spec: SpaceSpec
     space: SymmetricSpaceData = field(repr=False, compare=False)
-    model: dict
-    q: np.ndarray
-    p: np.ndarray
+    pt0: dynamics.PhasePoint = field(repr=False, compare=False)
     t_end: float
     tol: float
     sample_dt: float
@@ -151,8 +149,31 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def parse_run(obj: dict, default_name: str = "run") -> RunConfig:
+def _initial_spin(space: SymmetricSpaceData, model: dict, seed: int) -> orbits.SpinPoint:
+    """The run's initial spin: zero, the catalog model's frozen
+    representative, or a random slice point of the orbit drawn with seed."""
+    mtype = model["type"]
+    if mtype == "free":
+        return orbits.zero_spin(space)
+    if mtype in CATALOG_TYPES:
+        return models.model_spin(space, models.model_on(
+            space.spec, mtype, model.get("kappa", 0.0), model.get("x", 0.0)))
+    if space.spec.family == "sl_kc":
+        spec = orbits.OrbitSpec.kks(model.get("kappa", 1.0))
+    else:
+        spec = orbits.OrbitSpec.su(kappa_m=model.get("kappa_m", 0.0),
+                                   kappa_n=model.get("kappa_n", 0.0), x=model.get("x", 0.0))
+    return orbits.random_slice_spin(space, spec, np.random.default_rng(seed))
+
+
+def parse_run(obj: dict, default_name: str = "run", overrides=None) -> RunConfig:
+    """The run of a config object, its initial phase point built: any model,
+    orbit or initial-point error is a ConfigError.  ``overrides`` (the
+    CLI's ``--method``/``--seed``) are merged into the object first; a
+    ``--seed`` also beats the model's own seed."""
     _check_keys(obj, RUN_KEYS, "run config")
+    overrides = overrides or {}
+    obj = {**obj, **overrides}  # the hash covers the effective config
     space_spec = parse_space(_need(obj, "space", "run config"))
     space = algebra.build_space(space_spec)
 
@@ -161,34 +182,21 @@ def parse_run(obj: dict, default_name: str = "run") -> RunConfig:
     model = {key: _value(model, key, MODEL_NUMBERS[key], "model") if key in MODEL_NUMBERS
              else val for key, val in model.items()}
     mtype = _need(model, "type", "model")
-    if mtype not in ("free", "bc", "c", "d", "a", "orbit"):
+    if mtype not in ("free", "orbit", *CATALOG_TYPES):
         raise ConfigError(f"unknown model type {mtype!r}")
-    if mtype in ("bc", "c", "d", "a"):
-        n_model = space_spec.k if mtype == "a" else space_spec.n
-        msg = models.validate_params(mtype, n_model, model.get("kappa", 0.0),
-                                     model.get("x", 0.0))
-        if msg is not None:
-            raise ConfigError(f"inadmissible {mtype} model: {msg}")
-        expect = {
-            "bc": lambda s: s.family == "su_mn" and s.m == s.n + 1,
-            "c": lambda s: s.family == "su_mn" and s.m == s.n,
-            "d": lambda s: s.family == "su_mn",
-            "a": lambda s: s.family == "sl_kc",
-        }[mtype]
-        if not expect(space_spec):
-            raise ConfigError(f"model type {mtype!r} does not live on {space_spec.label()}")
+    seed = _value(obj, "seed", _integer, "run config", 0)
+    if "seed" not in overrides:
+        seed = model.get("seed", seed)
 
     initial = _need(obj, "initial", "run config")
     _check_keys(initial, {"q", "p"}, "initial")
     q, p = (_value(initial, key, lambda v: np.asarray(v, dtype=float), "initial")
             for key in ("q", "p"))
-    if q.shape != (space.n_coords,) or p.shape != (space.n_coords,):
-        raise ConfigError(f"initial q and p must have {space.n_coords} components "
-                          f"for {space_spec.label()}")
-    if space_spec.family == "sl_kc" and (abs(q.sum()) > 1e-9 or abs(p.sum()) > 1e-9):
-        raise ConfigError("sl(k,C) coordinates and momenta must sum to zero")
-    if not algebra.is_in_chamber(space, q):
-        raise ConfigError(f"initial q = {q.tolist()} is not in the open Weyl chamber")
+    try:
+        pt0 = dynamics.make_phase_point(space, q, p, _initial_spin(space, model, seed))
+    except (ValueError, WallProximityError) as exc:
+        raise ConfigError(f"initial data of the {mtype} run on {space_spec.label()}: {exc}") \
+            from None
 
     t_end = _value(obj, "t_end", float, "run config")
     if t_end <= 0:
@@ -196,9 +204,10 @@ def parse_run(obj: dict, default_name: str = "run") -> RunConfig:
     tol = _value(obj, "tol", float, "run config")
     if not (0.0 < tol <= 1e-4):
         raise ConfigError("tol must lie in (0, 1e-4]")
-    sample_dt = _value(obj, "sample_dt", float, "run config", t_end / 200.0)
-    if sample_dt <= 0:
+    sample_dt = _value(obj, "sample_dt", float, "run config") if "sample_dt" in obj else None
+    if sample_dt is not None and sample_dt <= 0:
         raise ConfigError("sample_dt must be positive")
+    sample_dt, _ = dynamics.sample_grid(t_end, sample_dt)
 
     monitors = []
     for mon in _value(obj, "monitors", list, "run config", []):
@@ -218,13 +227,12 @@ def parse_run(obj: dict, default_name: str = "run") -> RunConfig:
     method = obj.get("method", "direct")
     if method not in ("direct", "projection"):
         raise ConfigError("method must be 'direct' or 'projection'")
-    gauge = obj.get("gauge", "freeze" if mtype in ("bc", "c", "d", "a") else "zero")
+    gauge = obj.get("gauge", "freeze" if mtype in CATALOG_TYPES else "zero")
     if gauge not in ("zero", "freeze"):
         raise ConfigError("gauge must be 'zero' or 'freeze'")
-    seed = model.get("seed", _value(obj, "seed", _integer, "run config", 0))
     name = _value(obj, "name", str, "run config", default_name)
-    return RunConfig(name=name, space_spec=space_spec, space=space, model=dict(model),
-                     q=q, p=p, t_end=t_end, tol=tol, sample_dt=sample_dt,
+    return RunConfig(name=name, space=space, pt0=pt0,
+                     t_end=t_end, tol=tol, sample_dt=sample_dt,
                      monitors=tuple(monitors), lax_x=lax_x, method=method,
                      gauge=gauge, seed=seed, raw=obj)
 
@@ -239,20 +247,20 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
 
 
-def parse_runs(raw: dict) -> list:
+def parse_runs(raw: dict, overrides=None) -> list:
     if "runs" in raw:
         extra = set(raw) - {"runs"}
         if extra:
             raise ConfigError(f"unknown top-level keys next to 'runs': {sorted(extra)}")
         if not isinstance(raw["runs"], list) or not raw["runs"]:
             raise ConfigError("'runs' must be a non-empty list")
-        runs = [parse_run(obj, default_name=f"run{i:02d}")
+        runs = [parse_run(obj, default_name=f"run{i:02d}", overrides=overrides)
                 for i, obj in enumerate(raw["runs"])]
         names = [r.name for r in runs]
         if len(set(names)) != len(names):
             raise ConfigError("run names must be unique")
         return runs
-    return [parse_run(raw)]
+    return [parse_run(raw, overrides=overrides)]
 
 
 def config_hash(raw: dict) -> str:
@@ -291,164 +299,115 @@ def write_json(path: str, payload: dict):
     atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _report_base(cfg: RunConfig) -> dict:
-    return {"tool": "spincal", "version": __version__,
-            "config_sha256": config_hash(cfg.raw), "run": cfg.name, "seed": cfg.seed}
-
-
 # ---------------------------------------------------------------------------
 # Run execution
 # ---------------------------------------------------------------------------
 
-def build_initial_point(cfg: RunConfig):
-    space = cfg.space
-    m = cfg.model
-    mtype = m["type"]
-    if mtype == "free":
-        xi = orbits.zero_spin(space)
-    elif mtype in ("bc", "c", "d", "a"):
-        n_model = cfg.space_spec.k if mtype == "a" else cfg.space_spec.n
-        model = models.SpinlessModel(mtype, n_model, m.get("kappa", 0.0), m.get("x", 0.0),
-                                     m_ambient=m.get("m_ambient", 0))
-        xi = models.model_spin(space, model)
-    else:  # orbit
-        rng = np.random.default_rng(cfg.seed)
-        if cfg.space_spec.family == "sl_kc":
-            spec = orbits.OrbitSpec.kks(m.get("kappa", 1.0))
-        else:
-            spec = orbits.OrbitSpec.su(kappa_m=m.get("kappa_m", 0.0),
-                                       kappa_n=m.get("kappa_n", 0.0), x=m.get("x", 0.0))
-        xi = orbits.random_slice_spin(space, spec, rng)
-    return space, dynamics.make_phase_point(space, cfg.q, cfg.p, xi)
-
-
 def run_trajectories(runs) -> list:
-    """Per run, (space, Trajectory) or the exception that stopped it.
+    """Per run, its Trajectory or the integration failure that stopped it.
 
     The direct runs that share a space, effective gauge, zero or nonzero
     spin, t_end, sample_dt and tol are integrated by one
     :func:`dynamics.integrate_direct_batch` call; each keeps its own
-    monitors.  An integration failure or a configuration error a run raises
-    is kept as its result, so that :func:`cmd_simulate_one` and
-    :func:`cmd_spectrum_one` meet it in run order, as if the runs had been
-    integrated one after another.
+    monitors.  A failure is kept as the run's result, so that
+    :func:`cmd_simulate_one` and :func:`cmd_spectrum_one` meet it in run
+    order, as if the runs had been integrated one after another.
     """
     results = [None] * len(runs)
     groups = {}
     for i, cfg in enumerate(runs):
-        try:
-            space, pt0 = build_initial_point(cfg)
-            if cfg.method == "projection":
-                n_seg = max(1, int(round(cfg.t_end / cfg.sample_dt)))
-                times = np.linspace(0.0, cfg.t_end, n_seg + 1)
-                results[i] = space, dynamics.projection_trajectory(
-                    space, pt0, times, lax_x=cfg.lax_x, invariants=cfg.monitors,
-                    on_wall="truncate")
-                continue
-        except (*FAILURE_STATUS, ValueError, WallProximityError) as exc:
-            results[i] = exc
+        if cfg.method == "projection":
+            try:
+                results[i] = dynamics.projection_trajectory(
+                    cfg.space, cfg.pt0, dynamics.sample_grid(cfg.t_end, cfg.sample_dt)[1],
+                    lax_x=cfg.lax_x, invariants=cfg.monitors, on_wall="truncate")
+            except tuple(FAILURE_STATUS) as exc:
+                results[i] = exc
             continue
-        free = pt0.xi.is_zero
-        key = (cfg.space_spec, "zero" if free else cfg.gauge, free,
+        free = cfg.pt0.xi.is_zero
+        key = (cfg.space.spec, "zero" if free else cfg.gauge, free,
                cfg.t_end, cfg.sample_dt, cfg.tol)
-        groups.setdefault(key, []).append((i, pt0))
+        groups.setdefault(key, []).append(i)
     for (_, gauge, _, t_end, sample_dt, tol), members in groups.items():
-        space = runs[members[0][0]].space
         trajs = dynamics.integrate_direct_batch(
-            space, [pt0 for _, pt0 in members], t_end, tol=tol, sample_dt=sample_dt,
-            monitors=[(runs[i].lax_x, runs[i].monitors) for i, _ in members],
+            runs[members[0]].space, [runs[i].pt0 for i in members], t_end, tol=tol,
+            sample_dt=sample_dt, monitors=[(runs[i].lax_x, runs[i].monitors) for i in members],
             gauge=gauge, on_wall="truncate")
-        for (i, _), traj in zip(members, trajs):
-            results[i] = traj if isinstance(traj, Exception) else (runs[i].space, traj)
+        for i, traj in zip(members, trajs):
+            results[i] = traj
     return results
 
 
-def _unpack(result):
+def _write_run(cfg: RunConfig, out_dir: str, result, data_name: str, report_name: str,
+               write_data) -> int:
+    """Write a run's data file and report from its entry of
+    :func:`run_trajectories`; write_data(cfg, traj, path) writes the data
+    file and returns the report's own fields.  A failed run gets a report
+    with its status and error, and a data file that an earlier run left in
+    out_dir is removed: it would pass for this run's output."""
+    data_path = os.path.join(out_dir, data_name)
+    report = {"tool": "spincal", "version": __version__, "config_sha256": config_hash(cfg.raw),
+              "run": cfg.name, "seed": cfg.seed, "method": cfg.method}
     if isinstance(result, Exception):
-        raise result
-    return result
+        if os.path.exists(data_path):
+            os.remove(data_path)
+        report["status"] = next(status for cls, status in FAILURE_STATUS.items()
+                                if isinstance(result, cls))
+        report["error"] = str(result)
+        write_json(os.path.join(out_dir, report_name), report)
+        print(f"[{cfg.name}] integration failed ({report['status']}): {result}",
+              file=sys.stderr)
+        return EXIT_FAILURE
+    report.update(write_data(cfg, result, data_path))
+    report["status"] = "ok" if result.wall_time is None else "wall_collision"
+    if result.wall_time is not None:
+        report["last_safe_time"] = result.wall_time
+    write_json(os.path.join(out_dir, report_name), report)
+    print(f"[{cfg.name}] wrote {data_path} ({len(result)} samples, status {report['status']})")
+    return EXIT_WALL if result.wall_time is not None else EXIT_OK
 
 
-def _write_failure(cfg: RunConfig, exc: Exception, data_path: str, path: str) -> int:
-    """Report a run that an integration failure stopped.  A data file that
-    an earlier run left at data_path is removed: it would pass for this
-    run's output."""
-    if os.path.exists(data_path):
-        os.remove(data_path)
-    report = _report_base(cfg)
-    report["method"] = cfg.method
-    report["status"] = next(status for cls, status in FAILURE_STATUS.items()
-                            if isinstance(exc, cls))
-    report["error"] = str(exc)
-    write_json(path, report)
-    print(f"[{cfg.name}] integration failed ({report['status']}): {exc}", file=sys.stderr)
-    return EXIT_FAILURE
-
-
-def cmd_simulate_one(cfg: RunConfig, out_dir: str, result) -> int:
-    """Write a run's outputs from its entry of :func:`run_trajectories`."""
-    try:
-        space, traj = _unpack(result)
-    except tuple(FAILURE_STATUS) as exc:
-        return _write_failure(cfg, exc, os.path.join(out_dir, "trajectory.csv"),
-                              os.path.join(out_dir, "drift_report.json"))
-    nc = space.n_coords
+def _trajectory_data(cfg: RunConfig, traj, path: str) -> dict:
+    nc = cfg.space.n_coords
     header = (["t"] + [f"q{i + 1}" for i in range(nc)]
               + [f"p{i + 1}" for i in range(nc)] + ["H"])
-    rows = [[t, *pt.q, *pt.p, H]
-            for t, pt, H in zip(traj.times, traj.points, traj.energy)]
-    write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
-
-    report = _report_base(cfg)
-    report["method"] = cfg.method
-    report["drift"] = dynamics.monitor(space, traj)
-    report["corrections"] = {"m_part": traj.m_drift, "orbit_spectrum": traj.orbit_drift}
+    write_csv(path, header, [[t, *pt.q, *pt.p, H]
+                             for t, pt, H in zip(traj.times, traj.points, traj.energy)])
+    corrections = {"m_part": traj.m_drift, "orbit_spectrum": traj.orbit_drift}
     if traj.freeze_residual is not None:
-        report["corrections"]["freeze_residual"] = traj.freeze_residual
-    if traj.wall_time is not None:
-        report["status"] = "wall_collision"
-        report["last_safe_time"] = traj.wall_time
-    else:
-        report["status"] = "ok"
-    write_json(os.path.join(out_dir, "drift_report.json"), report)
-    print(f"[{cfg.name}] wrote {out_dir}/trajectory.csv "
-          f"({len(traj)} samples, status {report['status']})")
-    return EXIT_WALL if traj.wall_time is not None else EXIT_OK
+        corrections["freeze_residual"] = traj.freeze_residual
+    return {"drift": dynamics.monitor(cfg.space, traj), "corrections": corrections}
 
 
-def cmd_spectrum_one(cfg: RunConfig, out_dir: str, result) -> int:
-    """Write a run's spectrum outputs from its entry of :func:`run_trajectories`."""
-    try:
-        space, traj = _unpack(result)
-    except tuple(FAILURE_STATUS) as exc:
-        return _write_failure(cfg, exc, os.path.join(out_dir, "spectrum.csv"),
-                              os.path.join(out_dir, "spectrum_report.json"))
+def _spectrum_data(cfg: RunConfig, traj, path: str) -> dict:
+    N = cfg.space.N
     header = ["t"]
     for x in traj.lax_x:
-        for i in range(space.N):
+        for i in range(N):
             header += [f"ev{i + 1}_x={x:g}_re", f"ev{i + 1}_x={x:g}_im"]
     rows = []
     for idx, t in enumerate(traj.times):
         row = [t]
         for x in traj.lax_x:
             ev = traj.lax_spectra[x][idx]
-            for i in range(space.N):
+            for i in range(N):
                 row += [ev[i].real, ev[i].imag]
         rows.append(row)
-    write_csv(os.path.join(out_dir, "spectrum.csv"), header, rows)
+    write_csv(path, header, rows)
+    drift = dynamics.monitor(cfg.space, traj)["lax_spectra"]
+    return {"isospectrality_drift": {f"x={x:g}": drift[x] for x in traj.lax_x}}
 
-    report = _report_base(cfg)
-    report["method"] = cfg.method
-    drift = dynamics.monitor(space, traj)["lax_spectra"]
-    report["isospectrality_drift"] = {f"x={x:g}": drift[x] for x in traj.lax_x}
-    if traj.wall_time is not None:
-        report["status"] = "wall_collision"
-        report["last_safe_time"] = traj.wall_time
-    else:
-        report["status"] = "ok"
-    write_json(os.path.join(out_dir, "spectrum_report.json"), report)
-    print(f"[{cfg.name}] wrote {out_dir}/spectrum.csv (status {report['status']})")
-    return EXIT_WALL if traj.wall_time is not None else EXIT_OK
+
+def cmd_simulate_one(cfg: RunConfig, out_dir: str, result) -> int:
+    """Write a run's trajectory.csv and drift_report.json."""
+    return _write_run(cfg, out_dir, result, "trajectory.csv", "drift_report.json",
+                      _trajectory_data)
+
+
+def cmd_spectrum_one(cfg: RunConfig, out_dir: str, result) -> int:
+    """Write a run's spectrum.csv and spectrum_report.json."""
+    return _write_run(cfg, out_dir, result, "spectrum.csv", "spectrum_report.json",
+                      _spectrum_data)
 
 
 def _run_many(runs, out_base, worker) -> int:
@@ -490,11 +449,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_couplings(args) -> int:
-    try:
-        g, g1, g2 = orbits.bc_couplings(args.n, args.kappa, args.x)
-    except AdmissibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    g, g1, g2 = orbits.bc_couplings(args.n, args.kappa, args.x)  # inadmissible: exit 1
     residual = models.coupling_relation_residual(args.n, args.kappa, args.x)
     print(f"g  = {_fmt(g)}")
     print(f"g1 = {_fmt(g1)}")
@@ -538,16 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _prepare_runs(args) -> tuple:
-    raw = load_config(args.config)
-    runs = parse_runs(raw)
     overrides = {key: val for key, val in (("method", args.method), ("seed", args.seed))
                  if val is not None}
-    for cfg in runs:
-        cfg.raw = {**cfg.raw, **overrides}  # the hash covers the effective config
-        cfg.method = overrides.get("method", cfg.method)
-        cfg.seed = overrides.get("seed", cfg.seed)
-    out_base = args.out or runs[0].raw.get("out_dir", ".")
-    return runs, out_base
+    runs = parse_runs(load_config(args.config), overrides)
+    return runs, args.out or runs[0].raw.get("out_dir", ".")
 
 
 def main(argv=None) -> int:
@@ -563,7 +512,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "couplings":
             return cmd_couplings(args)
-    except (ConfigError, AdmissibilityError, orbits.MembershipError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and the admissibility errors among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WallProximityError as exc:

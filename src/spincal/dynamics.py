@@ -60,12 +60,14 @@ __all__ = [
     "lax_minus",
     "lax_cal",
     "eom_rhs",
+    "sample_grid",
     "integrate_direct",
     "integrate_direct_batch",
     "flow_projection",
     "projection_trajectory",
     "invariant_value",
     "gradient",
+    "bracket_pairings",
     "bracket_formula",
     "identity_413",
     "identity_416",
@@ -183,7 +185,7 @@ def hamiltonian(space: SymmetricSpaceData, pt: PhasePoint) -> float:
     val = 0.5 * float(np.dot(pt.p, pt.p))
     if not pt.xi.is_zero:
         av = space.alpha_cols(pt.q)
-        val += float(np.sum(pt.xi.coeffs ** 2 / np.sinh(av) ** 2)) / (2.0 * space.coord_weight)
+        val += float(np.sum(pt.xi.coeffs ** 2 / algebra.sinh_sq(av))) / (2.0 * space.coord_weight)
     return val
 
 
@@ -295,7 +297,7 @@ def eom_rhs(space: SymmetricSpaceData, pt: PhasePoint, y_m: np.ndarray | None = 
         return EomRhs(dq=pt.p.copy(), dp=np.zeros_like(pt.p), dxi=z, m_part_norm=0.0)
     av = space.alpha_cols(pt.q)
     c = pt.xi.coeffs
-    W2 = np.einsum("j,jab->ab", c / np.sinh(av) ** 2, space.eplus)
+    W2 = np.einsum("j,jab->ab", c / algebra.sinh_sq(av), space.eplus)
     CT = np.einsum("j,jab->ab", c / np.tanh(av), space.eminus)
     dp = algebra.coords_of(space, _comm(W2, CT))
     Y = -W2 if y_m is None else y_m - W2
@@ -410,6 +412,16 @@ def _row_dots(a, b) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def sample_grid(t_end: float, sample_dt: float | None = None) -> tuple:
+    """(sample_dt, times) of a run on [0, t_end]: sample_dt defaults to
+    t_end / 200, and the times cut [0, t_end] into round(t_end / sample_dt)
+    equal segments, at least one."""
+    if sample_dt is None:
+        sample_dt = t_end / 200.0
+    n_seg = max(1, int(round(t_end / sample_dt)))
+    return sample_dt, np.linspace(0.0, t_end, n_seg + 1)
+
+
 def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
                      tol: float = 1e-10, sample_dt: float | None = None,
                      lax_x: tuple = (0.0, 1.0), invariants: tuple = (),
@@ -475,10 +487,7 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
     free = pts[0].xi.is_zero
     if any(pt.xi.is_zero != free for pt in pts):
         raise ValueError("the spins of a batch must be all zero or all nonzero")
-    if sample_dt is None:
-        sample_dt = t_end / 200.0
-    n_seg = max(1, int(round(t_end / sample_dt)))
-    times = np.linspace(0.0, t_end, n_seg + 1)
+    sample_dt, times = sample_grid(t_end, sample_dt)
 
     sys = _DirectSystem(space, gauge)
     nc = sys.nc
@@ -730,7 +739,8 @@ def _comm(A, B):
     return A @ B - B @ A
 
 
-def _pairings(space, f, x, h, y, pt):
+def bracket_pairings(space: SymmetricSpaceData, f: InvariantSpec, x: float,
+                     h: InvariantSpec, y: float, pt: PhasePoint) -> tuple:
     """<xi, [(grad f)+(K(x)), (grad h)+(K(y))]> and the same pairing of the
     minus parts, with K(x) = J_minus - x xi = L(x) on the constraint surface."""
     xi = pt.xi.xi
@@ -750,7 +760,7 @@ def bracket_formula(space: SymmetricSpaceData, f: InvariantSpec, x: float,
     Vanishes identically for two full invariants, and for a compact-group
     invariant against a full invariant at y^2 = 1.
     """
-    plus, minus = _pairings(space, f, x, h, y, pt)
+    plus, minus = bracket_pairings(space, f, x, h, y, pt)
     return x * y * plus - minus
 
 
@@ -758,7 +768,7 @@ def identity_413(space: SymmetricSpaceData, f: InvariantSpec, x: float,
                  h: InvariantSpec, y: float, pt: PhasePoint) -> float:
     """Residual of x <xi,[A^f+(x), A^h+(y)]> = y <xi,[A^f-(x), A^h-(y)]>,
     valid for f compact-invariant and h fully invariant."""
-    plus, minus = _pairings(space, f, x, h, y, pt)
+    plus, minus = bracket_pairings(space, f, x, h, y, pt)
     return abs(x * plus - y * minus)
 
 
@@ -766,7 +776,7 @@ def identity_416(space: SymmetricSpaceData, f: InvariantSpec, x: float,
                  h: InvariantSpec, y: float, pt: PhasePoint) -> float:
     """Mirror identity y <xi,[A^f+, A^h+]> = x <xi,[A^f-, A^h-]> for two
     fully invariant generators."""
-    plus, minus = _pairings(space, f, x, h, y, pt)
+    plus, minus = bracket_pairings(space, f, x, h, y, pt)
     return abs(y * plus - x * minus)
 
 
@@ -803,7 +813,9 @@ def freezing_solve(space: SymmetricSpaceData, q, mu) -> FreezingResult:
 
     w2_mu = algebra.ad_fn_slice(space, "inv_sinh_sq", q, c)
     frozen = float(np.linalg.norm(_comm(y_m - w2_mu, mu_mat)))
-    sinh_rhs = algebra.reconstruct(space, cplus=np.sinh(space.alpha_cols(q)) * rhs)
+    # sinh overflows past 710; rhs there is a product of w and w' below e^-710
+    sinh_av = np.sinh(np.minimum(space.alpha_cols(q), 710.0))
+    sinh_rhs = algebra.reconstruct(space, cplus=sinh_av * rhs)
     ident = float(np.linalg.norm(_comm(w2_mu, mu_mat) - sinh_rhs))
     ok = residual < 1e-9 and frozen < 1e-8 and ident < 1e-8
     return FreezingResult(y_m=y_m if ok else None, residual=residual,

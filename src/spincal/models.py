@@ -29,13 +29,14 @@ import numpy as np
 
 from . import algebra, dynamics, orbits
 from .algebra import AdmissibilityError, SpaceSpec, SymmetricSpaceData
-from .orbits import SpinPoint, bc_couplings
+from .orbits import SpinPoint, bc_couplings, validate_params
 
 __all__ = [
     "SpinlessModel",
     "SUTHERLAND_COUPLING_FACTOR",
     "validate_params",
     "model_space",
+    "model_on",
     "model_spin",
     "closed_form_H",
     "machinery_equals_closed_form",
@@ -75,45 +76,6 @@ class SpinlessModel:
         return f"{base}[n={self.n}, kappa={self.kappa:g}, x={self.x:g}]"
 
 
-def validate_params(family: str, n: int, kappa: float, x: float = 0.0):
-    """Admissibility verdict: None when admissible, else a description."""
-    if family == "bc":
-        if n < 1:
-            return "BC case requires n >= 1"
-        if kappa <= 0:
-            return "BC case requires kappa > 0 (nonzero orbit)"
-        if kappa - n * x < 0:
-            return f"violation: kappa - n x = {kappa - n * x:.6g} < 0"
-        if kappa + x < 0:
-            return f"violation: kappa + x = {kappa + x:.6g} < 0"
-        return None
-    if family == "c":
-        if n < 1:
-            return "C case requires n >= 1"
-        if kappa < 0:
-            return "C case requires kappa >= 0"
-        if kappa == 0 and x == 0:
-            return "violation: orbit must be nonzero ((kappa, x) != (0, 0))"
-        if kappa > 0 and n < 2:
-            return "violation: the size-1 factor carries no nonzero minimal orbit"
-        return None
-    if family == "d":
-        if n < 2:
-            return "D case requires n >= 2"
-        if kappa <= 0:
-            return "violation: nonzero-orbit requirement (kappa > 0)"
-        if x != 0:
-            return "D case has no central term"
-        return None
-    if family == "a":
-        if n < 2:
-            return "Sutherland case requires k >= 2"
-        if kappa <= 0:
-            return "Sutherland case requires kappa > 0"
-        return None
-    return f"unknown family {family!r}"
-
-
 def model_space(model: SpinlessModel) -> SymmetricSpaceData:
     if model.family == "bc":
         return algebra.build_space(SpaceSpec.su(model.n + 1, model.n))
@@ -123,6 +85,15 @@ def model_space(model: SpinlessModel) -> SymmetricSpaceData:
         m = model.m_ambient or model.n
         return algebra.build_space(SpaceSpec.su(m, model.n))
     return algebra.build_space(SpaceSpec.sl(model.n))
+
+
+def model_on(spec: SpaceSpec, family: str, kappa: float, x: float = 0.0) -> SpinlessModel:
+    """The family's model with its n read off the space it lives on (k for
+    "a"); a family on the wrong space family raises AdmissibilityError, and
+    :func:`model_spin` checks the rest of the fit."""
+    if (family == "a") != (spec.family == "sl_kc"):
+        raise AdmissibilityError(f"model type {family!r} does not live on {spec.label()}")
+    return SpinlessModel(family, spec.k if family == "a" else spec.n, kappa, x)
 
 
 def model_spin(space: SymmetricSpaceData, model: SpinlessModel) -> SpinPoint:

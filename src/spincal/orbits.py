@@ -41,6 +41,7 @@ __all__ = [
     "zero_spin",
     "moment_map",
     "build_slice_point",
+    "validate_params",
     "xi_red",
     "reduce_orbit_check",
     "emptiness_probe",
@@ -351,68 +352,103 @@ def build_slice_point(space: SymmetricSpaceData, q, p, xi: SpinPoint) -> Unreduc
 # Single-point orbit reductions (spinless data)
 # ---------------------------------------------------------------------------
 
-def _check_bc_params(n: int, kappa: float, x: float):
-    if kappa <= 0:
-        raise AdmissibilityError("BC case requires kappa > 0")
-    if kappa - n * x < -1e-14:
-        raise AdmissibilityError(f"BC case requires kappa - n x >= 0 (got {kappa - n * x:.6g})")
-    if kappa + x < -1e-14:
-        raise AdmissibilityError(f"BC case requires kappa + x >= 0 (got {kappa + x:.6g})")
+def validate_params(family: str, n: int, kappa: float, x: float = 0.0):
+    """Admissibility verdict of a spinless family's data: None when
+    admissible, else a description.  n counts particles (k for "a").
+
+    The BC bounds kappa - n x >= 0 and kappa + x >= 0 hold up to a slack of
+    1e-14 max(1, kappa, n |x|), so that data on the boundary built in floats
+    (kappa = n x with x = 0.1) is accepted, as the exact data is.
+    """
+    if family == "bc":
+        if n < 1:
+            return "BC case requires n >= 1"
+        if kappa <= 0:
+            return "BC case requires kappa > 0 (nonzero orbit)"
+        slack = 1e-14 * max(1.0, kappa, n * abs(x))
+        if kappa - n * x < -slack:
+            return f"violation: kappa - n x = {kappa - n * x:.6g} < 0"
+        if kappa + x < -slack:
+            return f"violation: kappa + x = {kappa + x:.6g} < 0"
+        return None
+    if family == "c":
+        if n < 1:
+            return "C case requires n >= 1"
+        if kappa < 0:
+            return "C case requires kappa >= 0"
+        if kappa == 0 and x == 0:
+            return "violation: orbit must be nonzero ((kappa, x) != (0, 0))"
+        if kappa > 0 and n < 2:
+            return "violation: the size-1 factor carries no nonzero minimal orbit"
+        return None
+    if family == "d":
+        if n < 2:
+            return "D case requires n >= 2"
+        if kappa <= 0:
+            return "violation: nonzero-orbit requirement (kappa > 0)"
+        if x != 0:
+            return "D case has no central term"
+        return None
+    if family == "a":
+        if n < 2:
+            return "Sutherland case requires k >= 2"
+        if kappa <= 0:
+            return "Sutherland case requires kappa > 0"
+        return None
+    return f"unknown family {family!r}"
+
+
+def _require_admissible(family: str, n: int, kappa: float, x: float):
+    msg = validate_params(family, n, kappa, x)
+    if msg is not None:
+        raise AdmissibilityError(msg)
 
 
 def xi_red(space: SymmetricSpaceData, case: str, kappa: float, x: float = 0.0) -> SpinPoint:
-    """Representative of a single-point reduced orbit.
+    """Representative of a single-point reduced orbit; the data must pass
+    :func:`validate_params` for the case's family on the space.
 
-    case "d": minimal orbit in the size-n factor, any m >= n, kappa > 0, x = 0.
-    case "c": m = n, orbit plus central term, kappa >= 0, (kappa, x) != 0.
-    case "bc": m = n + 1, kappa > 0 with kappa - n x >= 0 and kappa + x >= 0.
-    case "kks": sl(k,C), kappa > 0.
+    case "d": minimal orbit in the size-n factor, any m >= n.
+    case "c": m = n, orbit plus central term.
+    case "bc": m = n + 1, minimal orbit in the size-m factor plus central term.
+    case "kks": sl(k,C), the Sutherland ("a") family.
     """
     case = case.lower()
     if case == "kks":
         if space.spec.family != "sl_kc":
             raise AdmissibilityError("KKS case lives on the sl(k,C) family")
-        if kappa <= 0:
-            raise AdmissibilityError("KKS case requires kappa > 0")
+        _require_admissible("a", space.spec.k, kappa, x)
         return spin_point(space, mu_kks(space.spec.k, kappa))
 
+    if case not in ("d", "c", "bc"):
+        raise AdmissibilityError(f"unknown spinless case {case!r}")
     if space.spec.family != "su_mn":
         raise AdmissibilityError(f"case {case!r} lives on the su(m,n) family")
     m, n = space.spec.m, space.spec.n
+    if case == "c" and m != n:
+        raise AdmissibilityError("C case requires m = n")
+    if case == "bc" and m != n + 1:
+        raise AdmissibilityError("BC case requires m = n + 1")
+    _require_admissible(case, n, kappa, x)
     if case == "d":
-        if kappa <= 0:
-            raise AdmissibilityError("D case requires kappa > 0")
-        if x != 0.0:
-            raise AdmissibilityError("D case has no central term (x = 0)")
-        if n < 2:
-            raise AdmissibilityError("D case requires n >= 2")
         return spin_point(space, _embed_su_factor(space, mu_kks(n, kappa), "n"))
     if case == "c":
-        if m != n:
-            raise AdmissibilityError("C case requires m = n")
-        if kappa < 0 or (kappa == 0 and x == 0):
-            raise AdmissibilityError("C case requires kappa >= 0 and (kappa, x) != (0, 0)")
         xi = x * _central_element(n, n)
         if kappa > 0:
             xi = xi + _embed_su_factor(space, mu_kks(n, kappa), "n")
         return spin_point(space, xi)
-    if case == "bc":
-        if m != n + 1:
-            raise AdmissibilityError("BC case requires m = n + 1")
-        _check_bc_params(n, kappa, x)
-        u = np.concatenate([
-            np.full(n, math.sqrt(max(kappa + x, 0.0))),
-            [math.sqrt(max(kappa - n * x, 0.0))],
-        ]).astype(complex)
-        xi = _embed_su_factor(space, eta_of_u(u, kappa), "m") + x * _central_element(m, n)
-        return spin_point(space, xi)
-    raise AdmissibilityError(f"unknown spinless case {case!r}")
+    u = np.concatenate([
+        np.full(n, math.sqrt(max(kappa + x, 0.0))),
+        [math.sqrt(max(kappa - n * x, 0.0))],
+    ]).astype(complex)
+    xi = _embed_su_factor(space, eta_of_u(u, kappa), "m") + x * _central_element(m, n)
+    return spin_point(space, xi)
 
 
 def bc_couplings(n: int, kappa: float, x: float):
     """(g, g1, g2) of the two-coupling BC_n model; they satisfy
     g1^2 - 2 g^2 + sqrt(2) g g2 = 0."""
-    _check_bc_params(n, kappa, x)
+    _require_admissible("bc", n, kappa, x)
     g = 0.5 * (kappa + x)
     g1 = math.sqrt(max((kappa + x) * (kappa - n * x), 0.0) / 2.0)
     g2 = (n + 1) * x / math.sqrt(2.0)
@@ -447,7 +483,6 @@ def reduce_orbit_check(space: SymmetricSpaceData, kappa: float, x: float,
     m, n = space.spec.m, space.spec.n
     if space.spec.family != "su_mn" or m != n + 1:
         raise AdmissibilityError("reduce_orbit_check applies to su(n+1, n)")
-    _check_bc_params(n, kappa, x)
     target = xi_red(space, "bc", kappa, x)
     C = _central_element(m, n)
     diag_target = np.concatenate([1j * x * np.ones(n), [-1j * x * n]])

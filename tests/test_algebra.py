@@ -256,6 +256,42 @@ def test_ad_fn_pole_with_zero_flat_part(su22, rng):
     assert np.abs(cminus - xi_c / np.tanh(av)).max() < 1e-12
 
 
+PLAIN_POLE_FORMULAS = {
+    "coth": lambda z: np.cosh(z) / np.sinh(z),
+    "inv_sinh": lambda z: 1.0 / np.sinh(z),
+    "inv_sinh_sq": lambda z: 1.0 / np.sinh(z) ** 2,
+    "d_inv_sinh": lambda z: -np.cosh(z) / np.sinh(z) ** 2,
+}
+
+
+@pytest.mark.parametrize("phi", sorted(PLAIN_POLE_FORMULAS))
+def test_pole_functions_far_out(phi):
+    # the plain formulas' bits up to FAR_ROOT; beyond, values that agree
+    # with them while they are finite (1/sinh up to 710) and reach the
+    # limits (+-1 for coth, 0 for the others), with no warning
+    func, parity, _ = algebra.PHI_FUNCTIONS[phi]
+    sign = -1.0 if parity == "odd" else 1.0
+    near = np.concatenate([np.linspace(1e-3, algebra.FAR_ROOT, 20001), [algebra.FAR_ROOT]])
+    near = np.concatenate([-near, near])
+    assert np.array_equal(func(near), PLAIN_POLE_FORMULAS[phi](near))
+    far = np.array([350.5, 400.0, 709.0, 711.0, 800.0, 1e4, 1e300, np.inf])
+    assert np.all(np.isfinite(func(far)))
+    assert np.array_equal(func(-far), sign * func(far))
+    limit = 1.0 if phi == "coth" else 0.0
+    assert np.all(func(far[4:]) == limit)
+    if phi != "coth":
+        assert np.all(np.abs(func(far)) < 1e-150)
+    if phi == "inv_sinh":
+        z = np.linspace(algebra.FAR_ROOT, 709.0, 1001)
+        assert np.all(np.abs(func(z) * np.sinh(z) - 1.0) < 1e-14)
+
+
+def test_sinh_sq_far_out():
+    z = np.linspace(-algebra.FAR_ROOT, algebra.FAR_ROOT, 10001)
+    assert np.array_equal(algebra.sinh_sq(z), np.sinh(z) ** 2)
+    assert np.all(algebra.sinh_sq(np.array([355.5, -800.0, 1e300])) == np.inf)
+
+
 def test_ad_fn_pole_error(su22, rng):
     q = algebra.random_chamber_point(su22, rng)
     H = algebra.embed(su22, np.array([0.1, 0.05]))

@@ -324,6 +324,40 @@ def test_each_run_builds_its_space_and_monitor_once(tmp_path):
         assert monitor.call_count == 2
 
 
+def test_simulate_bc_boundary_model(tmp_path):
+    # kappa = n x built in floats (kappa - n x = -5.6e-17): g1 = 0, still a BC model
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(
+        space={"family": "su_mn", "m": 4, "n": 3}, model={"type": "bc", "kappa": 0.3, "x": 0.1},
+        initial={"q": [3.0, 2.0, 1.0], "p": [0.1, 0.0, -0.1]}, t_end=0.5))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "drift_report.json").read_text())
+    assert report["status"] == "ok"
+
+
+def test_simulate_far_out_chamber_point(tmp_path):
+    # root values up to 1200: the pole functions take their limits
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(
+        space={"family": "su_mn", "m": 2, "n": 2}, model={"type": "d", "kappa": 1.5},
+        initial={"q": [600.0, 100.0], "p": [0.1, -0.2]}, t_end=1.0))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "drift_report.json").read_text())
+    assert report["status"] == "ok"
+    assert report["drift"]["energy"] < 1e-12
+
+
+def test_bad_orbit_data_stops_the_batch_before_any_run(tmp_path):
+    # su(6,3) slice data needs x = kappa_m / n: the spins are built while the
+    # config is parsed, so the first run writes nothing
+    cfg = write_config(tmp_path / "cfg.json", {"runs": [
+        base_run_config(name="good", t_end=0.5),
+        base_run_config(name="bad", t_end=0.5, space={"family": "su_mn", "m": 6, "n": 3},
+                        model={"type": "orbit", "kappa_m": 1.0, "x": 0.2},
+                        initial={"q": [3.0, 2.0, 1.0], "p": [0.0, 0.0, 0.0]}),
+    ]})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -389,10 +423,13 @@ def test_wrong_json_type_is_a_config_error(tmp_path, capsys, command, payload):
     ("verify", {"spaces": [{"family": "su_mn", "m": 2, "n": False}]}),
 ])
 def test_non_integral_integer_is_a_config_error(tmp_path, capsys, command, payload):
-    # an integer key holding a bool or a fractional number is not truncated
+    # an integer key holding a bool or a fractional number is not truncated;
+    # m_ambient is no model key at all
     cfg = write_config(tmp_path / "cfg.json", payload)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("error: invalid value for")
+    unknown = "m_ambient" in payload.get("model", {})
+    assert capsys.readouterr().err.startswith(
+        "error: unknown keys" if unknown else "error: invalid value for")
     assert not (tmp_path / "o").exists()
 
 

@@ -2,6 +2,7 @@
 invariant brackets, freezing gauge and the r-matrix."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -210,7 +211,7 @@ def test_ad_fn_slice_matches_ad_fn(label, seed, phi):
 @settings(max_examples=30, deadline=None)
 @given(label=st.sampled_from(sorted(CORE_SPACES)), seed=st.integers(0, 2 ** 32 - 1))
 def test_lax_is_the_slice_lift(label, seed):
-    # the closed form flow_projection and _pairings rely on: on the zero set
+    # the closed form flow_projection and bracket_pairings rely on: on the zero set
     # of the momentum map J_minus = L(0) and J_minus + tanh(ad_q) J_minus = L(1)
     space = CORE_SPACES[label]
     pt = checks.random_phase_point(space, np.random.default_rng(seed))
@@ -726,6 +727,33 @@ def test_freezing_su21_with_central(su21, rng):
         q = algebra.random_chamber_point(su21, rng)
         res = dynamics.freezing_solve(su21, q, mu)
         assert res.accepted and res.frozen_residual < 1e-8
+
+
+def test_freezing_far_out_chamber_point(su21):
+    # root values 400 and 800: cosh/sinh overflowed to NaN there before the
+    # pole functions took their limits
+    mu = orbits.xi_red(su21, "bc", 1.0, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = dynamics.freezing_solve(su21, np.array([400.0]), mu)
+    assert res.accepted and res.residual == 0.0
+
+
+def test_lax_far_out_chamber_point(su32):
+    # every root value is at least 100: coth is 1, L(x) = p - xi_A-perp - x xi
+    xi = orbits.xi_red(su32, "bc", 3.0, 1.0)
+    pt = dynamics.make_phase_point(su32, np.array([500.0, 100.0]), np.array([0.1, 0.2]), xi)
+    K, N = su32.K, su32.N
+    limit_form = (algebra.embed(su32, pt.p)
+                  - (xi.coeffs @ su32.eminus.reshape(K, N * N)).reshape(N, N))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, 0.5, 1.0):
+            L = dynamics.lax(su32, pt, x)
+            assert np.all(np.isfinite(L))
+            assert np.abs(L - (limit_form - x * xi.xi)).max() == 0.0
+        assert dynamics.hamiltonian(su32, pt) == 0.5 * float(pt.p @ pt.p)
+        assert np.all(np.isfinite(dynamics.eom_rhs(su32, pt).dp))
 
 
 def test_freezing_identity_434(su32, rng):

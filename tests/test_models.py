@@ -1,12 +1,15 @@
 """Tests for the spinless catalog and its agreement with the reduction
 machinery."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spincal import algebra, dynamics, models, orbits
+from spincal import algebra, cli, dynamics, models, orbits
 from spincal.algebra import AdmissibilityError
 from spincal.models import SpinlessModel
 
@@ -30,6 +33,65 @@ def test_validate_d_and_c():
     assert models.validate_params("c", 2, 0.0, 0.5) is None
     assert models.validate_params("c", 1, 1.0, 0.0) is not None       # su(1) factor
     assert models.validate_params("a", 1, 1.0) is not None
+
+
+def test_bc_boundary_in_floats_is_admissible():
+    # kappa = n x with x = 0.1: kappa - n x = -5.6e-17 in floats, g1 = 0
+    assert 0.3 - 3 * 0.1 < 0
+    assert models.validate_params("bc", 3, 0.3, 0.1) is None
+    assert orbits.bc_couplings(3, 0.3, 0.1)[1] == 0.0
+    assert models.validate_params("bc", 3, 0.3, 0.1 + 1e-12) is not None
+
+
+def _family_space(family, n):
+    """The space the CLI runs the family on with n particles (None: none)."""
+    if family == "a":
+        return algebra.SpaceSpec.sl(n) if n >= 2 else None
+    return algebra.SpaceSpec.su(n + 1 if family == "bc" else n, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _built(spec):
+    return algebra.build_space(spec)
+
+
+def _run_config(spec, family, kappa, x):
+    q = 0.8 * np.arange(spec.N if spec.family == "sl_kc" else spec.n, 0, -1)
+    if spec.family == "sl_kc":
+        q = q - q.mean()
+    space = {"family": "su_mn", "m": spec.m, "n": spec.n} if spec.family == "su_mn" \
+        else {"family": "sl_kc", "k": spec.k}
+    return {"space": space, "model": {"type": family, "kappa": kappa, "x": x},
+            "initial": {"q": q.tolist(), "p": [0.0] * len(q)}, "t_end": 1.0, "tol": 1e-10}
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(["bc", "c", "d", "a"]), n=st.integers(1, 4),
+       k=st.integers(-20, 20), j=st.integers(0, 20),
+       anchor=st.sampled_from(["n x", "nk/10", "-x", "x", "0", "free"]),
+       nudge=st.sampled_from([0.0, 1e-16, -1e-16, 1e-12, -1e-12]))
+def test_one_admissibility_rule(family, n, k, j, anchor, nudge):
+    # (kappa, x) on and near every boundary, built in floats: the catalog
+    # verdict, the orbit representative and the CLI parser agree
+    x = k / 10
+    kappa = {"n x": n * x, "nk/10": n * k / 10, "-x": -x, "x": x, "0": 0.0,
+             "free": j / 10}[anchor] + nudge
+    admissible = models.validate_params(family, n, kappa, x) is None
+    spec = _family_space(family, n)
+    if spec is None:
+        assert not admissible
+        return
+    try:
+        orbits.xi_red(_built(spec), "kks" if family == "a" else family, kappa, x)
+        built = True
+    except AdmissibilityError:
+        built = False
+    try:
+        cli.parse_run(_run_config(spec, family, kappa, x))
+        parsed = True
+    except cli.ConfigError:
+        parsed = False
+    assert built == parsed == admissible
 
 
 # ---------------------------------------------------------------------------
