@@ -670,8 +670,6 @@ _inv_sinh = _far_form(lambda z: 1.0 / np.sinh(z),
                       lambda z: 2.0 * np.sign(z) * np.exp(-np.abs(z)))
 _inv_sinh_sq = _far_form(lambda z: 1.0 / np.sinh(z) ** 2,
                          lambda z: 4.0 * np.exp(-2.0 * np.abs(z)))
-_d_inv_sinh = _far_form(lambda z: -np.cosh(z) / np.sinh(z) ** 2,
-                        lambda z: -2.0 * np.exp(-np.abs(z)))
 
 
 #: phi name -> (callable, parity, value at 0 or None for a pole)
@@ -682,7 +680,6 @@ PHI_FUNCTIONS: dict[str, tuple[Callable, str, float | None]] = {
     "cosh": (np.cosh, "even", 1.0),
     "inv_sinh": (_inv_sinh, "odd", None),
     "inv_sinh_sq": (_inv_sinh_sq, "even", None),
-    "d_inv_sinh": (_d_inv_sinh, "even", None),
 }
 
 

@@ -113,6 +113,11 @@ def _pair_terms(q):
     return q[i] - q[j], q[i] + q[j]
 
 
+def _pole_sum(z) -> float:
+    """sum 1/sinh^2(z), with the far-out limit 0 past algebra.FAR_ROOT."""
+    return float(np.sum(algebra.PHI_FUNCTIONS["inv_sinh_sq"][0](z)))
+
+
 def closed_form_H(model: SpinlessModel, q, p) -> float:
     """Evaluate the catalog Hamiltonian at coordinates (q, p)."""
     q = np.asarray(q, dtype=float)
@@ -123,7 +128,7 @@ def closed_form_H(model: SpinlessModel, q, p) -> float:
         if np.abs(diff).min(initial=np.inf) < algebra.EPS_WALL:
             raise algebra.WallProximityError("coinciding particles")
         g2 = SUTHERLAND_COUPLING_FACTOR * model.kappa ** 2
-        return kin + g2 * float(np.sum(1.0 / np.sinh(diff) ** 2))
+        return kin + g2 * _pole_sum(diff)
 
     diff, summ = _pair_terms(q)
     walls = [np.abs(q).min(initial=np.inf)]
@@ -134,17 +139,12 @@ def closed_form_H(model: SpinlessModel, q, p) -> float:
 
     if model.family == "bc":
         g, g1, g2 = bc_couplings(model.n, model.kappa, model.x)
-        val = kin
-        val += g1 ** 2 * float(np.sum(1.0 / np.sinh(q) ** 2))
-        val += g2 ** 2 * float(np.sum(1.0 / np.sinh(2.0 * q) ** 2))
-        val += g ** 2 * float(np.sum(1.0 / np.sinh(diff) ** 2))
-        val += g ** 2 * float(np.sum(1.0 / np.sinh(summ) ** 2))
-        return val
+        return (kin + g1 ** 2 * _pole_sum(q) + g2 ** 2 * _pole_sum(2.0 * q)
+                + g ** 2 * _pole_sum(diff) + g ** 2 * _pole_sum(summ))
     pair_c = model.kappa ** 2 / 4.0
-    val = kin + pair_c * float(np.sum(1.0 / np.sinh(diff) ** 2))
-    val += pair_c * float(np.sum(1.0 / np.sinh(summ) ** 2))
+    val = kin + pair_c * _pole_sum(diff) + pair_c * _pole_sum(summ)
     if model.family == "c":
-        val += (model.n ** 2 * model.x ** 2 / 2.0) * float(np.sum(1.0 / np.sinh(2.0 * q) ** 2))
+        val += (model.n ** 2 * model.x ** 2 / 2.0) * _pole_sum(2.0 * q)
     return val
 
 

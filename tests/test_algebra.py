@@ -260,7 +260,6 @@ PLAIN_POLE_FORMULAS = {
     "coth": lambda z: np.cosh(z) / np.sinh(z),
     "inv_sinh": lambda z: 1.0 / np.sinh(z),
     "inv_sinh_sq": lambda z: 1.0 / np.sinh(z) ** 2,
-    "d_inv_sinh": lambda z: -np.cosh(z) / np.sinh(z) ** 2,
 }
 
 

@@ -261,6 +261,16 @@ def test_batch_failures_match_runs_one_by_one(tmp_path):
     assert reports[0]["status"] == "ok"
 
 
+def test_freeze_run_far_along_the_chamber(tmp_path):
+    # one particle far from the other: the certificate holds at every step
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(
+        initial={"q": [17.0, 1.0], "p": [1.0, 0.0]}))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "drift_report.json").read_text())
+    assert report["status"] == "ok"
+    assert report["corrections"]["freeze_residual"] < 1e-8
+
+
 def test_failed_freeze_certificate_fails_its_run_alone(tmp_path):
     # a generic orbit spin has no freezing gauge: exit 3 with its report
     cfg = write_config(tmp_path / "cfg.json", {"runs": [

@@ -3,6 +3,7 @@ machinery."""
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,21 @@ def test_closed_form_free_limit():
     p = np.array([0.4, -0.2])
     val = models.closed_form_H(model, np.array([60.0, 30.0]), p)
     assert abs(val - 0.5 * np.dot(p, p)) < 1e-12
+
+
+@pytest.mark.parametrize("model,q", [
+    (SpinlessModel("bc", 2, 3.0, 1.0), [1200.0, 400.0]),
+    (SpinlessModel("c", 2, 1.0, 0.7), [1200.0, 400.0]),
+    (SpinlessModel("d", 2, 1.5), [1200.0, 400.0]),
+    (SpinlessModel("a", 3, 0.8), [800.0, 0.0, -800.0]),
+], ids=["bc", "c", "d", "a"])
+def test_closed_form_far_out_is_kinetic(model, q):
+    # every root value is at least 400, past algebra.FAR_ROOT: each
+    # 1/sinh^2 term is exactly 0 and no overflow warning is raised
+    p = np.array([0.4, -0.2, 0.1][:len(q)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert models.closed_form_H(model, np.array(q), p) == 0.5 * float(np.dot(p, p))
 
 
 def test_closed_form_bc_x_zero_degenerates():
