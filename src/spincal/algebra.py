@@ -96,7 +96,7 @@ class OffSliceError(RuntimeError):
 
 
 class FreezeCertificateError(AdmissibilityError):
-    """No freezing gauge holds the spin still at a point of a run."""
+    """No freezing gauge holds a run's spin still on the chamber or at a sample."""
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,8 @@ def _trajectory_data(cfg: RunConfig, traj, path: str) -> dict:
     corrections = {"m_part": traj.m_drift, "orbit_spectrum": traj.orbit_drift}
     if traj.freeze_residual is not None:
         corrections["freeze_residual"] = traj.freeze_residual
-    return {"drift": dynamics.monitor(cfg.space, traj), "corrections": corrections}
+    steps = {"n_steps": traj.n_steps} if cfg.method == "direct" else {}
+    return {"drift": dynamics.monitor(cfg.space, traj), "corrections": corrections, **steps}
 
 
 def _spectrum_data(cfg: RunConfig, traj, path: str) -> dict:

@@ -17,7 +17,7 @@ evolution q' = p, p' = [w^2(ad_q) xi, coth(ad_q) xi]_A,
 xi' = [y_M - w^2(ad_q) xi, xi] with w(z) = 1/sinh(z) is the canonical flow
 of this H; the gauge generator y_M is zero on the thick slice.  For the
 spinless catalog models a y_M exists at every chamber point that makes xi'
-vanish (the freezing gauge, see :func:`freezing_solve`), so in that gauge
+vanish (the freezing gauge, see :class:`FreezeCertificate`), so in that gauge
 the spin is constant and only (q, p) move.
 
 The direct integrator works on the basis coefficients c+ of xi alone, with
@@ -25,8 +25,6 @@ the state (q, p, c+).  By the root grading the zero-gauge xi' has no M-part,
 so p' = -grad V and xi' = [xi, w^2(ad_q) xi] are closed forms in c+: the
 latter through the structure constants ``space.fplus``.  :func:`eom_rhs`
 evaluates the same field on N x N matrices and is the reference for both.
-:func:`freezing_solve` reads the same contraction: the frozen condition
-[y_M, xi] = [w^2(ad_q) xi, xi] is linear in y_M, in c+ coefficients.
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ __all__ = [
     "Trajectory",
     "EomRhs",
     "FreezingResult",
+    "FreezeCertificate",
     "make_phase_point",
     "hamiltonian",
     "hamiltonian_via_lax",
@@ -160,7 +159,7 @@ class Trajectory:
     orbit_drift: float = 0.0   # max spectrum-restoring correction applied
     wall_time: float | None = None  # set when truncated by a wall event
     n_steps: int = 0           # direct integrator: steps accepted by the error control
-    freeze_residual: float | None = None  # freeze gauge: worst certified |xi'|
+    freeze_residual: float | None = None  # freeze gauge: max(per-root residual, sample |xi'|)
 
     def __len__(self):
         return len(self.times)
@@ -360,7 +359,7 @@ class _DirectSystem:
         # p' = -grad V = (1/s) sum_j c_j^2 cosh(alpha_j) / sinh^3(alpha_j) coef_j
         out[:, nc:2 * nc] = (cplus * w2 / np.tanh(av)) @ self.force_coef
         if self.gauge == "freeze":
-            # the spin is held still; integrate_direct_batch certifies the gauge
+            # the spin is held still; its gauge is certified before the first step
             out[:, 2 * nc:] = 0.0
         else:
             # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk,
@@ -434,11 +433,9 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     after every accepted step the per-block spectrum of the spin is restored
     to the initial one (the exact flow preserves it; the corrections are
     logged), and ``m_drift`` is the largest M-part of xi' at the samples.
-    In the freezing gauge the spin is held constant, and the gauge is
-    certified by :func:`freezing_solve` on the initial spin at t = 0 and
-    after every accepted step: a failed certificate raises
-    :class:`FreezeCertificateError`, and the worst frozen residual is logged
-    as ``freeze_residual``.  Where no restoration changes the state
+    In the freezing gauge the spin is held constant, and its
+    :class:`FreezeCertificate` failing on the chamber or at a sample raises
+    :class:`FreezeCertificateError`.  Where no restoration changes the state
     (freezing gauge, zero spin) the last stage of a step is the first of the
     next.  Integration halts with :class:`WallProximityError` if the
     configuration approaches a chamber wall; with ``on_wall="truncate"`` the
@@ -494,33 +491,19 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
     nc = sys.nc
     freeze = gauge == "freeze"
     y0 = np.array([np.concatenate([pt.q, pt.p, pt.xi.coeffs]) for pt in pts])
+    drift_sq = np.zeros(len(pts))  # largest squared spectrum correction
+    stopped = [None] * len(pts)  # the failure that ended a member
+    certs = [FreezeCertificate(space, pt.xi) for pt in pts] if freeze else []
+    for m, cert in enumerate(certs):
+        r = int(np.argmax(cert.root_residuals))
+        if not cert.root_residuals[r] < 1e-9:
+            stopped[m] = FreezeCertificateError(
+                f"no freezing gauge on the chamber: root {space.roots[r].label()} "
+                f"leaves the residual {cert.root_residuals[r]:.3e}")
     spec_ref = (None if free or freeze
                 else _block_spectra_ref(space, np.array([pt.xi.xi for pt in pts])))
-    drift_sq = np.zeros(len(pts))  # largest squared spectrum correction
-    freeze_residual = np.zeros(len(pts))
-    stopped = [None] * len(pts)  # the failure that ended a member
 
-    def certify(m, q) -> bool:
-        res = freezing_solve(space, q, pts[m].xi)
-        if not res.accepted:
-            stopped[m] = FreezeCertificateError(
-                f"no freezing gauge at q = {q} (frozen residual {res.frozen_residual:.3e})")
-            return False
-        freeze_residual[m] = max(freeze_residual[m], res.frozen_residual)
-        return True
-
-    def correct(members, Y5, past_wall):
-        # the states to continue from, for the accepted rows Y5 of members,
-        # and which of them end here: past a wall, or with a failed certificate
-        if freeze:
-            # a point past the wall ends the member at the stepper's wall check
-            bad = [k for k in np.flatnonzero(~past_wall) if not certify(members[k], Y5[k, :nc])]
-            if bad:
-                past_wall = past_wall.copy()
-                past_wall[bad] = True
-            return Y5, past_wall
-        if free:
-            return Y5, past_wall
+    def restore(members, Y5):
         xi = sys.spin(Y5[:, 2 * nc:])
         fixed = _restore_block_spectra(space, xi, spec_ref[members])
         d = (fixed - xi).reshape(len(members), -1)
@@ -528,26 +511,32 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
         drift_sq[members] = np.maximum(drift_sq[members],
                                        _row_dots(d.real, d.real) + _row_dots(d.imag, d.imag))
         Y5[:, 2 * nc:] = sys.spin_coeffs(fixed)
-        return Y5, past_wall
+        return Y5
 
-    if freeze:
-        for m, pt in enumerate(pts):
-            certify(m, pt.q)
     # a stage past a wall evaluates to inf/nan: the error norm rejects it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         samples, counts, n_steps = _step_batch(space, sys, y0, times, tol, t_end,
-                                               min(sample_dt, 0.05) * 0.1, correct,
-                                               stopped, fsal=freeze or free)
+                                               min(sample_dt, 0.05) * 0.1,
+                                               None if spec_ref is None else restore, stopped)
 
     out = []
     for m, pt0 in enumerate(pts):
-        exc, wall_time = stopped[m], None
+        exc, wall_time, freeze_residual = stopped[m], None, None
         if isinstance(exc, WallProximityError) and on_wall == "truncate":
             exc, wall_time = None, exc.t
+        if exc is None and freeze:
+            # the independent N x N check at the samples, from the run's z_r
+            _, linear, frozen, ok = certs[m].at(samples[m, :counts[m], :nc])
+            freeze_residual = float(max(certs[m].root_residuals.max(), frozen.max()))
+            if not ok.all():
+                k = int(np.argmin(ok))
+                exc = FreezeCertificateError(
+                    f"no freezing gauge at the sample t = {times[k]:.6g} (linear residual "
+                    f"{linear[k]:.3e}, frozen residual {frozen[k]:.3e})")
         if exc is not None:
             out.append(exc)
             continue
-        pts_m = [_sample_point(sys, pt0, y, freeze or free) for y in samples[m, :counts[m]]]
+        pts_m = [_sample_point(sys, pt0, y, spec_ref is None) for y in samples[m, :counts[m]]]
         # the M-part of xi' vanishes on the slice; its largest value at the
         # samples is kept as a consistency diagnostic
         m_drift = 0.0 if freeze else max(eom_rhs(space, pt).m_part_norm for pt in pts_m)
@@ -555,8 +544,7 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
         out.append(_attach_monitors(space, times[:counts[m]], pts_m, lax_x, invariants,
                                     m_drift=m_drift, orbit_drift=math.sqrt(drift_sq[m]),
                                     wall_time=wall_time, n_steps=int(n_steps[m]),
-                                    freeze_residual=(float(freeze_residual[m])
-                                                     if freeze else None)))
+                                    freeze_residual=freeze_residual))
     return out
 
 
@@ -567,12 +555,12 @@ def _sample_point(sys, pt0, y, const_spin) -> PhasePoint:
     return PhasePoint(q=q, p=p, xi=SpinPoint(xi=sys.spin(cplus), coeffs=cplus, on_slice=True))
 
 
-def _step_batch(space, sys, y0, times, tol, t_end, h0, correct, stopped, fsal):
+def _step_batch(space, sys, y0, times, tol, t_end, h0, restore, stopped):
     """Dormand-Prince 5(4) over the sample grid for the rows of y0 whose
-    member has not stopped.  Returns the samples, shape (B, T, 2n+K), how
-    many of them each member reached, and its accepted steps.  A member that
-    stalls, underflows, exceeds the step budget, reaches a wall or fails in
-    ``correct`` gets its exception in ``stopped`` and drops out."""
+    member has not stopped, restore(members, y5) correcting accepted states.
+    Returns the samples, shape (B, T, 2n+K), how many each member reached,
+    and its accepted steps.  A member that stalls, underflows, exceeds the
+    step budget or reaches a wall gets its exception in ``stopped``."""
     B, D = y0.shape
     last = len(times) - 1
     samples = np.empty((B, len(times), D))
@@ -644,12 +632,11 @@ def _step_batch(space, sys, y0, times, tol, t_end, h0, correct, stopped, fsal):
         members = rows[acc]
         t_prev = t[acc]
         t_new = t_prev + h_step[acc]
-        past_wall = (y5[acc, :sys.nc] @ sys.root_coef_t).min(axis=1) < algebra.EPS_WALL
-        # correct() marks the rows that end here: past a wall or uncertified
-        Y[acc], failed = correct(members, y5[acc], past_wall)
+        failed = past_wall = (y5[acc, :sys.nc] @ sys.root_coef_t).min(axis=1) < algebra.EPS_WALL
+        Y[acc] = y5[acc] if restore is None else restore(members, y5[acc])
         n_steps[members] += 1
         if attempts > _MAX_STEPS:  # no member takes more steps than there were attempts
-            failed = failed | (n_steps[members] > _MAX_STEPS)
+            failed = past_wall | (n_steps[members] > _MAX_STEPS)
         any_failed = failed.any()
         if any_failed:
             for k in np.flatnonzero(failed):
@@ -657,16 +644,16 @@ def _step_batch(space, sys, y0, times, tol, t_end, h0, correct, stopped, fsal):
                     stopped[members[k]] = WallProximityError(
                         f"trajectory reached a chamber wall in ({t_prev[k]:.6g}, {t_new[k]:.6g}]",
                         t=float(t_prev[k]))
-                elif stopped[members[k]] is None:
+                else:
                     stopped[members[k]] = StepSizeError("maximum number of steps exceeded")
         t[acc] = t_new  # after the messages: t_prev may be a view of t
         if not any_failed:
-            # where correct() left y5 as it was, its stage is the next first stage
-            ks[acc, 0] = ks[acc, 6] if fsal else sys(t[acc], Y[acc])
+            # where y5 is not restored, its stage is the next first stage
+            ks[acc, 0] = ks[acc, 6] if restore is None else sys(t[acc], Y[acc])
             continue
         go = np.array(ok)[~failed]
         if go.size:
-            ks[go, 0] = ks[go, 6] if fsal else sys(t[go], Y[go])
+            ks[go, 0] = ks[go, 6] if restore is None else sys(t[go], Y[go])
         keep = np.ones(rows.size, dtype=bool)
         keep[np.array(ok)[failed]] = False
         rows, Y, t, h, seg, t_seg, t_due, ks = (
@@ -785,39 +772,50 @@ def identity_416(space: SymmetricSpaceData, f: InvariantSpec, x: float,
 # Freezing gauge
 # ---------------------------------------------------------------------------
 
-def freezing_solve(space: SymmetricSpaceData, q, mu) -> FreezingResult:
-    """Solve the frozen condition [y_M, mu] = [w^2(ad_q) mu, mu] for y_M in M,
-    with w(z) = 1/sinh(z), by least squares over the M basis.
+class FreezeCertificate:
+    """The freezing gauge of a spin mu (a SpinPoint, or a matrix through
+    :func:`orbits.spin_point`) on the whole chamber.  In E+ coefficients the
+    frozen condition [y_M, mu] = [w^2(ad_q) mu, mu] has the q-independent
+    columns of [M_b, mu] and the right-hand side sum_r w^2(alpha_r(q)) R_r
+    over the positive roots, R_r = sum_{i in r} c_i sum_j c_j fplus_ij:.  The
+    1/sinh^2 alpha_r are linearly independent on the chamber, so a gauge
+    exists on all of it iff every ``root_residuals`` |R_r - cols z_r| (z_r by
+    least squares) vanishes; then y_M(q) = sum_r w^2(alpha_r(q)) z_r."""
 
-    A matrix mu, or a SpinPoint without coefficients, goes through
-    :func:`orbits.spin_point`, which rejects an A- or M-part.  Both sides lie
-    in M-perp (by the root grading [w^2(ad_q) mu, mu] has no M-part), so the
-    solve reads E+ coefficients only: the columns are those of the stacked
-    commutators [M_b, mu], which do not depend on q, and the right-hand side
-    is sum_ij w^2(alpha_i) c_i c_j fplus_ijk, minus the zero-gauge spin rate
-    of the direct integrator.  Acceptance requires the linear residual below
-    1e-9 and, as an independent N x N check, the frozen residual
-    |[y_M - w^2(ad_q) mu, mu]| below 1e-8.
-    """
-    if not isinstance(mu, SpinPoint) or mu.coeffs is None:
-        mu = orbits.spin_point(space, mu.xi if isinstance(mu, SpinPoint) else mu)
-    mu_mat, c = mu.xi, mu.coeffs
-    q = np.asarray(q, dtype=float)
+    def __init__(self, space: SymmetricSpaceData, mu):
+        if not isinstance(mu, SpinPoint) or mu.coeffs is None:
+            mu = orbits.spin_point(space, mu.xi if isinstance(mu, SpinPoint) else mu)
+        c = mu.coeffs
+        R = np.zeros((len(space.roots), space.K))
+        np.add.at(R, space.e_root, c[:, None] * (space.fplus.transpose(0, 2, 1) @ c))
+        # M-perp coefficients, contracted as algebra.decompose does
+        comms = space.m_basis @ mu.xi - mu.xi @ space.m_basis
+        cols = -np.einsum("kab,jba->jk", comms, space.eplus).real
+        z, *_ = np.linalg.lstsq(cols, R.T, rcond=None)
+        self.space, self.mu, self.z = space, mu, z.T  # z_r: M coefficients, one row per root
+        self.defect = (cols @ z).T - R  # cols z_r - R_r, one row per root
+        self.root_residuals = np.linalg.norm(self.defect, axis=1)
+
+    def at(self, qs) -> tuple:
+        """At each row of qs: y_M (N x N), the linear residual, the frozen
+        residual |[y_M - w^2(ad_q) mu, mu]| and whether they are below 1e-9, 1e-8."""
+        space, mu = self.space, self.mu
+        w2 = algebra.PHI_FUNCTIONS["inv_sinh_sq"][0](qs @ space.root_coef.T)  # (T, roots)
+        y_m = np.einsum("tb,bij->tij", w2 @ self.z, space.m_basis)
+        d = y_m - np.einsum("tj,jab->tab", w2[:, space.e_root] * mu.coeffs, space.eplus)
+        linear = np.linalg.norm(w2 @ self.defect, axis=1)
+        frozen = np.linalg.norm(d @ mu.xi - mu.xi @ d, axis=(1, 2))
+        return y_m, linear, frozen, (linear < 1e-9) & (frozen < 1e-8)
+
+
+def freezing_solve(space: SymmetricSpaceData, q, mu) -> FreezingResult:
+    """The frozen condition [y_M, mu] = [w^2(ad_q) mu, mu], w = 1/sinh, solved
+    at one chamber point q: the :class:`FreezeCertificate` of mu evaluated at
+    q.  It does not certify the chamber: far out it accepts any spin."""
     algebra.require_off_wall(space, q)
-    K = space.K
-    w2c = c / algebra.sinh_sq(space.alpha_cols(q))  # w^2(ad_q) mu = sum_j w2c_j E+_j
-    rhs = c @ (w2c @ space.fplus.reshape(K, K * K)).reshape(K, K)
-    # M-perp coefficients, contracted as algebra.decompose does
-    comms = space.m_basis @ mu_mat - mu_mat @ space.m_basis
-    cols = -np.einsum("kab,jba->jk", comms, space.eplus).real
-    z, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-    y_m = np.einsum("b,bij->ij", z, space.m_basis)
-    residual = float(np.linalg.norm(cols @ z - rhs))
-    w2_mu = algebra.ad_fn_slice(space, "inv_sinh_sq", q, c)
-    frozen = float(np.linalg.norm(_comm(y_m - w2_mu, mu_mat)))
-    ok = residual < 1e-9 and frozen < 1e-8
-    return FreezingResult(y_m=y_m if ok else None, residual=residual,
-                          frozen_residual=frozen, accepted=ok)
+    (y_m,), (residual,), (frozen,), (ok,) = FreezeCertificate(space, mu).at(np.atleast_2d(q))
+    return FreezingResult(y_m=y_m if ok else None, residual=float(residual),
+                          frozen_residual=float(frozen), accepted=bool(ok))
 
 
 # ---------------------------------------------------------------------------

@@ -115,18 +115,21 @@ def test_simulate_projection_wall_collision_writes_report(tmp_path):
 
 
 def test_simulate_reports_freeze_residual_on_freeze_runs_only(tmp_path):
+    # and the accepted steps on direct runs only
     cfg = write_config(tmp_path / "cfg.json", {"runs": [
         base_run_config(name="freeze"),
         base_run_config(name="zero", t_end=1.0, model={
             "type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2, "seed": 3}),
+        base_run_config(name="proj", t_end=1.0, method="projection"),
     ]})
     out = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"))
     assert out.returncode == 0, out.stderr
-    freeze = json.loads((tmp_path / "o" / "freeze" / "drift_report.json").read_text())
+    freeze, zero, proj = (json.loads((tmp_path / "o" / name / "drift_report.json").read_text())
+                          for name in ("freeze", "zero", "proj"))
     assert freeze["corrections"]["freeze_residual"] < 1e-8
     assert freeze["corrections"]["orbit_spectrum"] == 0.0
-    zero = json.loads((tmp_path / "o" / "zero" / "drift_report.json").read_text())
-    assert set(zero["corrections"]) == {"m_part", "orbit_spectrum"}
+    assert set(zero["corrections"]) == set(proj["corrections"]) == {"m_part", "orbit_spectrum"}
+    assert freeze["n_steps"] > 0 and zero["n_steps"] > 0 and "n_steps" not in proj
 
 
 def test_projection_run_skips_gauge_alignment(tmp_path, monkeypatch):
@@ -272,17 +275,22 @@ def test_freeze_run_far_along_the_chamber(tmp_path):
 
 
 def test_failed_freeze_certificate_fails_its_run_alone(tmp_path):
-    # a generic orbit spin has no freezing gauge: exit 3 with its report
+    # a generic orbit spin has no freezing gauge: exit 3 with its report,
+    # also started far out, where the pointwise solve would accept it
+    orbit = {"type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2}
     cfg = write_config(tmp_path / "cfg.json", {"runs": [
-        base_run_config(name="generic", gauge="freeze", t_end=0.5,
-                        model={"type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2}),
+        base_run_config(name="generic", gauge="freeze", t_end=0.5, model=orbit),
+        base_run_config(name="far", gauge="freeze", t_end=0.5, model=orbit,
+                        space={"family": "su_mn", "m": 2, "n": 2},
+                        initial={"q": [30.0, 10.0], "p": [0.1, -0.2]}),
         base_run_config(name="bc", t_end=0.5),
     ]})
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    report = json.loads((tmp_path / "o" / "generic" / "drift_report.json").read_text())
-    assert report["status"] == "freeze_certificate_failure"
-    assert report["error"].startswith("no freezing gauge at q = ")
-    assert not (tmp_path / "o" / "generic" / "trajectory.csv").exists()
+    for name in ("generic", "far"):
+        report = json.loads((tmp_path / "o" / name / "drift_report.json").read_text())
+        assert report["status"] == "freeze_certificate_failure"
+        assert report["error"].startswith("no freezing gauge on the chamber: root ")
+        assert not (tmp_path / "o" / name / "trajectory.csv").exists()
     bc = json.loads((tmp_path / "o" / "bc" / "drift_report.json").read_text())
     assert bc["status"] == "ok"
 

@@ -350,9 +350,14 @@ def test_batch_failures_stay_per_member(su22, rng):
     generic = generic_su22_point(su22, rng)
     spins = [generic, dynamics.make_phase_point(su22, generic.q, generic.p,
                                                 orbits.xi_red(su22, "d", 1.5))]
-    failed, frozen = dynamics.integrate_direct_batch(su22, spins, 1.0, sample_dt=0.5,
-                                                     gauge="freeze")
-    assert isinstance(failed, algebra.FreezeCertificateError)
+    # far out a generic spin passes the pointwise solve, not the certificate
+    far = dynamics.make_phase_point(su22, np.array([30.0, 10.0]), generic.p, generic.xi)
+    assert dynamics.freezing_solve(su22, far.q, far.xi).accepted
+    failed, frozen, far_failed = dynamics.integrate_direct_batch(
+        su22, spins + [far], 1.0, sample_dt=0.5, gauge="freeze")
+    for exc in (failed, far_failed):
+        assert isinstance(exc, algebra.FreezeCertificateError)
+        assert str(exc).startswith("no freezing gauge on the chamber: root ")
     assert frozen.n_steps > 0 and frozen.freeze_residual < 1e-8
 
 
@@ -437,19 +442,51 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_freeze_gauge_certifies_constant_spin(su32, monkeypatch):
+    # one certificate per member before the first step, no pointwise solve
     mu = orbits.xi_red(su32, "bc", 3.0, 1.0)
     pt = dynamics.make_phase_point(su32, np.array([2.0, 1.0]), np.array([0.1, -0.2]), mu)
-    calls = count_calls(monkeypatch, dynamics, "freezing_solve")
+    solves = count_calls(monkeypatch, dynamics, "freezing_solve")
+    certificates = count_calls(monkeypatch, dynamics, "FreezeCertificate")
+    rhs = dynamics._DirectSystem.__call__
+
+    def no_solve_while_stepping(self, t, Y):
+        assert not solves and len(certificates) == 2
+        return rhs(self, t, Y)
+
+    with mock.patch.object(dynamics._DirectSystem, "__call__", no_solve_while_stepping):
+        pair = dynamics.integrate_direct_batch(su32, [pt, pt], 3.0, sample_dt=0.5,
+                                               gauge="freeze")
     traj = dynamics.integrate_direct(su32, pt, 3.0, tol=1e-10, sample_dt=0.5,
                                      gauge="freeze")
-    assert traj.n_steps > 0
-    assert len(calls) == 1 + traj.n_steps  # t = 0 plus every accepted step
+    assert len(solves) == 0 and len(certificates) == 3
+    assert traj.n_steps > 0 and all(t.n_steps == traj.n_steps for t in pair)
     for ptt in traj.points:
         assert ptt.xi.coeffs.tobytes() == mu.coeffs.tobytes()
     assert traj.m_drift == 0.0 and traj.orbit_drift == 0.0
     assert traj.freeze_residual < 1e-8
     zero = dynamics.integrate_direct(su32, pt, 0.5, tol=1e-10, sample_dt=0.5)
     assert zero.freeze_residual is None
+
+
+def test_freeze_sample_check_fails_its_member_alone(su32, monkeypatch):
+    # the N x N check at the samples: a member with a sample past its bound
+    # fails, naming the sample; the other member is unchanged
+    mu = orbits.xi_red(su32, "bc", 3.0, 1.0)
+    pts = [dynamics.make_phase_point(su32, np.array([q1, 1.0]), np.array([0.1, -0.2]), mu)
+           for q1 in (2.0, 3.0)]
+    at = dynamics.FreezeCertificate.at
+
+    def last_sample_fails_from_q1_3(self, qs):
+        y_m, linear, frozen, ok = at(self, qs)
+        if qs[0, 0] == 3.0:
+            frozen[-1], ok[-1] = 1.0, False
+        return y_m, linear, frozen, ok
+
+    monkeypatch.setattr(dynamics.FreezeCertificate, "at", last_sample_fails_from_q1_3)
+    ok, failed = dynamics.integrate_direct_batch(su32, pts, 1.0, sample_dt=0.5, gauge="freeze")
+    assert str(failed).startswith("no freezing gauge at the sample t = 1 (linear residual ")
+    assert str(failed).endswith(", frozen residual 1.000e+00)")
+    assert ok.freeze_residual < 1e-8 and len(ok) == 3
 
 
 def test_freeze_gauge_rejects_generic_spin(su22, rng):
@@ -796,16 +833,14 @@ def test_freezing_rejects_m_part(su22, rng):
         dynamics.freezing_solve(su22, q, su22.m_basis[0])
 
 
-def test_freezing_generic_spin_logged(su22, rng):
-    # genericity expectation only: record the outcome, no hard assertion
+def test_freeze_certificate_rejects_generic_orbit_spins(su22, rng):
+    # a generic orbit spin leaves O(1) per-root residuals, although far out
+    # the pointwise solve cannot tell: both of its residuals vanish there
     spec = OrbitSpec.su(kappa_m=1.0, kappa_n=0.5, x=0.2)
-    outcomes = []
     for _ in range(5):
         mu = orbits.random_slice_spin(su22, spec, rng)
-        q = algebra.random_chamber_point(su22, rng)
-        res = dynamics.freezing_solve(su22, q, mu)
-        outcomes.append((res.accepted, res.residual))
-    print("generic-spin freezing outcomes (accepted, residual):", outcomes)
+        assert dynamics.FreezeCertificate(su22, mu).root_residuals.max() > 0.1
+        assert dynamics.freezing_solve(su22, np.array([30.0, 10.0]), mu).accepted
 
 
 CATALOG_SPACES = [models.model_space(model) for model in models.CATALOG]
@@ -827,27 +862,35 @@ def freezing_reference(space, q, xi):
 
 @settings(max_examples=60, deadline=None)
 @given(index=st.integers(0, len(models.CATALOG) - 1), seed=st.integers(0, 2 ** 32 - 1),
-       generic=st.booleans())
-def test_freezing_solve_matches_matrix_reference(index, seed, generic):
-    # the coefficient solve against the N x N formulation, on the catalog
-    # spins (accepted) and on random M-perp elements of the same spaces
+       generic=st.booleans(), far=st.sampled_from([0.0, *FAR_ALONG]))
+def test_freezing_solve_matches_matrix_reference(index, seed, generic, far):
+    # the certificate and the solve at q against the N x N formulation, on
+    # the catalog spins (certified on the whole chamber) and on random M-perp
+    # elements of the same spaces (rejected, but on the rank-one spaces
+    # su(2,1) and sl(2,C), where every M-perp spin freezes), with the first
+    # particle moved ``far`` out along the chamber
     space = CATALOG_SPACES[index]
     rng = np.random.default_rng(seed)
     q = algebra.random_chamber_point(space, rng)
+    q[0] += far
+    if space.spec.family == "sl_kc":
+        q -= q.mean()
     if generic:
         c = rng.standard_normal(space.K)
         mu = orbits.SpinPoint(xi=algebra.reconstruct(space, cplus=c), coeffs=c,
                               on_slice=True)
     else:
         mu = models.model_spin(space, models.CATALOG[index])
+    cert = dynamics.FreezeCertificate(space, mu)
+    assert (cert.root_residuals.max() < 1e-9) == (not generic or space.rank == 1)
     res = dynamics.freezing_solve(space, q, mu)
     ref = freezing_reference(space, q, mu.xi)
     for key in ("residual", "frozen_residual"):
         assert abs(getattr(res, key) - ref[key]) <= 1e-12 * max(1.0, ref[key]), key
     if not generic:
         assert res.accepted
-    if res.accepted:
-        assert np.abs(res.y_m - ref["y_m"]).max() <= 1e-12 * max(1.0, np.abs(ref["y_m"]).max())
+    (y_m,), *_ = cert.at(q[None])
+    assert np.abs(y_m - ref["y_m"]).max() <= 1e-12 * max(1.0, np.abs(ref["y_m"]).max())
 
 
 def test_freezing_solve_reads_coefficients_only(monkeypatch, rng):
