@@ -13,6 +13,11 @@ Realizes the two negative-curvature families used throughout the package:
 All decompositions (A, M, A-perp, M-perp) are computed by trace pairings
 against the stored orthonormal basis; no eigen-solvers are involved.  The
 bilinear form is ``<X, Y> = Re tr(XY)`` throughout.
+
+The matrix functions below act on the last two axes and the coordinate
+functions on the last axis, so a stack of matrices (or coordinate rows)
+goes through one call.  Each matrix of a stack is rounded as it is on its
+own, and a certificate on a stack raises if any of its matrices fails.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "build_space",
     "theta",
     "split",
+    "dagger",
     "project",
     "decompose",
     "reconstruct",
@@ -40,6 +46,7 @@ __all__ = [
     "membership_residual",
     "project_to_algebra",
     "pair",
+    "row_dots",
     "embed",
     "coords_of",
     "is_regular",
@@ -187,6 +194,7 @@ class SymmetricSpaceData:
     m_basis: np.ndarray      # (dim M, N, N) orthonormal basis of M
     a_basis: np.ndarray      # (rank, N, N) orthonormal basis of A
     root_coef: np.ndarray    # (R, n_coords)
+    col_coef_t: np.ndarray   # (n_coords, K): alpha_j(q) = q @ col_coef_t[:, j]
     coord_weight: float      # tr(embed(unit coordinate)^2)
     fplus: np.ndarray        # (K, K, K) M-perp structure constants, see build_space
 
@@ -206,11 +214,11 @@ class SymmetricSpaceData:
 
     def alpha_cols(self, q) -> np.ndarray:
         """alpha_j(q) for every M-perp/A-perp basis column j."""
-        return (self.root_coef @ np.asarray(q, dtype=float))[self.e_root]
+        return np.asarray(q, dtype=float) @ self.col_coef_t
 
     def root_values(self, q) -> np.ndarray:
         """alpha(q) over the positive roots."""
-        return self.root_coef @ np.asarray(q, dtype=float)
+        return np.asarray(q, dtype=float) @ self.root_coef.T
 
     def label(self) -> str:
         return self.spec.label()
@@ -400,6 +408,7 @@ def _build_su(spec: SpaceSpec) -> SymmetricSpaceData:
         e_root=np.array(e_root, dtype=int), e_labels=tuple(labels),
         m_basis=m_basis, a_basis=np.array(a_basis),
         root_coef=np.array([r.coef for r in roots]),
+        col_coef_t=_col_coef_t(roots, e_root),
         coord_weight=2.0, fplus=_structure_constants(eplus),
     )
 
@@ -458,6 +467,7 @@ def _build_sl(spec: SpaceSpec) -> SymmetricSpaceData:
         e_root=np.array(e_root, dtype=int), e_labels=tuple(labels),
         m_basis=m_basis, a_basis=a_basis,
         root_coef=np.array([r.coef for r in roots]),
+        col_coef_t=_col_coef_t(roots, e_root),
         coord_weight=1.0, fplus=_structure_constants(eplus),
     )
 
@@ -477,9 +487,14 @@ def build_space(spec: SpaceSpec) -> SymmetricSpaceData:
     else:
         raise AdmissibilityError(f"unknown family {spec.family!r}")
     for arr in (space.eplus, space.eminus, space.e_root, space.m_basis,
-                space.a_basis, space.root_coef, space.fplus):
+                space.a_basis, space.root_coef, space.col_coef_t, space.fplus):
         arr.setflags(write=False)
     return space
+
+
+def _col_coef_t(roots, e_root) -> np.ndarray:
+    """Coefficient vectors of the roots of the basis columns, as columns."""
+    return np.array([roots[r].coef for r in e_root]).T.copy()
 
 
 def _structure_constants(eplus: np.ndarray) -> np.ndarray:
@@ -497,9 +512,16 @@ def _structure_constants(eplus: np.ndarray) -> np.ndarray:
 # Membership, involution, pairings
 # ---------------------------------------------------------------------------
 
-def pair(X: np.ndarray, Y: np.ndarray) -> float:
-    """Invariant bilinear form <X, Y> = Re tr(XY)."""
-    return float(np.einsum("ab,ba->", X, Y).real)
+def pair(X: np.ndarray, Y: np.ndarray):
+    """Invariant bilinear form <X, Y> = Re tr(XY): a float, or one value per
+    matrix of a stack."""
+    out = np.einsum("...ab,...ba->...", X, Y).real
+    return float(out) if out.ndim == 0 else out
+
+
+def row_dots(a, b):
+    """a . b along the last axis, each rounded as the 1-D dot product is."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _signature(space: SymmetricSpaceData) -> np.ndarray:
@@ -507,14 +529,16 @@ def _signature(space: SymmetricSpaceData) -> np.ndarray:
     return np.concatenate([np.ones(m), -np.ones(n)])
 
 
-def membership_residual(space: SymmetricSpaceData, X: np.ndarray) -> float:
-    """Entrywise distance of X from the ambient real algebra."""
+def membership_residual(space: SymmetricSpaceData, X: np.ndarray):
+    """Entrywise distance of X from the ambient real algebra (one value per
+    matrix of a stack)."""
     X = np.asarray(X, dtype=complex)
-    res = abs(np.trace(X)) / space.N
+    res = np.abs(np.trace(X, axis1=-2, axis2=-1)) / space.N
     if space.spec.family == "su_mn":
         sig = _signature(space)
-        res = max(res, float(np.abs(X.conj().T * sig[:, None] * sig[None, :] + X).max()))
-    return res
+        res = np.maximum(res, np.abs(dagger(X) * sig[:, None] * sig[None, :] + X)
+                         .max(axis=(-2, -1)))
+    return float(res) if res.ndim == 0 else res
 
 
 def project_to_algebra(space: SymmetricSpaceData, X: np.ndarray) -> np.ndarray:
@@ -522,8 +546,8 @@ def project_to_algebra(space: SymmetricSpaceData, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if space.spec.family == "su_mn":
         sig = _signature(space)
-        X = 0.5 * (X - sig[:, None] * X.conj().T * sig[None, :])
-    return X - (np.trace(X) / space.N) * np.eye(space.N)
+        X = 0.5 * (X - sig[:, None] * dagger(X) * sig[None, :])
+    return X - (np.trace(X, axis1=-2, axis2=-1) / space.N)[..., None, None] * np.eye(space.N)
 
 
 def theta(space: SymmetricSpaceData, X: np.ndarray) -> np.ndarray:
@@ -532,7 +556,12 @@ def theta(space: SymmetricSpaceData, X: np.ndarray) -> np.ndarray:
     if space.spec.family == "su_mn":
         sig = _signature(space)
         return sig[:, None] * X * sig[None, :]
-    return -X.conj().T
+    return -dagger(X)
+
+
+def dagger(X: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return X.conj().swapaxes(-1, -2)
 
 
 def split(space: SymmetricSpaceData, X: np.ndarray):
@@ -548,19 +577,18 @@ def split(space: SymmetricSpaceData, X: np.ndarray):
 def embed(space: SymmetricSpaceData, q) -> np.ndarray:
     """Embed coordinates into the flat A as an ambient matrix."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (space.n_coords,):
+    if q.shape[-1:] != (space.n_coords,):
         raise ValueError(f"expected {space.n_coords} coordinates, got shape {q.shape}")
-    N = space.N
-    out = np.zeros((N, N), complex)
+    out = np.zeros(q.shape[:-1] + (space.N, space.N), complex)
     if space.spec.family == "su_mn":
         m = space.spec.m
         for j in range(space.spec.n):
-            out[j, m + j] = q[j]
-            out[m + j, j] = q[j]
+            out[..., j, m + j] = out[..., m + j, j] = q[..., j]
     else:
-        if abs(q.sum()) > 1e-9 * max(1.0, np.abs(q).max()):
+        if np.any(np.abs(q.sum(axis=-1)) > 1e-9 * np.maximum(1.0, np.abs(q).max(axis=-1))):
             raise ValueError("sl(k,C) Cartan coordinates must sum to zero")
-        np.fill_diagonal(out, q)
+        for j in range(space.N):
+            out[..., j, j] = q[..., j]
     return out
 
 
@@ -570,8 +598,8 @@ def coords_of(space: SymmetricSpaceData, X: np.ndarray) -> np.ndarray:
     if space.spec.family == "su_mn":
         m, n = space.spec.m, space.spec.n
         idx = np.arange(n)
-        return 0.5 * (X[idx, m + idx].real + X[m + idx, idx].real)
-    return np.diag(X).real.copy()
+        return 0.5 * (X[..., idx, m + idx].real + X[..., m + idx, idx].real)
+    return np.diagonal(X, axis1=-2, axis2=-1).real.copy()
 
 
 def is_regular(space: SymmetricSpaceData, q, tol: float = EPS_REGULAR) -> bool:
@@ -604,24 +632,26 @@ def decompose(space: SymmetricSpaceData, X: np.ndarray):
     M-perp / A-perp coefficient vectors.
     """
     X = np.asarray(X, dtype=complex)
-    cplus = -np.einsum("ab,jba->j", X, space.eplus).real
-    cminus = np.einsum("ab,jba->j", X, space.eminus).real
-    cm = -np.einsum("ab,jba->j", X, space.m_basis).real if space.dim_m else np.zeros(0)
+    cplus = -np.einsum("...ab,jba->...j", X, space.eplus).real
+    cminus = np.einsum("...ab,jba->...j", X, space.eminus).real
+    cm = (-np.einsum("...ab,jba->...j", X, space.m_basis).real if space.dim_m
+          else np.zeros(X.shape[:-2] + (0,)))
     a = coords_of(space, X)
     return a, cm, cplus, cminus
 
 
 def reconstruct(space: SymmetricSpaceData, a=None, cm=None, cplus=None, cminus=None) -> np.ndarray:
     """Inverse of :func:`decompose` for members of the algebra."""
-    X = np.zeros((space.N, space.N), complex)
+    lead = next((np.shape(c)[:-1] for c in (a, cm, cplus, cminus) if c is not None), ())
+    X = np.zeros(lead + (space.N, space.N), complex)
     if a is not None and np.any(a):
         X += embed(space, a)
     if cm is not None and space.dim_m and np.any(cm):
-        X += np.einsum("j,jab->ab", cm, space.m_basis)
+        X += np.einsum("...j,jab->...ab", cm, space.m_basis)
     if cplus is not None and np.any(cplus):
-        X += np.einsum("j,jab->ab", cplus, space.eplus)
+        X += np.einsum("...j,jab->...ab", cplus, space.eplus)
     if cminus is not None and np.any(cminus):
-        X += np.einsum("j,jab->ab", cminus, space.eminus)
+        X += np.einsum("...j,jab->...ab", cminus, space.eminus)
     return X
 
 
@@ -737,7 +767,8 @@ def ad_fn_slice(space: SymmetricSpaceData, phi: str, q, cplus) -> np.ndarray:
     func, parity, _ = PHI_FUNCTIONS[phi]
     basis = space.eminus if parity == "odd" else space.eplus
     K, N = space.K, space.N
-    return ((func(space.alpha_cols(q)) * cplus) @ basis.reshape(K, N * N)).reshape(N, N)
+    scaled = func(space.alpha_cols(q)) * cplus
+    return (scaled[..., None, :] @ basis.reshape(K, N * N)).reshape(scaled.shape[:-1] + (N, N))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ Poisson brackets (with the two commutator identities behind the proof), the
 non-involution witness for compact-only invariants, single-point orbit
 reduction and the slice-emptiness probe, the quadratic coupling relation,
 and agreement of the reduced Hamiltonian with the closed-form catalog.
+
+The slice, bracket, catalog and freezing checks draw their random numbers
+one draw at a time, in the order of the per-draw functions
+(:func:`random_phase_point` and friends), and then evaluate all draws of a
+space or model at once on stacked arrays.  A residual is the largest over
+the draws, and a NaN draw makes it NaN, so the check fails.
 """
 
 from __future__ import annotations
@@ -70,12 +76,30 @@ def default_orbit_spec(space: SymmetricSpaceData) -> OrbitSpec:
 def random_phase_point(space: SymmetricSpaceData, rng: np.random.Generator,
                        spec: OrbitSpec | None = None) -> dynamics.PhasePoint:
     spec = spec or default_orbit_spec(space)
-    xi = orbits.random_slice_spin(space, spec, rng)
+    u, v, q, p = _phase_draw(space, spec, rng)
+    return dynamics.make_phase_point(space, q, p, orbits.slice_spin(space, spec, u, v))
+
+
+def _phase_draw(space: SymmetricSpaceData, spec: OrbitSpec, rng: np.random.Generator) -> tuple:
+    """The random numbers of one :func:`random_phase_point`, in its order:
+    the spin's vectors, then q and p."""
+    u, v = orbits.draw_slice_vectors(space, spec, rng)
     q = algebra.random_chamber_point(space, rng)
     p = rng.standard_normal(space.n_coords)
     if space.spec.family == "sl_kc":
         p -= p.mean()
-    return dynamics.make_phase_point(space, q, p, xi)
+    return u, v, q, p
+
+
+def _phase_points(space: SymmetricSpaceData, spec: OrbitSpec, draws: list) -> dynamics.PhasePoint:
+    """The phase points of draws of :func:`_phase_draw`, as one stacked point."""
+    u, v, q, p = (None if col[0] is None else np.array(col) for col in zip(*draws))
+    return dynamics.make_phase_point(space, q, p, orbits.slice_spin(space, spec, u, v))
+
+
+def _worst(values) -> float:
+    """The largest value; NaN if any value is NaN."""
+    return float(np.max(values))
 
 
 # ---------------------------------------------------------------------------
@@ -129,44 +153,66 @@ def slice_checks(space: SymmetricSpaceData, rng: np.random.Generator,
                  n_draws: int = 100) -> list:
     """Momentum map vanishes on slice points built from admissible data."""
     spec = default_orbit_spec(space)
-    worst = 0.0
-    for _ in range(n_draws):
-        pt = random_phase_point(space, rng, spec)
-        up = orbits.build_slice_point(space, pt.q, pt.p, pt.xi)
-        worst = max(worst, float(np.linalg.norm(orbits.moment_map(space, up))))
+    pt = _phase_points(space, spec, [_phase_draw(space, spec, rng) for _ in range(n_draws)])
+    psi = orbits.moment_map(space, orbits.build_slice_point(space, pt.q, pt.p, pt.xi))
     return [CheckResult(f"{space.label()}: slice momentum-map residual ({n_draws} draws)",
-                        worst, 1e-10)]
+                        _worst(np.linalg.norm(psi, axis=(-2, -1))), 1e-10)]
+
+
+def _gradients(space: SymmetricSpaceData, cls: str, orders, L: np.ndarray) -> np.ndarray:
+    """dynamics.gradient of each draw's invariant (class cls, its order in
+    orders) at its matrix of L: one call per order."""
+    out = np.empty_like(L)
+    for k in np.unique(orders):
+        sel = orders == k
+        out[sel] = dynamics.gradient(space, InvariantSpec(cls, int(k)), L[sel])
+    return out
 
 
 def bracket_checks(space: SymmetricSpaceData, rng: np.random.Generator,
                    n_draws: int = 200) -> list:
-    """Invariant-bracket vanishing plus the two commutator identities."""
+    """Invariant-bracket vanishing plus the two commutator identities.
+
+    Per draw: two full invariants f, h (trace powers of orders 2-4) at
+    parameters x, y give dynamics.bracket_formula (x y plus - minus) and
+    dynamics.identity_416 from one evaluation of the pairings; on su(m,n) a
+    block invariant b at x against h gives bracket_formula at y = +-1 and
+    dynamics.identity_413 at y."""
     name = space.label()
     has_block = space.spec.family == "su_mn"
     spec = default_orbit_spec(space)
-    worst_gg = worst_mix = worst_413 = worst_416 = 0.0
+    draws, xy, orders, block_orders, ysigns = [], [], [], [], []
     for _ in range(n_draws):
-        pt = random_phase_point(space, rng, spec)
-        x, y = rng.uniform(-2.0, 2.0, size=2)
-        f2 = InvariantSpec("trace_power", int(rng.integers(2, 5)))
-        h2 = InvariantSpec("trace_power", int(rng.integers(2, 5)))
-        # bracket_formula and identity_416 of one evaluation of the pairings
-        plus, minus = dynamics.bracket_pairings(space, f2, x, h2, y, pt)
-        worst_gg = max(worst_gg, abs(x * y * plus - minus))
-        worst_416 = max(worst_416, abs(y * plus - x * minus))
+        draws.append(_phase_draw(space, spec, rng))
+        xy.append(rng.uniform(-2.0, 2.0, size=2))
+        orders.append((int(rng.integers(2, 5)), int(rng.integers(2, 5))))
         if has_block:
-            fb = InvariantSpec("block_invariant", int(rng.integers(1, 3)))
-            ysign = 1.0 if rng.uniform() < 0.5 else -1.0
-            worst_mix = max(worst_mix, abs(dynamics.bracket_formula(space, fb, x, h2, ysign, pt)))
-            worst_413 = max(worst_413, dynamics.identity_413(space, fb, x, h2, y, pt))
+            block_orders.append(int(rng.integers(1, 3)))
+            ysigns.append(1.0 if rng.uniform() < 0.5 else -1.0)
+    pt = _phase_points(space, spec, draws)
+    xi = pt.xi.xi
+    x, y = np.array(xy).T
+    kf, kh = np.array(orders).T
+    lax_x = dynamics.lax(space, pt, x)
+    grad_h = _gradients(space, "trace_power", kh, dynamics.lax(space, pt, y))
+    plus, minus = dynamics.gradient_pairings(
+        space, xi, _gradients(space, "trace_power", kf, lax_x), grad_h)
     out = [
-        CheckResult(f"{name}: full-invariant brackets vanish", worst_gg, 1e-10),
-        CheckResult(f"{name}: mirror commutator identity", worst_416, 1e-10),
+        CheckResult(f"{name}: full-invariant brackets vanish",
+                    _worst(np.abs(x * y * plus - minus)), 1e-10),
+        CheckResult(f"{name}: mirror commutator identity",
+                    _worst(np.abs(y * plus - x * minus)), 1e-10),
     ]
     if has_block:
+        ysign = np.array(ysigns)
+        grad_b = _gradients(space, "block_invariant", np.array(block_orders), lax_x)
+        grad_s = _gradients(space, "trace_power", kh, dynamics.lax(space, pt, ysign))
+        plus, minus = dynamics.gradient_pairings(space, xi, grad_b, grad_s)
         out.append(CheckResult(f"{name}: mixed brackets vanish at unit parameter",
-                               worst_mix, 1e-10))
-        out.append(CheckResult(f"{name}: mixed commutator identity", worst_413, 1e-10))
+                               _worst(np.abs(x * ysign * plus - minus)), 1e-10))
+        plus, minus = dynamics.gradient_pairings(space, xi, grad_b, grad_h)
+        out.append(CheckResult(f"{name}: mixed commutator identity",
+                               _worst(np.abs(x * plus - y * minus)), 1e-10))
     return out
 
 
@@ -211,14 +257,14 @@ def reduction_checks(rng: np.random.Generator) -> list:
         1.0 / margin if margin > 0 else np.inf, 1e3,
         details=f"min M-part norm over 10^4 samples = {margin:.6g}"))
 
-    worst = 0.0
+    residuals = []
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         kappa = float(rng.uniform(0.05, 4.0))
         x = float(rng.uniform(-kappa, kappa / n))
-        worst = max(worst, models.coupling_relation_residual(n, kappa, x))
+        residuals.append(models.coupling_relation_residual(n, kappa, x))
     out.append(CheckResult("coupling relation g1^2 - 2g^2 + sqrt(2) g g2 (1000 draws)",
-                           worst, 1e-13))
+                           _worst(residuals), 1e-13))
     return out
 
 
@@ -233,19 +279,17 @@ def catalog_checks(rng: np.random.Generator, n_samples: int = 50) -> list:
 
 def freezing_checks(rng: np.random.Generator, n_points: int = 20) -> list:
     """Freezing gauge solvable at random chamber points for every catalog
-    entry."""
+    entry: one dynamics.FreezeCertificate per model, evaluated at all of its
+    points (dynamics.freezing_solve at each point)."""
     out = []
     for model in models.CATALOG:
         space = models.model_space(model)
-        mu = models.model_spin(space, model)
-        worst_solve = worst_frozen = 0.0
-        for _ in range(n_points):
-            q = algebra.random_chamber_point(space, rng)
-            res = dynamics.freezing_solve(space, q, mu)
-            worst_solve = max(worst_solve, res.residual)
-            worst_frozen = max(worst_frozen, res.frozen_residual)
-        out.append(CheckResult(f"{model.label()}: freezing solve residual", worst_solve, 1e-9))
-        out.append(CheckResult(f"{model.label()}: frozen-spin condition", worst_frozen, 1e-8))
+        cert = dynamics.FreezeCertificate(space, models.model_spin(space, model))
+        qs = np.array([algebra.random_chamber_point(space, rng) for _ in range(n_points)])
+        algebra.require_off_wall(space, qs)
+        _, linear, frozen, _ = cert.at(qs)
+        out.append(CheckResult(f"{model.label()}: freezing solve residual", _worst(linear), 1e-9))
+        out.append(CheckResult(f"{model.label()}: frozen-spin condition", _worst(frozen), 1e-8))
     return out
 
 

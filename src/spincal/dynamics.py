@@ -69,6 +69,7 @@ __all__ = [
     "invariant_value",
     "gradient",
     "bracket_pairings",
+    "gradient_pairings",
     "bracket_formula",
     "identity_413",
     "identity_416",
@@ -92,12 +93,14 @@ class PhasePoint:
 
 
 def make_phase_point(space: SymmetricSpaceData, q, p, xi: SpinPoint | None = None) -> PhasePoint:
+    """A checked phase point; rows of q and p (with one spin, or a stack of
+    as many) give a stacked point for the functions that take stacks."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    if q.shape != (space.n_coords,) or p.shape != (space.n_coords,):
+    if q.shape[-1:] != (space.n_coords,) or p.shape != q.shape:
         raise ValueError(f"q and p must have {space.n_coords} coordinates")
     if space.spec.family == "sl_kc":
-        if abs(q.sum()) > 1e-9 or abs(p.sum()) > 1e-9:
+        if np.abs(q.sum(axis=-1)).max() > 1e-9 or np.abs(p.sum(axis=-1)).max() > 1e-9:
             raise ValueError("sl(k,C) coordinates and momenta must sum to zero")
     if not algebra.is_in_chamber(space, q):
         raise WallProximityError(f"q = {q} is not in the open Weyl chamber")
@@ -180,13 +183,15 @@ class FreezingResult:
 # ---------------------------------------------------------------------------
 
 def hamiltonian(space: SymmetricSpaceData, pt: PhasePoint) -> float:
-    """Kinetic term plus the inverse-sinh-squared spin potential."""
+    """Kinetic term plus the inverse-sinh-squared spin potential (one value
+    per row of a stacked point)."""
     algebra.require_off_wall(space, pt.q)
-    val = 0.5 * float(np.dot(pt.p, pt.p))
+    val = 0.5 * algebra.row_dots(pt.p, pt.p)
     if not pt.xi.is_zero:
         av = space.alpha_cols(pt.q)
-        val += float(np.sum(pt.xi.coeffs ** 2 / algebra.sinh_sq(av))) / (2.0 * space.coord_weight)
-    return val
+        val = val + (np.sum(pt.xi.coeffs ** 2 / algebra.sinh_sq(av), axis=-1)
+                     / (2.0 * space.coord_weight))
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def hamiltonian_via_lax(space: SymmetricSpaceData, pt: PhasePoint) -> float:
@@ -201,11 +206,16 @@ def lax(space: SymmetricSpaceData, pt: PhasePoint, x: float) -> np.ndarray:
     On the zero set of the momentum map, L(0) = J_minus and
     L(1) = J_minus + tanh(ad_q) J_minus.  The spin is on the slice, so
     coth(ad_q) xi is a scaling of its coefficients (:func:`algebra.ad_fn_slice`).
+    A stacked point gives a stack of Lax matrices, with x a float or one
+    value per point.
     """
     algebra.require_off_wall(space, pt.q)
     L = algebra.embed(space, pt.p)
     if pt.xi.is_zero:
         return L
+    x = np.asarray(x, dtype=float)
+    if x.ndim:
+        x = x[..., None, None]
     return L - algebra.ad_fn_slice(space, "coth", pt.q, pt.xi.coeffs) - x * pt.xi.xi
 
 
@@ -339,9 +349,8 @@ class _DirectSystem:
         self.space = space
         self.nc = space.n_coords
         self.gauge = gauge
-        coef = space.root_coef[space.e_root]  # alpha_j(q) = coef[j] @ q
-        self.coef_t = np.ascontiguousarray(coef.T)
-        self.force_coef = coef / space.coord_weight
+        self.coef_t = space.col_coef_t  # alpha_j(q) = q @ coef_t[:, j]
+        self.force_coef = space.root_coef[space.e_root] / space.coord_weight
         self.root_coef_t = np.ascontiguousarray(space.root_coef.T)
         self.neg_fplus = -space.fplus.reshape(K * K, K)
         self.eplus = space.eplus.reshape(K, N * N)  # row j: E+_j
@@ -405,11 +414,6 @@ def _restore_block_spectra(space: SymmetricSpaceData, xi: np.ndarray, ref) -> np
         w, V = np.linalg.eigh(-1j * xi[..., sl, sl])
         out[..., sl, sl] = (V * ref[..., sl]) @ V.conj().swapaxes(-1, -2)
     return out
-
-
-def _row_dots(a, b) -> np.ndarray:
-    """a_r . b_r for every row r, each rounded as the 1-D dot product is."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def sample_grid(t_end: float, sample_dt: float | None = None) -> tuple:
@@ -508,8 +512,8 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
         fixed = _restore_block_spectra(space, xi, spec_ref[members])
         d = (fixed - xi).reshape(len(members), -1)
         # squared Frobenius norms, each as np.linalg.norm sums them
-        drift_sq[members] = np.maximum(drift_sq[members],
-                                       _row_dots(d.real, d.real) + _row_dots(d.imag, d.imag))
+        drift_sq[members] = np.maximum(drift_sq[members], algebra.row_dots(d.real, d.real)
+                                       + algebra.row_dots(d.imag, d.imag))
         Y5[:, 2 * nc:] = sys.spin_coeffs(fixed)
         return Y5
 
@@ -620,7 +624,7 @@ def _step_batch(space, sys, y0, times, tol, t_end, h0, restore, stopped):
             ks[:, i] = sys(t, yi)  # the field is autonomous: t is the step's start
         y5 = yi  # the last stage's argument
         r = hc * (_DP_E @ ks) / (tol + tol * np.maximum(np.abs(Y), np.abs(y5)))
-        err = [math.sqrt(sq / D) for sq in _row_dots(r, r).tolist()]
+        err = [math.sqrt(sq / D) for sq in algebra.row_dots(r, r).tolist()]
         # a non-finite error gives the factor 0.2, a retry with a fifth of h
         h_step, h = h, h * np.array([min(5.0, max(0.2, 0.9 * (e + 1e-300) ** (-0.2)))
                                      for e in err])
@@ -703,7 +707,8 @@ def invariant_value(space: SymmetricSpaceData, spec: InvariantSpec, X: np.ndarra
 
 def gradient(space: SymmetricSpaceData, spec: InvariantSpec, X: np.ndarray) -> np.ndarray:
     """Riesz gradient of the generator with respect to <X,Y> = Re tr(XY):
-    the unique algebra element with <Y, grad f> = d/dt f(X + tY)."""
+    the unique algebra element with <Y, grad f> = d/dt f(X + tY), for each
+    matrix of a stack."""
     X = np.asarray(X, dtype=complex)
     if spec.cls == "trace_power":
         c = _trace_power_coef(space, spec.k)
@@ -711,15 +716,15 @@ def gradient(space: SymmetricSpaceData, spec: InvariantSpec, X: np.ndarray) -> n
         return algebra.project_to_algebra(space, W)
     if space.spec.family != "su_mn":
         raise AdmissibilityError("block invariants are defined on the su(m,n) family")
-    m, n, k = space.spec.m, space.spec.n, spec.k
-    A, B = X[:m, :m], X[:m, m:]
-    Bd, D = X[m:, :m], X[m:, m:]
+    m, k = space.spec.m, spec.k
+    A, B = X[..., :m, :m], X[..., :m, m:]
+    Bd, D = X[..., m:, :m], X[..., m:, m:]
     Nm = np.linalg.matrix_power(A @ B @ D @ Bd, k - 1)
     W = np.zeros_like(X)
-    W[:m, :m] = B @ D @ Bd @ Nm
-    W[:m, m:] = Nm @ A @ B @ D
-    W[m:, :m] = D @ Bd @ Nm @ A
-    W[m:, m:] = Bd @ Nm @ A @ B
+    W[..., :m, :m] = B @ D @ Bd @ Nm
+    W[..., :m, m:] = Nm @ A @ B @ D
+    W[..., m:, :m] = D @ Bd @ Nm @ A
+    W[..., m:, m:] = Bd @ Nm @ A @ B
     return algebra.project_to_algebra(space, k * W)
 
 
@@ -731,9 +736,16 @@ def bracket_pairings(space: SymmetricSpaceData, f: InvariantSpec, x: float,
                      h: InvariantSpec, y: float, pt: PhasePoint) -> tuple:
     """<xi, [(grad f)+(K(x)), (grad h)+(K(y))]> and the same pairing of the
     minus parts, with K(x) = J_minus - x xi = L(x) on the constraint surface."""
-    xi = pt.xi.xi
-    gf_p, gf_m = algebra.split(space, gradient(space, f, lax(space, pt, x)))
-    gh_p, gh_m = algebra.split(space, gradient(space, h, lax(space, pt, y)))
+    return gradient_pairings(space, pt.xi.xi, gradient(space, f, lax(space, pt, x)),
+                             gradient(space, h, lax(space, pt, y)))
+
+
+def gradient_pairings(space: SymmetricSpaceData, xi, grad_f, grad_h) -> tuple:
+    """<xi, [grad_f+, grad_h+]> and <xi, [grad_f-, grad_h-]>: the pairings of
+    :func:`bracket_pairings` from the two gradients, one pair per matrix of
+    a stack."""
+    gf_p, gf_m = algebra.split(space, grad_f)
+    gh_p, gh_m = algebra.split(space, grad_h)
     return pair(xi, _comm(gf_p, gh_p)), pair(xi, _comm(gf_m, gh_m))
 
 

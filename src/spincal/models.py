@@ -108,27 +108,30 @@ def coupling_relation_residual(n: int, kappa: float, x: float) -> float:
 
 
 def _pair_terms(q):
+    """q_i - q_j and q_i + q_j over the pairs i < j of the last axis."""
     q = np.asarray(q, dtype=float)
-    i, j = np.triu_indices(q.size, k=1)
-    return q[i] - q[j], q[i] + q[j]
+    i, j = np.triu_indices(q.shape[-1], k=1)
+    return q[..., i] - q[..., j], q[..., i] + q[..., j]
 
 
-def _pole_sum(z) -> float:
-    """sum 1/sinh^2(z), with the far-out limit 0 past algebra.FAR_ROOT."""
-    return float(np.sum(algebra.PHI_FUNCTIONS["inv_sinh_sq"][0](z)))
+def _pole_sum(z):
+    """sum 1/sinh^2(z) along the last axis, with the far-out limit 0 past
+    algebra.FAR_ROOT."""
+    return np.sum(algebra.PHI_FUNCTIONS["inv_sinh_sq"][0](z), axis=-1)
 
 
-def closed_form_H(model: SpinlessModel, q, p) -> float:
-    """Evaluate the catalog Hamiltonian at coordinates (q, p)."""
+def closed_form_H(model: SpinlessModel, q, p):
+    """Evaluate the catalog Hamiltonian at coordinates (q, p): a float, or
+    one value per row of stacked q and p."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    kin = 0.5 * float(np.dot(p, p))
+    kin = 0.5 * algebra.row_dots(p, p)
     if model.family == "a":
         diff = _pair_terms(q)[0]
         if np.abs(diff).min(initial=np.inf) < algebra.EPS_WALL:
             raise algebra.WallProximityError("coinciding particles")
         g2 = SUTHERLAND_COUPLING_FACTOR * model.kappa ** 2
-        return kin + g2 * _pole_sum(diff)
+        return _value(kin + g2 * _pole_sum(diff))
 
     diff, summ = _pair_terms(q)
     walls = [np.abs(q).min(initial=np.inf)]
@@ -139,29 +142,34 @@ def closed_form_H(model: SpinlessModel, q, p) -> float:
 
     if model.family == "bc":
         g, g1, g2 = bc_couplings(model.n, model.kappa, model.x)
-        return (kin + g1 ** 2 * _pole_sum(q) + g2 ** 2 * _pole_sum(2.0 * q)
-                + g ** 2 * _pole_sum(diff) + g ** 2 * _pole_sum(summ))
+        return _value(kin + g1 ** 2 * _pole_sum(q) + g2 ** 2 * _pole_sum(2.0 * q)
+                      + g ** 2 * _pole_sum(diff) + g ** 2 * _pole_sum(summ))
     pair_c = model.kappa ** 2 / 4.0
     val = kin + pair_c * _pole_sum(diff) + pair_c * _pole_sum(summ)
     if model.family == "c":
-        val += (model.n ** 2 * model.x ** 2 / 2.0) * _pole_sum(2.0 * q)
-    return val
+        val = val + (model.n ** 2 * model.x ** 2 / 2.0) * _pole_sum(2.0 * q)
+    return _value(val)
+
+
+def _value(val):
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def machinery_equals_closed_form(model: SpinlessModel, rng: np.random.Generator,
                                  n_samples: int = 100) -> float:
-    """Max |H_reduced - H_closed_form| over random phase-space draws."""
+    """Max |H_reduced - H_closed_form| over random phase-space draws; the
+    draws are made one by one, both sides evaluated on all of them at once."""
     space = model_space(model)
-    xi = model_spin(space, model)
-    worst = 0.0
+    qs, ps = [], []
     for _ in range(n_samples):
-        q = algebra.random_chamber_point(space, rng)
+        qs.append(algebra.random_chamber_point(space, rng))
         p = rng.standard_normal(space.n_coords)
         if space.spec.family == "sl_kc":
             p -= p.mean()
-        pt = dynamics.make_phase_point(space, q, p, xi)
-        worst = max(worst, abs(dynamics.hamiltonian(space, pt) - closed_form_H(model, q, p)))
-    return worst
+        ps.append(p)
+    q, p = np.array(qs), np.array(ps)
+    pt = dynamics.make_phase_point(space, q, p, model_spin(space, model))
+    return float(np.max(np.abs(dynamics.hamiltonian(space, pt) - closed_form_H(model, q, p))))
 
 
 #: desk-scale catalog instances used by the verification suite

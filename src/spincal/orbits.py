@@ -11,7 +11,9 @@ and its zero set intersected with the exponential gauge slice is
 parametrized by ``(q, p, xi)`` with ``xi`` constrained to M-perp.  This
 module provides the slice map, orbit representatives built from rank-one
 projectors, the single-point ("spinless") orbit reductions and their
-verification, and samplers for generic on-slice spin data.
+verification, and samplers for generic on-slice spin data.  Like the
+algebra layer, the spin, slice and momentum-map functions take stacks of
+points along leading axes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ __all__ = [
     "orbit_base_point",
     "random_orbit_point",
     "random_slice_spin",
+    "draw_slice_vectors",
+    "slice_spin",
     "spin_point",
     "zero_spin",
     "moment_map",
@@ -63,9 +67,9 @@ _PROBE_BLOCK = 2048  # emptiness_probe samples per block
 # ---------------------------------------------------------------------------
 
 def expm_herm(H: np.ndarray) -> np.ndarray:
-    H = 0.5 * (H + H.conj().T)
+    H = 0.5 * (H + algebra.dagger(H))
     w, V = np.linalg.eigh(H)
-    return (V * np.exp(w)) @ V.conj().T
+    return (V * np.exp(w)[..., None, :]) @ algebra.dagger(V)
 
 
 def expm_antiherm(Z: np.ndarray) -> np.ndarray:
@@ -113,11 +117,11 @@ def expm(A: np.ndarray) -> np.ndarray:
 
 
 def logm_herm(P: np.ndarray) -> np.ndarray:
-    P = 0.5 * (P + P.conj().T)
+    P = 0.5 * (P + algebra.dagger(P))
     w, V = np.linalg.eigh(P)
     if np.any(w <= 0):
         raise ValueError(f"matrix is not positive definite (min eig {w.min():.3e})")
-    return (V * np.log(w)) @ V.conj().T
+    return (V * np.log(w)[..., None, :]) @ algebra.dagger(V)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +170,7 @@ class SpinPoint:
 
     @property
     def is_zero(self) -> bool:
+        """Whether xi (every spin of a stack) vanishes."""
         return bool(np.abs(self.xi).max(initial=0.0) == 0.0)
 
 
@@ -186,21 +191,23 @@ def spin_point(space: SymmetricSpaceData, xi: np.ndarray,
                require_slice: bool = True) -> SpinPoint:
     """Wrap an orbit element; certifies g-plus membership and, if requested,
     the slice condition (vanishing M-part) along with the coefficient
-    expansion in the M-perp basis."""
+    expansion in the M-perp basis.  A stack of elements gives one SpinPoint
+    holding the stack, certified matrix by matrix."""
     xi = np.asarray(xi, dtype=complex)
-    res = algebra.membership_residual(space, xi)
     gminus_part = algebra.project(space, xi, "gminus")
-    res = max(res, float(np.abs(gminus_part).max(initial=0.0)))
-    if res > algebra.EPS_MEMBERSHIP:
-        raise MembershipError(f"xi is not in g+ (residual {res:.3e})")
+    res = np.maximum(algebra.membership_residual(space, xi),
+                     np.abs(gminus_part).max(axis=(-2, -1), initial=0.0))
+    if np.any(res > algebra.EPS_MEMBERSHIP):
+        raise MembershipError(f"xi is not in g+ (residual {np.max(res):.3e})")
     a, cm, cplus, _ = algebra.decompose(space, xi)
-    m_norm = float(np.linalg.norm(cm))
+    m_norm = np.linalg.norm(cm, axis=-1)
     if not require_slice:
-        return SpinPoint(xi=xi, coeffs=None, on_slice=m_norm < EPS_ONSLICE)
-    if m_norm > EPS_ONSLICE:
-        raise MembershipError(f"xi has a nonzero M-part (norm {m_norm:.3e})")
+        return SpinPoint(xi=xi, coeffs=None, on_slice=bool(np.all(m_norm < EPS_ONSLICE)))
+    if np.any(m_norm > EPS_ONSLICE):
+        raise MembershipError(f"xi has a nonzero M-part (norm {np.max(m_norm):.3e})")
     recon = algebra.reconstruct(space, cplus=cplus)
-    if np.abs(recon - xi).max(initial=0.0) > 1e-12 * max(1.0, np.abs(xi).max()):
+    scale = np.maximum(1.0, np.abs(xi).max(axis=(-2, -1)))
+    if np.any(np.abs(recon - xi).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise MembershipError("xi is not spanned by the M-perp basis")
     return SpinPoint(xi=xi, coeffs=cplus, on_slice=True)
 
@@ -216,14 +223,17 @@ def zero_spin(space: SymmetricSpaceData) -> SpinPoint:
 
 def eta_of_u(u: np.ndarray, kappa: float) -> np.ndarray:
     """Traceless anti-Hermitian projector i(u u+ - (u+u/k) 1) on the minimal
-    orbit with parameter kappa; requires |u|^2 = k * kappa."""
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    k = u.size
-    norm2 = float(np.vdot(u, u).real)
-    if abs(norm2 - k * kappa) > _EPS_NORM * max(1.0, k * kappa):
-        raise AdmissibilityError(
-            f"norm constraint violated: |u|^2 = {norm2:.12g}, expected {k * kappa:.12g}")
-    return 1j * (np.outer(u, u.conj()) - (norm2 / k) * np.eye(k))
+    orbit with parameter kappa; requires |u|^2 = k * kappa.  u is a vector,
+    or a stack of vectors along leading axes."""
+    u = np.asarray(u, dtype=complex)
+    k = u.shape[-1]
+    norm2 = algebra.row_dots(u.conj(), u).real
+    bad = np.abs(norm2 - k * kappa) > _EPS_NORM * max(1.0, k * kappa)
+    if np.any(bad):
+        raise AdmissibilityError(f"norm constraint violated: |u|^2 = "
+                                 f"{np.extract(bad, norm2)[0]:.12g}, expected {k * kappa:.12g}")
+    return 1j * (u[..., :, None] * u.conj()[..., None, :]
+                 - (norm2 / k)[..., None, None] * np.eye(k))
 
 
 def mu_kks(k: int, kappa: float) -> np.ndarray:
@@ -239,13 +249,13 @@ def _central_element(m: int, n: int) -> np.ndarray:
 
 
 def _embed_su_factor(space: SymmetricSpaceData, eta: np.ndarray, which: str) -> np.ndarray:
-    """Embed an su(m) or su(n) element into its diagonal block."""
-    m, n = space.spec.m, space.spec.n
-    out = np.zeros((space.N, space.N), complex)
+    """Embed an su(m) or su(n) element (or a stack) into its diagonal block."""
+    m = space.spec.m
+    out = np.zeros(eta.shape[:-2] + (space.N, space.N), complex)
     if which == "m":
-        out[:m, :m] = eta
+        out[..., :m, :m] = eta
     else:
-        out[m:, m:] = eta
+        out[..., m:, m:] = eta
     return out
 
 
@@ -300,41 +310,42 @@ def diagonalize_flat(space: SymmetricSpaceData, Q: np.ndarray):
     (q, g); q may lie on a wall.
     """
     if space.spec.family == "su_mn":
-        m, n = space.spec.m, space.spec.n
-        B = Q[:m, m:]
-        U, s, Vh = np.linalg.svd(B)
-        q = s.copy()
-        g = np.zeros((space.N, space.N), complex)
-        g[:m, :m] = U
-        g[m:, m:] = Vh.conj().T
+        m = space.spec.m
+        U, q, Vh = np.linalg.svd(Q[..., :m, m:])
+        g = np.zeros(Q.shape[:-2] + (space.N, space.N), complex)
+        g[..., :m, :m] = U
+        g[..., m:, m:] = algebra.dagger(Vh)
     else:
-        w, V = np.linalg.eigh(0.5 * (Q + Q.conj().T))
-        q = w[::-1].copy()
-        g = V[:, ::-1].copy()
+        w, V = np.linalg.eigh(0.5 * (Q + algebra.dagger(Q)))
+        q = w[..., ::-1].copy()
+        g = V[..., ::-1].copy()
     return q, g
 
 
 def moment_map(space: SymmetricSpaceData, point: UnreducedPoint) -> np.ndarray:
-    """Value of the compact-group momentum map Psi = tanh(ad_Q) J_minus + xi."""
+    """Value of the compact-group momentum map Psi = tanh(ad_Q) J_minus + xi
+    (one matrix per point of a stack)."""
     Q = 0.5 * logm_herm(point.Lam)
-    bad = max(algebra.membership_residual(space, Q),
-              float(np.abs(algebra.split(space, Q)[0]).max(initial=0.0)))
-    if bad > 1e-8 * max(1.0, float(np.abs(Q).max())):
+    bad = np.maximum(algebra.membership_residual(space, Q),
+                     np.abs(algebra.split(space, Q)[0]).max(axis=(-2, -1), initial=0.0))
+    if np.any(bad > 1e-8 * np.maximum(1.0, np.abs(Q).max(axis=(-2, -1)))):
         raise MembershipError(
-            f"Lambda is not a noncompact group element (log residual {bad:.3e})")
+            f"Lambda is not a noncompact group element (log residual {np.max(bad):.3e})")
     q, g = diagonalize_flat(space, Q)
-    Jm_rot = g.conj().T @ point.j_minus @ g
+    g_inv = algebra.dagger(g)
+    Jm_rot = g_inv @ point.j_minus @ g
     # tanh(ad_q) componentwise: it kills the A- and M-parts and needs no
     # regular q (tanh(0) = 0; a vanishing flat is the Lambda = 1 case)
     _, _, cplus, cminus = algebra.decompose(space, Jm_rot)
     vals = np.tanh(space.alpha_cols(q))
     Jp_rot = algebra.reconstruct(space, cplus=vals * cminus, cminus=vals * cplus)
-    return g @ Jp_rot @ g.conj().T + point.xi.xi
+    return g @ Jp_rot @ g_inv + point.xi.xi
 
 
 def build_slice_point(space: SymmetricSpaceData, q, p, xi: SpinPoint) -> UnreducedPoint:
     """Map (q, p, xi) on the slice to the unreduced point
-    (e^{2q}, p - coth(ad_q) xi, xi); the momentum map vanishes on the result."""
+    (e^{2q}, p - coth(ad_q) xi, xi); the momentum map vanishes on the result.
+    Rows of q and p with a stacked xi give a stacked point."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if not algebra.is_in_chamber(space, q):
@@ -618,22 +629,40 @@ def _slice_moduli_su(space: SymmetricSpaceData, spec: OrbitSpec,
 def random_slice_spin(space: SymmetricSpaceData, spec: OrbitSpec,
                       rng: np.random.Generator) -> SpinPoint:
     """Random element of (orbit intersect M-perp): valid initial spin data."""
+    return slice_spin(space, spec, *draw_slice_vectors(space, spec, rng))
+
+
+def draw_slice_vectors(space: SymmetricSpaceData, spec: OrbitSpec,
+                       rng: np.random.Generator) -> tuple:
+    """The random numbers of one :func:`random_slice_spin`, drawn in its
+    order: the vectors (u, v) of the rank-one projectors of the size-m (or
+    sl(k,C)) and size-n factors, None for an absent factor."""
     if spec.family != space.spec.family:
         raise AdmissibilityError("orbit family does not match the space")
     if space.spec.family == "sl_kc":
-        k = space.spec.k
-        beta = rng.uniform(0.0, 2.0 * math.pi, size=k)
-        u = math.sqrt(spec.kappa) * np.exp(1j * beta)
-        return spin_point(space, eta_of_u(u, spec.kappa))
-
+        beta = rng.uniform(0.0, 2.0 * math.pi, size=space.spec.k)
+        return math.sqrt(spec.kappa) * np.exp(1j * beta), None
     m, n = space.spec.m, space.spec.n
     t, s = _slice_moduli_su(space, spec, rng)
-    xi = np.zeros((space.N, space.N), complex)
+    u = v = None
     if spec.kappa_m > 0:
         u = np.sqrt(t) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=m))
-        xi += _embed_su_factor(space, eta_of_u(u, spec.kappa_m), "m")
     if spec.kappa_n > 0:
         v = np.sqrt(s) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
+    return u, v
+
+
+def slice_spin(space: SymmetricSpaceData, spec: OrbitSpec, u, v) -> SpinPoint:
+    """The on-slice spin of the vectors of :func:`draw_slice_vectors`, or of
+    stacks of them along leading axes (one stacked SpinPoint)."""
+    if space.spec.family == "sl_kc":
+        return spin_point(space, eta_of_u(u, spec.kappa))
+    m, n = space.spec.m, space.spec.n
+    lead = (u if u is not None else v).shape[:-1]
+    xi = np.zeros(lead + (space.N, space.N), complex)
+    if u is not None:
+        xi += _embed_su_factor(space, eta_of_u(u, spec.kappa_m), "m")
+    if v is not None:
         xi += _embed_su_factor(space, eta_of_u(v, spec.kappa_n), "n")
     if spec.x != 0.0:
         xi += spec.x * _central_element(m, n)

@@ -518,6 +518,24 @@ def test_verify_report(tmp_path):
     assert "[pass]" in out.stdout
 
 
+def test_verify_report_on_sl_spaces(tmp_path):
+    cfg = write_config(tmp_path / "v.json", {
+        "spaces": [{"family": "sl_kc", "k": 2}, {"family": "sl_kc", "k": 3},
+                   {"family": "su_mn", "m": 2, "n": 1}],
+        "n_draws": 30, "seed": 3,
+    })
+    out = run_cli("verify", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert out.returncode == 0, out.stderr
+    report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+    assert report["all_passed"], [r for r in report["checks"] if not r["passed"]]
+    names = [row["name"] for row in report["checks"]]
+    for label in ("sl(2,C)", "sl(3,C)"):
+        assert f"{label}: slice momentum-map residual (30 draws)" in names
+        assert f"{label}: full-invariant brackets vanish" in names
+        assert f"{label}: mixed commutator identity" not in names
+    assert report["n_checks"] == 2 * 7 + 9 + 1 + 5 + 11 + 22
+
+
 def test_verify_empty_spaces_exit_1(tmp_path):
     cfg = write_config(tmp_path / "v.json", {"spaces": []})
     out = run_cli("verify", "--config", cfg, "--out", str(tmp_path / "o"))
