@@ -121,7 +121,7 @@ def basis_checks(space: SymmetricSpaceData, rng: np.random.Generator,
     res = float(np.abs(gram - np.diag(np.concatenate(signs))).max())
     out.append(CheckResult(f"{name}: basis orthonormality", res, 1e-12))
 
-    worst = 0.0
+    ladder = []
     for _ in range(n_ladder):
         q = rng.standard_normal(space.n_coords)
         if space.spec.family == "sl_kc":
@@ -131,8 +131,8 @@ def basis_checks(space: SymmetricSpaceData, rng: np.random.Generator,
         for j in range(space.K):
             up = Q @ space.eplus[j] - space.eplus[j] @ Q - av[j] * space.eminus[j]
             dn = Q @ space.eminus[j] - space.eminus[j] @ Q - av[j] * space.eplus[j]
-            worst = max(worst, float(np.abs(up).max()), float(np.abs(dn).max()))
-    out.append(CheckResult(f"{name}: ladder relation", worst, 1e-12))
+            ladder += [np.abs(up).max(), np.abs(dn).max()]
+    out.append(CheckResult(f"{name}: ladder relation", _worst(ladder), 1e-12))
 
     mult_res = 0.0
     if space.spec.family == "su_mn":
@@ -246,15 +246,15 @@ def reduction_checks(rng: np.random.Generator) -> list:
     for n, kappa, x in [(1, 1.0, 0.4), (2, 3.0, 1.0), (3, 2.0, 0.5)]:
         space = algebra.build_space(SpaceSpec.su(n + 1, n))
         rep = orbits.reduce_orbit_check(space, kappa, x, rng, n_samples=24)
-        res = max(rep.diag_constraint_residual, rep.normal_form_residual,
-                  rep.xi_match_residual)
+        res = _worst([rep.diag_constraint_residual, rep.normal_form_residual,
+                      rep.xi_match_residual])
         out.append(CheckResult(f"su({n + 1},{n}): BC orbit reduces to a point", res, 1e-10))
 
     space = algebra.build_space(SpaceSpec.su(3, 2))
     margin = orbits.emptiness_probe(space, 1.0, 0.5, rng, n_samples=10000)
     out.append(CheckResult(
         "su(3,2): slice-emptiness margin for the shifted size-n orbit",
-        1.0 / margin if margin > 0 else np.inf, 1e3,
+        np.inf if margin <= 0 else 1.0 / margin, 1e3,  # a NaN margin stays NaN
         details=f"min M-part norm over 10^4 samples = {margin:.6g}"))
 
     residuals = []

@@ -160,7 +160,7 @@ class Trajectory:
     invariants: dict           # label -> (T,) float
     m_drift: float = 0.0       # direct, zero gauge: max M-part of xi' at the samples
     orbit_drift: float = 0.0   # max spectrum-restoring correction applied
-    wall_time: float | None = None  # set when truncated by a wall event
+    wall_time: float | None = None  # a wall event's last safe time (see the integrators)
     n_steps: int = 0           # direct integrator: steps accepted by the error control
     freeze_residual: float | None = None  # freeze gauge: max(per-root residual, sample |xi'|)
 
@@ -336,6 +336,10 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4  # y5 - y4 = h * (_DP_E @ ks)
 _DP_ROWS = [_DP_A[i, :i] for i in range(1, 7)]  # stage i combines stages < i
+# the continuous extension's fourth-order term (Hairer, Norsett & Wanner, Solving ODEs I, II.6)
+_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
 _MAX_STEPS = 5_000_000   # accepted steps before StepSizeError
 
 
@@ -441,10 +445,12 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     :class:`FreezeCertificate` failing on the chamber or at a sample raises
     :class:`FreezeCertificateError`.  Where no restoration changes the state
     (freezing gauge, zero spin) the last stage of a step is the first of the
-    next.  Integration halts with :class:`WallProximityError` if the
-    configuration approaches a chamber wall; with ``on_wall="truncate"`` the
-    samples collected before the event are returned instead, with
-    ``wall_time`` set.  A step-size underflow raises :class:`StepSizeError`.
+    next.  Only t_end clips a step; the samples come from each step's
+    continuous extension.  A step ending with min alpha(q) < EPS_WALL is
+    rejected, so a run aimed at a wall stalls at the time t it reaches that
+    level: :class:`WallProximityError` at t, or with ``on_wall="truncate"``
+    the samples up to t, with ``wall_time`` = t.  A step-size underflow
+    away from a wall raises :class:`StepSizeError`.
     """
     traj, = integrate_direct_batch(space, [pt0], t_end, tol=tol, sample_dt=sample_dt,
                                    monitors=[(lax_x, invariants)], gauge=gauge,
@@ -461,12 +467,11 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
     """Integrate several phase points on one space with one Dormand-Prince
     5(4) loop that advances them as the rows of a (B, 2n+K) state.
 
-    Each member keeps its own time, step size, sample index, accept/reject
-    decision and wall check, exactly as :func:`integrate_direct` describes
-    for one run; finished members drop out of the active rows.  Every
-    Runge-Kutta stage is one right-hand-side call over the active rows, and
-    the spectrum restoration one stacked ``eigh`` per spin block over the
-    accepted rows.  The spins must be all zero or all nonzero.  ``monitors``
+    Each member keeps its own time, step size, accept/reject decision, wall
+    check and samples, exactly as :func:`integrate_direct` describes for one
+    run; finished members drop out of the active rows.  Every Runge-Kutta
+    stage is one right-hand-side call over the active rows, and the spectrum
+    restoration one stacked ``eigh`` per spin block over the accepted rows.  The spins must be all zero or all nonzero.  ``monitors``
     holds one ``(lax_x, invariants)`` pair per member (default ``(0, 1)``
     and none).
 
@@ -489,7 +494,7 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
     free = pts[0].xi.is_zero
     if any(pt.xi.is_zero != free for pt in pts):
         raise ValueError("the spins of a batch must be all zero or all nonzero")
-    sample_dt, times = sample_grid(t_end, sample_dt)
+    _, times = sample_grid(t_end, sample_dt)
 
     sys = _DirectSystem(space, gauge)
     nc = sys.nc
@@ -517,10 +522,9 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
         Y5[:, 2 * nc:] = sys.spin_coeffs(fixed)
         return Y5
 
-    # a stage past a wall evaluates to inf/nan: the error norm rejects it
+    # a stage at a wall evaluates to inf/nan: the error norm rejects it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         samples, counts, n_steps = _step_batch(space, sys, y0, times, tol, t_end,
-                                               min(sample_dt, 0.05) * 0.1,
                                                None if spec_ref is None else restore, stopped)
 
     out = []
@@ -559,14 +563,25 @@ def _sample_point(sys, pt0, y, const_spin) -> PhasePoint:
     return PhasePoint(q=q, p=p, xi=SpinPoint(xi=sys.spin(cplus), coeffs=cplus, on_slice=True))
 
 
-def _step_batch(space, sys, y0, times, tol, t_end, h0, restore, stopped):
-    """Dormand-Prince 5(4) over the sample grid for the rows of y0 whose
-    member has not stopped, restore(members, y5) correcting accepted states.
-    Returns the samples, shape (B, T, 2n+K), how many each member reached,
-    and its accepted steps.  A member that stalls, underflows, exceeds the
-    step budget or reaches a wall gets its exception in ``stopped``."""
+def _dense(y0, y1, ks, h, th):
+    """Hairer's contd5: the continuous extension of Dormand-Prince steps
+    y0 -> y1 with stages ks at the fractions th of their sizes h (one row
+    per step; h and th are columns)."""
+    dy = y1 - y0
+    b = h * ks[:, 0] - dy
+    return y0 + th * (dy + (1 - th) * (b + th * (dy - h * ks[:, 6] - b
+                                                  + (1 - th) * (h * (_DP_D @ ks)))))
+
+
+def _step_batch(space, sys, y0, times, tol, t_end, restore, stopped):
+    """Dormand-Prince 5(4) on [0, t_end] for the rows of y0 whose member has
+    not stopped, restore(members, y5) correcting accepted states, with the
+    samples at ``times`` on each step's continuous extension.  Returns the
+    samples, shape (B, T, 2n+K), how many each member reached, and its
+    accepted steps.  A member that stalls (at a wall, where every step is
+    rejected), underflows or exceeds the step budget gets its exception in
+    ``stopped``."""
     B, D = y0.shape
-    last = len(times) - 1
     samples = np.empty((B, len(times), D))
     samples[:, 0] = y0
     counts = np.ones(B, dtype=int)
@@ -574,36 +589,13 @@ def _step_batch(space, sys, y0, times, tol, t_end, h0, restore, stopped):
     rows = np.array([m for m in range(B) if stopped[m] is None], dtype=int)  # active members
     Y = y0[rows]
     t = np.zeros(rows.size)
-    h = np.full(rows.size, h0)
-    seg = np.ones(rows.size, dtype=int)  # index of each row's next sample
-    t_seg = times[seg]  # each row's next sample time
-    t_eps = 1e-14 * t_end
-    t_due = t_seg - t_eps  # a row at or past it takes its sample
+    h = np.full(rows.size, 0.005)  # the first trial step, whatever the sample grid
     ks = np.empty((rows.size, 7, D))
     if rows.size:
         ks[:, 0] = sys(t, Y)  # the first stage at (t, y), kept over a rejected step
     h_min = 1e-14 * max(1.0, t_end)
     attempts = 0
-    moved = True  # rows have advanced: take their samples and clamp their steps
     while rows.size:
-        if moved:
-            due = t >= t_due
-            while due.any():
-                r = np.flatnonzero(due)
-                samples[rows[r], seg[r]] = Y[r]
-                counts[rows[r]] += 1
-                t[r] = t_seg[r]
-                seg[r] += 1
-                keep = seg <= last
-                rows, Y, t, h, seg, ks = (a[keep] for a in (rows, Y, t, h, seg, ks))
-                t_seg = times[seg]
-                t_due = t_seg - t_eps
-                due = t >= t_due
-            if not rows.size:
-                break
-            # a rejected step only shrinks h: the clamp holds until the next accept
-            h = np.minimum(h, t_seg - t)
-            moved = False
         if h.min() < h_min:
             tiny = h < h_min
             for r in np.flatnonzero(tiny):
@@ -614,9 +606,9 @@ def _step_batch(space, sys, y0, times, tol, t_end, h0, restore, stopped):
                         t=float(t[r]))
                 else:
                     stopped[rows[r]] = StepSizeError(f"step size underflow at t = {t[r]:.6g}")
-            rows, Y, t, h, seg, t_seg, t_due, ks = (
-                a[~tiny] for a in (rows, Y, t, h, seg, t_seg, t_due, ks))
+            rows, Y, t, h, ks = (a[~tiny] for a in (rows, Y, t, h, ks))
             continue
+        h = np.minimum(h, t_end - t)
         attempts += 1
         hc = h[:, None]
         for i, a in enumerate(_DP_ROWS, start=1):
@@ -624,44 +616,46 @@ def _step_batch(space, sys, y0, times, tol, t_end, h0, restore, stopped):
             ks[:, i] = sys(t, yi)  # the field is autonomous: t is the step's start
         y5 = yi  # the last stage's argument
         r = hc * (_DP_E @ ks) / (tol + tol * np.maximum(np.abs(Y), np.abs(y5)))
-        err = [math.sqrt(sq / D) for sq in algebra.row_dots(r, r).tolist()]
+        sq = algebra.row_dots(r, r)
+        # a step ending within EPS_WALL of a wall fails like a non-finite one
+        sq[(y5[:, :sys.nc] @ sys.root_coef_t).min(axis=1) < algebra.EPS_WALL] = np.inf
+        err = [math.sqrt(e / D) for e in sq.tolist()]
         # a non-finite error gives the factor 0.2, a retry with a fifth of h
         h_step, h = h, h * np.array([min(5.0, max(0.2, 0.9 * (e + 1e-300) ** (-0.2)))
                                      for e in err])
         ok = [k for k, e in enumerate(err) if e <= 1.0]
         if not ok:
             continue
-        moved = True
         acc = slice(None) if len(ok) == rows.size else np.array(ok)
         members = rows[acc]
-        t_prev = t[acc]
-        t_new = t_prev + h_step[acc]
-        failed = past_wall = (y5[acc, :sys.nc] @ sys.root_coef_t).min(axis=1) < algebra.EPS_WALL
-        Y[acc] = y5[acc] if restore is None else restore(members, y5[acc])
+        t0, h_acc = t[acc], h_step[acc]
+        # a step clamped to t_end - t ends at t_end exactly
+        t1 = np.where(h_acc < t_end - t0, t0 + h_acc, t_end)
+        y1 = y5[acc] if restore is None else restore(members, y5[acc])
+        n_new = np.searchsorted(times, t1, side="right")
+        take = n_new - counts[members]
+        if take.any():
+            i = np.repeat(np.arange(take.size), take)  # the step of each new sample
+            k = n_new[i] - (np.cumsum(take)[i] - np.arange(i.size))
+            hi = h_acc[i, None]
+            samples[members[i], k] = _dense(Y[acc][i], y1[i], ks[acc][i], hi,
+                                            (times[k, None] - t0[i, None]) / hi)
+            counts[members] = n_new
+        Y[acc] = y1
+        t[acc] = t1
         n_steps[members] += 1
+        # where y5 is not restored, its stage is the next first stage
+        ks[acc, 0] = ks[acc, 6] if restore is None else sys(t1, y1)
+        done = t1 >= t_end
         if attempts > _MAX_STEPS:  # no member takes more steps than there were attempts
-            failed = past_wall | (n_steps[members] > _MAX_STEPS)
-        any_failed = failed.any()
-        if any_failed:
-            for k in np.flatnonzero(failed):
-                if past_wall[k]:
-                    stopped[members[k]] = WallProximityError(
-                        f"trajectory reached a chamber wall in ({t_prev[k]:.6g}, {t_new[k]:.6g}]",
-                        t=float(t_prev[k]))
-                else:
-                    stopped[members[k]] = StepSizeError("maximum number of steps exceeded")
-        t[acc] = t_new  # after the messages: t_prev may be a view of t
-        if not any_failed:
-            # where y5 is not restored, its stage is the next first stage
-            ks[acc, 0] = ks[acc, 6] if restore is None else sys(t[acc], Y[acc])
-            continue
-        go = np.array(ok)[~failed]
-        if go.size:
-            ks[go, 0] = ks[go, 6] if restore is None else sys(t[go], Y[go])
-        keep = np.ones(rows.size, dtype=bool)
-        keep[np.array(ok)[failed]] = False
-        rows, Y, t, h, seg, t_seg, t_due, ks = (
-            a[keep] for a in (rows, Y, t, h, seg, t_seg, t_due, ks))
+            over = n_steps[members] > _MAX_STEPS
+            for m in members[over]:
+                stopped[m] = StepSizeError("maximum number of steps exceeded")
+            done |= over
+        if done.any():
+            keep = np.ones(rows.size, dtype=bool)
+            keep[np.array(ok)[done]] = False
+            rows, Y, t, h, ks = (a[keep] for a in (rows, Y, t, h, ks))
     return samples, counts, n_steps
 
 

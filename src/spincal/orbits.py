@@ -477,8 +477,8 @@ class ReductionReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.diag_constraint_residual, self.normal_form_residual,
-                   self.xi_match_residual) < 1e-10
+        return bool(np.max([self.diag_constraint_residual, self.normal_form_residual,
+                            self.xi_match_residual]) < 1e-10)
 
 
 def reduce_orbit_check(space: SymmetricSpaceData, kappa: float, x: float,
@@ -500,12 +500,12 @@ def reduce_orbit_check(space: SymmetricSpaceData, kappa: float, x: float,
 
     moduli = np.concatenate([np.full(n, math.sqrt(max(kappa + x, 0.0))),
                              [math.sqrt(max(kappa - n * x, 0.0))]])
-    res_diag = res_norm = res_match = 0.0
+    res_diag, res_norm, res_match = [], [], []  # per sample: a NaN one is kept
     for _ in range(n_samples):
         beta = rng.uniform(0.0, 2.0 * math.pi, size=m)
         u = moduli * np.exp(1j * beta)
         eta = eta_of_u(u, kappa)
-        res_diag = max(res_diag, float(np.abs(np.diag(eta) - diag_target).max()))
+        res_diag.append(np.abs(np.diag(eta) - diag_target).max())
         # torus phase solve: phase differences against component n+1 align all
         # components onto a common phase (which drops out of eta)
         phases = np.concatenate([beta[-1] - beta[:-1], [0.0]])
@@ -513,16 +513,16 @@ def reduce_orbit_check(space: SymmetricSpaceData, kappa: float, x: float,
         t = t * np.exp(-1j * np.angle(np.prod(t)) / m)  # det correction inside SU(m)
         u_hat = t * u
         common = u_hat[-1] / abs(u_hat[-1])
-        res_norm = max(res_norm, float(np.abs(u_hat - common * np.abs(u_hat)).max()))
+        res_norm.append(np.abs(u_hat - common * np.abs(u_hat)).max())
         xi_rot = _embed_su_factor(space, eta_of_u(u_hat, kappa), "m") + x * C
-        res_match = max(res_match, float(np.abs(xi_rot - target.xi).max()))
+        res_match.append(np.abs(xi_rot - target.xi).max())
         # the same rotation realized by an honest centralizer group element
         # (phases repeated in both size-n blocks) must agree
         g = np.diag(np.concatenate([t, t[:n]]))
-        res_match = max(res_match, float(np.abs(
-            g @ (_embed_su_factor(space, eta, "m") + x * C) @ g.conj().T - xi_rot).max()))
-    return ReductionReport(n_samples=n_samples, diag_constraint_residual=res_diag,
-                           normal_form_residual=res_norm, xi_match_residual=res_match)
+        res_match.append(np.abs(
+            g @ (_embed_su_factor(space, eta, "m") + x * C) @ g.conj().T - xi_rot).max())
+    return ReductionReport(n_samples, *(float(np.max(r, initial=0.0))
+                                        for r in (res_diag, res_norm, res_match)))
 
 
 def emptiness_probe(space: SymmetricSpaceData, kappa: float, x: float,
@@ -552,8 +552,8 @@ def emptiness_probe(space: SymmetricSpaceData, kappa: float, x: float,
         if np.any(np.abs(norm2 - n * kappa) > _EPS_NORM * max(1.0, n * kappa)):
             raise AdmissibilityError(f"norm constraint |v|^2 = {n * kappa:.12g} violated")
         cm = np.einsum("si,bij,sj->sb", v.conj(), B, v).imag + const
-        margin = min(margin, float(np.linalg.norm(cm, axis=1).min()))
-    return margin
+        margin = np.minimum(margin, np.linalg.norm(cm, axis=1).min())  # keeps a NaN
+    return float(margin)
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,17 @@ SL3 = algebra.build_space(SpaceSpec.sl(3))
     (lambda rng: checks.bracket_checks(SL3, rng, n_draws=10), "standard_normal"),
     (lambda rng: checks.catalog_checks(rng, n_samples=5), "standard_normal"),
     (lambda rng: checks.freezing_checks(rng, n_points=5), "uniform"),
-], ids=["slice-su32", "slice-sl3", "bracket-su32", "bracket-sl3", "catalog", "freezing"])
+    (lambda rng: checks.basis_checks(SU32, rng), "standard_normal"),
+    (checks.reduction_checks, "uniform"),
+    (checks.reduction_checks, "standard_normal"),
+], ids=["slice-su32", "slice-sl3", "bracket-su32", "bracket-sl3", "catalog", "freezing",
+        "basis", "reduction", "emptiness-probe"])
 def test_a_nan_draw_fails_its_check(run, method):
     assert all(r.passed for r in run(np.random.default_rng(7)))
-    results = run(nan_on_call(7, method, 3))
+    # numpy may warn on the NaN (the suite makes a warning an error); the
+    # check must still see it
+    with np.errstate(invalid="ignore"):
+        results = run(nan_on_call(7, method, 3))
     failed = [r for r in results if not r.passed]
     assert failed and all(math.isnan(r.residual) for r in failed)
 

@@ -97,7 +97,8 @@ def test_simulate_wall_collision_exit_2(tmp_path):
     assert out.returncode == 2
     report = json.loads((tmp_path / "o" / "drift_report.json").read_text())
     assert report["status"] == "wall_collision"
-    assert 0.0 < report["last_safe_time"] < 1.0
+    # alpha = q1 - q2 = 0.5 - 0.6 t reaches EPS_WALL at (0.5 - EPS_WALL) / 0.6
+    assert abs(report["last_safe_time"] - (0.5 - algebra.EPS_WALL) / 0.6) <= 1e-9
 
 
 def test_simulate_projection_wall_collision_writes_report(tmp_path):

@@ -331,6 +331,53 @@ def test_batch_members_match_single_runs(label, seed, size, near_wall, free, ord
         assert_same_run(got, singles[i])
 
 
+# a start and a freezable catalog spin per space of the sample-grid tests
+GRID_STARTS = {
+    "su(2,2)": ((1.6, 0.7), ("c", 1.0, 0.7)),
+    "su(3,2)": ((2.0, 1.0), ("bc", 3.0, 1.0)),
+    "su(6,3)": ((6.0, 4.5, 3.0), ("d", 1.0)),
+    "sl(3,C)": ((1.0, 0.0, -1.0), ("kks", 0.8)),
+}
+
+
+def grid_start(label, gauge):
+    space = CORE_SPACES[label]
+    q, catalog = GRID_STARTS[label]
+    pt = checks.random_phase_point(space, np.random.default_rng(5))
+    xi = orbits.xi_red(space, *catalog) if gauge == "freeze" else pt.xi
+    return space, dynamics.make_phase_point(space, np.array(q), pt.p, xi)
+
+
+def packed(traj):
+    return np.array([np.concatenate([p.q, p.p, p.xi.coeffs]) for p in traj.points])
+
+
+@pytest.mark.parametrize("gauge", ["zero", "freeze"])
+@pytest.mark.parametrize("label", sorted(GRID_STARTS))
+def test_steps_do_not_depend_on_the_sample_grid(label, gauge):
+    # the samples come from the continuous extension: a finer grid takes the
+    # same steps and gives the same bits at the times both grids hold
+    space, pt = grid_start(label, gauge)
+    coarse, fine = (dynamics.integrate_direct(space, pt, 2.0, sample_dt=dt, gauge=gauge)
+                    for dt in (0.5, 0.25))
+    assert coarse.n_steps == fine.n_steps > 0
+    assert coarse.times.tolist() == fine.times[::2].tolist()
+    assert packed(coarse).tobytes() == packed(fine)[::2].tobytes()
+    assert coarse.energy.tobytes() == fine.energy[::2].tobytes()
+
+
+@pytest.mark.parametrize("gauge", ["zero", "freeze"])
+@pytest.mark.parametrize("label", sorted(GRID_STARTS))
+def test_continuous_extension_matches_runs_ending_at_the_samples(label, gauge):
+    # a sample between step ends against a run whose last step ends there
+    space, pt = grid_start(label, gauge)
+    traj = dynamics.integrate_direct(space, pt, 2.0, sample_dt=0.5, gauge=gauge)
+    states = packed(traj)
+    for t_k, state in zip(traj.times[1:], states[1:]):
+        end = packed(dynamics.integrate_direct(space, pt, t_k, sample_dt=t_k, gauge=gauge))[-1]
+        assert np.abs(state - end).max() <= 1e-8 * max(1.0, np.abs(end).max())
+
+
 def test_batch_rejects_mixed_spins(su22, rng):
     pts = [generic_su22_point(su22, rng),
            dynamics.make_phase_point(su22, np.array([1.6, 0.7]), np.array([0.1, 0.0]))]
@@ -944,7 +991,8 @@ def test_projection_wall_contact_between_samples(su22):
 def test_projection_bounce_or_wall_contact_matches_direct(sl3, kappa, monkeypatch):
     # q1 - q2 turns around between the samples; the transverse momentum
     # makes the speed bound loose, so the exact flow is searched.  A weak
-    # barrier (kappa = 0.05) turns it at 0.16; free motion hits the wall
+    # barrier (kappa = 0.05) turns it at 0.16; free motion hits the wall,
+    # which the direct run locates where alpha = q1 - q2 reaches EPS_WALL
     xi = orbits.xi_red(sl3, "kks", kappa) if kappa else orbits.zero_spin(sl3)
     pt = dynamics.make_phase_point(sl3, np.array([1.0, 0.2, -1.2]),
                                    np.array([0.7, 1.3, -2.0]), xi)
@@ -954,7 +1002,10 @@ def test_projection_bounce_or_wall_contact_matches_direct(sl3, kappa, monkeypatc
     assert searches
     direct = dynamics.integrate_direct(sl3, pt, 2.0, tol=1e-10, sample_dt=1.0,
                                        on_wall="truncate")
-    assert traj.wall_time == direct.wall_time
+    assert (traj.wall_time is None) == (direct.wall_time is None)
+    if kappa == 0.0:
+        assert abs(direct.wall_time - (0.8 - algebra.EPS_WALL) / 0.6) <= 1e-9
+        assert direct.wall_time >= traj.wall_time
     assert traj.times.tolist() == direct.times.tolist()
 
 
