@@ -30,9 +30,10 @@ traj = dynamics.integrate_direct(space, pt0, 10.0, tol=1e-10, sample_dt=1.0,
                                  lax_x=(0.0, 0.5, 1.0, 2.0), invariants=monitors)
 
 print("\n   t      q1       q2       p1       p2        H")
-for t, pt, H in zip(traj.times, traj.points, traj.energy):
-    print(f"{t:5.1f}  {pt.q[0]:8.4f} {pt.q[1]:8.4f} {pt.p[0]:8.4f} "
-          f"{pt.p[1]:8.4f}  {H:.10f}")
+# traj.path holds the samples as one stacked phase point: q and p are (T, 2) rows
+for t, q, p, H in zip(traj.times, traj.path.q, traj.path.p, traj.energy):
+    print(f"{t:5.1f}  {q[0]:8.4f} {q[1]:8.4f} {p[0]:8.4f} "
+          f"{p[1]:8.4f}  {H:.10f}")
 
 report = dynamics.monitor(space, traj)
 print(f"\nenergy drift (relative): {report['energy']:.2e}")
@@ -48,7 +49,7 @@ print(f"largest M-part of xi' at the samples: {traj.m_drift:.2e}; "
 print("\nspin moves along its orbit (gauge motion) while the reduced point"
       " is transported; sorted block spectra of xi stay fixed:")
 m = space.spec.m
-s0 = np.sort(np.linalg.eigvalsh(-1j * traj.points[0].xi.xi[:m, :m]))
-s1 = np.sort(np.linalg.eigvalsh(-1j * traj.points[-1].xi.xi[:m, :m]))
+s0 = np.sort(np.linalg.eigvalsh(-1j * traj.path.xi.xi[0, :m, :m]))
+s1 = np.sort(np.linalg.eigvalsh(-1j * traj.path.xi.xi[-1, :m, :m]))
 print(f"  top-block spectrum drift: {np.abs(s1 - s0).max():.2e}")
-print(f"  xi itself moved by {np.abs(traj.points[-1].xi.xi - xi.xi).max():.3f}")
+print(f"  xi itself moved by {np.abs(traj.path.xi.xi[-1] - xi.xi).max():.3f}")

@@ -29,10 +29,10 @@ print("\n   t     q1 (direct)  q1 (projection)   |diff|")
 worst = 0.0
 for i, t in enumerate(traj.times):
     out = dynamics.flow_projection(sl2, pt0, float(t)) if t else pt0
-    d = np.abs(out.q - traj.points[i].q).max()
+    d = np.abs(out.q - traj.path.q[i]).max()
     worst = max(worst, d)
-    print(f"{t:5.1f}   {traj.points[i].q[0]:+.8f}   {out.q[0]:+.8f}    {d:.2e}")
-p_out = traj.points[-1].p
+    print(f"{t:5.1f}   {traj.path.q[i, 0]:+.8f}   {out.q[0]:+.8f}    {d:.2e}")
+p_out = traj.path.p[-1]
 print(f"\nworst q deviation: {worst:.2e}")
 print(f"outgoing momenta {np.round(p_out, 8)}: kinetic energy "
       f"{0.5 * p_out @ p_out:.10f} vs H = {H:.10f} (potential fully released)")
@@ -45,8 +45,8 @@ times = np.linspace(0.0, 5.0, 11)
 direct = dynamics.integrate_direct(su21, pt0, 5.0, tol=1e-10, sample_dt=0.5,
                                    lax_x=(0.0, 1.0))
 proj = dynamics.projection_trajectory(su21, pt0, times, lax_x=(0.0, 1.0))
-dq = max(np.abs(direct.points[i].q - proj.points[i].q).max() for i in range(11))
-dp = max(np.abs(direct.points[i].p - proj.points[i].p).max() for i in range(11))
+dq = np.abs(direct.path.q - proj.path.q).max()
+dp = np.abs(direct.path.p - proj.path.p).max()
 dE = np.abs(direct.energy - proj.energy).max()
 ds = max(np.abs(direct.lax_spectra[x] - proj.lax_spectra[x]).max() for x in (0.0, 1.0))
 print(f"q agreement {dq:.2e}, p agreement {dp:.2e}")

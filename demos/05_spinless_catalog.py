@@ -37,8 +37,8 @@ pt0 = dynamics.make_phase_point(space, np.array([2.8, 1.2]), np.array([0.35, 0.2
 traj = dynamics.integrate_direct(space, pt0, 5.0, tol=1e-10, sample_dt=1.0,
                                  gauge="freeze")
 print("   t      q1       q2      |xi(t) - mu|     H")
-for t, pt, H in zip(traj.times, traj.points, traj.energy):
-    drift = np.abs(pt.xi.xi - mu.xi).max()
-    print(f"{t:5.1f}  {pt.q[0]:8.4f} {pt.q[1]:8.4f}   {drift:.2e}    {H:.10f}")
+for t, q, xi_t, H in zip(traj.times, traj.path.q, traj.path.xi.xi, traj.energy):
+    drift = np.abs(xi_t - mu.xi).max()
+    print(f"{t:5.1f}  {q[0]:8.4f} {q[1]:8.4f}   {drift:.2e}    {H:.10f}")
 print("with the solved gauge the spin never moves: the reduced system is the"
       " closed-form two-coupling model itself.")

@@ -121,18 +121,16 @@ def basis_checks(space: SymmetricSpaceData, rng: np.random.Generator,
     res = float(np.abs(gram - np.diag(np.concatenate(signs))).max())
     out.append(CheckResult(f"{name}: basis orthonormality", res, 1e-12))
 
-    ladder = []
-    for _ in range(n_ladder):
-        q = rng.standard_normal(space.n_coords)
-        if space.spec.family == "sl_kc":
-            q -= q.mean()
-        Q = algebra.embed(space, q)
-        av = space.alpha_cols(q)
-        for j in range(space.K):
-            up = Q @ space.eplus[j] - space.eplus[j] @ Q - av[j] * space.eminus[j]
-            dn = Q @ space.eminus[j] - space.eminus[j] @ Q - av[j] * space.eplus[j]
-            ladder += [np.abs(up).max(), np.abs(dn).max()]
-    out.append(CheckResult(f"{name}: ladder relation", _worst(ladder), 1e-12))
+    qs = np.array([rng.standard_normal(space.n_coords) for _ in range(n_ladder)])
+    if space.spec.family == "sl_kc":
+        qs -= qs.mean(axis=1, keepdims=True)
+    # every draw against every basis column: shape (draws, K, N, N)
+    Q = algebra.embed(space, qs)[:, None]
+    av = space.alpha_cols(qs)[..., None, None]
+    up = Q @ space.eplus - space.eplus @ Q - av * space.eminus
+    dn = Q @ space.eminus - space.eminus @ Q - av * space.eplus
+    out.append(CheckResult(f"{name}: ladder relation",
+                           _worst([np.abs(up).max(), np.abs(dn).max()]), 1e-12))
 
     mult_res = 0.0
     if space.spec.family == "su_mn":

@@ -373,8 +373,7 @@ def _trajectory_data(cfg: RunConfig, traj, path: str) -> dict:
     nc = cfg.space.n_coords
     header = (["t"] + [f"q{i + 1}" for i in range(nc)]
               + [f"p{i + 1}" for i in range(nc)] + ["H"])
-    write_csv(path, header, [[t, *pt.q, *pt.p, H]
-                             for t, pt, H in zip(traj.times, traj.points, traj.energy)])
+    write_csv(path, header, np.column_stack([traj.times, traj.path.q, traj.path.p, traj.energy]))
     corrections = {"m_part": traj.m_drift, "orbit_spectrum": traj.orbit_drift}
     if traj.freeze_residual is not None:
         corrections["freeze_residual"] = traj.freeze_residual
@@ -388,15 +387,9 @@ def _spectrum_data(cfg: RunConfig, traj, path: str) -> dict:
     for x in traj.lax_x:
         for i in range(N):
             header += [f"ev{i + 1}_x={x:g}_re", f"ev{i + 1}_x={x:g}_im"]
-    rows = []
-    for idx, t in enumerate(traj.times):
-        row = [t]
-        for x in traj.lax_x:
-            ev = traj.lax_spectra[x][idx]
-            for i in range(N):
-                row += [ev[i].real, ev[i].imag]
-        rows.append(row)
-    write_csv(path, header, rows)
+    # a (T, N) complex array viewed as floats is in the ev_i_re, ev_i_im order
+    write_csv(path, header, np.column_stack(
+        [traj.times] + [traj.lax_spectra[x].view(float) for x in traj.lax_x]))
     drift = dynamics.monitor(cfg.space, traj)["lax_spectra"]
     return {"isospectrality_drift": {f"x={x:g}": drift[x] for x in traj.lax_x}}
 

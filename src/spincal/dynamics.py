@@ -85,7 +85,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Reduced phase-space point on the gauge slice."""
+    """Reduced phase-space point on the gauge slice, or a stack of them (rows
+    of q and p with one spin or a spin stack, see :func:`make_phase_point`)."""
 
     q: np.ndarray
     p: np.ndarray
@@ -145,15 +146,18 @@ class EomRhs:
     dq: np.ndarray
     dp: np.ndarray
     dxi: np.ndarray
-    m_part_norm: float
+    m_part_norm: float | np.ndarray  # one value per row of a stacked point
 
 
 @dataclass
 class Trajectory:
-    """Time-stamped reduced trajectory with invariant monitors."""
+    """Time-stamped reduced trajectory with invariant monitors.  ``path`` is
+    the samples as one stacked :class:`PhasePoint`: q, p (T, n), xi (T, N, N)
+    and its coefficients (T, K); a spin that does not move (freezing gauge,
+    zero spin) is a read-only broadcast of the run's initial spin."""
 
     times: np.ndarray
-    points: list
+    path: PhasePoint
     energy: np.ndarray
     lax_x: tuple
     lax_spectra: dict          # x -> (T, N) complex, sorted by (re, im)
@@ -300,20 +304,18 @@ def _certified(aligned, ref, radius, first) -> np.ndarray:
 def eom_rhs(space: SymmetricSpaceData, pt: PhasePoint, y_m: np.ndarray | None = None) -> EomRhs:
     """Reduced evolution vector field at pt with gauge generator y_m in M
     (default zero, the thick-slice choice), evaluated on N x N matrices:
-    the reference for the coefficient formulas the direct integrator uses."""
+    the reference for the coefficient formulas the direct integrator uses.
+    A stacked point gives one field per row (y_m one matrix, or one per row)."""
     algebra.require_off_wall(space, pt.q)
-    if pt.xi.is_zero:
-        z = np.zeros((space.N, space.N), complex)
-        return EomRhs(dq=pt.p.copy(), dp=np.zeros_like(pt.p), dxi=z, m_part_norm=0.0)
     av = space.alpha_cols(pt.q)
     c = pt.xi.coeffs
-    W2 = np.einsum("j,jab->ab", c / algebra.sinh_sq(av), space.eplus)
-    CT = np.einsum("j,jab->ab", c / np.tanh(av), space.eminus)
+    W2 = np.einsum("...j,jab->...ab", c / algebra.sinh_sq(av), space.eplus)
+    CT = np.einsum("...j,jab->...ab", c / np.tanh(av), space.eminus)
     dp = algebra.coords_of(space, _comm(W2, CT))
     Y = -W2 if y_m is None else y_m - W2
     dxi = _comm(Y, pt.xi.xi)
-    m_norm = float(np.linalg.norm(algebra.decompose(space, dxi)[1]))
-    return EomRhs(dq=pt.p.copy(), dp=dp, dxi=dxi, m_part_norm=m_norm)
+    cm = algebra.decompose(space, dxi)[1]  # row_dots rounds each norm as np.linalg.norm does
+    return EomRhs(dq=pt.p.copy(), dp=dp, dxi=dxi, m_part_norm=np.sqrt(algebra.row_dots(cm, cm)))
 
 
 # ---------------------------------------------------------------------------
@@ -544,23 +546,23 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
         if exc is not None:
             out.append(exc)
             continue
-        pts_m = [_sample_point(sys, pt0, y, spec_ref is None) for y in samples[m, :counts[m]]]
+        y = samples[m, :counts[m]]
+        if spec_ref is None:  # the spin does not move: the initial one's bits
+            xi = SpinPoint(xi=np.broadcast_to(pt0.xi.xi, (len(y), space.N, space.N)),
+                           coeffs=np.broadcast_to(pt0.xi.coeffs, (len(y), space.K)),
+                           on_slice=True)
+        else:
+            xi = SpinPoint(xi=sys.spin(y[:, 2 * nc:]), coeffs=y[:, 2 * nc:], on_slice=True)
+        path = PhasePoint(q=y[:, :nc], p=y[:, nc:2 * nc], xi=xi)
         # the M-part of xi' vanishes on the slice; its largest value at the
-        # samples is kept as a consistency diagnostic
-        m_drift = 0.0 if freeze else max(eom_rhs(space, pt).m_part_norm for pt in pts_m)
+        # samples is kept as a consistency diagnostic (np.max keeps a NaN)
+        m_drift = 0.0 if freeze else float(np.max(eom_rhs(space, path).m_part_norm))
         lax_x, invariants = monitors[m]
-        out.append(_attach_monitors(space, times[:counts[m]], pts_m, lax_x, invariants,
+        out.append(_attach_monitors(space, times[:counts[m]], path, lax_x, invariants,
                                     m_drift=m_drift, orbit_drift=math.sqrt(drift_sq[m]),
                                     wall_time=wall_time, n_steps=int(n_steps[m]),
                                     freeze_residual=freeze_residual))
     return out
-
-
-def _sample_point(sys, pt0, y, const_spin) -> PhasePoint:
-    q, p, cplus = y[:sys.nc].copy(), y[sys.nc:2 * sys.nc].copy(), y[2 * sys.nc:].copy()
-    if const_spin:
-        return PhasePoint(q=q, p=p, xi=pt0.xi)
-    return PhasePoint(q=q, p=p, xi=SpinPoint(xi=sys.spin(cplus), coeffs=cplus, on_slice=True))
 
 
 def _dense(y0, y1, ks, h, th):
@@ -659,19 +661,20 @@ def _step_batch(space, sys, y0, times, tol, t_end, restore, stopped):
     return samples, counts, n_steps
 
 
-def _attach_monitors(space, times, pts, lax_x, invariants, **stats):
-    energy = np.array([hamiltonian(space, pt) for pt in pts])
+def _attach_monitors(space, times, path, lax_x, invariants, **stats):
+    """The :class:`Trajectory` of the samples ``path`` (one stacked
+    :class:`PhasePoint`) at ``times``: energy, the Lax spectra at each x and
+    each invariant, every one evaluated once on the whole stack."""
     # L(x) = L(0) - x xi: one Lax matrix per sample serves every x
-    lax0 = np.array([lax(space, pt, 0.0) for pt in pts])
-    xis = np.array([pt.xi.xi for pt in pts])
+    lax0 = lax(space, path, 0.0)
+    xis = path.xi.xi
     # one stacked eigvals per x: LAPACK runs per matrix, as sorted_spectrum does
     spectra = {float(x): _match_spectra(np.sort_complex(np.linalg.eigvals(lax0 - x * xis)))
                for x in lax_x}
-    inv = {spec.label(): np.array([invariant_value(space, spec, L)
-                                   for L in lax0 - spec.x * xis])
+    inv = {spec.label(): invariant_value(space, spec, lax0 - spec.x * xis)
            for spec in invariants}
-    return Trajectory(times=np.asarray(times, dtype=float), points=list(pts),
-                      energy=energy, lax_x=tuple(float(x) for x in lax_x),
+    return Trajectory(times=np.asarray(times, dtype=float), path=path,
+                      energy=hamiltonian(space, path), lax_x=tuple(float(x) for x in lax_x),
                       lax_spectra=spectra, invariants=inv, **stats)
 
 
@@ -686,17 +689,18 @@ def _trace_power_coef(space: SymmetricSpaceData, k: int) -> complex:
 
 
 def invariant_value(space: SymmetricSpaceData, spec: InvariantSpec, X: np.ndarray) -> float:
-    """Evaluate the generator f on an algebra element (typically K(x)|_slice)."""
+    """Evaluate the generator f on an algebra element (typically K(x)|_slice),
+    one value per matrix of a stack."""
     if spec.cls == "trace_power":
         c = _trace_power_coef(space, spec.k)
-        return float((c * np.trace(np.linalg.matrix_power(X, spec.k))).real) / spec.k
+        return (c * np.trace(np.linalg.matrix_power(X, spec.k), axis1=-2, axis2=-1)).real / spec.k
     if space.spec.family != "su_mn":
         raise AdmissibilityError("block invariants are defined on the su(m,n) family")
     m = space.spec.m
-    A, B = X[:m, :m], X[:m, m:]
-    Bd, D = X[m:, :m], X[m:, m:]
+    A, B = X[..., :m, :m], X[..., :m, m:]
+    Bd, D = X[..., m:, :m], X[..., m:, m:]
     M = A @ B @ D @ Bd
-    return float(np.trace(np.linalg.matrix_power(M, spec.k)).real)
+    return np.trace(np.linalg.matrix_power(M, spec.k), axis1=-2, axis2=-1).real
 
 
 def gradient(space: SymmetricSpaceData, spec: InvariantSpec, X: np.ndarray) -> np.ndarray:
@@ -1022,7 +1026,10 @@ def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
             wall_time = t_prev
             break
         pts.append(pt)
-    return _attach_monitors(space, times[:len(pts)], pts, lax_x, invariants,
+    path = PhasePoint(q=np.array([pt.q for pt in pts]), p=np.array([pt.p for pt in pts]),
+                      xi=SpinPoint(xi=np.array([pt.xi.xi for pt in pts]),
+                                   coeffs=np.array([pt.xi.coeffs for pt in pts]), on_slice=True))
+    return _attach_monitors(space, times[:len(pts)], path, lax_x, invariants,
                             wall_time=wall_time)
 
 

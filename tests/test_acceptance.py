@@ -137,8 +137,8 @@ def test_criterion_4_cross_integrator():
                                                    invariants=monitors)
             for i in range(len(traj.times)):
                 worst_q = max(worst_q,
-                              float(np.abs(traj.points[i].q - ptraj.points[i].q).max()),
-                              float(np.abs(traj.points[i].p - ptraj.points[i].p).max()))
+                              float(np.abs(traj.path.q[i] - ptraj.path.q[i]).max()),
+                              float(np.abs(traj.path.p[i] - ptraj.path.p[i]).max()))
             worst_mon = max(worst_mon, float(np.abs(traj.energy - ptraj.energy).max()))
             for lab in traj.invariants:
                 worst_mon = max(worst_mon, float(np.abs(
@@ -232,8 +232,8 @@ def test_criterion_8_freezing_gauge():
         pt = dynamics.make_phase_point(space, q, p, mu)
         traj = dynamics.integrate_direct(space, pt, 5.0, tol=1e-10,
                                          sample_dt=0.5, gauge="freeze")
-        for ptt in traj.points:
-            worst_traj = max(worst_traj, float(np.abs(ptt.xi.xi - mu.xi).max()))
+        for xi_t in traj.path.xi.xi:
+            worst_traj = max(worst_traj, float(np.abs(xi_t - mu.xi).max()))
     dt = time.time() - t0
     report(8, worst_frozen < 1e-8 and worst_traj < 1e-7 and dt < 60.0,
            f"freezing over {len(models.CATALOG)} catalog entries x 20 points: "
@@ -260,8 +260,8 @@ def test_criterion_9_energy_and_free_motion():
     traj = dynamics.integrate_direct(space, pt, 10.0, tol=1e-10, sample_dt=0.5,
                                      lax_x=())
     worst_free = 0.0
-    for t, ptt in zip(traj.times, traj.points):
-        worst_free = max(worst_free, float(np.abs(ptt.q - (q0 + t * p0)).max()))
+    for t, q in zip(traj.times, traj.path.q):
+        worst_free = max(worst_free, float(np.abs(q - (q0 + t * p0)).max()))
     dt = time.time() - t0
     report(9, worst_energy < 1e-8 and worst_free < 1e-10 and dt < 30.0,
            f"relative energy drift {worst_energy:.2e} (tol 1e-8), free-motion "

@@ -502,6 +502,29 @@ def test_spectrum_free_constant_eigenvalues(tmp_path):
             assert np.abs(data[c] - data[c][0]).max() < 1e-12
 
 
+def test_spectrum_csv_reads_back_the_lax_spectra(tmp_path):
+    # 17 significant digits round-trip exactly: per x, the columns
+    # ev<i>_x=<x>_re, ev<i>_x=<x>_im read back as the run's lax_spectra
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(
+        model={"type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2, "seed": 3},
+        lax_x=[0.0, 0.5, 1.0]))
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    run = cli.parse_run(cli.load_config(cfg))
+    traj, = cli.run_trajectories([run])
+    path = tmp_path / "o" / "spectrum.csv"
+    header = path.read_text().splitlines()[0].split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    N = run.space.N
+    assert header[0] == "t" and data[:, 0].tobytes() == traj.times.tobytes()
+    for j, x in enumerate(run.lax_x):
+        cols = slice(1 + 2 * N * j, 1 + 2 * N * (j + 1))
+        assert header[cols] == [f"ev{i + 1}_x={x:g}_{part}"
+                                for i in range(N) for part in ("re", "im")]
+        got = np.ascontiguousarray(data[:, cols]).view(complex)
+        assert got.tobytes() == traj.lax_spectra[x].tobytes()
+    assert np.abs(traj.lax_spectra[0.5].imag).max() > 0.0
+
+
 # ---------------------------------------------------------------------------
 # verify and couplings
 # ---------------------------------------------------------------------------

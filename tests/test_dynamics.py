@@ -300,8 +300,7 @@ def assert_same_run(got, want):
     assert (got.wall_time is None) == (want.wall_time is None)
     if want.wall_time is not None:
         assert abs(got.wall_time - want.wall_time) <= 1e-12 * max(1.0, want.wall_time)
-    got_states, want_states = (np.array([np.concatenate([p.q, p.p, p.xi.coeffs])
-                                         for p in tr.points]) for tr in (got, want))
+    got_states, want_states = (packed(tr) for tr in (got, want))
     for a, b in ((got_states, want_states), (got.energy, want.energy),
                  (got.times, want.times)):
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
@@ -349,7 +348,7 @@ def grid_start(label, gauge):
 
 
 def packed(traj):
-    return np.array([np.concatenate([p.q, p.p, p.xi.coeffs]) for p in traj.points])
+    return np.column_stack([traj.path.q, traj.path.p, traj.path.xi.coeffs])
 
 
 @pytest.mark.parametrize("gauge", ["zero", "freeze"])
@@ -429,9 +428,9 @@ def test_integrate_free_motion_exact(su22):
     q0, p0 = np.array([2.0, 0.8]), np.array([0.15, -0.1])
     pt = dynamics.make_phase_point(su22, q0, p0)
     traj = dynamics.integrate_direct(su22, pt, 4.0, tol=1e-10, sample_dt=0.5)
-    for t, ptt in zip(traj.times, traj.points):
-        assert np.abs(ptt.q - (q0 + t * p0)).max() < 1e-12
-        assert np.abs(ptt.p - p0).max() < 1e-12
+    for t, q, p in zip(traj.times, traj.path.q, traj.path.p):
+        assert np.abs(q - (q0 + t * p0)).max() < 1e-12
+        assert np.abs(p - p0).max() < 1e-12
 
 
 def test_integrate_energy_and_isospectrality(su22, rng):
@@ -472,8 +471,8 @@ def test_integrate_frozen_gauge_keeps_spin(su21):
     pt = dynamics.make_phase_point(su21, np.array([1.0]), np.array([0.2]), xi)
     traj = dynamics.integrate_direct(su21, pt, 5.0, tol=1e-10, sample_dt=0.5,
                                      gauge="freeze")
-    for ptt in traj.points:
-        assert np.abs(ptt.xi.xi - xi.xi).max() < 1e-7
+    for xi_t in traj.path.xi.xi:
+        assert np.abs(xi_t - xi.xi).max() < 1e-7
 
 
 def count_calls(monkeypatch, module, name):
@@ -507,8 +506,8 @@ def test_freeze_gauge_certifies_constant_spin(su32, monkeypatch):
                                      gauge="freeze")
     assert len(solves) == 0 and len(certificates) == 3
     assert traj.n_steps > 0 and all(t.n_steps == traj.n_steps for t in pair)
-    for ptt in traj.points:
-        assert ptt.xi.coeffs.tobytes() == mu.coeffs.tobytes()
+    for coeffs in traj.path.xi.coeffs:
+        assert coeffs.tobytes() == mu.coeffs.tobytes()
     assert traj.m_drift == 0.0 and traj.orbit_drift == 0.0
     assert traj.freeze_residual < 1e-8
     zero = dynamics.integrate_direct(su32, pt, 0.5, tol=1e-10, sample_dt=0.5)
@@ -543,17 +542,91 @@ def test_freeze_gauge_rejects_generic_spin(su22, rng):
                                   gauge="freeze")
 
 
-@pytest.mark.parametrize("label", ["su(2,2)", "su(6,3)", "sl(4,C)"])
-def test_monitor_spectra_equal_per_sample_eigvals(label):
-    # one stacked eigvals per x gives the bits of sorted_spectrum per sample
+def sample_point(path, i):
+    """Sample i of a stacked path as a point of its own."""
+    xi = orbits.SpinPoint(xi=path.xi.xi[i], coeffs=path.xi.coeffs[i], on_slice=True)
+    return dynamics.PhasePoint(q=path.q[i], p=path.p[i], xi=xi)
+
+
+def stack_points(pts):
+    """The points pts as one stacked point."""
+    xi = orbits.SpinPoint(xi=np.array([pt.xi.xi for pt in pts]),
+                          coeffs=np.array([pt.xi.coeffs for pt in pts]), on_slice=True)
+    return dynamics.PhasePoint(q=np.array([pt.q for pt in pts]),
+                               p=np.array([pt.p for pt in pts]), xi=xi)
+
+
+def monitor_specs(space):
+    specs = [InvariantSpec("trace_power", 2, 0.5), InvariantSpec("trace_power", 3, 1.0)]
+    if space.spec.family == "su_mn":
+        specs += [InvariantSpec("block_invariant", 1, 0.5),
+                  InvariantSpec("block_invariant", 2, -1.0)]
+    return tuple(specs)
+
+
+# a freezable catalog spin per space of the monitor tests
+MONITOR_CATALOG = {"su(2,2)": ("c", 1.0, 0.7), "su(6,3)": ("d", 1.0), "sl(4,C)": ("kks", 0.8)}
+# direct zero-gauge orbit runs keep their space's label as the test id
+MONITOR_RUNS = [pytest.param(label, kind, id=label if kind == "orbit" else f"{label}-{kind}")
+                for kind in ("orbit", "catalog", "free", "projection")
+                for label in sorted(MONITOR_CATALOG)]
+
+
+@pytest.mark.parametrize("label, kind", MONITOR_RUNS)
+def test_monitor_spectra_equal_per_sample_eigvals(label, kind):
+    # the monitors of the stacked path give the bits of per-sample calls:
+    # one stacked eigvals per x those of sorted_spectrum, and the energy and
+    # every invariant those of hamiltonian and invariant_value on each sample
     space = CORE_SPACES[label]
     pt = checks.random_phase_point(space, np.random.default_rng(4))
-    traj = dynamics.integrate_direct(space, pt, 1.0, tol=1e-10, sample_dt=0.125,
-                                     lax_x=(0.0, 0.5, 1.0), on_wall="truncate")
+    if kind == "catalog":
+        pt = dynamics.make_phase_point(space, pt.q, pt.p,
+                                       orbits.xi_red(space, *MONITOR_CATALOG[label]))
+    elif kind == "free":
+        pt = dynamics.make_phase_point(space, pt.q, pt.p)
+    specs = monitor_specs(space)
+    kwargs = dict(lax_x=(0.0, 0.5, 1.0), invariants=specs, on_wall="truncate")
+    if kind == "projection":
+        traj = dynamics.projection_trajectory(space, pt, np.linspace(0.0, 1.0, 9), **kwargs)
+    else:
+        traj = dynamics.integrate_direct(space, pt, 1.0, tol=1e-10, sample_dt=0.125,
+                                         gauge="freeze" if kind == "catalog" else "zero",
+                                         **kwargs)
+    assert traj.path.q.shape == (len(traj), space.n_coords)
+    assert traj.path.xi.xi.shape == (len(traj), space.N, space.N)
+    samples = [sample_point(traj.path, i) for i in range(len(traj))]
     for x, spectra in traj.lax_spectra.items():
         per_sample = [dynamics.sorted_spectrum(dynamics.lax(space, p, 0.0) - x * p.xi.xi)
-                      for p in traj.points]
+                      for p in samples]
         assert spectra.tobytes() == dynamics._match_spectra(np.array(per_sample)).tobytes()
+    energy = [dynamics.hamiltonian(space, p) for p in samples]
+    assert traj.energy.tobytes() == np.array(energy).tobytes()
+    for spec in specs:
+        values = [dynamics.invariant_value(space, spec,
+                                           dynamics.lax(space, p, 0.0) - spec.x * p.xi.xi)
+                  for p in samples]
+        assert traj.invariants[spec.label()].tobytes() == np.array(values).tobytes()
+
+
+@pytest.mark.parametrize("label", ["su(2,2)", "su(3,2)", "su(6,3)", "sl(4,C)"])
+def test_stacked_eom_rhs_and_invariants_equal_per_point_calls(label):
+    # one call on 20 stacked draws gives the bits of a call on each draw
+    space = CORE_SPACES[label]
+    rng = np.random.default_rng(9)
+    pts = [checks.random_phase_point(space, rng) for _ in range(20)]
+    stacked = stack_points(pts)
+    rhs = dynamics.eom_rhs(space, stacked)
+    assert rhs.m_part_norm.shape == (20,)
+    for i, pt in enumerate(pts):
+        want = dynamics.eom_rhs(space, pt)
+        for name in ("dq", "dp", "dxi", "m_part_norm"):
+            assert np.asarray(getattr(rhs, name)[i]).tobytes() == \
+                np.asarray(getattr(want, name)).tobytes(), name
+    for spec in monitor_specs(space):
+        got = dynamics.invariant_value(space, spec, dynamics.lax(space, stacked, spec.x))
+        want = [dynamics.invariant_value(space, spec, dynamics.lax(space, pt, spec.x))
+                for pt in pts]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1030,11 +1103,11 @@ def test_cross_integrator_agreement(case, su21, su22, rng):
              InvariantSpec("block_invariant", 1, 0.5))
     ptraj = dynamics.projection_trajectory(sp, pt, traj.times, lax_x=(0.0, 1.0),
                                            invariants=specs)
-    dtraj_inv = dynamics._attach_monitors(sp, traj.times, traj.points,
+    dtraj_inv = dynamics._attach_monitors(sp, traj.times, traj.path,
                                           (0.0, 1.0), specs)
     for i in range(len(traj.times)):
-        assert np.abs(traj.points[i].q - ptraj.points[i].q).max() < 1e-6
-        assert np.abs(traj.points[i].p - ptraj.points[i].p).max() < 1e-6
+        assert np.abs(traj.path.q[i] - ptraj.path.q[i]).max() < 1e-6
+        assert np.abs(traj.path.p[i] - ptraj.path.p[i]).max() < 1e-6
     assert np.abs(dtraj_inv.energy - ptraj.energy).max() < 1e-6
     for label in ptraj.invariants:
         assert np.abs(dtraj_inv.invariants[label] - ptraj.invariants[label]).max() < 1e-6
@@ -1054,8 +1127,8 @@ def test_cross_integrator_sl3_through_sign_change(sl3):
                                      lax_x=(0.0, 1.0))
     ptraj = dynamics.projection_trajectory(sl3, pt, traj.times, lax_x=(0.0, 1.0))
     for i in range(len(traj.times)):
-        assert np.abs(traj.points[i].q - ptraj.points[i].q).max() < 1e-6
-        assert np.abs(traj.points[i].p - ptraj.points[i].p).max() < 1e-6
+        assert np.abs(traj.path.q[i] - ptraj.path.q[i]).max() < 1e-6
+        assert np.abs(traj.path.p[i] - ptraj.path.p[i]).max() < 1e-6
     for x in (0.0, 1.0):
         assert np.abs(traj.lax_spectra[x] - ptraj.lax_spectra[x]).max() < 1e-6
 
@@ -1117,18 +1190,18 @@ def test_sutherland_two_body_scattering(sl2):
     pt = dynamics.make_phase_point(sl2, q0, p0, xi)
     traj = dynamics.integrate_direct(sl2, pt, 14.0, tol=1e-10, sample_dt=1.0)
     H = dynamics.hamiltonian(sl2, pt)
-    p_end = traj.points[-1].p
+    p_end = traj.path.p[-1]
     # potential has decayed: all kinetic energy is back
     assert abs(0.5 * np.dot(p_end, p_end) - H) < 1e-6
     # outgoing: ordering preserved, velocities separated
     assert p_end[0] > 0 > p_end[1]
     # tail is linear in t: compare the last two samples against p_end
-    dq = traj.points[-1].q - traj.points[-2].q
+    dq = traj.path.q[-1] - traj.path.q[-2]
     assert np.abs(dq - p_end * 1.0).max() < 1e-4
     # projection method agrees through the scattering event
     for i, t in enumerate(traj.times):
         out = dynamics.flow_projection(sl2, pt, float(t)) if t else pt
-        assert np.abs(out.q - traj.points[i].q).max() < 1e-6
+        assert np.abs(out.q - traj.path.q[i]).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -1153,7 +1226,7 @@ def test_r12_term_count_su32(su32, rng):
 
 def test_monitor_single_sample_zero_drift(su22, rng):
     pt = generic_su22_point(su22, rng)
-    traj = dynamics._attach_monitors(su22, np.array([0.0]), [pt], (0.0, 1.0),
+    traj = dynamics._attach_monitors(su22, np.array([0.0]), stack_points([pt]), (0.0, 1.0),
                                      (InvariantSpec("trace_power", 2, 1.0),))
     rep = dynamics.monitor(su22, traj)
     assert rep["energy"] == 0.0
