@@ -634,8 +634,7 @@ def decompose(space: SymmetricSpaceData, X: np.ndarray):
     X = np.asarray(X, dtype=complex)
     cplus = -np.einsum("...ab,jba->...j", X, space.eplus).real
     cminus = np.einsum("...ab,jba->...j", X, space.eminus).real
-    cm = (-np.einsum("...ab,jba->...j", X, space.m_basis).real if space.dim_m
-          else np.zeros(X.shape[:-2] + (0,)))
+    cm = -np.einsum("...ab,jba->...j", X, space.m_basis).real
     a = coords_of(space, X)
     return a, cm, cplus, cminus
 
@@ -646,7 +645,7 @@ def reconstruct(space: SymmetricSpaceData, a=None, cm=None, cplus=None, cminus=N
     X = np.zeros(lead + (space.N, space.N), complex)
     if a is not None and np.any(a):
         X += embed(space, a)
-    if cm is not None and space.dim_m and np.any(cm):
+    if cm is not None and np.any(cm):
         X += np.einsum("...j,jab->...ab", cm, space.m_basis)
     if cplus is not None and np.any(cplus):
         X += np.einsum("...j,jab->...ab", cplus, space.eplus)

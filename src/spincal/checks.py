@@ -111,12 +111,8 @@ def basis_checks(space: SymmetricSpaceData, rng: np.random.Generator,
     out = []
 
     K = space.K
-    mats = [space.eplus, space.eminus, space.a_basis]
-    signs = [-np.ones(K), np.ones(K), np.ones(space.rank)]
-    if space.dim_m:
-        mats.append(space.m_basis)
-        signs.append(-np.ones(space.dim_m))
-    stack = np.concatenate(mats)
+    stack = np.concatenate([space.eplus, space.eminus, space.a_basis, space.m_basis])
+    signs = [-np.ones(K), np.ones(K), np.ones(space.rank), -np.ones(space.dim_m)]
     gram = np.einsum("iab,jba->ij", stack, stack).real
     res = float(np.abs(gram - np.diag(np.concatenate(signs))).max())
     out.append(CheckResult(f"{name}: basis orthonormality", res, 1e-12))

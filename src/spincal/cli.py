@@ -101,7 +101,7 @@ def _need(obj: dict, key: str, where: str):
 def _value(obj: dict, key: str, conv, where: str, *default):
     """conv(obj[key]), or conv(default) when the key is absent and a default
     is given; a value of the wrong JSON type (null for a number, a number
-    for a list) is a ConfigError."""
+    for a list) or, for a number, a non-finite one is a ConfigError."""
     val = obj.get(key, *default) if default else _need(obj, key, where)
     try:
         return conv(val)
@@ -117,7 +117,21 @@ def _integer(val) -> int:
     return int(val)
 
 
-MODEL_NUMBERS = {"kappa": float, "x": float, "kappa_m": float, "kappa_n": float,
+def _reals(val) -> np.ndarray:
+    """A number or array of numbers as floats, all finite: Python's json
+    reads NaN and Infinity, which no config value may be."""
+    out = np.asarray(val, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError("not finite")
+    return out
+
+
+def _real(val) -> float:
+    """A finite float config value (see :func:`_reals`)."""
+    return float(_reals(float(val)))
+
+
+MODEL_NUMBERS = {"kappa": _real, "x": _real, "kappa_m": _real, "kappa_n": _real,
                  "seed": _integer}
 
 
@@ -192,21 +206,20 @@ def parse_run(obj: dict, default_name: str = "run", overrides=None) -> RunConfig
 
     initial = _need(obj, "initial", "run config")
     _check_keys(initial, {"q", "p"}, "initial")
-    q, p = (_value(initial, key, lambda v: np.asarray(v, dtype=float), "initial")
-            for key in ("q", "p"))
+    q, p = (_value(initial, key, _reals, "initial") for key in ("q", "p"))
     try:
         pt0 = dynamics.make_phase_point(space, q, p, _initial_spin(space, model, seed))
     except (ValueError, WallProximityError) as exc:
         raise ConfigError(f"initial data of the {mtype} run on {space_spec.label()}: {exc}") \
             from None
 
-    t_end = _value(obj, "t_end", float, "run config")
+    t_end = _value(obj, "t_end", _real, "run config")
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
-    tol = _value(obj, "tol", float, "run config")
+    tol = _value(obj, "tol", _real, "run config")
     if not (0.0 < tol <= 1e-4):
         raise ConfigError("tol must lie in (0, 1e-4]")
-    sample_dt = _value(obj, "sample_dt", float, "run config") if "sample_dt" in obj else None
+    sample_dt = _value(obj, "sample_dt", _real, "run config") if "sample_dt" in obj else None
     if sample_dt is not None and sample_dt <= 0:
         raise ConfigError("sample_dt must be positive")
     sample_dt, _ = dynamics.sample_grid(t_end, sample_dt)
@@ -217,14 +230,14 @@ def parse_run(obj: dict, default_name: str = "run", overrides=None) -> RunConfig
         try:
             spec = InvariantSpec(_need(mon, "class", "monitor"),
                                  _value(mon, "k", _integer, "monitor"),
-                                 _value(mon, "x", float, "monitor", 0.0))
+                                 _value(mon, "x", _real, "monitor", 0.0))
         except ValueError as exc:
             raise ConfigError(str(exc))
         if spec.cls == "block_invariant" and space_spec.family != "su_mn":
             raise ConfigError("block invariants require the su(m,n) family")
         monitors.append(spec)
 
-    lax_x = _value(obj, "lax_x", lambda v: tuple(float(x) for x in v), "run config",
+    lax_x = _value(obj, "lax_x", lambda v: tuple(_real(x) for x in v), "run config",
                    DEFAULT_LAX_X)
     method = obj.get("method", "direct")
     if method not in ("direct", "projection"):
@@ -232,6 +245,8 @@ def parse_run(obj: dict, default_name: str = "run", overrides=None) -> RunConfig
     gauge = obj.get("gauge", "freeze" if mtype in CATALOG_TYPES else "zero")
     if gauge not in ("zero", "freeze"):
         raise ConfigError("gauge must be 'zero' or 'freeze'")
+    if mtype == "free":  # zero spin has no gauge to freeze
+        gauge = "zero"
     name = _value(obj, "name", str, "run config", default_name)
     return RunConfig(name=name, space=space, pt0=pt0,
                      t_end=t_end, tol=tol, sample_dt=sample_dt,
@@ -308,12 +323,12 @@ def write_json(path: str, payload: dict):
 def run_trajectories(runs) -> list:
     """Per run, its Trajectory or the integration failure that stopped it.
 
-    The direct runs that share a space, effective gauge, zero or nonzero
-    spin, t_end, sample_dt and tol are integrated by one
-    :func:`dynamics.integrate_direct_batch` call; each keeps its own
-    monitors.  A failure is kept as the run's result, so that
-    :func:`cmd_simulate_one` and :func:`cmd_spectrum_one` meet it in run
-    order, as if the runs had been integrated one after another.
+    The direct runs that share a space, gauge, t_end, sample_dt and tol are
+    integrated by one :func:`dynamics.integrate_direct_batch` call, free and
+    spinning runs alike; each keeps its own monitors.  A failure is kept as
+    the run's result, so that :func:`cmd_simulate_one` and
+    :func:`cmd_spectrum_one` meet it in run order, as if the runs had been
+    integrated one after another.
     """
     results = [None] * len(runs)
     groups = {}
@@ -326,11 +341,9 @@ def run_trajectories(runs) -> list:
             except tuple(FAILURE_STATUS) as exc:
                 results[i] = exc
             continue
-        free = cfg.pt0.xi.is_zero
-        key = (cfg.space.spec, "zero" if free else cfg.gauge, free,
-               cfg.t_end, cfg.sample_dt, cfg.tol)
+        key = (cfg.space.spec, cfg.gauge, cfg.t_end, cfg.sample_dt, cfg.tol)
         groups.setdefault(key, []).append(i)
-    for (_, gauge, _, t_end, sample_dt, tol), members in groups.items():
+    for (_, gauge, t_end, sample_dt, tol), members in groups.items():
         trajs = dynamics.integrate_direct_batch(
             runs[members[0]].space, [runs[i].pt0 for i in members], t_end, tol=tol,
             sample_dt=sample_dt, monitors=[(runs[i].lax_x, runs[i].monitors) for i in members],

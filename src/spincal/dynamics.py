@@ -154,7 +154,7 @@ class Trajectory:
     """Time-stamped reduced trajectory with invariant monitors.  ``path`` is
     the samples as one stacked :class:`PhasePoint`: q, p (T, n), xi (T, N, N)
     and its coefficients (T, K); a spin that does not move (freezing gauge,
-    zero spin) is a read-only broadcast of the run's initial spin."""
+    a batch of zero spins) is a read-only broadcast of the run's initial spin."""
 
     times: np.ndarray
     path: PhasePoint
@@ -190,11 +190,9 @@ def hamiltonian(space: SymmetricSpaceData, pt: PhasePoint) -> float:
     """Kinetic term plus the inverse-sinh-squared spin potential (one value
     per row of a stacked point)."""
     algebra.require_off_wall(space, pt.q)
-    val = 0.5 * algebra.row_dots(pt.p, pt.p)
-    if not pt.xi.is_zero:
-        av = space.alpha_cols(pt.q)
-        val = val + (np.sum(pt.xi.coeffs ** 2 / algebra.sinh_sq(av), axis=-1)
-                     / (2.0 * space.coord_weight))
+    av = space.alpha_cols(pt.q)
+    val = (0.5 * algebra.row_dots(pt.p, pt.p)
+           + np.sum(pt.xi.coeffs ** 2 / algebra.sinh_sq(av), axis=-1) / (2.0 * space.coord_weight))
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -214,13 +212,11 @@ def lax(space: SymmetricSpaceData, pt: PhasePoint, x: float) -> np.ndarray:
     value per point.
     """
     algebra.require_off_wall(space, pt.q)
-    L = algebra.embed(space, pt.p)
-    if pt.xi.is_zero:
-        return L
     x = np.asarray(x, dtype=float)
     if x.ndim:
         x = x[..., None, None]
-    return L - algebra.ad_fn_slice(space, "coth", pt.q, pt.xi.coeffs) - x * pt.xi.xi
+    return (algebra.embed(space, pt.p) - algebra.ad_fn_slice(space, "coth", pt.q, pt.xi.coeffs)
+            - x * pt.xi.xi)
 
 
 def lax_minus(space: SymmetricSpaceData, pt: PhasePoint) -> np.ndarray:
@@ -231,10 +227,7 @@ def lax_minus(space: SymmetricSpaceData, pt: PhasePoint) -> np.ndarray:
 def lax_cal(space: SymmetricSpaceData, pt: PhasePoint) -> np.ndarray:
     """Conjugated Lax operator p - w(ad_q) xi with w(z) = 1/sinh(z)."""
     algebra.require_off_wall(space, pt.q)
-    L = algebra.embed(space, pt.p)
-    if not pt.xi.is_zero:
-        L = L - algebra.ad_fn_slice(space, "inv_sinh", pt.q, pt.xi.coeffs)
-    return L
+    return algebra.embed(space, pt.p) - algebra.ad_fn_slice(space, "inv_sinh", pt.q, pt.xi.coeffs)
 
 
 def sorted_spectrum(X: np.ndarray) -> np.ndarray:
@@ -473,7 +466,8 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
     check and samples, exactly as :func:`integrate_direct` describes for one
     run; finished members drop out of the active rows.  Every Runge-Kutta
     stage is one right-hand-side call over the active rows, and the spectrum
-    restoration one stacked ``eigh`` per spin block over the accepted rows.  The spins must be all zero or all nonzero.  ``monitors``
+    restoration one stacked ``eigh`` per spin block over the accepted rows;
+    a batch whose spins are all zero has nothing to restore.  ``monitors``
     holds one ``(lax_x, invariants)`` pair per member (default ``(0, 1)``
     and none).
 
@@ -493,9 +487,6 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
         monitors = [((0.0, 1.0), ())] * len(pts)
     if len(monitors) != len(pts):
         raise ValueError("monitors must hold one (lax_x, invariants) pair per member")
-    free = pts[0].xi.is_zero
-    if any(pt.xi.is_zero != free for pt in pts):
-        raise ValueError("the spins of a batch must be all zero or all nonzero")
     _, times = sample_grid(t_end, sample_dt)
 
     sys = _DirectSystem(space, gauge)
@@ -511,8 +502,9 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
             stopped[m] = FreezeCertificateError(
                 f"no freezing gauge on the chamber: root {space.roots[r].label()} "
                 f"leaves the residual {cert.root_residuals[r]:.3e}")
-    spec_ref = (None if free or freeze
-                else _block_spectra_ref(space, np.array([pt.xi.xi for pt in pts])))
+    spec_ref = None if freeze else _block_spectra_ref(space, np.array([pt.xi.xi for pt in pts]))
+    if spec_ref is not None and not spec_ref.any():  # zero spins only
+        spec_ref = None
 
     def restore(members, Y5):
         xi = sys.spin(Y5[:, 2 * nc:])
@@ -950,8 +942,6 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     xi_rot = g.conj().T @ pt0.xi.xi @ g
     p_t = algebra.coords_of(space, Jm_rot)
 
-    if pt0.xi.is_zero:
-        return PhasePoint(q=q_t, p=p_t, xi=orbits.zero_spin(space))
     # drop the numerical M-part before re-certifying the slice condition
     _, cm, cplus, _ = algebra.decompose(space, xi_rot)
     if np.linalg.norm(cm) > 1e-7:

@@ -162,16 +162,14 @@ class OrbitSpec:
 
 @dataclass(frozen=True)
 class SpinPoint:
-    """Orbit element xi in g-plus, with M-perp coefficients when on-slice."""
+    """Orbit element xi in g-plus, with M-perp coefficients when on-slice.
+    Zero spin (:func:`zero_spin`, free motion) is an ordinary on-slice
+    point: every formula with spin gives the free value on its zero
+    coefficients."""
 
     xi: np.ndarray
     coeffs: np.ndarray | None = None   # M-perp coefficients, basis order
     on_slice: bool = False
-
-    @property
-    def is_zero(self) -> bool:
-        """Whether xi (every spin of a stack) vanishes."""
-        return bool(np.abs(self.xi).max(initial=0.0) == 0.0)
 
 
 @dataclass(frozen=True)
@@ -353,9 +351,7 @@ def build_slice_point(space: SymmetricSpaceData, q, p, xi: SpinPoint) -> Unreduc
     if not xi.on_slice or xi.coeffs is None:
         raise MembershipError("xi must be an on-slice SpinPoint (vanishing M-part)")
     Lam = expm_herm(2.0 * algebra.embed(space, q))
-    Jm = algebra.embed(space, p)
-    if not xi.is_zero:
-        Jm = Jm - algebra.ad_fn_slice(space, "coth", q, xi.coeffs)
+    Jm = algebra.embed(space, p) - algebra.ad_fn_slice(space, "coth", q, xi.coeffs)
     return UnreducedPoint(Lam=Lam, j_minus=Jm, xi=xi)
 
 

@@ -265,6 +265,31 @@ def test_batch_failures_match_runs_one_by_one(tmp_path):
     assert reports[0]["status"] == "ok"
 
 
+def test_free_and_spinning_runs_share_a_batch(tmp_path, monkeypatch):
+    # zero spin always runs in the zero gauge, so a free run and an orbit
+    # run on one space with equal t_end, sample_dt and tol are one batch
+    su22 = {"family": "su_mn", "m": 2, "n": 2}
+    orbit = {"type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2}
+    runs = [free_run("free", [2.0, 1.0], [0.1, 0.05]),
+            base_run_config(name="orbit", model=orbit, initial={"q": [2.0, 1.0],
+                                                                "p": [0.1, -0.2]})]
+    runs[0]["space"] = runs[1]["space"] = su22
+    calls = []
+    real = dynamics.integrate_direct_batch
+
+    def counted(space, pts, *args, **kwargs):
+        calls.append(len(pts))
+        return real(space, pts, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_direct_batch", counted)
+    cfg = write_config(tmp_path / "cfg.json", {"runs": runs})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == [2]
+    for name in ("free", "orbit"):
+        report = json.loads((tmp_path / "o" / name / "drift_report.json").read_text())
+        assert report["status"] == "ok"
+
+
 def test_freeze_run_far_along_the_chamber(tmp_path):
     # one particle far from the other: the certificate holds at every step
     cfg = write_config(tmp_path / "cfg.json", base_run_config(
@@ -449,6 +474,23 @@ def test_non_integral_integer_is_a_config_error(tmp_path, capsys, command, paylo
     unknown = "m_ambient" in payload.get("model", {})
     assert capsys.readouterr().err.startswith(
         "error: unknown keys" if unknown else "error: invalid value for")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,payload", [
+    ("p", base_run_config(initial={"q": [2.0, 1.0], "p": [math.nan, 0.3]})),
+    ("kappa_m", base_run_config(model={"type": "orbit", "kappa_m": math.nan, "x": 0.5})),
+    ("t_end", base_run_config(t_end=math.inf)),
+    ("sample_dt", base_run_config(sample_dt=math.nan)),
+    ("lax_x", base_run_config(lax_x=[math.nan])),
+    ("kappa", base_run_config(model={"type": "bc", "kappa": math.nan, "x": 1.0})),
+])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, key, payload):
+    # Python's json reads NaN and Infinity; a run config holding one exits 1
+    # naming the key, and writes nothing
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: invalid value for {key!r}")
     assert not (tmp_path / "o").exists()
 
 

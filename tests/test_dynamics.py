@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spincal import algebra, checks, dynamics, models, orbits
@@ -84,6 +84,48 @@ def test_lax_free_is_momentum(su22, rng):
     P = algebra.embed(su22, p)
     for x in (-1.0, 0.0, 0.7, 2.0):
         assert np.abs(dynamics.lax(su22, pt, x) - P).max() < 1e-15
+
+
+FREE_SPACES = {spec: algebra.build_space(spec) for spec in (
+    [algebra.SpaceSpec.su(m, n) for m in range(1, 5) for n in range(1, m + 1) if m + n <= 5]
+    + [algebra.SpaceSpec.sl(k) for k in (2, 3, 4)])}
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(list(FREE_SPACES)), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(0.05, 20.0), size=st.integers(1, 4))
+@example(spec=algebra.SpaceSpec.su(1, 1), seed=0, scale=1.0, size=3)
+def test_zero_spin_is_free_motion(spec, seed, scale, size):
+    # zero spin takes no branch of its own: the general formulas give the
+    # free values bit for bit, on one point and on a stack of them; an empty
+    # M (su(1,1)) decomposes to zero M-coefficients per matrix
+    space = FREE_SPACES[spec]
+    rng = np.random.default_rng(seed)
+    q = scale * np.array([algebra.random_chamber_point(space, rng) for _ in range(size)])
+    p = rng.standard_normal(q.shape)
+    if spec.family == "sl_kc":
+        p -= p.mean(axis=1, keepdims=True)
+    x = rng.standard_normal(size)
+    xi = orbits.zero_spin(space)
+    xis = orbits.SpinPoint(xi=np.broadcast_to(xi.xi, (size, space.N, space.N)),
+                           coeffs=np.broadcast_to(xi.coeffs, (size, space.K)), on_slice=True)
+    pt, pts = (dynamics.make_phase_point(space, q[0], p[0], xi),
+               dynamics.make_phase_point(space, q, p, xis))
+    P = algebra.embed(space, p)
+    assert dynamics.hamiltonian(space, pt) == 0.5 * algebra.row_dots(p[0], p[0])
+    assert np.array_equal(dynamics.hamiltonian(space, pts), 0.5 * algebra.row_dots(p, p))
+    assert np.array_equal(dynamics.lax(space, pt, x[0]), P[0])
+    assert np.array_equal(dynamics.lax(space, pts, x[0]), P)
+    assert np.array_equal(dynamics.lax(space, pts, x), P)
+    assert np.array_equal(dynamics.lax_cal(space, pt), P[0])
+    assert np.array_equal(orbits.build_slice_point(space, q[0], p[0], xi).j_minus, P[0])
+    moved = dynamics.flow_projection(space, pt, 0.01)
+    assert not moved.xi.xi.any() and not moved.xi.coeffs.any()
+
+    X = np.array([algebra.random_algebra_element(space, rng) for _ in range(size)])
+    parts = algebra.decompose(space, X)
+    assert parts[1].shape == (size, space.dim_m)
+    assert np.abs(algebra.reconstruct(space, *parts) - X).max() <= 1e-12
 
 
 def test_lax_minus_real_spectrum(su22, rng):
@@ -309,12 +351,13 @@ def assert_same_run(got, want):
 @settings(max_examples=40, deadline=None)
 @given(label=st.sampled_from(sorted(CORE_SPACES)), seed=st.integers(0, 2 ** 32 - 1),
        size=st.integers(2, 5), near_wall=st.lists(st.booleans(), min_size=5, max_size=5),
-       free=st.booleans(), order=st.permutations(range(5)))
+       free=st.lists(st.booleans(), min_size=5, max_size=5), order=st.permutations(range(5)))
 def test_batch_members_match_single_runs(label, seed, size, near_wall, free, order):
-    # every member of a batch, in the given order and shuffled, is its own
-    # integrate_direct run to roundoff, with the same accepted steps
+    # every member of a batch, free or spinning, in the given order and
+    # shuffled, is its own integrate_direct run to roundoff, with the same
+    # accepted steps
     space = CORE_SPACES[label]
-    pts = [member_point(space, seed + i, near_wall[i], free) for i in range(size)]
+    pts = [member_point(space, seed + i, near_wall[i], free[i]) for i in range(size)]
     kwargs = dict(tol=1e-10, sample_dt=0.25, on_wall="truncate")
     singles = []
     for pt in pts:
@@ -377,11 +420,22 @@ def test_continuous_extension_matches_runs_ending_at_the_samples(label, gauge):
         assert np.abs(state - end).max() <= 1e-8 * max(1.0, np.abs(end).max())
 
 
-def test_batch_rejects_mixed_spins(su22, rng):
+def test_batch_mixes_free_and_spinning_members(su22, rng):
+    # a zero spin is an ordinary member: next to a generic spin it takes the
+    # steps of its own run, and its spin stays zero with nothing to restore
     pts = [generic_su22_point(su22, rng),
            dynamics.make_phase_point(su22, np.array([1.6, 0.7]), np.array([0.1, 0.0]))]
-    with pytest.raises(ValueError):
-        dynamics.integrate_direct_batch(su22, pts, 1.0)
+    kwargs = dict(tol=1e-10, sample_dt=0.25)
+    batch = dynamics.integrate_direct_batch(su22, pts, 2.0, **kwargs)
+    alone = [dynamics.integrate_direct(su22, pt, 2.0, **kwargs) for pt in pts]
+    for got, want in zip(batch, alone):
+        assert got.n_steps == want.n_steps > 0
+        assert_same_run(got, want)
+    assert batch[0].orbit_drift > 0.0
+    assert batch[1].orbit_drift == 0.0 and not batch[1].path.xi.xi.any()
+    # free motion rounds alike in both: q, p and the energy are its own bits
+    assert np.array_equal(packed(batch[1]), packed(alone[1]))
+    assert np.array_equal(batch[1].energy, alone[1].energy)
 
 
 def test_batch_failures_stay_per_member(su22, rng):
