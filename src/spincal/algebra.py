@@ -224,7 +224,8 @@ class SymmetricSpaceData:
         return self.spec.label()
 
 
-def _gram_schmidt(mats: list, inner: Callable, tol: float = 1e-12) -> np.ndarray:
+def _gram_schmidt(mats: list, inner: Callable, N: int, tol: float = 1e-12) -> np.ndarray:
+    """The (count, N, N) stack orthonormalized from the N x N mats, empty or not."""
     out = []
     for X in mats:
         Y = X.astype(complex).copy()
@@ -233,7 +234,7 @@ def _gram_schmidt(mats: list, inner: Callable, tol: float = 1e-12) -> np.ndarray
         nrm = inner(Y, Y)
         if nrm > tol:
             out.append(Y / math.sqrt(nrm))
-    return np.array(out) if out else np.zeros((0,) + mats[0].shape, dtype=complex)
+    return np.array(out, dtype=complex).reshape(-1, N, N)
 
 
 def _build_su(spec: SpaceSpec) -> SymmetricSpaceData:
@@ -282,7 +283,7 @@ def _build_su(spec: SpaceSpec) -> SymmetricSpaceData:
             add_root("single", k)
             mult.append(2 * d_extra)
 
-    eplus, eminus, e_root, labels = [], [], [], []
+    eplus, e_root, labels = [], [], []
     s2 = 1.0 / math.sqrt(2.0)
 
     for ridx, root in enumerate(roots):
@@ -296,13 +297,7 @@ def _build_su(spec: SpaceSpec) -> SymmetricSpaceData:
             P[top(l), top(k)] -= 0.5
             P[bot(k), bot(l)] += 0.5 * sgn
             P[bot(l), bot(k)] -= 0.5 * sgn
-            Q = np.zeros((N, N), complex)
-            Q[top(l), bot(k)] += 0.5
-            Q[top(k), bot(l)] += 0.5 * sgn
-            Q[bot(k), top(l)] += 0.5
-            Q[bot(l), top(k)] += 0.5 * sgn
             eplus.append(P)
-            eminus.append(Q)
             e_root.append(ridx)
             labels.append(f"{root.label()}:re")
             # E+ imaginary flavor
@@ -311,25 +306,14 @@ def _build_su(spec: SpaceSpec) -> SymmetricSpaceData:
             P[top(l), top(k)] += 0.5j
             P[bot(k), bot(l)] += 0.5j * sgn
             P[bot(l), bot(k)] += 0.5j * sgn
-            Q = np.zeros((N, N), complex)
-            tau = -sgn  # +1 for sum, -1 for diff
-            Q[top(l), bot(k)] += -0.5j
-            Q[top(k), bot(l)] += -0.5j * tau
-            Q[bot(k), top(l)] += 0.5j
-            Q[bot(l), top(k)] += 0.5j * tau
             eplus.append(P)
-            eminus.append(Q)
             e_root.append(ridx)
             labels.append(f"{root.label()}:im")
         elif root.kind == "twice":
             P = np.zeros((N, N), complex)
             P[top(k), top(k)] += 1j * s2
             P[bot(k), bot(k)] -= 1j * s2
-            Q = np.zeros((N, N), complex)
-            Q[top(k), bot(k)] += -1j * s2
-            Q[bot(k), top(k)] += 1j * s2
             eplus.append(P)
-            eminus.append(Q)
             e_root.append(ridx)
             labels.append(f"{root.label()}:im")
         else:  # single e_k, flavors d = 1..m-n, real then imaginary
@@ -337,31 +321,20 @@ def _build_su(spec: SpaceSpec) -> SymmetricSpaceData:
                 P = np.zeros((N, N), complex)
                 P[top(k), mid(d)] += s2
                 P[mid(d), top(k)] -= s2
-                Q = np.zeros((N, N), complex)
-                Q[mid(d), bot(k)] += s2
-                Q[bot(k), mid(d)] += s2
                 eplus.append(P)
-                eminus.append(Q)
                 e_root.append(ridx)
                 labels.append(f"{root.label()}:re,d{d + 1}")
                 P = np.zeros((N, N), complex)
                 P[top(k), mid(d)] += 1j * s2
                 P[mid(d), top(k)] += 1j * s2
-                Q = np.zeros((N, N), complex)
-                Q[mid(d), bot(k)] += -1j * s2
-                Q[bot(k), mid(d)] += 1j * s2
                 eplus.append(P)
-                eminus.append(Q)
                 e_root.append(ridx)
                 labels.append(f"{root.label()}:im,d{d + 1}")
 
-    # orthonormal A basis: embed(e_j) / sqrt(2)
-    a_basis = []
-    for j in range(n):
-        A = np.zeros((N, N), complex)
-        A[top(j), bot(j)] = s2
-        A[bot(j), top(j)] = s2
-        a_basis.append(A)
+    # unit flat directions embed(e_j); the orthonormal A basis is embed(e_j) / sqrt(2)
+    j = np.arange(n)
+    a_unit = np.zeros((n, N, N), complex)
+    a_unit[j, top(j), bot(j)] = a_unit[j, bot(j), top(j)] = 1.0
 
     # M basis: diag(i chi, gamma, i chi) with tr gamma + 2i tr chi = 0
     raw_m = []
@@ -397,19 +370,17 @@ def _build_su(spec: SpaceSpec) -> SymmetricSpaceData:
             G[bot(j + 1), bot(j + 1)] = -1j
             raw_m.append(G)
 
-    m_basis = _gram_schmidt(raw_m, lambda X, Y: float(-np.trace(X @ Y).real)) \
-        if raw_m else np.zeros((0, N, N), complex)
+    m_basis = _gram_schmidt(raw_m, lambda X, Y: float(-np.trace(X @ Y).real), N)
 
-    eplus = np.array(eplus)
+    eplus, col_coef_t = np.array(eplus), _col_coef_t(roots, e_root)
     return SymmetricSpaceData(
         spec=spec, N=N, n_coords=n, rank=n,
         roots=tuple(roots), mult=tuple(mult),
-        eplus=eplus, eminus=np.array(eminus),
+        eplus=eplus, eminus=_ladder_partners(eplus, a_unit, col_coef_t),
         e_root=np.array(e_root, dtype=int), e_labels=tuple(labels),
-        m_basis=m_basis, a_basis=np.array(a_basis),
+        m_basis=m_basis, a_basis=s2 * a_unit,
         root_coef=np.array([r.coef for r in roots]),
-        col_coef_t=_col_coef_t(roots, e_root),
-        coord_weight=2.0, fplus=_structure_constants(eplus),
+        col_coef_t=col_coef_t, coord_weight=2.0, fplus=_structure_constants(eplus),
     )
 
 
@@ -425,27 +396,19 @@ def _build_sl(spec: SpaceSpec) -> SymmetricSpaceData:
             mult.append(2)
 
     s2 = 1.0 / math.sqrt(2.0)
-    eplus, eminus, e_root, labels = [], [], [], []
+    eplus, e_root, labels = [], [], []
     for ridx, root in enumerate(roots):
         i, j = root.k - 1, root.l - 1
         P = np.zeros((N, N), complex)
         P[i, j] += s2
         P[j, i] -= s2
-        Q = np.zeros((N, N), complex)
-        Q[i, j] += s2
-        Q[j, i] += s2
         eplus.append(P)
-        eminus.append(Q)
         e_root.append(ridx)
         labels.append(f"{root.label()}:re")
         P = np.zeros((N, N), complex)
         P[i, j] += 1j * s2
         P[j, i] += 1j * s2
-        Q = np.zeros((N, N), complex)
-        Q[i, j] += 1j * s2
-        Q[j, i] -= 1j * s2
         eplus.append(P)
-        eminus.append(Q)
         e_root.append(ridx)
         labels.append(f"{root.label()}:im")
 
@@ -456,19 +419,19 @@ def _build_sl(spec: SpaceSpec) -> SymmetricSpaceData:
         D[j + 1, j + 1] = -1.0
         raw_a.append(D)
         raw_m.append(1j * D)
-    a_basis = _gram_schmidt(raw_a, lambda X, Y: float(np.trace(X @ Y).real))
-    m_basis = _gram_schmidt(raw_m, lambda X, Y: float(-np.trace(X @ Y).real))
+    a_basis = _gram_schmidt(raw_a, lambda X, Y: float(np.trace(X @ Y).real), N)
+    m_basis = _gram_schmidt(raw_m, lambda X, Y: float(-np.trace(X @ Y).real), N)
 
-    eplus = np.array(eplus)
+    eplus, col_coef_t = np.array(eplus), _col_coef_t(roots, e_root)
+    units = np.array([np.diag(e) for e in np.eye(k)])  # diag(e_c)
     return SymmetricSpaceData(
         spec=spec, N=N, n_coords=k, rank=k - 1,
         roots=tuple(roots), mult=tuple(mult),
-        eplus=eplus, eminus=np.array(eminus),
+        eplus=eplus, eminus=_ladder_partners(eplus, units, col_coef_t),
         e_root=np.array(e_root, dtype=int), e_labels=tuple(labels),
         m_basis=m_basis, a_basis=a_basis,
         root_coef=np.array([r.coef for r in roots]),
-        col_coef_t=_col_coef_t(roots, e_root),
-        coord_weight=1.0, fplus=_structure_constants(eplus),
+        col_coef_t=col_coef_t, coord_weight=1.0, fplus=_structure_constants(eplus),
     )
 
 
@@ -495,6 +458,16 @@ def build_space(spec: SpaceSpec) -> SymmetricSpaceData:
 def _col_coef_t(roots, e_root) -> np.ndarray:
     """Coefficient vectors of the roots of the basis columns, as columns."""
     return np.array([roots[r].coef for r in e_root]).T.copy()
+
+
+def _ladder_partners(eplus: np.ndarray, units: np.ndarray, col_coef_t: np.ndarray) -> np.ndarray:
+    """The A-perp basis from the ladder relation [embed(q), E+_j] = alpha_j(q) E-_j,
+    taken at the unit flat direction units[c] of the first coordinate c on
+    which column j's root is nonzero: E-_j = [units[c], E+_j] / alpha_j(e_c)."""
+    coef = col_coef_t.T
+    c = np.argmax(coef != 0.0, axis=1)
+    H = units[c]
+    return (H @ eplus - eplus @ H) / coef[np.arange(len(c)), c][:, None, None]
 
 
 def _structure_constants(eplus: np.ndarray) -> np.ndarray:

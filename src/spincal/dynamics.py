@@ -249,7 +249,7 @@ def _match_spectra(spectra: np.ndarray) -> np.ndarray:
     value are bitwise equal.  Then every eigenvalue sits at its nearest
     reference value, as many at each as its multiplicity, any other matching
     costs strictly more, and all optimal matchings give the same bits: those
-    of ``scipy.optimize.linear_sum_assignment``.  Rows in reference order
+    of scipy's ``linear_sum_assignment``.  Rows in reference order
     are tried as they are, then laid out by nearest reference value; the
     rest (near-ties, non-finite entries) go to the solver.
     """
@@ -276,8 +276,8 @@ def _match_spectra(spectra: np.ndarray) -> np.ndarray:
         ok = _certified(aligned, ref, radius, first)
         rows[todo[ok]] = aligned[ok]
         for i in todo[~ok] + 1:
-            import scipy.optimize  # the fallback alone needs scipy
-            row, col = scipy.optimize.linear_sum_assignment(np.abs(out[i][:, None] - ref))
+            from scipy import optimize  # the fallback alone needs scipy
+            row, col = optimize.linear_sum_assignment(np.abs(out[i][:, None] - ref))
             out[i, col] = out[i, row]
     return out
 
@@ -909,6 +909,36 @@ def _split_candidates(sig, k):
     return seen
 
 
+def _projection_lift(space: SymmetricSpaceData, pt0: PhasePoint, spec: InvariantSpec) -> tuple:
+    """pt0's spin, L(0), G = grad f(L(1)), S0 = exp(embed(q_0)) and on sl(k,C) S0^-1."""
+    if spec.cls != "trace_power":
+        raise AdmissibilityError("the projection flow requires a fully invariant generator")
+    H0 = algebra.embed(space, pt0.q)
+    return (pt0.xi.xi, lax(space, pt0, 0.0), gradient(space, spec, lax(space, pt0, 1.0)),
+            orbits.expm_herm(H0), None if space.spec.family == "su_mn" else orbits.expm_herm(-H0))
+
+
+def _projection_at(space: SymmetricSpaceData, lift: tuple, t: float) -> PhasePoint:
+    """The projection flow of :func:`_projection_lift` at time t."""
+    xi0, j_minus, G, S0, S0_inv = lift
+    # Lambda(t) = E Lambda_0 E+ with E = expm(t grad f) is never assembled (its
+    # condition number squares the exponent spread): the gauge is recovered from
+    # the accurate large singular data of the half-factor W = E Lambda_0^(1/2).
+    W = orbits.expm(t * G) @ S0
+    if S0_inv is None:
+        q_t, g = _chamber_gauge_su(space, W)
+    else:
+        q_t, g = _chamber_gauge_sl(space, W, S0_inv @ orbits.expm(-t * G))
+    p_t = algebra.coords_of(space, g.conj().T @ j_minus @ g)
+    # drop the numerical M-part before re-certifying the slice condition
+    _, cm, cplus, _ = algebra.decompose(space, g.conj().T @ xi0 @ g)
+    if np.linalg.norm(cm) > 1e-7:
+        raise algebra.OffSliceError(
+            f"projected spin drifted off the slice (M-part {np.linalg.norm(cm):.3e})")
+    return PhasePoint(q=q_t, p=p_t, xi=SpinPoint(
+        xi=algebra.reconstruct(space, cplus=cplus), coeffs=cplus, on_slice=True))
+
+
 def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
                     spec: InvariantSpec = InvariantSpec("trace_power", 2)) -> PhasePoint:
     """Exact time-t map of the invariant flow generated by f(K(1)) via the
@@ -916,81 +946,49 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
 
     The slice datum is lifted to (Lambda_0, J_-^0 = L(0), xi^0), transported
     along Lambda(t) = exp(t grad f(J_0)) Lambda_0 exp(-t theta(grad f(J_0)))
-    with J_0 = J_-^0 + tanh(ad_{q_0}) J_-^0 = L(1) (the momentum map
-    vanishes), and projected back to the chamber by re-diagonalizing Lambda(t).  Only fully group-invariant generators
-    (trace powers) admit this closed flow; spec = trace_power(2) reproduces
-    the Hamiltonian flow of the model itself.  The spin is returned in
-    whatever residual M-gauge the re-diagonalization picks: q, p, the energy,
-    Lax spectra and invariants do not depend on it.
+    and projected back to the chamber by re-diagonalizing Lambda(t).  Only
+    exp(t grad f) depends on t: :func:`projection_trajectory` lifts once per
+    run and evaluates this same flow at every sample.  Only trace powers
+    (fully group-invariant) admit this closed flow; spec = trace_power(2) is
+    the model's Hamiltonian flow.  The spin comes back in whatever residual
+    M-gauge the re-diagonalization picks: q, p, the energy, Lax spectra and
+    invariants do not depend on it.
     """
-    if spec.cls != "trace_power":
-        raise AdmissibilityError("the projection flow requires a fully invariant generator")
-    j_minus = lax(space, pt0, 0.0)
-    G = gradient(space, spec, lax(space, pt0, 1.0))
-    # Lambda(t) = E Lambda_0 E+ with E = expm(t grad f): never assemble the
-    # full product (its condition number squares the exponent spread); work
-    # with the half-factor W = E Lambda_0^(1/2), whose large singular values
-    # and vectors are accurate, and recover the gauge from those alone.
-    S0 = orbits.expm_herm(algebra.embed(space, pt0.q))
-    W = orbits.expm(t * G) @ S0
-    if space.spec.family == "su_mn":
-        q_t, g = _chamber_gauge_su(space, W)
-    else:
-        W_inv = orbits.expm_herm(-algebra.embed(space, pt0.q)) @ orbits.expm(-t * G)
-        q_t, g = _chamber_gauge_sl(space, W, W_inv)
-    Jm_rot = g.conj().T @ j_minus @ g
-    xi_rot = g.conj().T @ pt0.xi.xi @ g
-    p_t = algebra.coords_of(space, Jm_rot)
-
-    # drop the numerical M-part before re-certifying the slice condition
-    _, cm, cplus, _ = algebra.decompose(space, xi_rot)
-    if np.linalg.norm(cm) > 1e-7:
-        raise algebra.OffSliceError(
-            f"projected spin drifted off the slice (M-part {np.linalg.norm(cm):.3e})")
-    xi_sp = SpinPoint(xi=algebra.reconstruct(space, cplus=cplus), coeffs=cplus,
-                      on_slice=True)
-    return PhasePoint(q=q_t, p=p_t, xi=xi_sp)
+    return _projection_at(space, _projection_lift(space, pt0, spec), t)
 
 
-def _wall_contact(space, pt0, t_a, pt_a, t_b, pt_b) -> bool:
-    """Whether the Hamiltonian projection flow (trace power k = 2, where
-    q' = p) touches a chamber wall between two samples.
+def _wall_contact(space, lift, speed, t_a, q_a, t_b, q_b) -> bool:
+    """Whether the Hamiltonian projection flow (trace power 2, q' = p) comes
+    within EPS_WALL of a chamber wall between two samples.
 
-    Projected points always lie in the chamber, so a wall crossing shows up
-    as a reflection: some root's velocity alpha(p) turns from negative to
-    positive.  On such an interval the minimum of min_alpha alpha(q(t)) is
-    located on the exact flow; it is a contact if it falls below the wall
-    floor or lands on a point the projection rejects.  The search is skipped
-    when the speed bound |alpha(p)| <= |alpha| sqrt(2 H) (H is conserved and
-    the potential non-negative) keeps alpha(q) above the floor between the
-    samples.
+    H is conserved and the potential non-negative, so each alpha(q) moves no
+    faster than speed = |alpha| sqrt(2 H): on [t_a, t_b] it stays above
+    (alpha(q_a) + alpha(q_b) - speed (t_b - t_a)) / 2.  An interval where
+    that bound clears EPS_WALL for every root is clear, any other is bisected
+    on the flow (Piyavskii 1972; Shubert 1972).  A midpoint the projection
+    rejects (it requires min alpha > EPS_WALL), or a still unclear interval
+    narrower than 1e-10, is a contact.
     """
-    turned = (space.root_values(pt_a.p) < 0.0) & (space.root_values(pt_b.p) > 0.0)
-    if not np.any(turned):
-        return False
-    speed = np.linalg.norm(space.root_coef, axis=1) * math.sqrt(2.0 * hamiltonian(space, pt0))
-    lowest = (space.root_values(pt_a.q) + space.root_values(pt_b.q)
-              - speed * (t_b - t_a)) / 2.0
-    if np.all(lowest[turned] > algebra.EPS_WALL):
-        return False
-
-    def margin(t):
+    todo = [(t_a, space.root_values(q_a), t_b, space.root_values(q_b))]
+    while todo:
+        t_a, a, t_b, b = todo.pop()
+        if np.all((a + b - speed * (t_b - t_a)) / 2.0 > algebra.EPS_WALL):
+            continue
+        if t_b - t_a < 1e-10:
+            return True
+        t_m = 0.5 * (t_a + t_b)
         try:
-            q = flow_projection(space, pt0, t).q
+            m = space.root_values(_projection_at(space, lift, t_m).q)
         except (WallProximityError, algebra.DegenerateSpectrumError):
-            return -1.0
-        return algebra.min_root_value(space, q)
-
-    import scipy.optimize
-    res = scipy.optimize.minimize_scalar(margin, bounds=(t_a, t_b), method="bounded",
-                                         options={"xatol": 1e-10})
-    return res.fun < algebra.EPS_WALL
+            return True
+        todo += [(t_m, m, t_b, b), (t_a, a, t_m, m)]
+    return False
 
 
 def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
                           lax_x: tuple = (0.0, 1.0), invariants: tuple = (),
                           on_wall: str = "raise") -> Trajectory:
-    """Sample the projection-method Hamiltonian flow on a time grid.
+    """Sample the projection-method Hamiltonian flow, lifted once, on a time grid.
 
     A wall contact, at a sample or between two samples (see
     :func:`_wall_contact`), raises :class:`WallProximityError`; with
@@ -1000,13 +998,15 @@ def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
     if on_wall not in ("raise", "truncate"):
         raise ValueError("on_wall must be 'raise' or 'truncate'")
     times = np.asarray(times, dtype=float)
+    lift = _projection_lift(space, pt0, InvariantSpec("trace_power", 2))
+    speed = np.linalg.norm(space.root_coef, axis=1) * math.sqrt(2.0 * hamiltonian(space, pt0))
     pts = []
     wall_time = None
     for t in times:
         t_prev = float(times[len(pts) - 1]) if pts else None
         try:
-            pt = flow_projection(space, pt0, t) if t != 0.0 else pt0
-            if pts and _wall_contact(space, pt0, t_prev, pts[-1], t, pt):
+            pt = _projection_at(space, lift, t) if t != 0.0 else pt0
+            if pts and _wall_contact(space, lift, speed, t_prev, pts[-1].q, t, pt.q):
                 raise WallProximityError(
                     f"trajectory reached a chamber wall in ({t_prev:.6g}, {t:.6g}]",
                     t=t_prev)

@@ -365,8 +365,11 @@ def validate_params(family: str, n: int, kappa: float, x: float = 0.0):
 
     The BC bounds kappa - n x >= 0 and kappa + x >= 0 hold up to a slack of
     1e-14 max(1, kappa, n |x|), so that data on the boundary built in floats
-    (kappa = n x with x = 0.1) is accepted, as the exact data is.
+    (kappa = n x with x = 0.1) is accepted, as the exact data is.  A NaN or
+    infinite kappa or x is not admissible for any family.
     """
+    if not (math.isfinite(kappa) and math.isfinite(x)):
+        return f"kappa and x must be finite (kappa = {kappa}, x = {x})"
     if family == "bc":
         if n < 1:
             return "BC case requires n >= 1"

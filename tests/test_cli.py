@@ -193,8 +193,8 @@ def test_simulate_jobs_multi_run(tmp_path):
                                                  ("spectrum", "spectrum_report.json")])
 @pytest.mark.parametrize("target,method,exc,status", [
     ("integrate_direct_batch", "direct", algebra.StepSizeError, "step_size_failure"),
-    ("flow_projection", "projection", algebra.DegenerateSpectrumError, "degenerate_spectrum"),
-    ("flow_projection", "projection", algebra.OffSliceError, "off_slice"),
+    ("_projection_at", "projection", algebra.DegenerateSpectrumError, "degenerate_spectrum"),
+    ("_projection_at", "projection", algebra.OffSliceError, "off_slice"),
 ])
 def test_integration_failure_exit_3_writes_report(tmp_path, command, report_name,
                                                   target, method, exc, status):
@@ -628,6 +628,14 @@ def test_couplings_inadmissible_exit_1():
     out = run_cli("couplings", "2", "1.0", "1.0")
     assert out.returncode == 1
     assert "kappa - n x" in out.stderr
+
+
+@pytest.mark.parametrize("kappa,x", [("nan", "0.3"), ("inf", "0.3"), ("1.0", "inf")])
+def test_couplings_non_finite_exit_1(kappa, x):
+    out = run_cli("couplings", "2", kappa, x)
+    assert out.returncode == 1
+    assert "must be finite" in out.stderr
+    assert out.stdout == ""
 
 
 def test_python_dash_m_package_entry():

@@ -530,11 +530,12 @@ def test_integrate_frozen_gauge_keeps_spin(su21):
 
 
 def count_calls(monkeypatch, module, name):
+    """The positional arguments of each call of module.name, in call order."""
     calls = []
     fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -1117,16 +1118,16 @@ def test_projection_wall_contact_between_samples(su22):
 @pytest.mark.parametrize("kappa", [0.05, 0.0])
 def test_projection_bounce_or_wall_contact_matches_direct(sl3, kappa, monkeypatch):
     # q1 - q2 turns around between the samples; the transverse momentum
-    # makes the speed bound loose, so the exact flow is searched.  A weak
-    # barrier (kappa = 0.05) turns it at 0.16; free motion hits the wall,
-    # which the direct run locates where alpha = q1 - q2 reaches EPS_WALL
+    # makes the speed bound loose, so the flow is bisected between samples.
+    # A weak barrier (kappa = 0.05) turns it at 0.16; free motion hits the
+    # wall, which the direct run locates where alpha = q1 - q2 reaches EPS_WALL
     xi = orbits.xi_red(sl3, "kks", kappa) if kappa else orbits.zero_spin(sl3)
     pt = dynamics.make_phase_point(sl3, np.array([1.0, 0.2, -1.2]),
                                    np.array([0.7, 1.3, -2.0]), xi)
-    searches = count_calls(monkeypatch, scipy.optimize, "minimize_scalar")
+    flows = count_calls(monkeypatch, dynamics, "_projection_at")
     traj = dynamics.projection_trajectory(sl3, pt, np.linspace(0.0, 2.0, 3),
                                           on_wall="truncate")
-    assert searches
+    assert [t for _, _, t in flows if 0.0 < t < 2.0 and t != 1.0]
     direct = dynamics.integrate_direct(sl3, pt, 2.0, tol=1e-10, sample_dt=1.0,
                                        on_wall="truncate")
     assert (traj.wall_time is None) == (direct.wall_time is None)
@@ -1134,6 +1135,40 @@ def test_projection_bounce_or_wall_contact_matches_direct(sl3, kappa, monkeypatc
         assert abs(direct.wall_time - (0.8 - algebra.EPS_WALL) / 0.6) <= 1e-9
         assert direct.wall_time >= traj.wall_time
     assert traj.times.tolist() == direct.times.tolist()
+
+
+def test_projection_catches_wall_without_turned_velocity(su22):
+    # D model on su(2,2): the 2 e2 wall has no barrier, and the flow reaches
+    # it at t = 1.17653, where the direct run stops, wholly between the
+    # samples 0 and 2.  No root velocity turns from - to + across (0, 2), so
+    # a search gated on a turned velocity never looks; the speed bound does
+    xi = models.model_spin(su22, models.SpinlessModel("d", 2, 1.5))
+    pt = dynamics.make_phase_point(su22, np.array([1.2, 0.5]), np.array([0.8, 0.1]), xi)
+    p2 = dynamics.flow_projection(su22, pt, 2.0).p
+    assert not np.any((su22.root_values(pt.p) < 0.0) & (su22.root_values(p2) > 0.0))
+    with pytest.raises(algebra.WallProximityError):
+        dynamics.projection_trajectory(su22, pt, [0.0, 2.0, 4.0])
+    traj = dynamics.projection_trajectory(su22, pt, [0.0, 2.0, 4.0], on_wall="truncate")
+    assert traj.wall_time == 0.0 and traj.times.tolist() == [0.0]
+    direct = dynamics.integrate_direct(su22, pt, 4.0, tol=1e-10, sample_dt=2.0,
+                                       gauge="freeze", on_wall="truncate")
+    assert abs(direct.wall_time - 1.17653) < 1e-5
+
+
+@pytest.mark.parametrize("label", ["su(2,1)", "su(3,2)", "sl(3,C)", "sl(4,C)"])
+def test_projection_samples_are_flow_projection_bits(label):
+    # one lift per run evaluates the same flow as a fresh flow_projection call
+    space = CORE_SPACES[label]
+    pt = checks.random_phase_point(space, np.random.default_rng(8))
+    times = np.linspace(0.0, 1.0, 5)
+    traj = dynamics.projection_trajectory(space, pt, times, on_wall="truncate")
+    assert len(traj) > 1
+    for i, t in enumerate(traj.times[1:], 1):
+        want = dynamics.flow_projection(space, pt, float(t))
+        got = sample_point(traj.path, i)
+        for a, b in ((got.q, want.q), (got.p, want.p), (got.xi.xi, want.xi.xi),
+                     (got.xi.coeffs, want.xi.coeffs)):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("case", ["su21_spin", "su22_spin", "su22_spinless"])
