@@ -100,19 +100,27 @@ def _need(obj: dict, key: str, where: str):
 
 def _value(obj: dict, key: str, conv, where: str, *default):
     """conv(obj[key]), or conv(default) when the key is absent and a default
-    is given; a value of the wrong JSON type (null for a number, a number
-    for a list) or, for a number, a non-finite one is a ConfigError."""
+    is given; a value of the wrong JSON type (null or a string for a number,
+    a number for a list) or, for a number, a non-finite one is a ConfigError."""
     val = obj.get(key, *default) if default else _need(obj, key, where)
     try:
         return conv(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"invalid value for {key!r} in {where}: {val!r}") from None
+
+
+def _number(val):
+    """val if it is a JSON number: a string or a bool is none, whatever it
+    would convert to."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError("not a number")
+    return val
 
 
 def _integer(val) -> int:
     """An integer config value: a JSON integer, or a float with an integral
-    value; a bool or a fractional number is rejected."""
-    if isinstance(val, bool) or not float(val).is_integer():
+    value; a fractional number is rejected."""
+    if not float(_number(val)).is_integer():
         raise ValueError("not an integer")
     return int(val)
 
@@ -120,7 +128,8 @@ def _integer(val) -> int:
 def _reals(val) -> np.ndarray:
     """A number or array of numbers as floats, all finite: Python's json
     reads NaN and Infinity, which no config value may be."""
-    out = np.asarray(val, dtype=float)
+    items = np.asarray(val, dtype=object)
+    out = np.array([_number(v) for v in items.flat], dtype=float).reshape(items.shape)
     if not np.isfinite(out).all():
         raise ValueError("not finite")
     return out
@@ -128,7 +137,15 @@ def _reals(val) -> np.ndarray:
 
 def _real(val) -> float:
     """A finite float config value (see :func:`_reals`)."""
-    return float(_reals(float(val)))
+    return float(_reals(_number(val)))
+
+
+def _run_name(val) -> str:
+    """A run name: a string that is one path component, since a batch writes
+    each run to OUT/<name>."""
+    if not isinstance(val, str) or val in ("", ".", "..") or any(c in val for c in "/\\\0"):
+        raise ValueError("not one path component")
+    return val
 
 
 MODEL_NUMBERS = {"kappa": _real, "x": _real, "kappa_m": _real, "kappa_n": _real,
@@ -209,6 +226,7 @@ def parse_run(obj: dict, default_name: str = "run", overrides=None) -> RunConfig
     q, p = (_value(initial, key, _reals, "initial") for key in ("q", "p"))
     try:
         pt0 = dynamics.make_phase_point(space, q, p, _initial_spin(space, model, seed))
+        algebra.require_off_wall(space, pt0.q)  # no integrator steps from inside the margin
     except (ValueError, WallProximityError) as exc:
         raise ConfigError(f"initial data of the {mtype} run on {space_spec.label()}: {exc}") \
             from None
@@ -247,7 +265,9 @@ def parse_run(obj: dict, default_name: str = "run", overrides=None) -> RunConfig
         raise ConfigError("gauge must be 'zero' or 'freeze'")
     if mtype == "free":  # zero spin has no gauge to freeze
         gauge = "zero"
-    name = _value(obj, "name", str, "run config", default_name)
+    name = _value(obj, "name", _run_name, "run config", default_name)
+    if not isinstance(obj.get("out_dir", "."), str):
+        raise ConfigError(f"invalid value for 'out_dir' in run config: {obj['out_dir']!r}")
     return RunConfig(name=name, space=space, pt0=pt0,
                      t_end=t_end, tol=tol, sample_dt=sample_dt,
                      monitors=tuple(monitors), lax_x=lax_x, method=method,
@@ -387,7 +407,7 @@ def _trajectory_data(cfg: RunConfig, traj, path: str) -> dict:
     header = (["t"] + [f"q{i + 1}" for i in range(nc)]
               + [f"p{i + 1}" for i in range(nc)] + ["H"])
     write_csv(path, header, np.column_stack([traj.times, traj.path.q, traj.path.p, traj.energy]))
-    corrections = {"m_part": traj.m_drift, "orbit_spectrum": traj.orbit_drift}
+    corrections = {"m_part": traj.m_drift}
     if traj.freeze_residual is not None:
         corrections["freeze_residual"] = traj.freeze_residual
     steps = {"n_steps": traj.n_steps} if cfg.method == "direct" else {}

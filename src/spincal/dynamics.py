@@ -153,8 +153,8 @@ class EomRhs:
 class Trajectory:
     """Time-stamped reduced trajectory with invariant monitors.  ``path`` is
     the samples as one stacked :class:`PhasePoint`: q, p (T, n), xi (T, N, N)
-    and its coefficients (T, K); a spin that does not move (freezing gauge,
-    a batch of zero spins) is a read-only broadcast of the run's initial spin."""
+    and its coefficients (T, K); in the freezing gauge the spin is a read-only
+    broadcast of the run's initial spin."""
 
     times: np.ndarray
     path: PhasePoint
@@ -163,7 +163,6 @@ class Trajectory:
     lax_spectra: dict          # x -> (T, N) complex, sorted by (re, im)
     invariants: dict           # label -> (T,) float
     m_drift: float = 0.0       # direct, zero gauge: max M-part of xi' at the samples
-    orbit_drift: float = 0.0   # max spectrum-restoring correction applied
     wall_time: float | None = None  # a wall event's last safe time (see the integrators)
     n_steps: int = 0           # direct integrator: steps accepted by the error control
     freeze_residual: float | None = None  # freeze gauge: max(per-root residual, sample |xi'|)
@@ -341,7 +340,7 @@ _MAX_STEPS = 5_000_000   # accepted steps before StepSizeError
 class _DirectSystem:
     """Packed-state view (q, p, c+) of the reduced equations for the stepper,
     one run per row, with the flat basis arrays its right-hand side and the
-    spin restoration work on."""
+    spin reconstruction work on."""
 
     def __init__(self, space: SymmetricSpaceData, gauge: str):
         K, N = space.K, space.N
@@ -353,7 +352,6 @@ class _DirectSystem:
         self.root_coef_t = np.ascontiguousarray(space.root_coef.T)
         self.neg_fplus = -space.fplus.reshape(K * K, K)
         self.eplus = space.eplus.reshape(K, N * N)  # row j: E+_j
-        self.eplus_t = space.eplus.transpose(0, 2, 1).reshape(K, N * N)  # row j: (E+_j)^T
 
     def __call__(self, t, Y):
         """The field at the rows of Y, shape (B, 2n+K); t holds their times
@@ -382,38 +380,6 @@ class _DirectSystem:
         N = self.space.N
         return (cplus @ self.eplus).reshape(cplus.shape[:-1] + (N, N))
 
-    def spin_coeffs(self, xi) -> np.ndarray:
-        """c_j = -Re tr(xi E+_j) for each matrix of xi, the M-perp
-        coefficients of algebra.decompose."""
-        N = self.space.N
-        return -(xi.reshape(xi.shape[:-2] + (N * N,)) @ self.eplus_t.T).real
-
-
-def _spin_blocks(space: SymmetricSpaceData) -> tuple:
-    """Diagonal blocks of the compact factors that on-slice spin lives in."""
-    if space.spec.family == "su_mn":
-        m = space.spec.m
-        return (slice(0, m), slice(m, space.N))
-    return (slice(0, space.N),)
-
-
-def _block_spectra_ref(space: SymmetricSpaceData, xi: np.ndarray) -> np.ndarray:
-    """The restoration targets of a stack of spins: i times the spectrum of
-    -i xi on each block, at that block's slots of the last axis, with a unit
-    axis before it (shape (..., 1, N))."""
-    spectra = [np.linalg.eigvalsh(-1j * xi[..., sl, sl]) for sl in _spin_blocks(space)]
-    return (1j * np.concatenate(spectra, axis=-1))[..., None, :]
-
-
-def _restore_block_spectra(space: SymmetricSpaceData, xi: np.ndarray, ref) -> np.ndarray:
-    """xi with each block's spectrum set to ref's, by one stacked eigh per
-    block over a stack of spins."""
-    out = xi.copy()
-    for sl in _spin_blocks(space):
-        w, V = np.linalg.eigh(-1j * xi[..., sl, sl])
-        out[..., sl, sl] = (V * ref[..., sl]) @ V.conj().swapaxes(-1, -2)
-    return out
-
 
 def sample_grid(t_end: float, sample_dt: float | None = None) -> tuple:
     """(sample_dt, times) of a run on [0, t_end]: sample_dt defaults to
@@ -432,15 +398,13 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     """Adaptive Dormand-Prince 5(4) integration of the reduced equations:
     :func:`integrate_direct_batch` with one member, whose failure is raised.
 
-    The state is (q, p, c+), see the module docstring.  In the zero gauge,
-    after every accepted step the per-block spectrum of the spin is restored
-    to the initial one (the exact flow preserves it; the corrections are
-    logged), and ``m_drift`` is the largest M-part of xi' at the samples.
-    In the freezing gauge the spin is held constant, and its
-    :class:`FreezeCertificate` failing on the chamber or at a sample raises
-    :class:`FreezeCertificateError`.  Where no restoration changes the state
-    (freezing gauge, zero spin) the last stage of a step is the first of the
-    next.  Only t_end clips a step; the samples come from each step's
+    The state is (q, p, c+), see the module docstring.  In the zero gauge the
+    spin moves by the isospectral flow xi' = [xi, w^2(ad_q) xi], and
+    ``m_drift`` is the largest M-part of xi' at the samples.  In the freezing
+    gauge the spin is held constant, and its :class:`FreezeCertificate`
+    failing on the chamber or at a sample raises
+    :class:`FreezeCertificateError`.  The last stage of a step is the first
+    of the next.  Only t_end clips a step; the samples come from each step's
     continuous extension.  A step ending with min alpha(q) < EPS_WALL is
     rejected, so a run aimed at a wall stalls at the time t it reaches that
     level: :class:`WallProximityError` at t, or with ``on_wall="truncate"``
@@ -465,9 +429,7 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
     Each member keeps its own time, step size, accept/reject decision, wall
     check and samples, exactly as :func:`integrate_direct` describes for one
     run; finished members drop out of the active rows.  Every Runge-Kutta
-    stage is one right-hand-side call over the active rows, and the spectrum
-    restoration one stacked ``eigh`` per spin block over the accepted rows;
-    a batch whose spins are all zero has nothing to restore.  ``monitors``
+    stage is one right-hand-side call over the active rows.  ``monitors``
     holds one ``(lax_x, invariants)`` pair per member (default ``(0, 1)``
     and none).
 
@@ -493,7 +455,6 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
     nc = sys.nc
     freeze = gauge == "freeze"
     y0 = np.array([np.concatenate([pt.q, pt.p, pt.xi.coeffs]) for pt in pts])
-    drift_sq = np.zeros(len(pts))  # largest squared spectrum correction
     stopped = [None] * len(pts)  # the failure that ended a member
     certs = [FreezeCertificate(space, pt.xi) for pt in pts] if freeze else []
     for m, cert in enumerate(certs):
@@ -502,24 +463,10 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
             stopped[m] = FreezeCertificateError(
                 f"no freezing gauge on the chamber: root {space.roots[r].label()} "
                 f"leaves the residual {cert.root_residuals[r]:.3e}")
-    spec_ref = None if freeze else _block_spectra_ref(space, np.array([pt.xi.xi for pt in pts]))
-    if spec_ref is not None and not spec_ref.any():  # zero spins only
-        spec_ref = None
-
-    def restore(members, Y5):
-        xi = sys.spin(Y5[:, 2 * nc:])
-        fixed = _restore_block_spectra(space, xi, spec_ref[members])
-        d = (fixed - xi).reshape(len(members), -1)
-        # squared Frobenius norms, each as np.linalg.norm sums them
-        drift_sq[members] = np.maximum(drift_sq[members], algebra.row_dots(d.real, d.real)
-                                       + algebra.row_dots(d.imag, d.imag))
-        Y5[:, 2 * nc:] = sys.spin_coeffs(fixed)
-        return Y5
 
     # a stage at a wall evaluates to inf/nan: the error norm rejects it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        samples, counts, n_steps = _step_batch(space, sys, y0, times, tol, t_end,
-                                               None if spec_ref is None else restore, stopped)
+        samples, counts, n_steps = _step_batch(space, sys, y0, times, tol, t_end, stopped)
 
     out = []
     for m, pt0 in enumerate(pts):
@@ -539,7 +486,7 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
             out.append(exc)
             continue
         y = samples[m, :counts[m]]
-        if spec_ref is None:  # the spin does not move: the initial one's bits
+        if freeze:  # the spin does not move: the initial one's bits
             xi = SpinPoint(xi=np.broadcast_to(pt0.xi.xi, (len(y), space.N, space.N)),
                            coeffs=np.broadcast_to(pt0.xi.coeffs, (len(y), space.K)),
                            on_slice=True)
@@ -551,8 +498,7 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
         m_drift = 0.0 if freeze else float(np.max(eom_rhs(space, path).m_part_norm))
         lax_x, invariants = monitors[m]
         out.append(_attach_monitors(space, times[:counts[m]], path, lax_x, invariants,
-                                    m_drift=m_drift, orbit_drift=math.sqrt(drift_sq[m]),
-                                    wall_time=wall_time, n_steps=int(n_steps[m]),
+                                    m_drift=m_drift, wall_time=wall_time, n_steps=int(n_steps[m]),
                                     freeze_residual=freeze_residual))
     return out
 
@@ -567,14 +513,13 @@ def _dense(y0, y1, ks, h, th):
                                                   + (1 - th) * (h * (_DP_D @ ks)))))
 
 
-def _step_batch(space, sys, y0, times, tol, t_end, restore, stopped):
+def _step_batch(space, sys, y0, times, tol, t_end, stopped):
     """Dormand-Prince 5(4) on [0, t_end] for the rows of y0 whose member has
-    not stopped, restore(members, y5) correcting accepted states, with the
-    samples at ``times`` on each step's continuous extension.  Returns the
-    samples, shape (B, T, 2n+K), how many each member reached, and its
-    accepted steps.  A member that stalls (at a wall, where every step is
-    rejected), underflows or exceeds the step budget gets its exception in
-    ``stopped``."""
+    not stopped, with the samples at ``times`` on each step's continuous
+    extension.  Returns the samples, shape (B, T, 2n+K), how many each member
+    reached, and its accepted steps.  A member that stalls (at a wall, where
+    every step is rejected), underflows or exceeds the step budget gets its
+    exception in ``stopped``."""
     B, D = y0.shape
     samples = np.empty((B, len(times), D))
     samples[:, 0] = y0
@@ -625,7 +570,7 @@ def _step_batch(space, sys, y0, times, tol, t_end, restore, stopped):
         t0, h_acc = t[acc], h_step[acc]
         # a step clamped to t_end - t ends at t_end exactly
         t1 = np.where(h_acc < t_end - t0, t0 + h_acc, t_end)
-        y1 = y5[acc] if restore is None else restore(members, y5[acc])
+        y1 = y5[acc]
         n_new = np.searchsorted(times, t1, side="right")
         take = n_new - counts[members]
         if take.any():
@@ -638,8 +583,7 @@ def _step_batch(space, sys, y0, times, tol, t_end, restore, stopped):
         Y[acc] = y1
         t[acc] = t1
         n_steps[members] += 1
-        # where y5 is not restored, its stage is the next first stage
-        ks[acc, 0] = ks[acc, 6] if restore is None else sys(t1, y1)
+        ks[acc, 0] = ks[acc, 6]  # first same as last: the stage at y5 starts the next step
         done = t1 >= t_end
         if attempts > _MAX_STEPS:  # no member takes more steps than there were attempts
             over = n_steps[members] > _MAX_STEPS

@@ -4,11 +4,15 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spincal import algebra, cli, dynamics
 
@@ -128,8 +132,8 @@ def test_simulate_reports_freeze_residual_on_freeze_runs_only(tmp_path):
     freeze, zero, proj = (json.loads((tmp_path / "o" / name / "drift_report.json").read_text())
                           for name in ("freeze", "zero", "proj"))
     assert freeze["corrections"]["freeze_residual"] < 1e-8
-    assert freeze["corrections"]["orbit_spectrum"] == 0.0
-    assert set(zero["corrections"]) == set(proj["corrections"]) == {"m_part", "orbit_spectrum"}
+    assert set(freeze["corrections"]) == {"m_part", "freeze_residual"}
+    assert set(zero["corrections"]) == set(proj["corrections"]) == {"m_part"}
     assert freeze["n_steps"] > 0 and zero["n_steps"] > 0 and "n_steps" not in proj
 
 
@@ -444,6 +448,16 @@ VERIFY_SPACE = [{"family": "su_mn", "m": 2, "n": 1}]
     ("verify", {"spaces": VERIFY_SPACE, "n_draws": None}),
     ("verify", {"spaces": VERIFY_SPACE, "seed": [0]}),
     ("verify", {"spaces": 5}),
+    # a string or a bool is no number, whatever it would convert to
+    ("simulate", base_run_config(space={"family": "su_mn", "m": "3", "n": 2})),
+    ("simulate", base_run_config(t_end="1.0")),
+    ("simulate", base_run_config(model={"type": "bc", "kappa": True, "x": 1.0})),
+    ("simulate", base_run_config(lax_x="01")),
+    ("simulate", base_run_config(initial={"q": ["2.0", 1.0], "p": [0.1, -0.2]})),
+    ("simulate", base_run_config(initial={"q": [2.0, 1.0], "p": [True, -0.2]})),
+    ("simulate", base_run_config(name=7)),
+    ("verify", {"spaces": VERIFY_SPACE, "seed": "0"}),
+    ("simulate", base_run_config(out_dir=5)),
 ])
 def test_wrong_json_type_is_a_config_error(tmp_path, capsys, command, payload):
     # a value of the wrong JSON type exits 1 with an error line, no traceback
@@ -484,6 +498,7 @@ def test_non_integral_integer_is_a_config_error(tmp_path, capsys, command, paylo
     ("sample_dt", base_run_config(sample_dt=math.nan)),
     ("lax_x", base_run_config(lax_x=[math.nan])),
     ("kappa", base_run_config(model={"type": "bc", "kappa": math.nan, "x": 1.0})),
+    ("tol", base_run_config(tol=10 ** 400)),  # a JSON integer no float holds
 ])
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, key, payload):
     # Python's json reads NaN and Infinity; a run config holding one exits 1
@@ -492,6 +507,60 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, key, payload):
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"error: invalid value for {key!r}")
     assert not (tmp_path / "o").exists()
+
+
+SU22 = {"family": "su_mn", "m": 2, "n": 2}
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b", "a\\b", "a\0b"])
+def test_run_name_must_be_one_path_component(tmp_path, capsys, name):
+    # a batch writes each run to OUT/<name>: a name that is not one path
+    # component would write outside OUT, or into it
+    cfg = write_config(tmp_path / "cfg.json", {"runs": [base_run_config(name=name, t_end=0.5)]})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o2" / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid value for 'name'")
+    assert not (tmp_path / "o2").exists()
+
+
+@pytest.mark.parametrize("method", ["direct", "projection"])
+def test_start_inside_the_wall_margin_stops_the_batch(tmp_path, capsys, method):
+    # min alpha(q) = 5e-7 < EPS_WALL: no integrator can step from there, so
+    # the batch stops while parsing, before the run well inside writes a file
+    runs = [{**free_run("edge", [1.0, 0.9999995], [0.1, 0.3]), "space": SU22},
+            {**free_run("inside", [2.0, 1.0], [0.1, 0.3]), "space": SU22}]
+    cfg = write_config(tmp_path / "cfg.json", {"runs": runs})
+    assert cli.main(["simulate", "--config", cfg, "--method", method,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "chamber wall proximity" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@settings(max_examples=30, deadline=None)
+@given(gap=st.floats(1e-8, 1e-4), wall=st.sampled_from(["q1-q2", "2q2"]),
+       toward=st.booleans(), method=st.sampled_from(["direct", "projection"]))
+@example(gap=5e-7, wall="q1-q2", toward=False, method="direct")
+@example(gap=1e-6, wall="q1-q2", toward=True, method="direct")
+@example(gap=1e-6, wall="2q2", toward=True, method="projection")
+def test_near_wall_start_is_a_config_error_or_gets_a_report(gap, wall, toward, method):
+    # free su(2,2) motion from min alpha(q) = gap, toward or away from that
+    # wall: a start inside the margin is a configuration error (exit 1,
+    # nothing written), any other start gets its report
+    sign = -1.0 if toward else 1.0
+    q, p = (([1.0 + gap, 1.0], [0.1 * sign, -0.1 * sign]) if wall == "q1-q2"
+            else ([1.0, gap / 2], [0.0, 0.1 * sign]))
+    run = {**free_run("near", q, p), "space": SU22, "t_end": 0.5, "sample_dt": 0.25}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "cfg.json", run)
+        code = cli.main(["simulate", "--config", cfg, "--method", method,
+                         "--out", str(Path(tmp) / "o")])
+        report = Path(tmp) / "o" / "drift_report.json"
+        if algebra.min_root_value(algebra.build_space(algebra.SpaceSpec.su(2, 2)),
+                                  q) < algebra.EPS_WALL:
+            assert code == 1 and not (Path(tmp) / "o").exists()
+        else:
+            assert code in (0, 2) and report.exists()
+            status = json.loads(report.read_text())["status"]
+            assert status == ("ok" if code == 0 else "wall_collision")
 
 
 def test_integral_float_is_an_integer():

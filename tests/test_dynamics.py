@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from spincal import algebra, checks, dynamics, models, orbits
 from spincal.dynamics import InvariantSpec
 from spincal.orbits import OrbitSpec
+from test_orbits import sorted_block_spectra
 
 
 def generic_su22_point(su22, rng, q=(1.6, 0.7), p=(0.3, -0.3)):
@@ -265,22 +266,14 @@ def test_lax_is_the_slice_lift(label, seed):
 
 @pytest.mark.parametrize("label", sorted(CORE_SPACES))
 def test_flat_basis_round_trip_matches_reconstruct(label):
-    # the spin restoration of integrate_direct builds xi and reads c+ back
-    # through the flat basis instead of algebra.reconstruct / decompose
+    # integrate_direct builds the path spin from c+ through the flat basis
+    # instead of algebra.reconstruct
     space = CORE_SPACES[label]
     sys = dynamics._DirectSystem(space, "zero")
     rng = np.random.default_rng(7)
     for _ in range(5):
-        pt = checks.random_phase_point(space, rng)
-        c = pt.xi.coeffs
-        xi = sys.spin(c)
-        assert np.abs(xi - algebra.reconstruct(space, cplus=c)).max() <= 1e-14
-        # restore the spectrum of a perturbed spin, as after a step
-        drifted = sys.spin(c + 1e-9 * rng.standard_normal(c.size))
-        fixed = dynamics._restore_block_spectra(space, drifted,
-                                                dynamics._block_spectra_ref(space, xi))
-        got = sys.spin_coeffs(fixed)
-        assert np.abs(got - algebra.decompose(space, fixed)[2]).max() <= 1e-14
+        c = checks.random_phase_point(space, rng).xi.coeffs
+        assert np.abs(sys.spin(c) - algebra.reconstruct(space, cplus=c)).max() <= 1e-14
 
 
 def test_dormand_prince_tableau():
@@ -308,20 +301,36 @@ def count_rhs_calls(space, pt, **kwargs):
     return sum(rows), traj
 
 
-def test_fsal_only_where_the_state_is_not_restored(su32, su22, rng):
-    # freezing gauge: the last stage of a step is the next one's first
+def test_fsal_in_both_gauges(su32, su22, rng):
+    # the last stage of a step is the next one's first: six right-hand-side
+    # rows per attempted step, not seven
     mu = orbits.xi_red(su32, "bc", 3.0, 1.0)
     pt = dynamics.make_phase_point(su32, np.array([2.0, 1.0]), np.array([0.1, -0.2]), mu)
     n_calls, traj = count_rhs_calls(su32, pt, t_end=3.0, tol=1e-10, sample_dt=0.5,
                                     gauge="freeze")
     assert traj.n_steps > 0
     assert n_calls < 7 * traj.n_steps
-    # zero gauge: the spectrum restoration changes y5, so every step
-    # evaluates its first stage afresh
     n_calls, traj = count_rhs_calls(su22, generic_su22_point(su22, rng), t_end=1.0,
                                     tol=1e-10, sample_dt=0.5)
-    assert traj.n_steps > 0 and traj.orbit_drift > 0.0
-    assert n_calls >= 7 * traj.n_steps
+    assert traj.n_steps > 0
+    assert n_calls < 7 * traj.n_steps
+
+
+@pytest.mark.parametrize("fixture", ["su22", "sl3"])
+def test_zero_gauge_keeps_the_block_spectra(fixture, rng, request):
+    # xi' = [xi, w^2(ad_q) xi] is isospectral on each compact block: the
+    # samples keep the initial spectra to the error control's accuracy
+    space = request.getfixturevalue(fixture)
+    if fixture == "su22":
+        pt = generic_su22_point(space, rng)
+    else:
+        xi = orbits.random_slice_spin(space, OrbitSpec.kks(1.0), rng)
+        pt = dynamics.make_phase_point(space, np.array([1.0, 0.1, -1.1]),
+                                       np.array([0.2, -0.3, 0.1]), xi)
+    traj = dynamics.integrate_direct(space, pt, 5.0, tol=1e-10, sample_dt=0.25)
+    ref = sorted_block_spectra(space, pt.xi.xi)
+    for xi_t in traj.path.xi.xi:
+        assert np.abs(sorted_block_spectra(space, xi_t) - ref).max() < 1e-8
 
 
 def member_point(space, seed, near_wall, free):
@@ -422,7 +431,7 @@ def test_continuous_extension_matches_runs_ending_at_the_samples(label, gauge):
 
 def test_batch_mixes_free_and_spinning_members(su22, rng):
     # a zero spin is an ordinary member: next to a generic spin it takes the
-    # steps of its own run, and its spin stays zero with nothing to restore
+    # steps of its own run, and its spin stays zero
     pts = [generic_su22_point(su22, rng),
            dynamics.make_phase_point(su22, np.array([1.6, 0.7]), np.array([0.1, 0.0]))]
     kwargs = dict(tol=1e-10, sample_dt=0.25)
@@ -431,8 +440,7 @@ def test_batch_mixes_free_and_spinning_members(su22, rng):
     for got, want in zip(batch, alone):
         assert got.n_steps == want.n_steps > 0
         assert_same_run(got, want)
-    assert batch[0].orbit_drift > 0.0
-    assert batch[1].orbit_drift == 0.0 and not batch[1].path.xi.xi.any()
+    assert not batch[1].path.xi.xi.any()
     # free motion rounds alike in both: q, p and the energy are its own bits
     assert np.array_equal(packed(batch[1]), packed(alone[1]))
     assert np.array_equal(batch[1].energy, alone[1].energy)
@@ -496,7 +504,6 @@ def test_integrate_energy_and_isospectrality(su22, rng):
     for x, drift in rep["lax_spectra"].items():
         assert drift < 1e-8, (x, drift)
     assert traj.m_drift < 1e-10
-    assert traj.orbit_drift < 1e-8
 
 
 def test_integrate_invariant_monitors(su22, rng):
@@ -563,7 +570,7 @@ def test_freeze_gauge_certifies_constant_spin(su32, monkeypatch):
     assert traj.n_steps > 0 and all(t.n_steps == traj.n_steps for t in pair)
     for coeffs in traj.path.xi.coeffs:
         assert coeffs.tobytes() == mu.coeffs.tobytes()
-    assert traj.m_drift == 0.0 and traj.orbit_drift == 0.0
+    assert traj.m_drift == 0.0
     assert traj.freeze_residual < 1e-8
     zero = dynamics.integrate_direct(su32, pt, 0.5, tol=1e-10, sample_dt=0.5)
     assert zero.freeze_residual is None
@@ -1089,9 +1096,8 @@ def test_flow_projection_t0_recovers_point(su22, rng):
     assert np.abs(out.q - pt.q).max() < 1e-9
     assert np.abs(out.p - pt.p).max() < 1e-9
     # the spin comes back in some residual M-gauge: compare M-invariant data
-    for got, want in zip(dynamics._block_spectra_ref(su22, out.xi.xi),
-                         dynamics._block_spectra_ref(su22, pt.xi.xi)):
-        assert np.abs(got - want).max() < 1e-6
+    got, want = (sorted_block_spectra(su22, xi) for xi in (out.xi.xi, pt.xi.xi))
+    assert np.abs(got - want).max() < 1e-6
 
 
 def test_flow_projection_free_motion(su22):
