@@ -4,11 +4,15 @@ Realizes the two negative-curvature families used throughout the package:
 
 * ``su(m, n)`` with the block Cartan involution ``theta(X) = I X I``,
   ``I = diag(1_m, -1_n)``.  Restricted roots are of BC_n type for m > n and
-  C_n type for m = n.  The orthonormalized root basis is built explicitly in
-  the (n, m-n, n) block partition.
+  C_n type for m = n; the root basis lives in the (n, m-n, n) block partition.
 * ``sl(k, C)`` viewed as a real Lie algebra, with ``theta(X) = -X^dagger``.
   The maximal flat is the real traceless diagonal and the restricted roots
   form the A_{k-1} system with multiplicity 2.
+
+Both families are built by one rule: each lists its positive roots with the
+matrix-unit entries (a, b, v) of their E+ columns, every column is a compact
+generator of its entries, a root's multiplicity is its number of columns and
+E- follows from the ladder relation (see :func:`build_space`).
 
 All decompositions (A, M, A-perp, M-perp) are computed by trace pairings
 against the stored orthonormal basis; no eigen-solvers are involved.  The
@@ -237,218 +241,135 @@ def _gram_schmidt(mats: list, inner: Callable, N: int, tol: float = 1e-12) -> np
     return np.array(out, dtype=complex).reshape(-1, N, N)
 
 
-def _build_su(spec: SpaceSpec) -> SymmetricSpaceData:
-    m, n = spec.m, spec.n
-    N = m + n
-    d_extra = m - n  # size of the middle block
-
-    # index helpers for the (n, m-n, n) partition
-    def top(i):
-        return i
-
-    def mid(d):
-        return n + d
-
-    def bot(i):
-        return m + i
-
-    roots: list[Root] = []
-    mult: list[int] = []
-
-    def add_root(kind, k, l=0):
-        coef = np.zeros(n)
-        if kind == "diff":
-            coef[k - 1], coef[l - 1] = 1.0, -1.0
-        elif kind == "sum":
-            coef[k - 1], coef[l - 1] = 1.0, 1.0
-        elif kind == "twice":
-            coef[k - 1] = 2.0
+def _compact(N: int, entries, flavor: str) -> np.ndarray:
+    """The compact generator sum of v (E_ab - E_ba) over the entries (a, b, v)
+    for flavor "re", or of i v (E_ab + E_ba) for flavor "im" (so a diagonal
+    entry a = b stands for 2 i v E_aa)."""
+    P = np.zeros((N, N), complex)
+    for a, b, v in entries:
+        if flavor == "re":
+            P[a, b] += v
+            P[b, a] -= v
         else:
-            coef[k - 1] = 1.0
-        roots.append(Root(kind, k, l, tuple(coef)))
+            P[a, b] += 1j * v
+            P[b, a] += 1j * v
+    return P
 
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            add_root("diff", k, l)
-            mult.append(2)
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            add_root("sum", k, l)
-            mult.append(2)
-    for k in range(1, n + 1):
-        add_root("twice", k)
-        mult.append(1)
-    if m > n:
-        for k in range(1, n + 1):
-            add_root("single", k)
-            mult.append(2 * d_extra)
 
-    eplus, e_root, labels = [], [], []
-    s2 = 1.0 / math.sqrt(2.0)
+def _re_im(entries, suffix: str = "") -> list:
+    """The "re" and "im" E+ columns (flavor, entries, label suffix) of one
+    set of matrix-unit entries."""
+    return [(flavor, entries, suffix) for flavor in ("re", "im")]
 
-    for ridx, root in enumerate(roots):
-        k = root.k - 1
-        if root.kind in ("diff", "sum"):
-            l = root.l - 1
-            sgn = 1.0 if root.kind == "diff" else -1.0
-            # E+ real flavor
-            P = np.zeros((N, N), complex)
-            P[top(k), top(l)] += 0.5
-            P[top(l), top(k)] -= 0.5
-            P[bot(k), bot(l)] += 0.5 * sgn
-            P[bot(l), bot(k)] -= 0.5 * sgn
-            eplus.append(P)
-            e_root.append(ridx)
-            labels.append(f"{root.label()}:re")
-            # E+ imaginary flavor
-            P = np.zeros((N, N), complex)
-            P[top(k), top(l)] += 0.5j
-            P[top(l), top(k)] += 0.5j
-            P[bot(k), bot(l)] += 0.5j * sgn
-            P[bot(l), bot(k)] += 0.5j * sgn
-            eplus.append(P)
-            e_root.append(ridx)
-            labels.append(f"{root.label()}:im")
-        elif root.kind == "twice":
-            P = np.zeros((N, N), complex)
-            P[top(k), top(k)] += 1j * s2
-            P[bot(k), bot(k)] -= 1j * s2
-            eplus.append(P)
-            e_root.append(ridx)
-            labels.append(f"{root.label()}:im")
-        else:  # single e_k, flavors d = 1..m-n, real then imaginary
-            for d in range(d_extra):
-                P = np.zeros((N, N), complex)
-                P[top(k), mid(d)] += s2
-                P[mid(d), top(k)] -= s2
-                eplus.append(P)
-                e_root.append(ridx)
-                labels.append(f"{root.label()}:re,d{d + 1}")
-                P = np.zeros((N, N), complex)
-                P[top(k), mid(d)] += 1j * s2
-                P[mid(d), top(k)] += 1j * s2
-                eplus.append(P)
-                e_root.append(ridx)
-                labels.append(f"{root.label()}:im,d{d + 1}")
+
+def _su_parts(spec: SpaceSpec):
+    """Roots with their E+ columns, the unit flat directions and the other
+    fields of su(m, n), in the (n, m-n, n) block partition: coordinate k
+    sits at rows k (top) and m + k (bottom), the middle rows are n..m-1."""
+    m, n = spec.m, spec.n
+    d_extra = m - n  # size of the middle block
+    N, e, s2 = m + n, np.eye(n), 1.0 / math.sqrt(2.0)
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    listing = (
+        [(Root("diff", k + 1, l + 1, tuple(e[k] - e[l])),
+          _re_im([(k, l, 0.5), (m + k, m + l, 0.5)])) for k, l in pairs]
+        + [(Root("sum", k + 1, l + 1, tuple(e[k] + e[l])),
+            _re_im([(k, l, 0.5), (m + k, m + l, -0.5)])) for k, l in pairs]
+        + [(Root("twice", k + 1, 0, tuple(2.0 * e[k])),  # diagonal entries count twice
+            [("im", [(k, k, s2 / 2), (m + k, m + k, -s2 / 2)], "")]) for k in range(n)]
+        + [(Root("single", k + 1, 0, tuple(e[k])),
+            [col for d in range(d_extra) for col in _re_im([(k, n + d, s2)], f",d{d + 1}")])
+           for k in range(n) if d_extra]
+    )
 
     # unit flat directions embed(e_j); the orthonormal A basis is embed(e_j) / sqrt(2)
     j = np.arange(n)
     a_unit = np.zeros((n, N, N), complex)
-    a_unit[j, top(j), bot(j)] = a_unit[j, bot(j), top(j)] = 1.0
+    a_unit[j, j, m + j] = a_unit[j, m + j, j] = 1.0
 
     # M basis: diag(i chi, gamma, i chi) with tr gamma + 2i tr chi = 0
     raw_m = []
-    if m > n:
+    if d_extra:
         for j in range(n):
             G = np.zeros((N, N), complex)
-            G[top(j), top(j)] = 1j
-            G[bot(j), bot(j)] = 1j
+            G[j, j] = 1j
+            G[m + j, m + j] = 1j
             for d in range(d_extra):
-                G[mid(d), mid(d)] = -2j / d_extra
+                G[n + d, n + d] = -2j / d_extra
             raw_m.append(G)
-        for a in range(d_extra):
-            for b in range(a + 1, d_extra):
-                G = np.zeros((N, N), complex)
-                G[mid(a), mid(b)] = 1.0
-                G[mid(b), mid(a)] = -1.0
-                raw_m.append(G)
-                G = np.zeros((N, N), complex)
-                G[mid(a), mid(b)] = 1j
-                G[mid(b), mid(a)] = 1j
-                raw_m.append(G)
+        raw_m += [_compact(N, [(n + a, n + b, 1.0)], flavor)
+                  for a in range(d_extra) for b in range(a + 1, d_extra) for flavor in ("re", "im")]
         for a in range(d_extra - 1):
             G = np.zeros((N, N), complex)
-            G[mid(a), mid(a)] = 1j
-            G[mid(a + 1), mid(a + 1)] = -1j
+            G[n + a, n + a] = 1j
+            G[n + a + 1, n + a + 1] = -1j
             raw_m.append(G)
     else:
         for j in range(n - 1):
             G = np.zeros((N, N), complex)
-            G[top(j), top(j)] = 1j
-            G[top(j + 1), top(j + 1)] = -1j
-            G[bot(j), bot(j)] = 1j
-            G[bot(j + 1), bot(j + 1)] = -1j
+            G[j, j] = 1j
+            G[j + 1, j + 1] = -1j
+            G[m + j, m + j] = 1j
+            G[m + j + 1, m + j + 1] = -1j
             raw_m.append(G)
 
     m_basis = _gram_schmidt(raw_m, lambda X, Y: float(-np.trace(X @ Y).real), N)
-
-    eplus, col_coef_t = np.array(eplus), _col_coef_t(roots, e_root)
-    return SymmetricSpaceData(
-        spec=spec, N=N, n_coords=n, rank=n,
-        roots=tuple(roots), mult=tuple(mult),
-        eplus=eplus, eminus=_ladder_partners(eplus, a_unit, col_coef_t),
-        e_root=np.array(e_root, dtype=int), e_labels=tuple(labels),
-        m_basis=m_basis, a_basis=s2 * a_unit,
-        root_coef=np.array([r.coef for r in roots]),
-        col_coef_t=col_coef_t, coord_weight=2.0, fplus=_structure_constants(eplus),
-    )
+    return listing, a_unit, dict(N=N, n_coords=n, rank=n, coord_weight=2.0,
+                                 m_basis=m_basis, a_basis=s2 * a_unit)
 
 
-def _build_sl(spec: SpaceSpec) -> SymmetricSpaceData:
+def _sl_parts(spec: SpaceSpec):
+    """Roots with their E+ columns, the unit flat directions and the other
+    fields of sl(k, C)."""
     k = spec.k
-    N = k
-    roots, mult = [], []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            coef = np.zeros(k)
-            coef[i - 1], coef[j - 1] = 1.0, -1.0
-            roots.append(Root("diff", i, j, tuple(coef)))
-            mult.append(2)
-
-    s2 = 1.0 / math.sqrt(2.0)
-    eplus, e_root, labels = [], [], []
-    for ridx, root in enumerate(roots):
-        i, j = root.k - 1, root.l - 1
-        P = np.zeros((N, N), complex)
-        P[i, j] += s2
-        P[j, i] -= s2
-        eplus.append(P)
-        e_root.append(ridx)
-        labels.append(f"{root.label()}:re")
-        P = np.zeros((N, N), complex)
-        P[i, j] += 1j * s2
-        P[j, i] += 1j * s2
-        eplus.append(P)
-        e_root.append(ridx)
-        labels.append(f"{root.label()}:im")
+    e, s2 = np.eye(k), 1.0 / math.sqrt(2.0)
+    listing = [(Root("diff", i + 1, j + 1, tuple(e[i] - e[j])), _re_im([(i, j, s2)]))
+               for i in range(k) for j in range(i + 1, k)]
 
     raw_a, raw_m = [], []
     for j in range(k - 1):
-        D = np.zeros((N, N), complex)
+        D = np.zeros((k, k), complex)
         D[j, j] = 1.0
         D[j + 1, j + 1] = -1.0
         raw_a.append(D)
         raw_m.append(1j * D)
-    a_basis = _gram_schmidt(raw_a, lambda X, Y: float(np.trace(X @ Y).real), N)
-    m_basis = _gram_schmidt(raw_m, lambda X, Y: float(-np.trace(X @ Y).real), N)
-
-    eplus, col_coef_t = np.array(eplus), _col_coef_t(roots, e_root)
-    units = np.array([np.diag(e) for e in np.eye(k)])  # diag(e_c)
-    return SymmetricSpaceData(
-        spec=spec, N=N, n_coords=k, rank=k - 1,
-        roots=tuple(roots), mult=tuple(mult),
-        eplus=eplus, eminus=_ladder_partners(eplus, units, col_coef_t),
-        e_root=np.array(e_root, dtype=int), e_labels=tuple(labels),
-        m_basis=m_basis, a_basis=a_basis,
-        root_coef=np.array([r.coef for r in roots]),
-        col_coef_t=col_coef_t, coord_weight=1.0, fplus=_structure_constants(eplus),
-    )
+    a_basis = _gram_schmidt(raw_a, lambda X, Y: float(np.trace(X @ Y).real), k)
+    m_basis = _gram_schmidt(raw_m, lambda X, Y: float(-np.trace(X @ Y).real), k)
+    units = np.array([np.diag(u) for u in e])  # diag(e_c)
+    return listing, units, dict(N=k, n_coords=k, rank=k - 1, coord_weight=1.0,
+                                m_basis=m_basis, a_basis=a_basis)
 
 
 def build_space(spec: SpaceSpec) -> SymmetricSpaceData:
     """Construct roots, multiplicities and the orthonormal root basis.
 
+    Each family lists its positive roots, each with the matrix-unit entries
+    of its E+ columns (compact generators, see ``_compact``); the
+    multiplicity of a root is its number of columns, and E- follows from the
+    ladder relation.
     Also precomputes the M-perp structure constants ``fplus[i, j, k]``, the
     coefficient of [E+_i, E+_j] along E+_k; the M-part of that bracket is
     not kept.  The returned object is immutable (arrays are write-protected)
     and safe to share read-only across concurrent tasks.
     """
-    if spec.family == "su_mn":
-        space = _build_su(spec)
-    elif spec.family == "sl_kc":
-        space = _build_sl(spec)
-    else:
+    parts = {"su_mn": _su_parts, "sl_kc": _sl_parts}.get(spec.family)
+    if parts is None:
         raise AdmissibilityError(f"unknown family {spec.family!r}")
+    listing, units, fields = parts(spec)
+    roots = tuple(root for root, _ in listing)
+    columns = [(r, col) for r, (_, cols) in enumerate(listing) for col in cols]
+    e_root = np.array([r for r, _ in columns], dtype=int)
+    eplus = np.array([_compact(fields["N"], entries, flavor)
+                      for _, (flavor, entries, _) in columns])
+    col_coef_t = _col_coef_t(roots, e_root)
+    space = SymmetricSpaceData(
+        spec=spec, roots=roots, mult=tuple(np.bincount(e_root).tolist()),
+        eplus=eplus, eminus=_ladder_partners(eplus, units, col_coef_t), e_root=e_root,
+        e_labels=tuple(f"{roots[r].label()}:{flavor}{suffix}"
+                       for r, (flavor, _, suffix) in columns),
+        root_coef=np.array([r.coef for r in roots]), col_coef_t=col_coef_t,
+        fplus=_structure_constants(eplus), **fields,
+    )
     for arr in (space.eplus, space.eminus, space.e_root, space.m_basis,
                 space.a_basis, space.root_coef, space.col_coef_t, space.fplus):
         arr.setflags(write=False)

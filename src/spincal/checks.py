@@ -128,14 +128,10 @@ def basis_checks(space: SymmetricSpaceData, rng: np.random.Generator,
     out.append(CheckResult(f"{name}: ladder relation",
                            _worst([np.abs(up).max(), np.abs(dn).max()]), 1e-12))
 
-    mult_res = 0.0
-    if space.spec.family == "su_mn":
-        m, n = space.spec.m, space.spec.n
-        expected = {"diff": 2, "sum": 2, "twice": 1, "single": 2 * (m - n)}
-        mult_res = max((abs(mu - expected[r.kind]) for r, mu in
-                        zip(space.roots, space.mult)), default=0.0)
-    else:
-        mult_res = max((abs(mu - 2) for mu in space.mult), default=0.0)
+    # the counted columns per root against the paper's table (sl(k,C) has
+    # only "diff" roots)
+    expected = {"diff": 2, "sum": 2, "twice": 1, "single": 2 * (space.spec.m - space.spec.n)}
+    mult_res = max(abs(mu - expected[r.kind]) for r, mu in zip(space.roots, space.mult))
     out.append(CheckResult(f"{name}: multiplicities", float(mult_res), 0.5))
 
     dim_res = abs(space.rank + space.dim_m + 2 * space.K - space.dim_algebra)

@@ -439,10 +439,14 @@ def cmd_spectrum_one(cfg: RunConfig, out_dir: str, result) -> int:
                       _spectrum_data)
 
 
-def _run_many(runs, out_base, worker) -> int:
-    codes = [worker(cfg, out_base if len(runs) == 1 else os.path.join(out_base, cfg.name),
-                    result)
-             for cfg, result in zip(runs, run_trajectories(runs))]
+def _run_many(runs, out, worker) -> int:
+    """Run every config and write each under its base directory: out if
+    given, else the run's own out_dir ("." by default).  A batch writes to
+    BASE/<name>/, a single run straight into BASE."""
+    codes = []
+    for cfg, result in zip(runs, run_trajectories(runs)):
+        base = out or cfg.raw.get("out_dir", ".")
+        codes.append(worker(cfg, base if len(runs) == 1 else os.path.join(base, cfg.name), result))
     return max(codes)
 
 
@@ -521,22 +525,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _prepare_runs(args) -> tuple:
+def _prepare_runs(args) -> list:
     overrides = {key: val for key, val in (("method", args.method), ("seed", args.seed))
                  if val is not None}
-    runs = parse_runs(load_config(args.config), overrides)
-    return runs, args.out or runs[0].raw.get("out_dir", ".")
+    return parse_runs(load_config(args.config), overrides)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
-            runs, out = _prepare_runs(args)
-            return _run_many(runs, out, cmd_simulate_one)
+            return _run_many(_prepare_runs(args), args.out, cmd_simulate_one)
         if args.command == "spectrum":
-            runs, out = _prepare_runs(args)
-            return _run_many(runs, out, cmd_spectrum_one)
+            return _run_many(_prepare_runs(args), args.out, cmd_spectrum_one)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "couplings":

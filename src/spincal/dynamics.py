@@ -230,6 +230,8 @@ def lax_cal(space: SymmetricSpaceData, pt: PhasePoint) -> np.ndarray:
 
 
 def sorted_spectrum(X: np.ndarray) -> np.ndarray:
+    """Eigenvalues of X sorted lexicographically (real part, then imaginary),
+    one row per matrix of a stack."""
     return np.sort_complex(np.linalg.eigvals(X))
 
 
@@ -604,9 +606,7 @@ def _attach_monitors(space, times, path, lax_x, invariants, **stats):
     # L(x) = L(0) - x xi: one Lax matrix per sample serves every x
     lax0 = lax(space, path, 0.0)
     xis = path.xi.xi
-    # one stacked eigvals per x: LAPACK runs per matrix, as sorted_spectrum does
-    spectra = {float(x): _match_spectra(np.sort_complex(np.linalg.eigvals(lax0 - x * xis)))
-               for x in lax_x}
+    spectra = {float(x): _match_spectra(sorted_spectrum(lax0 - x * xis)) for x in lax_x}
     inv = {spec.label(): invariant_value(space, spec, lax0 - spec.x * xis)
            for spec in invariants}
     return Trajectory(times=np.asarray(times, dtype=float), path=path,

@@ -1,5 +1,7 @@
 """Tests for the symmetric-space algebra layer."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -134,6 +136,35 @@ def test_structure_constants_fplus(spec):
             want = algebra.project(sp, br, "mperp")
             got = np.einsum("k,kab->ab", f[i, j], sp.eplus)
             assert np.abs(got - want).max() < 1e-13
+
+
+DIGEST_SPACES = ([SpaceSpec.su(m, n) for n in range(1, 6) for m in range(n, n + 4)]
+                 + [SpaceSpec.sl(k) for k in range(2, 8)])
+BASIS_DIGEST = "7c04fc25e07d94738b4e6c7590b7cab61e465448cf3b5a6eb5ca5ed5764277fd"
+
+
+def space_digest(specs):
+    """sha256 over every SymmetricSpaceData field of each space: arrays give
+    dtype, shape, write flag and raw bytes, other fields their repr."""
+    h = hashlib.sha256()
+    for spec in specs:
+        sp = build_space(spec)
+        for field in dataclasses.fields(sp):
+            value = getattr(sp, field.name)
+            h.update(field.name.encode())
+            if isinstance(value, np.ndarray):
+                h.update(f"{value.dtype}{value.shape}{value.flags.writeable}".encode())
+                h.update(value.tobytes())
+            else:
+                h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+def test_basis_bits_are_pinned():
+    """Every CLI output rests on these bits; a rewrite of the builders must
+    keep them exactly (su(m,n), n = 1..5, m = n..n+3, and sl(k,C), k = 2..7)."""
+    assert len(DIGEST_SPACES) == 26
+    assert space_digest(DIGEST_SPACES) == BASIS_DIGEST
 
 
 # ---------------------------------------------------------------------------

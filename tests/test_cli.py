@@ -269,6 +269,21 @@ def test_batch_failures_match_runs_one_by_one(tmp_path):
     assert reports[0]["status"] == "ok"
 
 
+def test_batch_runs_write_under_their_own_out_dir(tmp_path, monkeypatch):
+    # with no --out, each batch member writes to its own out_dir/<name>/;
+    # --out replaces every member's out_dir
+    runs = [dict(free_run("a", [2.0, 1.0], [0.1, 0.05]), out_dir="od_a"),
+            dict(free_run("b", [2.5, 1.2], [0.0, 0.1]), out_dir="od_b")]
+    cfg = write_config(tmp_path / "b.json", {"runs": runs})
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    assert (tmp_path / "od_a" / "a" / "drift_report.json").exists()
+    assert (tmp_path / "od_b" / "b" / "drift_report.json").exists()
+    assert not (tmp_path / "od_a" / "b").exists()
+    assert cli.main(["simulate", "--config", cfg, "--out", "o"]) == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["a", "b"]
+
+
 def test_free_and_spinning_runs_share_a_batch(tmp_path, monkeypatch):
     # zero spin always runs in the zero gauge, so a free run and an orbit
     # run on one space with equal t_end, sample_dt and tol are one batch
