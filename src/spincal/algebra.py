@@ -26,6 +26,7 @@ own, and a certificate on a stack raises if any of its matrices fails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -340,6 +341,7 @@ def _sl_parts(spec: SpaceSpec):
                                 m_basis=m_basis, a_basis=a_basis)
 
 
+@functools.lru_cache(maxsize=32)
 def build_space(spec: SpaceSpec) -> SymmetricSpaceData:
     """Construct roots, multiplicities and the orthonormal root basis.
 
@@ -351,6 +353,10 @@ def build_space(spec: SpaceSpec) -> SymmetricSpaceData:
     coefficient of [E+_i, E+_j] along E+_k; the M-part of that bracket is
     not kept.  The returned object is immutable (arrays are write-protected)
     and safe to share read-only across concurrent tasks.
+
+    Built once per spec and process: equal specs share one space (the last
+    32 specs are kept), and a spec that fails raises on every call.
+    ``build_space.__wrapped__`` is the builder itself.
     """
     parts = {"su_mn": _su_parts, "sl_kc": _sl_parts}.get(spec.family)
     if parts is None:

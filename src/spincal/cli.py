@@ -26,8 +26,10 @@ error).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -226,7 +228,12 @@ def parse_run(obj: dict, default_name: str = "run", overrides=None) -> RunConfig
     q, p = (_value(initial, key, _reals, "initial") for key in ("q", "p"))
     try:
         pt0 = dynamics.make_phase_point(space, q, p, _initial_spin(space, model, seed))
-        algebra.require_off_wall(space, pt0.q)  # no integrator steps from inside the margin
+        # no integrator steps from inside the wall margin, where this raises,
+        # or from an energy that overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = dynamics.hamiltonian(space, pt0)
+        if not math.isfinite(energy):
+            raise ValueError(f"the initial energy is not finite (H = {energy})")
     except (ValueError, WallProximityError) as exc:
         raise ConfigError(f"initial data of the {mtype} run on {space_spec.label()}: {exc}") \
             from None
@@ -482,8 +489,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_couplings(args) -> int:
-    g, g1, g2 = orbits.bc_couplings(args.n, args.kappa, args.x)  # inadmissible: exit 1
-    residual = models.coupling_relation_residual(args.n, args.kappa, args.x)
+    try:
+        g, g1, g2 = orbits.bc_couplings(args.n, args.kappa, args.x)  # inadmissible: exit 1
+        residual = models.coupling_relation_residual(args.n, args.kappa, args.x)
+        finite = all(map(math.isfinite, (g, g1, g2, residual)))
+    except OverflowError:  # g ** 2, or the float of a huge n
+        finite = False
+    if not finite:
+        raise ConfigError(f"the couplings overflow a float (n = {args.n}, "
+                          f"kappa = {args.kappa}, x = {args.x})")
     print(f"g  = {_fmt(g)}")
     print(f"g1 = {_fmt(g1)}")
     print(f"g2 = {_fmt(g2)}")
@@ -495,8 +509,21 @@ def cmd_couplings(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit with EXIT_CONFIG, not
+    argparse's 2, which is EXIT_WALL here; its subparsers are of this class
+    too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The CLI's parser, built on the first call and shared after it:
+    parse_args keeps no state between calls."""
+    ap = _Parser(
         prog="spincal",
         description="Hyperbolic spin Calogero models: simulation and verification")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -69,6 +69,30 @@ def test_invalid_specs():
         SpaceSpec.sl(1)
 
 
+def test_equal_specs_share_one_read_only_space():
+    sp = build_space(SpaceSpec.su(3, 2))
+    assert build_space(SpaceSpec("su_mn", m=3, n=2)) is sp
+    assert build_space(SpaceSpec.sl(3)) is not sp
+    fresh = build_space.__wrapped__(SpaceSpec.su(3, 2))  # the uncached builder
+    assert fresh is not sp
+    for field in dataclasses.fields(sp):
+        value, built = getattr(sp, field.name), getattr(fresh, field.name)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable
+            assert value.dtype == built.dtype and value.tobytes() == built.tobytes()
+            with pytest.raises(ValueError):
+                value.flat[0] = 0
+        else:
+            assert repr(value) == repr(built)
+
+
+def test_unknown_family_raises_on_every_call():
+    spec = SpaceSpec("so_pq", m=2, n=1)
+    for _ in range(3):
+        with pytest.raises(algebra.AdmissibilityError, match="unknown family"):
+            build_space(spec)
+
+
 @pytest.mark.parametrize("spec", ALL_SU + ALL_SL, ids=lambda s: s.label())
 def test_basis_orthonormality_exhaustive(spec):
     sp = build_space(spec)

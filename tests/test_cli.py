@@ -387,6 +387,50 @@ def test_each_run_builds_its_space_and_monitor_once(tmp_path):
         assert monitor.call_count == 2
 
 
+def test_a_batch_builds_each_space_once(tmp_path):
+    # six runs on four spaces, spinning and free, direct and projection:
+    # parsing and running the batch build four spaces
+    runs = [base_run_config(name="bc", t_end=0.5),
+            base_run_config(name="bc_proj", t_end=0.5, method="projection"),
+            {**free_run("su22", [2.0, 1.0], [0.1, 0.3]), "space": SU22, "t_end": 0.5},
+            {**free_run("su22_b", [2.5, 1.2], [0.0, 0.1]), "space": SU22, "t_end": 0.5},
+            {**free_run("su21", [1.0], [0.2]), "space": {"family": "su_mn", "m": 2, "n": 1},
+             "t_end": 0.5},
+            {**free_run("sl3", [1.0, 0.0, -1.0], [0.1, 0.0, -0.1]),
+             "space": {"family": "sl_kc", "k": 3}, "t_end": 0.5}]
+    cfg = write_config(tmp_path / "cfg.json", {"runs": runs})
+    algebra.build_space.cache_clear()
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    info = algebra.build_space.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+    assert info.hits >= 2
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path):
+    # the overrides of one call do not leak into the next: the second report
+    # shows the config's own seed and method
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(t_end=0.5, seed=7))
+    reports = []
+    for tag, extra in (("over", ["--seed", "3", "--method", "projection"]), ("plain", [])):
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / tag), *extra]) == 0
+        reports.append(json.loads((tmp_path / tag / "drift_report.json").read_text()))
+    assert [(r["seed"], r["method"]) for r in reports] == [(3, "projection"), (7, "direct")]
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("method", ["direct", "projection"])
+def test_start_with_non_finite_energy_is_a_config_error(tmp_path, capsys, method):
+    # p = 1e200 on the su(2,1) BC model: H = p^2 / 2 overflows, so no
+    # integrator can step from there; exit 1, nothing written
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(
+        space={"family": "su_mn", "m": 2, "n": 1}, model={"type": "bc", "kappa": 1.0, "x": 0.3},
+        initial={"q": [1.0], "p": [1e200]}, t_end=0.5, monitors=[]))
+    assert cli.main(["simulate", "--config", cfg, "--method", method,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "the initial energy is not finite (H = inf)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_bc_boundary_model(tmp_path):
     # kappa = n x built in floats (kappa - n x = -5.6e-17): g1 = 0, still a BC model
     cfg = write_config(tmp_path / "cfg.json", base_run_config(
@@ -720,6 +764,36 @@ def test_couplings_non_finite_exit_1(kappa, x):
     assert out.returncode == 1
     assert "must be finite" in out.stderr
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize("n,kappa,x", [("2", "1e200", "0.3"), ("2", "1.5e154", "0.3"),
+                                     ("1" + "0" * 400, "1.0", "0.0")],
+                         ids=["kappa_1e200", "kappa_1.5e154", "n_401_digits"])
+def test_couplings_overflow_exit_1(n, kappa, x):
+    # g ** 2 overflows at kappa = 1e200, g1 is inf at 1.5e154, and a 401-digit
+    # n overflows the float of n x: an error line, not a traceback
+    out = run_cli("couplings", n, kappa, x)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: the couplings overflow a float")
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["simulate"], ["bogus"], ["couplings", "2", "abc", "0.3"],
+                                  ["verify", "--config", "v.json", "--seed", "1.5"]])
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse exits 2, which is a wall collision here
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_python_dash_m_package_entry():
