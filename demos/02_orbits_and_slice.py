@@ -17,8 +17,9 @@ rng = np.random.default_rng(7)
 
 print("minimal orbit representative eta(u) for u = (sqrt(2), 0), kappa = 1:")
 print(orbits.eta_of_u(np.array([np.sqrt(2.0), 0.0]), 1.0))
-print("\ntorus normal form mu for k = 3, kappa = 0.5 (zero diagonal):")
-print(orbits.mu_kks(3, 0.5))
+print("\ntorus normal form i kappa (1 - I) for k = 3, kappa = 0.5: the KKS spin")
+print("xi_red(sl(3,C), 'kks', 0.5), built by slice_spin from u = sqrt(kappa) (1, 1, 1):")
+print(orbits.xi_red(algebra.build_space(SpaceSpec.sl(3)), "kks", 0.5).xi)
 
 # --- generic spin data on su(2,2) --------------------------------------
 space = algebra.build_space(SpaceSpec.su(2, 2))

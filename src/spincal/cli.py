@@ -191,8 +191,8 @@ def _initial_spin(space: SymmetricSpaceData, model: dict, seed: int) -> orbits.S
     if mtype == "free":
         return orbits.zero_spin(space)
     if mtype in CATALOG_TYPES:
-        return models.model_spin(space, models.model_on(
-            space.spec, mtype, model.get("kappa", 0.0), model.get("x", 0.0)))
+        return orbits.xi_red(space, "kks" if mtype == "a" else mtype,
+                             model.get("kappa", 0.0), model.get("x", 0.0))
     if space.spec.family == "sl_kc":
         spec = orbits.OrbitSpec.kks(model.get("kappa", 1.0))
     else:

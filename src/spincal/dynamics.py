@@ -105,11 +105,7 @@ def make_phase_point(space: SymmetricSpaceData, q, p, xi: SpinPoint | None = Non
             raise ValueError("sl(k,C) coordinates and momenta must sum to zero")
     if not algebra.is_in_chamber(space, q):
         raise WallProximityError(f"q = {q} is not in the open Weyl chamber")
-    if xi is None:
-        xi = orbits.zero_spin(space)
-    if not xi.on_slice or xi.coeffs is None:
-        raise orbits.MembershipError("xi must be an on-slice SpinPoint")
-    return PhasePoint(q=q, p=p, xi=xi)
+    return PhasePoint(q=q, p=p, xi=orbits.zero_spin(space) if xi is None else xi)
 
 
 @dataclass(frozen=True)
@@ -341,19 +337,15 @@ _MAX_STEPS = 5_000_000   # accepted steps before StepSizeError
 
 class _DirectSystem:
     """Packed-state view (q, p, c+) of the reduced equations for the stepper,
-    one run per row, with the flat basis arrays its right-hand side and the
-    spin reconstruction work on."""
+    one run per row, with the flat basis arrays its right-hand side works on."""
 
     def __init__(self, space: SymmetricSpaceData, gauge: str):
-        K, N = space.K, space.N
-        self.space = space
         self.nc = space.n_coords
         self.gauge = gauge
         self.coef_t = space.col_coef_t  # alpha_j(q) = q @ coef_t[:, j]
         self.force_coef = space.root_coef[space.e_root] / space.coord_weight
         self.root_coef_t = np.ascontiguousarray(space.root_coef.T)
-        self.neg_fplus = -space.fplus.reshape(K * K, K)
-        self.eplus = space.eplus.reshape(K, N * N)  # row j: E+_j
+        self.neg_fplus = -space.fplus.reshape(space.K ** 2, space.K)
 
     def __call__(self, t, Y):
         """The field at the rows of Y, shape (B, 2n+K); t holds their times
@@ -375,12 +367,6 @@ class _DirectSystem:
             pairs = (w2[:, :, None] * cplus[:, None, :]).reshape(len(Y), -1)
             out[:, 2 * nc:] = pairs @ self.neg_fplus
         return out
-
-    def spin(self, cplus) -> np.ndarray:
-        """xi = sum_j c_j E+_j as N x N matrices, one per row of cplus
-        (algebra.reconstruct)."""
-        N = self.space.N
-        return (cplus @ self.eplus).reshape(cplus.shape[:-1] + (N, N))
 
 
 def sample_grid(t_end: float, sample_dt: float | None = None) -> tuple:
@@ -490,10 +476,10 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
         y = samples[m, :counts[m]]
         if freeze:  # the spin does not move: the initial one's bits
             xi = SpinPoint(xi=np.broadcast_to(pt0.xi.xi, (len(y), space.N, space.N)),
-                           coeffs=np.broadcast_to(pt0.xi.coeffs, (len(y), space.K)),
-                           on_slice=True)
+                           coeffs=np.broadcast_to(pt0.xi.coeffs, (len(y), space.K)))
         else:
-            xi = SpinPoint(xi=sys.spin(y[:, 2 * nc:]), coeffs=y[:, 2 * nc:], on_slice=True)
+            xi = SpinPoint(xi=algebra.reconstruct(space, cplus=y[:, 2 * nc:]),
+                           coeffs=y[:, 2 * nc:])
         path = PhasePoint(q=y[:, :nc], p=y[:, nc:2 * nc], xi=xi)
         # the M-part of xi' vanishes on the slice; its largest value at the
         # samples is kept as a consistency diagnostic (np.max keeps a NaN)
@@ -729,8 +715,8 @@ class FreezeCertificate:
     least squares) vanishes; then y_M(q) = sum_r w^2(alpha_r(q)) z_r."""
 
     def __init__(self, space: SymmetricSpaceData, mu):
-        if not isinstance(mu, SpinPoint) or mu.coeffs is None:
-            mu = orbits.spin_point(space, mu.xi if isinstance(mu, SpinPoint) else mu)
+        if not isinstance(mu, SpinPoint):
+            mu = orbits.spin_point(space, mu)
         c = mu.coeffs
         R = np.zeros((len(space.roots), space.K))
         np.add.at(R, space.e_root, c[:, None] * (space.fplus.transpose(0, 2, 1) @ c))
@@ -868,11 +854,14 @@ def _projection_at(space: SymmetricSpaceData, lift: tuple, t: float) -> PhasePoi
     # Lambda(t) = E Lambda_0 E+ with E = expm(t grad f) is never assembled (its
     # condition number squares the exponent spread): the gauge is recovered from
     # the accurate large singular data of the half-factor W = E Lambda_0^(1/2).
-    W = orbits.expm(t * G) @ S0
-    if S0_inv is None:
-        q_t, g = _chamber_gauge_su(space, W)
-    else:
-        q_t, g = _chamber_gauge_sl(space, W, S0_inv @ orbits.expm(-t * G))
+    # An overflowing flow is a spectrum too spread to recover the gauge from.
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = orbits.expm(t * G) @ S0
+        W_inv = None if S0_inv is None else S0_inv @ orbits.expm(-t * G)
+    if not (np.isfinite(W).all() and (W_inv is None or np.isfinite(W_inv).all())):
+        raise algebra.DegenerateSpectrumError(
+            f"the projection flow overflows a float at t = {t:.6g}")
+    q_t, g = _chamber_gauge_su(space, W) if W_inv is None else _chamber_gauge_sl(space, W, W_inv)
     p_t = algebra.coords_of(space, g.conj().T @ j_minus @ g)
     # drop the numerical M-part before re-certifying the slice condition
     _, cm, cplus, _ = algebra.decompose(space, g.conj().T @ xi0 @ g)
@@ -880,7 +869,7 @@ def _projection_at(space: SymmetricSpaceData, lift: tuple, t: float) -> PhasePoi
         raise algebra.OffSliceError(
             f"projected spin drifted off the slice (M-part {np.linalg.norm(cm):.3e})")
     return PhasePoint(q=q_t, p=p_t, xi=SpinPoint(
-        xi=algebra.reconstruct(space, cplus=cplus), coeffs=cplus, on_slice=True))
+        xi=algebra.reconstruct(space, cplus=cplus), coeffs=cplus))
 
 
 def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
@@ -962,7 +951,7 @@ def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
         pts.append(pt)
     path = PhasePoint(q=np.array([pt.q for pt in pts]), p=np.array([pt.p for pt in pts]),
                       xi=SpinPoint(xi=np.array([pt.xi.xi for pt in pts]),
-                                   coeffs=np.array([pt.xi.coeffs for pt in pts]), on_slice=True))
+                                   coeffs=np.array([pt.xi.coeffs for pt in pts])))
     return _attach_monitors(space, times[:len(pts)], path, lax_x, invariants,
                             wall_time=wall_time)
 

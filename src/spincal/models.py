@@ -36,7 +36,6 @@ __all__ = [
     "SUTHERLAND_COUPLING_FACTOR",
     "validate_params",
     "model_space",
-    "model_on",
     "model_spin",
     "closed_form_H",
     "machinery_equals_closed_form",
@@ -85,15 +84,6 @@ def model_space(model: SpinlessModel) -> SymmetricSpaceData:
         m = model.m_ambient or model.n
         return algebra.build_space(SpaceSpec.su(m, model.n))
     return algebra.build_space(SpaceSpec.sl(model.n))
-
-
-def model_on(spec: SpaceSpec, family: str, kappa: float, x: float = 0.0) -> SpinlessModel:
-    """The family's model with its n read off the space it lives on (k for
-    "a"); a family on the wrong space family raises AdmissibilityError, and
-    :func:`model_spin` checks the rest of the fit."""
-    if (family == "a") != (spec.family == "sl_kc"):
-        raise AdmissibilityError(f"model type {family!r} does not live on {spec.label()}")
-    return SpinlessModel(family, spec.k if family == "a" else spec.n, kappa, x)
 
 
 def model_spin(space: SymmetricSpaceData, model: SpinlessModel) -> SpinPoint:

@@ -35,7 +35,6 @@ __all__ = [
     "SpinPoint",
     "UnreducedPoint",
     "eta_of_u",
-    "mu_kks",
     "orbit_base_point",
     "random_orbit_point",
     "random_slice_spin",
@@ -51,7 +50,6 @@ __all__ = [
     "emptiness_probe",
     "ReductionReport",
     "expm_herm",
-    "expm_antiherm",
     "logm_herm",
     "expm",
     "diagonalize_flat",
@@ -70,13 +68,6 @@ def expm_herm(H: np.ndarray) -> np.ndarray:
     H = 0.5 * (H + algebra.dagger(H))
     w, V = np.linalg.eigh(H)
     return (V * np.exp(w)[..., None, :]) @ algebra.dagger(V)
-
-
-def expm_antiherm(Z: np.ndarray) -> np.ndarray:
-    """exp(Z) for anti-Hermitian Z, a unitary: Z = iH with H Hermitian."""
-    H = -0.5j * (Z - Z.conj().T)
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(1j * w)) @ V.conj().T
 
 
 # The degree-13 Pade approximant of exp is exact to double precision for
@@ -147,72 +138,70 @@ class OrbitSpec:
 
     @staticmethod
     def su(kappa_m: float = 0.0, kappa_n: float = 0.0, x: float = 0.0) -> "OrbitSpec":
-        if kappa_m < 0 or kappa_n < 0:
-            raise AdmissibilityError("constituent parameters must be >= 0")
+        if not (0 <= kappa_m < math.inf and 0 <= kappa_n < math.inf and math.isfinite(x)):
+            raise AdmissibilityError("orbit parameters must be finite, the constituents >= 0 "
+                                     f"(kappa_m = {kappa_m}, kappa_n = {kappa_n}, x = {x})")
         if kappa_m == 0 and kappa_n == 0 and x == 0:
             raise AdmissibilityError("orbit must be nonzero")
         return OrbitSpec("su_mn", kappa_m=float(kappa_m), kappa_n=float(kappa_n), x=float(x))
 
     @staticmethod
     def kks(kappa: float) -> "OrbitSpec":
-        if kappa <= 0:
-            raise AdmissibilityError("KKS orbit requires kappa > 0")
+        if not 0 < kappa < math.inf:
+            raise AdmissibilityError(f"KKS orbit requires a finite kappa > 0 (kappa = {kappa})")
         return OrbitSpec("sl_kc", kappa=float(kappa))
 
 
 @dataclass(frozen=True)
 class SpinPoint:
-    """Orbit element xi in g-plus, with M-perp coefficients when on-slice.
-    Zero spin (:func:`zero_spin`, free motion) is an ordinary on-slice
-    point: every formula with spin gives the free value on its zero
-    coefficients."""
+    """On-slice spin: an orbit element xi in M-perp (g-plus with a vanishing
+    M-part) and its M-perp coefficients, certified by :func:`spin_point`.
+    Off-slice orbit elements are plain matrices.  Zero spin
+    (:func:`zero_spin`, free motion) is an ordinary spin: every formula
+    with spin gives the free value on its zero coefficients."""
 
     xi: np.ndarray
-    coeffs: np.ndarray | None = None   # M-perp coefficients, basis order
-    on_slice: bool = False
+    coeffs: np.ndarray   # M-perp coefficients, basis order
 
 
 @dataclass(frozen=True)
 class UnreducedPoint:
-    """Point of the extended unreduced phase space (Lambda, J_minus, xi)."""
+    """Point of the extended unreduced phase space (Lambda, J_minus, xi),
+    with xi an orbit element of g-plus, on the slice or not."""
 
     Lam: np.ndarray
     j_minus: np.ndarray
-    xi: SpinPoint
+    xi: np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # Spin points
 # ---------------------------------------------------------------------------
 
-def spin_point(space: SymmetricSpaceData, xi: np.ndarray,
-               require_slice: bool = True) -> SpinPoint:
-    """Wrap an orbit element; certifies g-plus membership and, if requested,
-    the slice condition (vanishing M-part) along with the coefficient
-    expansion in the M-perp basis.  A stack of elements gives one SpinPoint
-    holding the stack, certified matrix by matrix."""
+def spin_point(space: SymmetricSpaceData, xi: np.ndarray) -> SpinPoint:
+    """The SpinPoint of an orbit element; certifies g-plus membership, the
+    slice condition (vanishing M-part) and the coefficient expansion in the
+    M-perp basis.  A stack of elements gives one SpinPoint holding the
+    stack, certified matrix by matrix."""
     xi = np.asarray(xi, dtype=complex)
     gminus_part = algebra.project(space, xi, "gminus")
     res = np.maximum(algebra.membership_residual(space, xi),
                      np.abs(gminus_part).max(axis=(-2, -1), initial=0.0))
     if np.any(res > algebra.EPS_MEMBERSHIP):
         raise MembershipError(f"xi is not in g+ (residual {np.max(res):.3e})")
-    a, cm, cplus, _ = algebra.decompose(space, xi)
+    _, cm, cplus, _ = algebra.decompose(space, xi)
     m_norm = np.linalg.norm(cm, axis=-1)
-    if not require_slice:
-        return SpinPoint(xi=xi, coeffs=None, on_slice=bool(np.all(m_norm < EPS_ONSLICE)))
     if np.any(m_norm > EPS_ONSLICE):
         raise MembershipError(f"xi has a nonzero M-part (norm {np.max(m_norm):.3e})")
     recon = algebra.reconstruct(space, cplus=cplus)
     scale = np.maximum(1.0, np.abs(xi).max(axis=(-2, -1)))
     if np.any(np.abs(recon - xi).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise MembershipError("xi is not spanned by the M-perp basis")
-    return SpinPoint(xi=xi, coeffs=cplus, on_slice=True)
+    return SpinPoint(xi=xi, coeffs=cplus)
 
 
 def zero_spin(space: SymmetricSpaceData) -> SpinPoint:
-    return SpinPoint(xi=np.zeros((space.N, space.N), complex),
-                     coeffs=np.zeros(space.K), on_slice=True)
+    return SpinPoint(xi=np.zeros((space.N, space.N), complex), coeffs=np.zeros(space.K))
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +223,6 @@ def eta_of_u(u: np.ndarray, kappa: float) -> np.ndarray:
                  - (norm2 / k)[..., None, None] * np.eye(k))
 
 
-def mu_kks(k: int, kappa: float) -> np.ndarray:
-    """Torus normal form of the constrained minimal orbit: i*kappa off the
-    diagonal, zero on it."""
-    if k < 2 or kappa <= 0:
-        raise AdmissibilityError("mu_kks requires k >= 2 and kappa > 0")
-    return 1j * kappa * (np.ones((k, k)) - np.eye(k))
-
-
 def _central_element(m: int, n: int) -> np.ndarray:
     return np.diag(np.concatenate([1j * n * np.ones(m), -1j * m * np.ones(n)]))
 
@@ -257,6 +238,31 @@ def _embed_su_factor(space: SymmetricSpaceData, eta: np.ndarray, which: str) -> 
     return out
 
 
+def _orbit_element(space: SymmetricSpaceData, spec: OrbitSpec, u, v) -> np.ndarray:
+    """The orbit element of the rank-one vectors u (size-m factor, or
+    sl(k,C)) and v (size-n factor), None for an absent one: the sum of their
+    projectors and the central term.  Stacks of vectors give a stack."""
+    if space.spec.family == "sl_kc":
+        return eta_of_u(u, spec.kappa)
+    lead = next((w.shape[:-1] for w in (u, v) if w is not None), ())
+    xi = np.zeros(lead + (space.N, space.N), complex)
+    if u is not None:
+        xi += _embed_su_factor(space, eta_of_u(u, spec.kappa_m), "m")
+    if v is not None:
+        xi += _embed_su_factor(space, eta_of_u(v, spec.kappa_n), "n")
+    if spec.x != 0.0:
+        xi += spec.x * _central_element(space.spec.m, space.spec.n)
+    return xi
+
+
+def _require_factors(space: SymmetricSpaceData, spec: OrbitSpec):
+    """A nonzero constituent needs a factor su(k) with k >= 2: su(1) has no
+    nonzero orbits."""
+    for which, k, kappa in (("m", space.spec.m, spec.kappa_m), ("n", space.spec.n, spec.kappa_n)):
+        if kappa > 0 and k < 2:
+            raise AdmissibilityError(f"size-{which} factor su(1) has no nonzero orbits")
+
+
 def _base_u(k: int, kappa: float) -> np.ndarray:
     u = np.zeros(k, dtype=complex)
     u[0] = math.sqrt(k * kappa)
@@ -268,31 +274,19 @@ def orbit_base_point(space: SymmetricSpaceData, spec: OrbitSpec) -> np.ndarray:
     if spec.family != space.spec.family:
         raise AdmissibilityError("orbit family does not match the space")
     if space.spec.family == "sl_kc":
-        return eta_of_u(_base_u(space.spec.k, spec.kappa), spec.kappa)
-    m, n = space.spec.m, space.spec.n
-    xi = np.zeros((space.N, space.N), complex)
-    if spec.kappa_m > 0:
-        if m < 2:
-            raise AdmissibilityError("size-m factor su(1) has no nonzero orbits")
-        xi += _embed_su_factor(space, eta_of_u(_base_u(m, spec.kappa_m), spec.kappa_m), "m")
-    if spec.kappa_n > 0:
-        if n < 2:
-            raise AdmissibilityError("size-n factor su(1) has no nonzero orbits")
-        xi += _embed_su_factor(space, eta_of_u(_base_u(n, spec.kappa_n), spec.kappa_n), "n")
-    if spec.x != 0.0:
-        xi += spec.x * _central_element(m, n)
-    return xi
+        return _orbit_element(space, spec, _base_u(space.spec.k, spec.kappa), None)
+    _require_factors(space, spec)
+    u, v = (_base_u(k, kappa) if kappa > 0 else None
+            for k, kappa in ((space.spec.m, spec.kappa_m), (space.spec.n, spec.kappa_n)))
+    return _orbit_element(space, spec, u, v)
 
 
 def random_orbit_point(space: SymmetricSpaceData, spec: OrbitSpec,
-                       rng: np.random.Generator) -> SpinPoint:
-    """Ad-conjugate the base point by a random compact group element."""
-    xi0 = orbit_base_point(space, spec)
-    Z = algebra.random_gplus_element(space, rng, scale=1.0)
-    g = expm_antiherm(Z)
-    # global phase det-correction acts trivially under Ad; applied for cleanliness
-    g = g * np.exp(-1j * np.angle(np.linalg.det(g)) / space.N)
-    return spin_point(space, g @ xi0 @ g.conj().T, require_slice=False)
+                       rng: np.random.Generator) -> np.ndarray:
+    """The base point Ad-conjugated by exp(Z), Z a random element of g-plus:
+    an orbit element, on the slice or not."""
+    g = expm(algebra.random_gplus_element(space, rng, scale=1.0))
+    return g @ orbit_base_point(space, spec) @ g.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +331,7 @@ def moment_map(space: SymmetricSpaceData, point: UnreducedPoint) -> np.ndarray:
     _, _, cplus, cminus = algebra.decompose(space, Jm_rot)
     vals = np.tanh(space.alpha_cols(q))
     Jp_rot = algebra.reconstruct(space, cplus=vals * cminus, cminus=vals * cplus)
-    return g @ Jp_rot @ g_inv + point.xi.xi
+    return g @ Jp_rot @ g_inv + point.xi
 
 
 def build_slice_point(space: SymmetricSpaceData, q, p, xi: SpinPoint) -> UnreducedPoint:
@@ -348,11 +342,9 @@ def build_slice_point(space: SymmetricSpaceData, q, p, xi: SpinPoint) -> Unreduc
     p = np.asarray(p, dtype=float)
     if not algebra.is_in_chamber(space, q):
         raise algebra.WallProximityError(f"q = {q} is not in the open Weyl chamber")
-    if not xi.on_slice or xi.coeffs is None:
-        raise MembershipError("xi must be an on-slice SpinPoint (vanishing M-part)")
     Lam = expm_herm(2.0 * algebra.embed(space, q))
     Jm = algebra.embed(space, p) - algebra.ad_fn_slice(space, "coth", q, xi.coeffs)
-    return UnreducedPoint(Lam=Lam, j_minus=Jm, xi=xi)
+    return UnreducedPoint(Lam=Lam, j_minus=Jm, xi=xi.xi)
 
 
 # ---------------------------------------------------------------------------
@@ -415,44 +407,42 @@ def _require_admissible(family: str, n: int, kappa: float, x: float):
 
 
 def xi_red(space: SymmetricSpaceData, case: str, kappa: float, x: float = 0.0) -> SpinPoint:
-    """Representative of a single-point reduced orbit; the data must pass
-    :func:`validate_params` for the case's family on the space.
+    """Representative of a single-point reduced orbit: :func:`slice_spin` of
+    the case's zero-phase vectors, for data that the slice admits (the
+    verdict of :func:`_slice_moduli_su`, which :func:`validate_params`
+    gives without the space).
 
-    case "d": minimal orbit in the size-n factor, any m >= n.
-    case "c": m = n, orbit plus central term.
-    case "bc": m = n + 1, minimal orbit in the size-m factor plus central term.
-    case "kks": sl(k,C), the Sutherland ("a") family.
+    case "bc": su(n+1, n), u = (sqrt(kappa + x) 1_n, sqrt(kappa - n x)) in
+        the size-m factor, plus x C.
+    case "c": su(n, n), v = sqrt(kappa) 1_n in the size-n factor (absent at
+        kappa = 0), plus x C.
+    case "d": su(m >= n, n), v = sqrt(kappa) 1_n, no central term.
+    case "kks": sl(k,C), u = sqrt(kappa) 1_k: the Sutherland ("a") family.
     """
     case = case.lower()
-    if case == "kks":
-        if space.spec.family != "sl_kc":
-            raise AdmissibilityError("KKS case lives on the sl(k,C) family")
-        _require_admissible("a", space.spec.k, kappa, x)
-        return spin_point(space, mu_kks(space.spec.k, kappa))
-
-    if case not in ("d", "c", "bc"):
+    family = {"bc": "su_mn", "c": "su_mn", "d": "su_mn", "kks": "sl_kc"}.get(case)
+    if family is None:
         raise AdmissibilityError(f"unknown spinless case {case!r}")
-    if space.spec.family != "su_mn":
-        raise AdmissibilityError(f"case {case!r} lives on the su(m,n) family")
+    if space.spec.family != family:
+        raise AdmissibilityError(f"case {case!r} does not live on {space.spec.label()}")
+    if case == "kks":
+        if not math.isfinite(x):  # unused, but as inadmissible as in validate_params
+            raise AdmissibilityError(f"x must be finite (x = {x})")
+        spec = OrbitSpec.kks(kappa)
+        return slice_spin(space, spec, np.full(space.spec.k, math.sqrt(kappa)), None)
     m, n = space.spec.m, space.spec.n
     if case == "c" and m != n:
         raise AdmissibilityError("C case requires m = n")
     if case == "bc" and m != n + 1:
         raise AdmissibilityError("BC case requires m = n + 1")
-    _require_admissible(case, n, kappa, x)
-    if case == "d":
-        return spin_point(space, _embed_su_factor(space, mu_kks(n, kappa), "n"))
-    if case == "c":
-        xi = x * _central_element(n, n)
-        if kappa > 0:
-            xi = xi + _embed_su_factor(space, mu_kks(n, kappa), "n")
-        return spin_point(space, xi)
-    u = np.concatenate([
-        np.full(n, math.sqrt(max(kappa + x, 0.0))),
-        [math.sqrt(max(kappa - n * x, 0.0))],
-    ]).astype(complex)
-    xi = _embed_su_factor(space, eta_of_u(u, kappa), "m") + x * _central_element(m, n)
-    return spin_point(space, xi)
+    if case == "d" and x != 0:
+        raise AdmissibilityError("D case has no central term")
+    spec = OrbitSpec.su(kappa_m=kappa, x=x) if case == "bc" else OrbitSpec.su(kappa_n=kappa, x=x)
+    _slice_moduli_su(space, spec)  # the verdict: a catalog spec draws nothing
+    if case == "bc":
+        u = np.sqrt(np.maximum([kappa + x] * n + [kappa - n * x], 0.0))
+        return slice_spin(space, spec, u, None)
+    return slice_spin(space, spec, None, np.full(n, math.sqrt(kappa)) if kappa > 0 else None)
 
 
 def bc_couplings(n: int, kappa: float, x: float):
@@ -560,26 +550,32 @@ def emptiness_probe(space: SymmetricSpaceData, kappa: float, x: float,
 # ---------------------------------------------------------------------------
 
 def _slice_moduli_su(space: SymmetricSpaceData, spec: OrbitSpec,
-                     rng: np.random.Generator):
-    """Sample squared moduli (t for the size-m factor, s for the size-n one)
-    compatible with the vanishing-M-part conditions.
+                     rng: np.random.Generator | None = None):
+    """Squared moduli (t for the size-m factor, s for the size-n one) of an
+    on-slice spin of the orbit; rng draws them where the slice leaves them
+    free, which needs both constituents (no catalog orbit has them).
 
-    The conditions follow from pairing the orbit element against M: with
-    t_a = |u_a|^2 and s_j = |v_j|^2,
+    This is the admissibility verdict of an orbit on su(m,n), for random
+    spins and catalog ones (:func:`xi_red`) alike: AdmissibilityError when a
+    nonzero constituent sits on a size-1 factor or the orbit misses the
+    slice.  The slice conditions follow from pairing the orbit element
+    against M: with t_a = |u_a|^2 and s_j = |v_j|^2,
+        kappa_m = 0: s_j = kappa_n, and x = 0 unless m = n (a purely
+                    central orbit meets the slice on su(n,n) alone).
         m - n >= 2: requires u to vanish on the middle block and
                     x = kappa_m / n exactly; t_j + s_j constant over j.
-        m = n + 1:  t_m = kappa_m - n x and t_j + s_j = kappa_m + kappa_n + x.
+        m = n + 1:  t_m = kappa_m - n x >= 0 and
+                    t_j + s_j = kappa_m + kappa_n + x >= 0, both up to the
+                    slack 1e-14 max(1, kappa_m, kappa_n, n |x|) of the BC
+                    bounds in :func:`validate_params`.
         m = n:      t_j + s_j = kappa_m + kappa_n.
     """
+    _require_factors(space, spec)
     m, n = space.spec.m, space.spec.n
     km, kn, x = spec.kappa_m, spec.kappa_n, spec.x
-    if km == 0 and kn == 0:
-        raise AdmissibilityError("a purely central orbit never meets the slice")
-
     t = np.zeros(m)
     s = np.zeros(n)
     if km == 0:
-        # orbit in the size-n factor only: s_j = kappa_n forced, x constrained
         if m > n and x != 0.0:
             raise AdmissibilityError(
                 "O~(n, kappa) + x C misses the slice for x != 0 on su(m>n, n)")
@@ -594,7 +590,8 @@ def _slice_moduli_su(space: SymmetricSpaceData, spec: OrbitSpec,
         total_t = m * km
     elif m == n + 1:
         t_m = km - n * x
-        if t_m < -1e-14 or km + kn + x < -1e-14:
+        slack = 1e-14 * max(1.0, km, kn, n * abs(x))
+        if t_m < -slack or km + kn + x < -slack:
             raise AdmissibilityError(
                 "su(n+1,n) slice requires kappa_m - n x >= 0 and kappa_m + kappa_n + x >= 0")
         t[-1] = max(t_m, 0.0)
@@ -603,26 +600,18 @@ def _slice_moduli_su(space: SymmetricSpaceData, spec: OrbitSpec,
     else:
         T = km + kn
         total_t = n * km
-    if T < -1e-14:
-        raise AdmissibilityError("slice moduli constraints are infeasible")
-
+    # the bounds hold up to roundoff or the slack: no modulus is negative
     if kn == 0:
-        t[:n] = total_t / n
-        if np.any(t > T + 1e-12):
-            raise AdmissibilityError("slice moduli constraints are infeasible")
+        t[:n] = max(total_t / n, 0.0)
         return t, s
     for _ in range(200):
         cand = rng.dirichlet(np.ones(n)) * total_t
         if np.all(cand <= T + 1e-14):
-            t[:n] = cand
-            s = T - t[:n]
-            return t, s
-    # fall back to the barycenter, always feasible
-    t[:n] = total_t / n
-    s = T - t[:n]
-    if np.any(s < -1e-12):
-        raise AdmissibilityError("slice moduli constraints are infeasible")
-    return t, np.maximum(s, 0.0)
+            break
+    else:  # fall back to the barycenter, where s_j = kappa_n
+        cand = np.full(n, total_t / n)
+    t[:n] = cand
+    return t, np.maximum(T - cand, 0.0)
 
 
 def random_slice_spin(space: SymmetricSpaceData, spec: OrbitSpec,
@@ -653,16 +642,6 @@ def draw_slice_vectors(space: SymmetricSpaceData, spec: OrbitSpec,
 
 def slice_spin(space: SymmetricSpaceData, spec: OrbitSpec, u, v) -> SpinPoint:
     """The on-slice spin of the vectors of :func:`draw_slice_vectors`, or of
-    stacks of them along leading axes (one stacked SpinPoint)."""
-    if space.spec.family == "sl_kc":
-        return spin_point(space, eta_of_u(u, spec.kappa))
-    m, n = space.spec.m, space.spec.n
-    lead = (u if u is not None else v).shape[:-1]
-    xi = np.zeros(lead + (space.N, space.N), complex)
-    if u is not None:
-        xi += _embed_su_factor(space, eta_of_u(u, spec.kappa_m), "m")
-    if v is not None:
-        xi += _embed_su_factor(space, eta_of_u(v, spec.kappa_n), "n")
-    if spec.x != 0.0:
-        xi += spec.x * _central_element(m, n)
-    return spin_point(space, xi)
+    stacks of them along leading axes (one stacked SpinPoint); both vectors
+    are absent (None) for a purely central orbit."""
+    return spin_point(space, _orbit_element(space, spec, u, v))

@@ -465,6 +465,48 @@ def test_bad_orbit_data_stops_the_batch_before_any_run(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_purely_central_orbit_run_is_the_c_model_at_kappa_zero(tmp_path):
+    # {"type": "orbit", "x": 0.9} on su(2,2) used to exit 1; its spin is the
+    # C model's at kappa = 0, so in one gauge the two runs write the same bytes
+    for name, model in (("orbit", {"type": "orbit", "x": 0.9}),
+                        ("c", {"type": "c", "kappa": 0.0, "x": 0.9})):
+        cfg = write_config(tmp_path / f"{name}.json", base_run_config(
+            space={"family": "su_mn", "m": 2, "n": 2}, model=model, gauge="zero", t_end=1.0))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "orbit" / "trajectory.csv").read_bytes() == \
+        (tmp_path / "c" / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("m,kappa_n", [(1, 1.0), (2, 0.7)])
+def test_orbit_constituent_on_a_size_one_factor_is_a_config_error(tmp_path, capsys, m, kappa_n):
+    # su(1) carries no nonzero orbit: exit 1, nothing written (the run used
+    # to drop the constituent and integrate the rest)
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(
+        space={"family": "su_mn", "m": m, "n": 1}, model={"type": "orbit", "kappa_n": kappa_n},
+        initial={"q": [1.0], "p": [0.1]}, monitors=[]))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "su(1) has no nonzero orbits" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,report_name", [("simulate", "drift_report.json"),
+                                                 ("spectrum", "spectrum_report.json")])
+def test_overflowing_projection_flow_is_a_degenerate_spectrum(tmp_path, capsys, command,
+                                                             report_name):
+    # p = 1e150 on the su(2,1) BC model: H = 5e299 is finite, but exp(t grad f)
+    # overflows at the first sample; the run fails with a report (exit 3),
+    # with no numpy warning, while the direct run of the same start succeeds
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(
+        space={"family": "su_mn", "m": 2, "n": 1}, model={"type": "bc", "kappa": 1.0, "x": 0.3},
+        initial={"q": [1.0], "p": [1e150]}, t_end=1.0, monitors=[]))
+    assert cli.main([command, "--config", cfg, "--method", "projection",
+                     "--out", str(tmp_path / "p")]) == 3
+    report = json.loads((tmp_path / "p" / report_name).read_text())
+    assert report["status"] == "degenerate_spectrum"
+    assert report["error"] == "the projection flow overflows a float at t = 0.5"
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

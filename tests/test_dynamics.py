@@ -109,7 +109,7 @@ def test_zero_spin_is_free_motion(spec, seed, scale, size):
     x = rng.standard_normal(size)
     xi = orbits.zero_spin(space)
     xis = orbits.SpinPoint(xi=np.broadcast_to(xi.xi, (size, space.N, space.N)),
-                           coeffs=np.broadcast_to(xi.coeffs, (size, space.K)), on_slice=True)
+                           coeffs=np.broadcast_to(xi.coeffs, (size, space.K)))
     pt, pts = (dynamics.make_phase_point(space, q[0], p[0], xi),
                dynamics.make_phase_point(space, q, p, xis))
     P = algebra.embed(space, p)
@@ -179,8 +179,7 @@ def test_eom_energy_conserved_first_order(su22, rng):
 
         def H(eps):
             c = pt.xi.coeffs + eps * dc
-            sp = orbits.SpinPoint(xi=algebra.reconstruct(su22, cplus=c),
-                                  coeffs=c, on_slice=True)
+            sp = orbits.SpinPoint(xi=algebra.reconstruct(su22, cplus=c), coeffs=c)
             return dynamics.hamiltonian(
                 su22, dynamics.PhasePoint(pt.q + eps * rhs.dq, pt.p + eps * rhs.dp, sp))
 
@@ -266,14 +265,17 @@ def test_lax_is_the_slice_lift(label, seed):
 
 @pytest.mark.parametrize("label", sorted(CORE_SPACES))
 def test_flat_basis_round_trip_matches_reconstruct(label):
-    # integrate_direct builds the path spin from c+ through the flat basis
-    # instead of algebra.reconstruct
+    # integrate_direct builds the path spin from c+ with algebra.reconstruct:
+    # on a (21, K) stack it gives the values of the flat-basis product c+ E+
+    # (up to the sign of a zero), and a zero-gauge path holds its bits
     space = CORE_SPACES[label]
-    sys = dynamics._DirectSystem(space, "zero")
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        c = checks.random_phase_point(space, rng).xi.coeffs
-        assert np.abs(sys.spin(c) - algebra.reconstruct(space, cplus=c)).max() <= 1e-14
+    c = np.array([checks.random_phase_point(space, rng).xi.coeffs for _ in range(21)])
+    flat = (c @ space.eplus.reshape(space.K, -1)).reshape(21, space.N, space.N)
+    assert np.array_equal(algebra.reconstruct(space, cplus=c), flat)
+    path = dynamics.integrate_direct(space, checks.random_phase_point(space, rng), 0.5,
+                                     sample_dt=0.25).path
+    assert path.xi.xi.tobytes() == algebra.reconstruct(space, cplus=path.xi.coeffs).tobytes()
 
 
 def test_dormand_prince_tableau():
@@ -606,14 +608,14 @@ def test_freeze_gauge_rejects_generic_spin(su22, rng):
 
 def sample_point(path, i):
     """Sample i of a stacked path as a point of its own."""
-    xi = orbits.SpinPoint(xi=path.xi.xi[i], coeffs=path.xi.coeffs[i], on_slice=True)
+    xi = orbits.SpinPoint(xi=path.xi.xi[i], coeffs=path.xi.coeffs[i])
     return dynamics.PhasePoint(q=path.q[i], p=path.p[i], xi=xi)
 
 
 def stack_points(pts):
     """The points pts as one stacked point."""
     xi = orbits.SpinPoint(xi=np.array([pt.xi.xi for pt in pts]),
-                          coeffs=np.array([pt.xi.coeffs for pt in pts]), on_slice=True)
+                          coeffs=np.array([pt.xi.coeffs for pt in pts]))
     return dynamics.PhasePoint(q=np.array([pt.q for pt in pts]),
                                p=np.array([pt.p for pt in pts]), xi=xi)
 
@@ -693,19 +695,28 @@ def test_stacked_eom_rhs_and_invariants_equal_per_point_calls(label):
 
 @settings(max_examples=60, deadline=None)
 @given(index=st.integers(0, len(models.CATALOG) - 1), seed=st.integers(0, 2 ** 32 - 1),
-       t=st.floats(-5.0, 5.0))
-def test_expm_matches_scipy_on_projection_generators(index, seed, t):
-    # flow_projection's exp(t grad f(L(1))) for f = tr X^2 / 2 on the catalog models
+       t=st.floats(-5.0, 5.0), compact=st.booleans())
+def test_expm_matches_scipy_on_projection_generators(index, seed, t, compact):
+    # flow_projection's exp(t grad f(L(1))) for f = tr X^2 / 2 on the catalog
+    # models, and random_orbit_point's group element exp(t Z), Z in g-plus
+    # (a unitary), on their spaces
     space = CATALOG_SPACES[index]
     rng = np.random.default_rng(seed)
-    q = algebra.random_chamber_point(space, rng)
-    p = rng.standard_normal(space.n_coords)
-    if space.spec.family == "sl_kc":
-        p -= p.mean()
-    pt = dynamics.make_phase_point(space, q, p, models.model_spin(space, models.CATALOG[index]))
-    G = dynamics.gradient(space, InvariantSpec("trace_power", 2), dynamics.lax(space, pt, 1.0))
+    if compact:
+        G = algebra.random_gplus_element(space, rng, scale=1.0)
+    else:
+        q = algebra.random_chamber_point(space, rng)
+        p = rng.standard_normal(space.n_coords)
+        if space.spec.family == "sl_kc":
+            p -= p.mean()
+        pt = dynamics.make_phase_point(space, q, p,
+                                       models.model_spin(space, models.CATALOG[index]))
+        G = dynamics.gradient(space, InvariantSpec("trace_power", 2), dynamics.lax(space, pt, 1.0))
     want = scipy.linalg.expm(t * G)
-    assert np.abs(orbits.expm(t * G) - want).max() <= 1e-13 * np.abs(want).max()
+    got = orbits.expm(t * G)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    if compact:
+        assert np.abs(got @ got.conj().T - np.eye(space.N)).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -1059,8 +1070,7 @@ def test_freezing_solve_matches_matrix_reference(index, seed, generic, far):
         q -= q.mean()
     if generic:
         c = rng.standard_normal(space.K)
-        mu = orbits.SpinPoint(xi=algebra.reconstruct(space, cplus=c), coeffs=c,
-                              on_slice=True)
+        mu = orbits.SpinPoint(xi=algebra.reconstruct(space, cplus=c), coeffs=c)
     else:
         mu = models.model_spin(space, models.CATALOG[index])
     cert = dynamics.FreezeCertificate(space, mu)

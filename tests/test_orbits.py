@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincal import algebra, orbits
 from spincal.algebra import AdmissibilityError, SpaceSpec
@@ -17,7 +19,7 @@ def frob(X):
 
 
 # ---------------------------------------------------------------------------
-# eta_of_u / mu_kks
+# eta_of_u
 # ---------------------------------------------------------------------------
 
 def test_eta_of_u_k2():
@@ -52,15 +54,16 @@ def test_eta_of_u_conjugation_covariance(rng):
     assert np.allclose(orbits.eta_of_u(V @ u, 1.0), V @ orbits.eta_of_u(u, 1.0) @ V.conj().T)
 
 
-def test_mu_kks_matches_paper_k2():
-    assert np.allclose(orbits.mu_kks(2, 1.0), np.array([[0.0, 1j], [1j, 0.0]]))
+def test_xi_red_kks_matches_paper_k2(sl2):
+    assert np.allclose(orbits.xi_red(sl2, "kks", 1.0).xi, np.array([[0.0, 1j], [1j, 0.0]]))
 
 
-def test_mu_kks_zero_diagonal_and_eta_consistency():
+def test_xi_red_kks_zero_diagonal_and_eta_consistency():
+    # the torus normal form i kappa (1 - I), zero on the diagonal
     k, kappa = 4, 0.6
-    mu = orbits.mu_kks(k, kappa)
-    assert np.abs(np.diag(mu)).max() == 0.0
-    assert np.allclose(mu, orbits.eta_of_u(math.sqrt(kappa) * np.ones(k), kappa))
+    mu = orbits.xi_red(algebra.build_space(SpaceSpec.sl(k)), "kks", kappa).xi
+    assert np.abs(mu - 1j * kappa * (np.ones((k, k)) - np.eye(k))).max() <= 1e-15
+    assert mu.tobytes() == orbits.eta_of_u(math.sqrt(kappa) * np.ones(k), kappa).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +80,7 @@ def test_moment_map_identity_lambda(su22, rng):
     xi = orbits.random_slice_spin(su22, OrbitSpec.su(kappa_m=1.0, kappa_n=0.5), rng)
     pt = orbits.UnreducedPoint(Lam=np.eye(4, dtype=complex),
                                j_minus=algebra.embed(su22, np.array([0.3, -0.1])),
-                               xi=xi)
+                               xi=xi.xi)
     psi = orbits.moment_map(su22, pt)
     assert np.abs(psi - xi.xi).max() < 1e-13
 
@@ -131,7 +134,7 @@ def test_moment_map_equivariance_off_slice(su22, rng):
     moved = orbits.UnreducedPoint(
         Lam=g @ up.Lam @ g.conj().T,
         j_minus=g @ up.j_minus @ g.conj().T,
-        xi=orbits.spin_point(su22, g @ up.xi.xi @ g.conj().T, require_slice=False))
+        xi=g @ up.xi @ g.conj().T)
     assert frob(orbits.moment_map(su22, moved)) < 1e-10
 
 
@@ -149,9 +152,9 @@ def test_build_slice_point_rejects_wall_and_m_part(su22, rng):
     with pytest.raises(algebra.WallProximityError):
         orbits.build_slice_point(su22, np.array([1.0, 1.0]), np.zeros(2),
                                  orbits.zero_spin(su22))
-    bad = orbits.SpinPoint(xi=su22.m_basis[0], coeffs=None, on_slice=False)
-    with pytest.raises(orbits.MembershipError):
-        orbits.build_slice_point(su22, np.array([2.0, 1.0]), np.zeros(2), bad)
+    # a spin with an M-part has no SpinPoint to build a slice point from
+    with pytest.raises(orbits.MembershipError, match="M-part"):
+        orbits.spin_point(su22, su22.m_basis[0])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +216,6 @@ def test_xi_red_on_slice_everywhere(su21, su22, su32, sl3):
     ]
     for sp, case, kappa, x in cases:
         xi = orbits.xi_red(sp, case, kappa, x)
-        assert xi.on_slice
         assert np.abs(algebra.project(sp, xi.xi, "m")).max() < 1e-12
 
 
@@ -228,6 +230,121 @@ def test_xi_red_admissibility():
         orbits.xi_red(su22, "c", 0.0, 0.0)
     with pytest.raises(AdmissibilityError):
         orbits.xi_red(su22, "d", 0.0, 0.0)      # nonzero-orbit requirement
+    sl3 = algebra.build_space(SpaceSpec.sl(3))
+    with pytest.raises(AdmissibilityError):
+        orbits.xi_red(sl3, "kks", 1.0, math.nan)  # the A family ignores a finite x only
+
+
+# The catalog families on su(m,n) with m + n <= 6 and on sl(k,C) with k <= 5
+CATALOG_FITS = [(SpaceSpec.sl(k), "a") for k in range(2, 6)] + [
+    (SpaceSpec.su(m, n), family) for n in range(1, 4) for m in range(n, 7 - n)
+    for family in ("bc", "c", "d") if family == "d" or m - n == {"bc": 1, "c": 0}[family]]
+
+
+def slice_path_admits(space, family, kappa, x) -> bool:
+    """Whether the generic route (the family's OrbitSpec and
+    random_slice_spin) builds an on-slice spin of the catalog datum."""
+    try:
+        if family == "a":
+            spec = OrbitSpec.kks(kappa)
+        elif family == "bc":
+            spec = OrbitSpec.su(kappa_m=kappa, x=x)
+        else:
+            spec = OrbitSpec.su(kappa_n=kappa, x=x)
+        orbits.random_slice_spin(space, spec, np.random.default_rng(0))
+    except AdmissibilityError:
+        return False
+    return True
+
+
+def normal_form(space, family, kappa, x):
+    """The paper's normal form of a catalog spin: i kappa (1 - I) on the
+    factor of the minimal orbit plus x C, and for BC i(u u^T - kappa) with
+    u = (sqrt(kappa + x) 1_n, sqrt(kappa - n x)) written entry by entry.
+    On BC data inside the slack of a bound the entry of u it clamps is 0,
+    and kappa is read as |u|^2 / m, which keeps the form traceless."""
+    if family == "a":
+        return 1j * kappa * (np.ones((space.N, space.N)) - np.eye(space.N))
+    m, n = space.spec.m, space.spec.n
+    out = x * np.diag(np.concatenate([1j * n * np.ones(m), -1j * m * np.ones(n)]))
+    if family == "bc":
+        a, b = max(kappa + x, 0.0), max(kappa - n * x, 0.0)
+        block = np.full((m, m), a)
+        block[:n, n] = block[n, :n] = math.sqrt(a * b)
+        block[n, n] = b
+        if (a, b) == (kappa + x, kappa - n * x):
+            np.fill_diagonal(block, [x] * n + [-n * x])  # a - kappa and b - kappa
+        else:
+            block -= (n * a + b) / m * np.eye(m)
+        out[:m, :m] += 1j * block
+    else:
+        out[m:, m:] += 1j * kappa * (np.ones((n, n)) - np.eye(n))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(fit=st.sampled_from(CATALOG_FITS), k=st.integers(-20, 20), j=st.integers(0, 20),
+       scale=st.sampled_from([1.0, 1e3]), anchor=st.sampled_from(["n x", "-x", "0", "free"]),
+       nudge=st.sampled_from([0.0, 1e-16, -1e-16, 5e-15, -5e-15, 2e-14, -2e-14,
+                              1e-12, -1e-12]))
+def test_catalog_and_slice_verdicts_agree(fit, k, j, scale, anchor, nudge):
+    # catalog data on and near every boundary, built in floats at two scales:
+    # validate_params admits a datum iff the slice path admits it, and then
+    # xi_red is the paper's normal form (D and A data carry no x)
+    spec, family = fit
+    space = algebra.build_space(spec)
+    n = spec.k if family == "a" else spec.n
+    x = scale * k / 10 if family in ("bc", "c") else 0.0
+    base = {"n x": n * x, "-x": -x, "0": 0.0, "free": scale * j / 10}[anchor]
+    kappa = base + nudge * max(1.0, abs(base))
+    admitted = orbits.validate_params(family, n, kappa, x) is None
+    assert slice_path_admits(space, family, kappa, x) == admitted
+    if admitted:
+        xi = orbits.xi_red(space, "kks" if family == "a" else family, kappa, x).xi
+        want = normal_form(space, family, kappa, x)
+        assert np.abs(xi - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_purely_central_orbit_meets_the_slice_on_su_nn(su22, rng):
+    # x C on su(2,2) is the C model at kappa = 0: the slice path builds the
+    # spin xi_red builds (it refused the orbit before), with no vector drawn
+    spin = orbits.random_slice_spin(su22, OrbitSpec.su(x=0.9), rng)
+    want = orbits.xi_red(su22, "c", 0.0, 0.9)
+    assert spin.xi.tobytes() == want.xi.tobytes()
+    assert spin.coeffs.tobytes() == want.coeffs.tobytes()
+    assert orbits.draw_slice_vectors(su22, OrbitSpec.su(x=0.9), rng) == (None, None)
+
+
+@pytest.mark.parametrize("m,n,kappa_n", [(1, 1, 1.0), (2, 1, 0.7)])
+def test_constituent_on_a_size_one_factor_is_inadmissible(m, n, kappa_n):
+    # su(1) has no nonzero orbits: the slice path used to drop the
+    # constituent silently; it now refuses it as the base point and the
+    # catalog (C on su(1,1)) do
+    space = algebra.build_space(SpaceSpec.su(m, n))
+    spec = OrbitSpec.su(kappa_n=kappa_n)
+    with pytest.raises(AdmissibilityError, match="su\\(1\\) has no nonzero orbits"):
+        orbits.random_slice_spin(space, spec, np.random.default_rng(0))
+    with pytest.raises(AdmissibilityError, match="su\\(1\\) has no nonzero orbits"):
+        orbits.orbit_base_point(space, spec)
+    assert orbits.validate_params("c", 1, kappa_n, 0.0) is not None
+
+
+def test_bc_boundary_at_scale_has_one_verdict(rng):
+    # kappa = n x with x = nextafter(1000): kappa - n x = -4.5e-13, within
+    # the slack 1e-14 max(1, kappa, n |x|) that both routes now apply
+    space = algebra.build_space(SpaceSpec.su(4, 3))
+    kappa, x = 3000.0, float(np.nextafter(1000.0, np.inf))
+    assert -1e-12 < kappa - 3 * x < -1e-14
+    assert orbits.validate_params("bc", 3, kappa, x) is None
+    want = normal_form(space, "bc", kappa, x)
+    assert np.abs(orbits.xi_red(space, "bc", kappa, x).xi - want).max() <= 1e-15 * kappa
+    orbits.random_slice_spin(space, OrbitSpec.su(kappa_m=kappa, x=x), rng)
+    beyond = x * (1 + 1e-12)
+    assert orbits.validate_params("bc", 3, kappa, beyond) is not None
+    with pytest.raises(AdmissibilityError):
+        orbits.xi_red(space, "bc", kappa, beyond)
+    with pytest.raises(AdmissibilityError):
+        orbits.random_slice_spin(space, OrbitSpec.su(kappa_m=kappa, x=beyond), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -315,31 +432,19 @@ def sorted_block_spectra(space, xi):
 
 def test_random_orbit_point_deterministic(su22):
     spec = OrbitSpec.su(kappa_m=1.0, kappa_n=0.5, x=0.2)
-    a = orbits.random_orbit_point(su22, spec, np.random.default_rng(7)).xi
-    b = orbits.random_orbit_point(su22, spec, np.random.default_rng(7)).xi
+    a = orbits.random_orbit_point(su22, spec, np.random.default_rng(7))
+    b = orbits.random_orbit_point(su22, spec, np.random.default_rng(7))
     assert a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("fixture", ["su22", "su32", "sl3"])
-def test_expm_antiherm_is_unitary_and_matches_expm(fixture, rng, request):
-    # random_orbit_point's group element, from eigh instead of a general expm
-    import scipy.linalg
-    sp = request.getfixturevalue(fixture)
-    for _ in range(5):
-        Z = algebra.random_gplus_element(sp, rng, scale=1.0)
-        g = orbits.expm_antiherm(Z)
-        assert np.abs(g @ g.conj().T - np.eye(sp.N)).max() < 1e-13
-        assert np.abs(g - scipy.linalg.expm(Z)).max() < 1e-13
 
 
 def test_random_orbit_point_sl_kc(sl3, rng):
     spec = OrbitSpec.kks(0.9)
     ref = sorted_block_spectra(sl3, orbits.orbit_base_point(sl3, spec))
-    a = orbits.random_orbit_point(sl3, spec, np.random.default_rng(7)).xi
-    b = orbits.random_orbit_point(sl3, spec, np.random.default_rng(7)).xi
+    a = orbits.random_orbit_point(sl3, spec, np.random.default_rng(7))
+    b = orbits.random_orbit_point(sl3, spec, np.random.default_rng(7))
     assert a.tobytes() == b.tobytes()
     for _ in range(5):
-        xi = orbits.random_orbit_point(sl3, spec, rng).xi
+        xi = orbits.random_orbit_point(sl3, spec, rng)
         assert np.abs(sorted_block_spectra(sl3, xi) - ref).max() < 1e-10
         assert np.abs(algebra.project(sl3, xi, "gminus")).max() < 1e-12
 
@@ -354,9 +459,9 @@ def test_random_orbit_point_preserves_spectra(fixture, speckw, rng, request):
     base = orbits.orbit_base_point(sp, spec)
     ref = sorted_block_spectra(sp, base)
     for _ in range(5):
-        pt = orbits.random_orbit_point(sp, spec, rng)
-        assert np.abs(sorted_block_spectra(sp, pt.xi) - ref).max() < 1e-10
-        assert np.abs(algebra.project(sp, pt.xi, "gminus")).max() < 1e-12
+        xi = orbits.random_orbit_point(sp, spec, rng)
+        assert np.abs(sorted_block_spectra(sp, xi) - ref).max() < 1e-10
+        assert np.abs(algebra.project(sp, xi, "gminus")).max() < 1e-12
 
 
 def test_random_slice_spin_is_on_orbit_and_slice(su22, rng):
@@ -365,7 +470,7 @@ def test_random_slice_spin_is_on_orbit_and_slice(su22, rng):
     ref = sorted_block_spectra(su22, base)
     for _ in range(10):
         xi = orbits.random_slice_spin(su22, spec, rng)
-        assert xi.on_slice
+        assert np.abs(algebra.project(su22, xi.xi, "m")).max() < 1e-12
         assert np.abs(sorted_block_spectra(su22, xi.xi) - ref).max() < 1e-9
 
 
@@ -373,7 +478,6 @@ def test_random_slice_spin_su31_requires_forced_x(su31, rng):
     with pytest.raises(AdmissibilityError):
         orbits.random_slice_spin(su31, OrbitSpec.su(kappa_m=1.0, x=0.2), rng)
     xi = orbits.random_slice_spin(su31, OrbitSpec.su(kappa_m=1.0, x=1.0), rng)
-    assert xi.on_slice
     # the forced datum is the pure 2e_1 spin 3 kappa sqrt(2) E+_{2e1}
     lbl = dict(zip(su31.e_labels, xi.coeffs))
     assert abs(lbl["2e1:im"] - 3.0 * math.sqrt(2.0)) < 1e-12
