@@ -437,6 +437,18 @@ def test_random_orbit_point_deterministic(su22):
     assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("fixture", ["su22", "su32", "sl3"])
+def test_expm_antiherm_is_unitary_and_matches_expm(fixture, rng, request):
+    # random_orbit_point's group element exp(Z), Z anti-Hermitian in g-plus
+    import scipy.linalg
+    sp = request.getfixturevalue(fixture)
+    for _ in range(5):
+        Z = algebra.random_gplus_element(sp, rng, scale=1.0)
+        g = orbits.expm(Z)
+        assert np.abs(g @ g.conj().T - np.eye(sp.N)).max() < 1e-13
+        assert np.abs(g - scipy.linalg.expm(Z)).max() < 1e-13
+
+
 def test_random_orbit_point_sl_kc(sl3, rng):
     spec = OrbitSpec.kks(0.9)
     ref = sorted_block_spectra(sl3, orbits.orbit_base_point(sl3, spec))
