@@ -160,7 +160,9 @@ class Trajectory:
     invariants: dict           # label -> (T,) float
     m_drift: float = 0.0       # direct, zero gauge: max M-part of xi' at the samples
     wall_time: float | None = None  # a wall event's last safe time (see the integrators)
-    n_steps: int = 0           # direct integrator: steps accepted by the error control
+    n_steps: int = 0           # direct integrator: steps accepted by the error control,
+    n_rejected: int = 0        # the steps it rejected
+    n_rhs: int = 0             # and the right-hand-side evaluations
     freeze_residual: float | None = None  # freeze gauge: max(per-root residual, sample |xi'|)
 
     def __len__(self):
@@ -309,29 +311,121 @@ def eom_rhs(space: SymmetricSpaceData, pt: PhasePoint, y_m: np.ndarray | None = 
 
 
 # ---------------------------------------------------------------------------
-# Direct adaptive integration (embedded Dormand-Prince 5(4) pair)
+# Direct adaptive integration (DOP853: Hairer, Norsett & Wanner, Solving
+# ODEs I, II.10; the coefficients of Hairer's dop853.f)
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+def _table(text, shape):
+    """An array of the given shape from lines "i j:value j:value ..." that
+    list the nonzero entries of its rows i.  The tableau is text because, as
+    Python literals, compiling it at import left more memory resident."""
+    out = np.zeros(shape)
+    for line in text.strip().splitlines():
+        i, *entries = line.split()
+        for entry in entries:
+            j, value = entry.split(":")
+            out[int(i), int(j)] = float(value)
+    return out
+
+
+_DOP_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+    0.1, 0.2, 0.777777777777777777777777777778,
 ])
-# first same as last: the seventh stage is evaluated at (t + h, y5)
-_DP_B5 = _DP_A[6]
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4  # y5 - y4 = h * (_DP_E @ ks)
-_DP_ROWS = [_DP_A[i, :i] for i in range(1, 7)]  # stage i combines stages < i
-# the continuous extension's fourth-order term (Hairer, Norsett & Wanner, Solving ODEs I, II.6)
-_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-                  -10690763975 / 1880347072, 701980252875 / 199316789632,
-                  -1453857185 / 822651844, 69997945 / 29380423])
+# stage i is taken at t + C[i] h and y + h A[i, :i] @ ks[:i]; stages 1 to 11
+# make the step, stage 12 is taken at the solution y1 (its row holds the
+# weights B) and is the next step's stage 0, stages 13 to 15 serve the
+# continuous extension alone
+_DOP_A = _table("""
+ 1  0:5.26001519587677318785587544488e-2
+ 2  0:1.97250569845378994544595329183e-2  1:5.91751709536136983633785987549e-2
+ 3  0:2.95875854768068491816892993775e-2  2:8.87627564304205475450678981324e-2
+ 4  0:2.41365134159266685502369798665e-1  2:-8.84549479328286085344864962717e-1
+ 4  3:9.24834003261792003115737966543e-1
+ 5  0:3.7037037037037037037037037037e-2  3:1.70828608729473871279604482173e-1
+ 5  4:1.25467687566822425016691814123e-1
+ 6  0:3.7109375e-2  3:1.70252211019544039314978060272e-1
+ 6  4:6.02165389804559606850219397283e-2  5:-1.7578125e-2
+ 7  0:3.70920001185047927108779319836e-2  3:1.70383925712239993810214054705e-1
+ 7  4:1.07262030446373284651809199168e-1  5:-1.53194377486244017527936158236e-2
+ 7  6:8.27378916381402288758473766002e-3
+ 8  0:6.24110958716075717114429577812e-1  3:-3.36089262944694129406857109825
+ 8  4:-8.68219346841726006818189891453e-1  5:2.75920996994467083049415600797e1
+ 8  6:2.01540675504778934086186788979e1  7:-4.34898841810699588477366255144e1
+ 9  0:4.77662536438264365890433908527e-1  3:-2.48811461997166764192642586468
+ 9  4:-5.90290826836842996371446475743e-1  5:2.12300514481811942347288949897e1
+ 9  6:1.52792336328824235832596922938e1  7:-3.32882109689848629194453265587e1
+ 9  8:-2.03312017085086261358222928593e-2
+10  0:-9.3714243008598732571704021658e-1  3:5.18637242884406370830023853209
+10  4:1.09143734899672957818500254654  5:-8.14978701074692612513997267357
+10  6:-1.85200656599969598641566180701e1  7:2.27394870993505042818970056734e1
+10  8:2.49360555267965238987089396762  9:-3.0467644718982195003823669022
+11  0:2.27331014751653820792359768449  3:-1.05344954667372501984066689879e1
+11  4:-2.00087205822486249909675718444  5:-1.79589318631187989172765950534e1
+11  6:2.79488845294199600508499808837e1  7:-2.85899827713502369474065508674
+11  8:-8.87285693353062954433549289258  9:1.23605671757943030647266201528e1
+11  10:6.43392746015763530355970484046e-1
+12  0:5.42937341165687622380535766363e-2  5:4.45031289275240888144113950566
+12  6:1.89151789931450038304281599044  7:-5.8012039600105847814672114227
+12  8:3.1116436695781989440891606237e-1  9:-1.52160949662516078556178806805e-1
+12  10:2.01365400804030348374776537501e-1  11:4.47106157277725905176885569043e-2
+13  0:5.61675022830479523392909219681e-2  6:2.53500210216624811088794765333e-1
+13  7:-2.46239037470802489917441475441e-1  8:-1.24191423263816360469010140626e-1
+13  9:1.5329179827876569731206322685e-1  10:8.20105229563468988491666602057e-3
+13  11:7.56789766054569976138603589584e-3  12:-8.298e-3
+14  0:3.18346481635021405060768473261e-2  5:2.83009096723667755288322961402e-2
+14  6:5.35419883074385676223797384372e-2  7:-5.49237485713909884646569340306e-2
+14  10:-1.08347328697249322858509316994e-4  11:3.82571090835658412954920192323e-4
+14  12:-3.40465008687404560802977114492e-4  13:1.41312443674632500278074618366e-1
+15  0:-4.28896301583791923408573538692e-1  5:-4.69762141536116384314449447206
+15  6:7.68342119606259904184240953878  7:4.06898981839711007970213554331
+15  8:3.56727187455281109270669543021e-1  12:-1.39902416515901462129418009734e-3
+15  13:2.9475147891527723389556272149  14:-9.15095847217987001081870187138
+""", (16, 16))
+_DOP_B = _DOP_A[12, :12]
+# y1 minus the embedded fifth- and third-order solutions, per unit of h; the
+# third-order one has the weights BHH
+_DOP_E5, _DOP_BHH = _table("""
+ 0  0:0.1312004499419488073250102996e-1  5:-0.1225156446376204440720569753e+1
+ 0  6:-0.4957589496572501915214079952  7:0.1664377182454986536961530415e+1
+ 0  8:-0.3503288487499736816886487290  9:0.3341791187130174790297318841
+ 0  10:0.8192320648511571246570742613e-1  11:-0.2235530786388629525884427845e-1
+ 1  0:0.244094488188976377952755905512  8:0.733846688281611857341361741547
+ 1  11:0.220588235294117647058823529412e-1
+""", (2, 12))
+_DOP_E3 = _DOP_B - _DOP_BHH
+_DOP_E = np.array([_DOP_E5, _DOP_E3])  # both estimates in one product
+# the continuous extension's terms of degree 4 to 7 (see _extension)
+_DOP_D = _table("""
+ 0  0:-0.84289382761090128651353491142e+1  5:0.56671495351937776962531783590
+ 0  6:-0.30689499459498916912797304727e+1  7:0.23846676565120698287728149680e+1
+ 0  8:0.21170345824450282767155149946e+1  9:-0.87139158377797299206789907490
+ 0  10:0.22404374302607882758541771650e+1  11:0.63157877876946881815570249290
+ 0  12:-0.88990336451333310820698117400e-1  13:0.18148505520854727256656404962e+2
+ 0  14:-0.91946323924783554000451984436e+1  15:-0.44360363875948939664310572000e+1
+ 1  0:0.10427508642579134603413151009e+2  5:0.24228349177525818288430175319e+3
+ 1  6:0.16520045171727028198505394887e+3  7:-0.37454675472269020279518312152e+3
+ 1  8:-0.22113666853125306036270938578e+2  9:0.77334326684722638389603898808e+1
+ 1  10:-0.30674084731089398182061213626e+2  11:-0.93321305264302278729567221706e+1
+ 1  12:0.15697238121770843886131091075e+2  13:-0.31139403219565177677282850411e+2
+ 1  14:-0.93529243588444783865713862664e+1  15:0.35816841486394083752465898540e+2
+ 2  0:0.19985053242002433820987653617e+2  5:-0.38703730874935176555105901742e+3
+ 2  6:-0.18917813819516756882830838328e+3  7:0.52780815920542364900561016686e+3
+ 2  8:-0.11573902539959630126141871134e+2  9:0.68812326946963000169666922661e+1
+ 2  10:-0.10006050966910838403183860980e+1  11:0.77771377980534432092869265740
+ 2  12:-0.27782057523535084065932004339e+1  13:-0.60196695231264120758267380846e+2
+ 2  14:0.84320405506677161018159903784e+2  15:0.11992291136182789328035130030e+2
+ 3  0:-0.25693933462703749003312586129e+2  5:-0.15418974869023643374053993627e+3
+ 3  6:-0.23152937917604549567536039109e+3  7:0.35763911791061412378285349910e+3
+ 3  8:0.93405324183624310003907691704e+2  9:-0.37458323136451633156875139351e+2
+ 3  10:0.10409964950896230045147246184e+3  11:0.29840293426660503123344363579e+2
+ 3  12:-0.43533456590011143754432175058e+2  13:0.96324553959188282948394950600e+2
+ 3  14:-0.39177261675615439165231486172e+2  15:-0.14972683625798562581422125276e+3
+""", (4, 16))
+_DOP_ROWS = [_DOP_A[i, :i] for i in range(1, 16)]  # stage i combines stages < i
 _MAX_STEPS = 5_000_000   # accepted steps before StepSizeError
 
 
@@ -383,7 +477,7 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
                      tol: float = 1e-10, sample_dt: float | None = None,
                      lax_x: tuple = (0.0, 1.0), invariants: tuple = (),
                      gauge: str = "zero", on_wall: str = "raise") -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) integration of the reduced equations:
+    """Adaptive DOP853 integration of the reduced equations:
     :func:`integrate_direct_batch` with one member, whose failure is raised.
 
     The state is (q, p, c+), see the module docstring.  In the zero gauge the
@@ -391,13 +485,18 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     ``m_drift`` is the largest M-part of xi' at the samples.  In the freezing
     gauge the spin is held constant, and its :class:`FreezeCertificate`
     failing on the chamber or at a sample raises
-    :class:`FreezeCertificateError`.  The last stage of a step is the first
-    of the next.  Only t_end clips a step; the samples come from each step's
-    continuous extension.  A step ending with min alpha(q) < EPS_WALL is
-    rejected, so a run aimed at a wall stalls at the time t it reaches that
-    level: :class:`WallProximityError` at t, or with ``on_wall="truncate"``
-    the samples up to t, with ``wall_time`` = t.  A step-size underflow
-    away from a wall raises :class:`StepSizeError`.
+    :class:`FreezeCertificateError`.  A step is an eighth-order step with
+    DOP853's combined fifth- and third-order error estimate; its last stage,
+    taken at the solution, is the first of the next step, so an attempt costs
+    twelve right-hand sides.  Only t_end clips a step; the samples come from
+    the seventh-order continuous extension of the step that covers them,
+    whose three extra stages are taken once per step that holds a sample.
+    ``n_steps``, ``n_rejected`` and ``n_rhs`` count the accepted steps, the
+    rejected ones and the right-hand-side evaluations.  A step ending with
+    min alpha(q) < EPS_WALL is rejected, so a run aimed at a wall stalls at
+    the time t it reaches that level: :class:`WallProximityError` at t, or
+    with ``on_wall="truncate"`` the samples up to t, with ``wall_time`` = t.
+    A step-size underflow away from a wall raises :class:`StepSizeError`.
     """
     traj, = integrate_direct_batch(space, [pt0], t_end, tol=tol, sample_dt=sample_dt,
                                    monitors=[(lax_x, invariants)], gauge=gauge,
@@ -408,18 +507,20 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
 
 
 def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
-                           tol: float = 1e-10, sample_dt: float | None = None,
+                           tol: float = 1e-10, sample_dt=None,
                            monitors=None, gauge: str = "zero",
                            on_wall: str = "raise") -> list:
-    """Integrate several phase points on one space with one Dormand-Prince
-    5(4) loop that advances them as the rows of a (B, 2n+K) state.
+    """Integrate several phase points on one space with one DOP853 loop that
+    advances them as the rows of a (B, 2n+K) state.
 
     Each member keeps its own time, step size, accept/reject decision, wall
-    check and samples, exactly as :func:`integrate_direct` describes for one
-    run; finished members drop out of the active rows.  Every Runge-Kutta
-    stage is one right-hand-side call over the active rows.  ``monitors``
-    holds one ``(lax_x, invariants)`` pair per member (default ``(0, 1)``
-    and none).
+    check, counters and samples, exactly as :func:`integrate_direct`
+    describes for one run; finished members drop out of the active rows.
+    Every Runge-Kutta stage is one right-hand-side call over the active rows,
+    and the continuous extension's stages one call over the rows of the
+    steps that hold a sample.  ``sample_dt`` is one value for every member or
+    one per member: the steps do not depend on it.  ``monitors`` holds one
+    ``(lax_x, invariants)`` pair per member (default ``(0, 1)`` and none).
 
     Returns one entry per member, in order: its :class:`Trajectory`, or the
     exception that stopped it alone (:class:`StepSizeError`,
@@ -437,7 +538,10 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
         monitors = [((0.0, 1.0), ())] * len(pts)
     if len(monitors) != len(pts):
         raise ValueError("monitors must hold one (lax_x, invariants) pair per member")
-    _, times = sample_grid(t_end, sample_dt)
+    dts = list(sample_dt) if np.iterable(sample_dt) else [sample_dt] * len(pts)
+    if len(dts) != len(pts):
+        raise ValueError("sample_dt must be one value or one per member")
+    grids = [sample_grid(t_end, dt)[1] for dt in dts]
 
     sys = _DirectSystem(space, gauge)
     nc = sys.nc
@@ -454,11 +558,12 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
 
     # a stage at a wall evaluates to inf/nan: the error norm rejects it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        samples, counts, n_steps = _step_batch(space, sys, y0, times, tol, t_end, stopped)
+        samples, counts, stats = _step_batch(space, sys, y0, grids, tol, t_end, stopped)
 
     out = []
     for m, pt0 in enumerate(pts):
         exc, wall_time, freeze_residual = stopped[m], None, None
+        times = grids[m][:counts[m]]
         if isinstance(exc, WallProximityError) and on_wall == "truncate":
             exc, wall_time = None, exc.t
         if exc is None and freeze:
@@ -485,41 +590,77 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
         # samples is kept as a consistency diagnostic (np.max keeps a NaN)
         m_drift = 0.0 if freeze else float(np.max(eom_rhs(space, path).m_part_norm))
         lax_x, invariants = monitors[m]
-        out.append(_attach_monitors(space, times[:counts[m]], path, lax_x, invariants,
-                                    m_drift=m_drift, wall_time=wall_time, n_steps=int(n_steps[m]),
-                                    freeze_residual=freeze_residual))
+        out.append(_attach_monitors(space, times, path, lax_x, invariants,
+                                    m_drift=m_drift, wall_time=wall_time,
+                                    freeze_residual=freeze_residual,
+                                    **{name: int(v[m]) for name, v in stats.items()}))
     return out
 
 
-def _dense(y0, y1, ks, h, th):
-    """Hairer's contd5: the continuous extension of Dormand-Prince steps
-    y0 -> y1 with stages ks at the fractions th of their sizes h (one row
-    per step; h and th are columns)."""
+def _stages(sys, t, Y, ks, h):
+    """One DOP853 attempt of sizes h from the rows Y, whose stage 0 is in
+    ks[:, 0]: fills the stages 1 to 12 of ks and returns the solution y1, at
+    which stage 12 is taken."""
+    hc = h[:, None]
+    for i, a in enumerate(_DOP_ROWS[:12], start=1):
+        yi = Y + hc * (a @ ks[:, :i])
+        ks[:, i] = sys(t, yi)  # the field is autonomous: t is the step's start
+    return yi
+
+
+def _extension(sys, t, y0, y1, ks, h):
+    """The coefficients F, shape (S, 7, D), of DOP853's seventh-order
+    continuous extension of the steps y0 -> y1 of sizes h with the stages
+    ks[:, :13]; its three extra stages go into ks[:, 13:].  At the fraction
+    th of a step, y = y0 + th (F0 + (1 - th) (F1 + th (F2 + (1 - th) (F3
+    + th (F4 + (1 - th) (F5 + th F6))))))  (see :func:`_extension_at`)."""
+    hc = h[:, None]
+    for i, a in enumerate(_DOP_ROWS[12:], start=13):
+        ks[:, i] = sys(t, y0 + hc * (a @ ks[:, :i]))
     dy = y1 - y0
-    b = h * ks[:, 0] - dy
-    return y0 + th * (dy + (1 - th) * (b + th * (dy - h * ks[:, 6] - b
-                                                  + (1 - th) * (h * (_DP_D @ ks)))))
+    F = np.empty((len(y0), 7, y0.shape[1]))
+    F[:, 0] = dy
+    F[:, 1] = hc * ks[:, 0] - dy
+    F[:, 2] = 2.0 * dy - hc * (ks[:, 0] + ks[:, 12])
+    F[:, 3:] = hc[:, None] * (_DOP_D @ ks)
+    return F
 
 
-def _step_batch(space, sys, y0, times, tol, t_end, stopped):
-    """Dormand-Prince 5(4) on [0, t_end] for the rows of y0 whose member has
-    not stopped, with the samples at ``times`` on each step's continuous
-    extension.  Returns the samples, shape (B, T, 2n+K), how many each member
-    reached, and its accepted steps.  A member that stalls (at a wall, where
-    every step is rejected), underflows or exceeds the step budget gets its
-    exception in ``stopped``."""
+def _extension_at(y0, F, th):
+    """The continuous extension of :func:`_extension` at the fractions th
+    (a column, one row per step)."""
+    y = F[:, 6]
+    for j in range(5, -1, -1):
+        y = F[:, j] + (th if j % 2 else 1.0 - th) * y
+    return y0 + th * y
+
+
+def _step_batch(space, sys, y0, grids, tol, t_end, stopped):
+    """DOP853 on [0, t_end] for the rows of y0 whose member has not stopped,
+    with member m's samples at the times grids[m] on each step's continuous
+    extension.  Returns the samples, shape (B, T, 2n+K) for the longest grid
+    T, how many each member reached, and per member its ``n_steps``
+    (accepted), ``n_rejected`` and ``n_rhs`` (right-hand-side rows).  A
+    member that stalls (at a wall, where every step is rejected), underflows
+    or exceeds the step budget gets its exception in ``stopped``."""
     B, D = y0.shape
-    samples = np.empty((B, len(times), D))
+    # the grids padded with inf: grid[m, counts[m]] is member m's next sample time
+    grid = np.full((B, max(len(g) for g in grids)), np.inf)
+    for m, g in enumerate(grids):
+        grid[m, :len(g)] = g
+    samples = np.empty((B, grid.shape[1], D))
     samples[:, 0] = y0
     counts = np.ones(B, dtype=int)
-    n_steps = np.zeros(B, dtype=int)
+    stats = {name: np.zeros(B, dtype=int) for name in ("n_steps", "n_rejected", "n_rhs")}
+    n_steps, n_rejected, n_rhs = stats.values()
     rows = np.array([m for m in range(B) if stopped[m] is None], dtype=int)  # active members
     Y = y0[rows]
     t = np.zeros(rows.size)
     h = np.full(rows.size, 0.005)  # the first trial step, whatever the sample grid
-    ks = np.empty((rows.size, 7, D))
+    ks = np.empty((rows.size, 16, D))
     if rows.size:
         ks[:, 0] = sys(t, Y)  # the first stage at (t, y), kept over a rejected step
+        n_rhs[rows] += 1
     h_min = 1e-14 * max(1.0, t_end)
     attempts = 0
     while rows.size:
@@ -537,41 +678,47 @@ def _step_batch(space, sys, y0, times, tol, t_end, stopped):
             continue
         h = np.minimum(h, t_end - t)
         attempts += 1
-        hc = h[:, None]
-        for i, a in enumerate(_DP_ROWS, start=1):
-            yi = Y + hc * (a @ ks[:, :i])
-            ks[:, i] = sys(t, yi)  # the field is autonomous: t is the step's start
-        y5 = yi  # the last stage's argument
-        r = hc * (_DP_E @ ks) / (tol + tol * np.maximum(np.abs(Y), np.abs(y5)))
-        sq = algebra.row_dots(r, r)
-        # a step ending within EPS_WALL of a wall fails like a non-finite one
-        sq[(y5[:, :sys.nc] @ sys.root_coef_t).min(axis=1) < algebra.EPS_WALL] = np.inf
-        err = [math.sqrt(e / D) for e in sq.tolist()]
-        # a non-finite error gives the factor 0.2, a retry with a fifth of h
-        h_step, h = h, h * np.array([min(5.0, max(0.2, 0.9 * (e + 1e-300) ** (-0.2)))
+        y1 = _stages(sys, t, Y, ks, h)
+        n_rhs[rows] += 12
+        # |e5|^2 and |e3|^2 per row, each estimate scaled by tol (1 + max(|y0|, |y1|))
+        est = (_DOP_E @ ks[:, :12]) / (tol + tol * np.maximum(np.abs(Y), np.abs(y1)))[:, None]
+        sq = algebra.row_dots(est, est)
+        # a non-finite error, or a step ending within EPS_WALL of a wall, fails
+        bad = ~np.isfinite(sq).all(axis=1)
+        bad |= (y1[:, :sys.nc] @ sys.root_coef_t).min(axis=1) < algebra.EPS_WALL
+        err = [math.inf if b else (hk * e5 / math.sqrt((e5 + 0.01 * e3) * D) if e5 else 0.0)
+               for hk, (e5, e3), b in zip(h.tolist(), sq.tolist(), bad.tolist())]
+        # a failed step retries with a fifth of h
+        h_step, h = h, h * np.array([min(5.0, max(0.2, 0.9 * (e + 1e-300) ** -0.125))
                                      for e in err])
-        ok = [k for k, e in enumerate(err) if e <= 1.0]
-        if not ok:
+        passed = np.array([e <= 1.0 for e in err])
+        n_rejected[rows[~passed]] += 1
+        ok = np.flatnonzero(passed)
+        if not ok.size:
             continue
-        acc = slice(None) if len(ok) == rows.size else np.array(ok)
+        acc = slice(None) if ok.size == rows.size else ok
         members = rows[acc]
         t0, h_acc = t[acc], h_step[acc]
         # a step clamped to t_end - t ends at t_end exactly
         t1 = np.where(h_acc < t_end - t0, t0 + h_acc, t_end)
-        y1 = y5[acc]
-        n_new = np.searchsorted(times, t1, side="right")
+        y1 = y1[acc]
+        n_new = (grid[members] <= t1[:, None]).sum(axis=1)
         take = n_new - counts[members]
         if take.any():
-            i = np.repeat(np.arange(take.size), take)  # the step of each new sample
-            k = n_new[i] - (np.cumsum(take)[i] - np.arange(i.size))
-            hi = h_acc[i, None]
-            samples[members[i], k] = _dense(Y[acc][i], y1[i], ks[acc][i], hi,
-                                            (times[k, None] - t0[i, None]) / hi)
+            s = np.flatnonzero(take)  # the accepted steps that hold a sample
+            y0s = Y[ok[s]]
+            F = _extension(sys, t0[s], y0s, y1[s], ks[ok[s]], h_acc[s])
+            n_rhs[members[s]] += 3
+            i = np.repeat(np.arange(s.size), take[s])  # the step of each new sample
+            k = n_new[s][i] - (np.cumsum(take[s])[i] - np.arange(i.size))
+            m = members[s][i]
+            th = (grid[m, k] - t0[s][i]) / h_acc[s][i]
+            samples[m, k] = _extension_at(y0s[i], F[i], th[:, None])
             counts[members] = n_new
         Y[acc] = y1
         t[acc] = t1
         n_steps[members] += 1
-        ks[acc, 0] = ks[acc, 6]  # first same as last: the stage at y5 starts the next step
+        ks[acc, 0] = ks[acc, 12]  # first same as last: the stage at y1 starts the next step
         done = t1 >= t_end
         if attempts > _MAX_STEPS:  # no member takes more steps than there were attempts
             over = n_steps[members] > _MAX_STEPS
@@ -580,9 +727,9 @@ def _step_batch(space, sys, y0, times, tol, t_end, stopped):
             done |= over
         if done.any():
             keep = np.ones(rows.size, dtype=bool)
-            keep[np.array(ok)[done]] = False
+            keep[ok[done]] = False
             rows, Y, t, h, ks = (a[keep] for a in (rows, Y, t, h, ks))
-    return samples, counts, n_steps
+    return samples, counts, stats
 
 
 def _attach_monitors(space, times, path, lax_x, invariants, **stats):

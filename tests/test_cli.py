@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spincal import algebra, cli, dynamics
+from test_dynamics import assert_same_run
 
 
 def run_cli(*args):
@@ -135,6 +136,9 @@ def test_simulate_reports_freeze_residual_on_freeze_runs_only(tmp_path):
     assert set(freeze["corrections"]) == {"m_part", "freeze_residual"}
     assert set(zero["corrections"]) == set(proj["corrections"]) == {"m_part"}
     assert freeze["n_steps"] > 0 and zero["n_steps"] > 0 and "n_steps" not in proj
+    for report in (freeze, zero):
+        assert report["n_rhs"] >= 1 + 12 * (report["n_steps"] + report["n_rejected"])
+    assert "n_rhs" not in proj and "n_rejected" not in proj
 
 
 def test_projection_run_skips_gauge_alignment(tmp_path, monkeypatch):
@@ -286,7 +290,7 @@ def test_batch_runs_write_under_their_own_out_dir(tmp_path, monkeypatch):
 
 def test_free_and_spinning_runs_share_a_batch(tmp_path, monkeypatch):
     # zero spin always runs in the zero gauge, so a free run and an orbit
-    # run on one space with equal t_end, sample_dt and tol are one batch
+    # run on one space with equal t_end and tol are one batch
     su22 = {"family": "su_mn", "m": 2, "n": 2}
     orbit = {"type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2}
     runs = [free_run("free", [2.0, 1.0], [0.1, 0.05]),
@@ -307,6 +311,30 @@ def test_free_and_spinning_runs_share_a_batch(tmp_path, monkeypatch):
     for name in ("free", "orbit"):
         report = json.loads((tmp_path / "o" / name / "drift_report.json").read_text())
         assert report["status"] == "ok"
+
+
+def test_runs_differing_in_sample_dt_share_a_batch(monkeypatch):
+    # the steps do not depend on the sample grid: two runs that differ only
+    # in sample_dt are one batch, and each is its own single run
+    orbit = {"type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2, "seed": 3}
+    runs = cli.parse_runs({"runs": [base_run_config(name=f"dt{i}", model=orbit, sample_dt=dt)
+                                    for i, dt in enumerate((0.5, 0.2))]})
+    calls = []
+    real = dynamics.integrate_direct_batch
+
+    def counted(space, pts, *args, **kwargs):
+        calls.append(len(pts))
+        return real(space, pts, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_direct_batch", counted)
+    batch = cli.run_trajectories(runs)
+    assert calls == [2]
+    for cfg, got in zip(runs, batch):
+        want = dynamics.integrate_direct(cfg.space, cfg.pt0, cfg.t_end, tol=cfg.tol,
+                                         sample_dt=cfg.sample_dt, lax_x=cfg.lax_x,
+                                         invariants=cfg.monitors)
+        assert len(got) == round(cfg.t_end / cfg.sample_dt) + 1
+        assert_same_run(got, want)
 
 
 def test_freeze_run_far_along_the_chamber(tmp_path):

@@ -278,15 +278,40 @@ def test_flat_basis_round_trip_matches_reconstruct(label):
     assert path.xi.xi.tobytes() == algebra.reconstruct(space, cplus=path.xi.coeffs).tobytes()
 
 
-def test_dormand_prince_tableau():
-    A = dynamics._DP_A
-    assert A.shape == (7, 7)
+def test_dop853_tableau():
+    A, C = dynamics._DOP_A, dynamics._DOP_C
+    assert A.shape == (16, 16) and C.shape == (16,)
     assert not np.triu(A).any()  # explicit: stage i uses stages < i only
-    assert np.abs(A.sum(axis=1) - dynamics._DP_C).max() <= 1e-15
-    assert abs(dynamics._DP_B5.sum() - 1.0) <= 1e-15
-    assert abs(dynamics._DP_B4.sum() - 1.0) <= 1e-15
-    # first same as last: the seventh stage is taken at y5
-    assert np.array_equal(A[6], dynamics._DP_B5) and dynamics._DP_C[6] == 1.0
+    assert np.abs(A.sum(axis=1) - C).max() <= 1e-15
+    assert abs(dynamics._DOP_B.sum() - 1.0) <= 1e-15
+    assert abs(dynamics._DOP_E5.sum()) <= 1e-15 and abs(dynamics._DOP_E3.sum()) <= 1e-15
+    # first same as last: stage 12 is taken at y1
+    assert np.array_equal(A[12, :12], dynamics._DOP_B) and C[12] == 1.0
+
+
+def test_dop853_order_on_a_linear_system():
+    # y' = M y has y(h) = expm(h M) y0.  Halving h divides one step's local
+    # error by about 2^9 (eighth order) and the continuous extension's at
+    # th = 0.5 by about 2^8 (seventh order); a mistyped coefficient that
+    # keeps the row sums shows here
+    rng = np.random.default_rng(3)
+    M, y0 = rng.standard_normal((4, 4)), rng.standard_normal((1, 4))
+
+    def rhs(t, Y):
+        return Y @ M.T
+
+    def errors(h):
+        ks = np.empty((1, 16, 4))
+        ks[:, 0] = rhs(0.0, y0)
+        t, hs = np.zeros(1), np.array([h])
+        y1 = dynamics._stages(rhs, t, y0, ks, hs)
+        F = dynamics._extension(rhs, t, y0, y1, ks, hs)
+        mid = dynamics._extension_at(y0, F, np.array([[0.5]]))
+        return np.array([np.abs(y1 - y0 @ scipy.linalg.expm(h * M).T).max(),
+                         np.abs(mid - y0 @ scipy.linalg.expm(0.5 * h * M).T).max()])
+
+    order = np.log2(errors(0.4) / errors(0.2))
+    assert abs(order[0] - 9.0) < 0.5 and abs(order[1] - 8.0) < 0.5, order
 
 
 def count_rhs_calls(space, pt, **kwargs):
@@ -304,18 +329,34 @@ def count_rhs_calls(space, pt, **kwargs):
 
 
 def test_fsal_in_both_gauges(su32, su22, rng):
-    # the last stage of a step is the next one's first: six right-hand-side
-    # rows per attempted step, not seven
+    # stage 12 of a step, taken at its solution, is the next step's stage 0:
+    # one right-hand side to start, twelve per attempt, and three more per
+    # step that holds a sample (the continuous extension's extra stages)
     mu = orbits.xi_red(su32, "bc", 3.0, 1.0)
-    pt = dynamics.make_phase_point(su32, np.array([2.0, 1.0]), np.array([0.1, -0.2]), mu)
-    n_calls, traj = count_rhs_calls(su32, pt, t_end=3.0, tol=1e-10, sample_dt=0.5,
-                                    gauge="freeze")
-    assert traj.n_steps > 0
-    assert n_calls < 7 * traj.n_steps
-    n_calls, traj = count_rhs_calls(su22, generic_su22_point(su22, rng), t_end=1.0,
-                                    tol=1e-10, sample_dt=0.5)
-    assert traj.n_steps > 0
-    assert n_calls < 7 * traj.n_steps
+    frozen = dynamics.make_phase_point(su32, np.array([2.0, 1.0]), np.array([0.1, -0.2]), mu)
+    for space, pt, kwargs in ((su32, frozen, dict(t_end=3.0, gauge="freeze")),
+                              (su22, generic_su22_point(su22, rng), dict(t_end=1.0))):
+        n_calls, traj = count_rhs_calls(space, pt, tol=1e-10, sample_dt=0.5, **kwargs)
+        assert traj.n_steps > 0
+        assert n_calls == traj.n_rhs
+        low = 1 + 12 * (traj.n_steps + traj.n_rejected)
+        assert low <= traj.n_rhs <= low + 3 * (len(traj) - 1)
+
+
+def test_su63_run_agrees_with_a_tighter_run(rng):
+    # one su(6,3) generic-spin member over t in [0, 10] at tol 1e-10 against
+    # the same stepper at tol 1e-13: the samples agree to 1e-9 relative, and
+    # the energy drifts below 1e-9
+    space = CORE_SPACES["su(6,3)"]
+    xi = orbits.random_slice_spin(space, checks.default_orbit_spec(space), rng)
+    pt = dynamics.make_phase_point(space, np.array([3.0, 2.0, 1.0]),
+                                   np.array([0.2, -0.1, 0.3]), xi)
+    run, ref = (dynamics.integrate_direct(space, pt, 10.0, tol=tol, sample_dt=0.5)
+                for tol in (1e-10, 1e-13))
+    assert len(run) == len(ref) == 21
+    states, want = packed(run), packed(ref)
+    assert np.abs(states - want).max() <= 1e-9 * np.abs(want).max()
+    assert dynamics.monitor(space, run)["energy"] < 1e-9
 
 
 @pytest.mark.parametrize("fixture", ["su22", "sl3"])
