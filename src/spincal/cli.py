@@ -350,11 +350,11 @@ def write_json(path: str, payload: dict):
 def run_trajectories(runs) -> list:
     """Per run, its Trajectory or the integration failure that stopped it.
 
-    The direct runs that share a space, gauge, t_end and tol are integrated
-    by one :func:`dynamics.integrate_direct_batch` call, free and spinning
-    runs alike; each keeps its own sample_dt and monitors (the steps do not
-    depend on the sample grid).  A failure is kept as
-    the run's result, so that :func:`cmd_simulate_one` and
+    The direct runs that share a gauge, t_end and tol are integrated by one
+    :func:`dynamics.integrate_direct_batch` call, whatever their spaces,
+    free and spinning runs alike; each keeps its own space, sample_dt and
+    monitors (the steps do not depend on the sample grid).  A failure is
+    kept as the run's result, so that :func:`cmd_simulate_one` and
     :func:`cmd_spectrum_one` meet it in run order, as if the runs had been
     integrated one after another.
     """
@@ -369,11 +369,10 @@ def run_trajectories(runs) -> list:
             except tuple(FAILURE_STATUS) as exc:
                 results[i] = exc
             continue
-        key = (cfg.space.spec, cfg.gauge, cfg.t_end, cfg.tol)
-        groups.setdefault(key, []).append(i)
-    for (_, gauge, t_end, tol), members in groups.items():
+        groups.setdefault((cfg.gauge, cfg.t_end, cfg.tol), []).append(i)
+    for (gauge, t_end, tol), members in groups.items():
         trajs = dynamics.integrate_direct_batch(
-            runs[members[0]].space, [runs[i].pt0 for i in members], t_end, tol=tol,
+            [runs[i].space for i in members], [runs[i].pt0 for i in members], t_end, tol=tol,
             sample_dt=[runs[i].sample_dt for i in members],
             monitors=[(runs[i].lax_x, runs[i].monitors) for i in members],
             gauge=gauge, on_wall="truncate")
@@ -419,7 +418,8 @@ def _trajectory_data(cfg: RunConfig, traj, path: str) -> dict:
     corrections = {"m_part": traj.m_drift}
     if traj.freeze_residual is not None:
         corrections["freeze_residual"] = traj.freeze_residual
-    steps = ({"n_steps": traj.n_steps, "n_rejected": traj.n_rejected, "n_rhs": traj.n_rhs}
+    steps = ({"n_steps": traj.n_steps, "n_rejected": traj.n_rejected, "n_rhs": traj.n_rhs,
+              "h_min": traj.h_min, "h_max": traj.h_max, "min_alpha": traj.min_alpha}
              if cfg.method == "direct" else {})
     return {"drift": dynamics.monitor(cfg.space, traj), "corrections": corrections, **steps}
 

@@ -29,7 +29,9 @@ evaluates the same field on N x N matrices and is the reference for both.
 
 from __future__ import annotations
 
+import copy
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +164,10 @@ class Trajectory:
     wall_time: float | None = None  # a wall event's last safe time (see the integrators)
     n_steps: int = 0           # direct integrator: steps accepted by the error control,
     n_rejected: int = 0        # the steps it rejected
-    n_rhs: int = 0             # and the right-hand-side evaluations
+    n_rhs: int = 0             # and the right-hand-side evaluations;
+    h_min: float | None = None  # its smallest and largest accepted step (None
+    h_max: float | None = None  # without one),
+    min_alpha: float | None = None  # min alpha(q) at the start and the accepted step ends
     freeze_residual: float | None = None  # freeze gauge: max(per-root residual, sample |xi'|)
 
     def __len__(self):
@@ -431,36 +436,104 @@ _MAX_STEPS = 5_000_000   # accepted steps before StepSizeError
 
 class _DirectSystem:
     """Packed-state view (q, p, c+) of the reduced equations for the stepper,
-    one run per row, with the flat basis arrays its right-hand side works on."""
+    one run per row, with the flat basis arrays its right-hand side works on.
 
-    def __init__(self, space: SymmetricSpaceData, gauge: str):
-        self.nc = space.n_coords
+    The rows may be of several spaces, sorted so that each space's rows form
+    one block.  A row is padded to the widest of them, ``[q (nc) | p (nc) |
+    c+ (K)]``, and its pad entries stay zero.  Each space's coefficient tables
+    are padded to those widths: a pad column of alpha(q) or of the root
+    values repeats the space's column 0, so c / sinh^2 is 0 there where
+    column 0 is finite (a step where it is not fails anyway) and the smallest
+    root value is unchanged; the force has zero pad rows.  A fresh system has
+    the rows of its first space; :meth:`rows` gives the system of other rows."""
+
+    def __init__(self, spaces, gauge: str):
+        self.spaces = tuple(spaces)
         self.gauge = gauge
-        self.coef_t = space.col_coef_t  # alpha_j(q) = q @ coef_t[:, j]
-        self.force_coef = space.root_coef[space.e_root] / space.coord_weight
-        self.root_coef_t = np.ascontiguousarray(space.root_coef.T)
-        self.neg_fplus = -space.fplus.reshape(space.K ** 2, space.K)
+        self.nc = nc = max(s.n_coords for s in self.spaces)
+        K = max(s.K for s in self.spaces)
+        R = max(len(s.roots) for s in self.spaces)
+        self.width = 2 * nc + K
+
+        def padded(table, rows, cols, fill):
+            # table in the corner of a (rows, cols) zero array, pad columns set to fill
+            if table.shape == (rows, cols):
+                return table
+            out = np.zeros((rows, cols))
+            if fill is not None:
+                out[:len(fill)] = fill[:, None]
+            out[:table.shape[0], :table.shape[1]] = table
+            return out
+
+        # per space: alpha_j(q) = q @ coef_t[:, j], -grad V = (c w2 / tanh alpha) @ force,
+        # and the root values q @ roots
+        self.tables = [np.array(t) for t in zip(*(
+            (padded(s.col_coef_t, nc, K, s.col_coef_t[:, 0]),
+             padded(s.root_coef[s.e_root] / s.coord_weight, K, nc, None),
+             padded(s.root_coef.T, nc, R, s.root_coef[0]))
+            for s in self.spaces))]
+        self.neg_fplus = [-s.fplus.reshape(s.K ** 2, s.K) for s in self.spaces]
+        self._select(np.zeros(1, dtype=int))
+
+    def _select(self, sid):
+        """Set the rows to those of the spaces sid (sorted): the space's own
+        tables when they are all of one space, else one table per row, and
+        the row block of each space."""
+        if sid[0] == sid[-1]:
+            self.sid = s = int(sid[0])
+            self.coef_t, self.force_coef, self.root_coef_t = (t[s] for t in self.tables)
+            self.product = operator.matmul
+            self.blocks = [(slice(None), self.spaces[s].K, self.neg_fplus[s])]
+        else:
+            self.sid = None
+            self.coef_t, self.force_coef, self.root_coef_t = (t[sid] for t in self.tables)
+            self.product = _row_product
+            edges = np.searchsorted(sid, np.arange(len(self.spaces) + 1)).tolist()
+            self.blocks = [(slice(a, b), space.K, neg_fplus) for space, neg_fplus, a, b
+                           in zip(self.spaces, self.neg_fplus, edges, edges[1:]) if a < b]
+
+    def rows(self, sid):
+        """This system on rows of the spaces sid (sorted, not empty)."""
+        if sid[0] == sid[-1] == self.sid:
+            return self
+        view = copy.copy(self)
+        view._select(sid)
+        return view
 
     def __call__(self, t, Y):
-        """The field at the rows of Y, shape (B, 2n+K); t holds their times
+        """The field at the rows of Y, shape (B, width); t holds their times
         (the field is autonomous)."""
         nc = self.nc
         cplus = Y[:, 2 * nc:]
-        av = Y[:, :nc] @ self.coef_t
+        av = self.product(Y[:, :nc], self.coef_t)
         w2 = cplus / np.sinh(av) ** 2
         out = np.empty_like(Y)
         out[:, :nc] = Y[:, nc:2 * nc]
         # p' = -grad V = (1/s) sum_j c_j^2 cosh(alpha_j) / sinh^3(alpha_j) coef_j
-        out[:, nc:2 * nc] = (cplus * w2 / np.tanh(av)) @ self.force_coef
+        out[:, nc:2 * nc] = self.product(cplus * w2 / np.tanh(av), self.force_coef)
         if self.gauge == "freeze":
             # the spin is held still; its gauge is certified before the first step
             out[:, 2 * nc:] = 0.0
-        else:
-            # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk,
-            # one (B, K^2) @ (K^2, K) product for every row
-            pairs = (w2[:, :, None] * cplus[:, None, :]).reshape(len(Y), -1)
-            out[:, 2 * nc:] = pairs @ self.neg_fplus
+            return out
+        # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk,
+        # one (rows, K^2) @ (K^2, K) product per space block
+        # (dense: over fplus's nonzero (i, j) pairs alone it is slower for blocks of a few rows)
+        dc = out[:, 2 * nc:]
+        for blk, K, neg_fplus in self.blocks:
+            pairs = (w2[blk, :K, None] * cplus[blk, None, :K]).reshape(-1, K * K)
+            dc[blk, :K] = pairs @ neg_fplus
+            if K < dc.shape[1]:
+                dc[blk, K:] = 0.0
         return out
+
+    def min_root_values(self, Y):
+        """min alpha(q) at each row of Y."""
+        return self.product(Y[:, :self.nc], self.root_coef_t).min(axis=1)
+
+
+def _row_product(a, tables):
+    """Row r of a times tables[r]."""
+    return (a[:, None] @ tables)[:, 0]
 
 
 def sample_grid(t_end: float, sample_dt: float | None = None) -> tuple:
@@ -492,10 +565,13 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     the seventh-order continuous extension of the step that covers them,
     whose three extra stages are taken once per step that holds a sample.
     ``n_steps``, ``n_rejected`` and ``n_rhs`` count the accepted steps, the
-    rejected ones and the right-hand-side evaluations.  A step ending with
-    min alpha(q) < EPS_WALL is rejected, so a run aimed at a wall stalls at
-    the time t it reaches that level: :class:`WallProximityError` at t, or
-    with ``on_wall="truncate"`` the samples up to t, with ``wall_time`` = t.
+    rejected ones and the right-hand-side evaluations; ``h_min`` and
+    ``h_max`` are the smallest and largest accepted step, and ``min_alpha``
+    the smallest min alpha(q) at the start and the accepted step ends.  A
+    step ending with min alpha(q) < EPS_WALL is rejected, so a run aimed at a
+    wall stalls at the time t it reaches that level: :class:`WallProximityError`
+    at t, or with ``on_wall="truncate"`` the samples up to t, with
+    ``wall_time`` = t.
     A step-size underflow away from a wall raises :class:`StepSizeError`.
     """
     traj, = integrate_direct_batch(space, [pt0], t_end, tol=tol, sample_dt=sample_dt,
@@ -506,24 +582,26 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     return traj
 
 
-def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
-                           tol: float = 1e-10, sample_dt=None,
+def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_dt=None,
                            monitors=None, gauge: str = "zero",
                            on_wall: str = "raise") -> list:
-    """Integrate several phase points on one space with one DOP853 loop that
-    advances them as the rows of a (B, 2n+K) state.
+    """Integrate several phase points with one DOP853 loop that advances them
+    as the rows of one state array, whatever their spaces.
 
-    Each member keeps its own time, step size, accept/reject decision, wall
-    check, counters and samples, exactly as :func:`integrate_direct`
-    describes for one run; finished members drop out of the active rows.
-    Every Runge-Kutta stage is one right-hand-side call over the active rows,
-    and the continuous extension's stages one call over the rows of the
-    steps that hold a sample.  ``sample_dt`` is one value for every member or
-    one per member: the steps do not depend on it.  ``monitors`` holds one
+    ``space`` is one space for every member or one per member, as
+    ``sample_dt`` is one value or one per member (the steps do not depend on
+    it).  The members are sorted stably by space, so that each space's rows
+    form one block, and every row is padded to the widest space (see
+    :class:`_DirectSystem`).  Each member keeps its own time, step size,
+    accept/reject decision, wall check, counters and samples, exactly as
+    :func:`integrate_direct` describes for one run; finished members drop out
+    of the active rows.  Every Runge-Kutta stage is one right-hand-side call
+    over the active rows, and the continuous extension's stages one call over
+    the rows of the steps that hold a sample.  ``monitors`` holds one
     ``(lax_x, invariants)`` pair per member (default ``(0, 1)`` and none).
 
-    Returns one entry per member, in order: its :class:`Trajectory`, or the
-    exception that stopped it alone (:class:`StepSizeError`,
+    Returns one entry per member, in input order: its :class:`Trajectory`, or
+    the exception that stopped it alone (:class:`StepSizeError`,
     :class:`FreezeCertificateError`, or with ``on_wall="raise"``
     :class:`WallProximityError`).
     """
@@ -534,41 +612,57 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
     if on_wall not in ("raise", "truncate"):
         raise ValueError("on_wall must be 'raise' or 'truncate'")
     pts = list(pts)
+    B = len(pts)
     if monitors is None:
-        monitors = [((0.0, 1.0), ())] * len(pts)
-    if len(monitors) != len(pts):
+        monitors = [((0.0, 1.0), ())] * B
+    if len(monitors) != B:
         raise ValueError("monitors must hold one (lax_x, invariants) pair per member")
-    dts = list(sample_dt) if np.iterable(sample_dt) else [sample_dt] * len(pts)
-    if len(dts) != len(pts):
-        raise ValueError("sample_dt must be one value or one per member")
+    spaces = list(space) if np.iterable(space) else [space] * B
+    dts = list(sample_dt) if np.iterable(sample_dt) else [sample_dt] * B
+    if len(spaces) != B or len(dts) != B:
+        raise ValueError("space and sample_dt must be one value or one per member")
+    first = {}  # spec -> its first member's space, in order of appearance
+    for s in spaces:
+        first.setdefault(s.spec, s)
+    block = {spec: i for i, spec in enumerate(first)}
+    # from here on the members are in block order; the results go back at the end
+    order = sorted(range(B), key=lambda m: block[spaces[m].spec])
+    pts, spaces, dts, monitors = ([a[m] for m in order] for a in (pts, spaces, dts, monitors))
+    sid = np.array([block[s.spec] for s in spaces], dtype=int)
     grids = [sample_grid(t_end, dt)[1] for dt in dts]
 
-    sys = _DirectSystem(space, gauge)
+    sys = _DirectSystem(first.values(), gauge)
     nc = sys.nc
     freeze = gauge == "freeze"
-    y0 = np.array([np.concatenate([pt.q, pt.p, pt.xi.coeffs]) for pt in pts])
-    stopped = [None] * len(pts)  # the failure that ended a member
-    certs = [FreezeCertificate(space, pt.xi) for pt in pts] if freeze else []
+    y0 = np.zeros((B, sys.width))
+    for m, pt in enumerate(pts):
+        n = len(pt.q)
+        y0[m, :n], y0[m, nc:nc + n] = pt.q, pt.p
+        y0[m, 2 * nc:2 * nc + len(pt.xi.coeffs)] = pt.xi.coeffs
+    stopped = [None] * B  # the failure that ended a member
+    certs = [FreezeCertificate(s, pt.xi) for s, pt in zip(spaces, pts)] if freeze else []
     for m, cert in enumerate(certs):
         r = int(np.argmax(cert.root_residuals))
         if not cert.root_residuals[r] < 1e-9:
             stopped[m] = FreezeCertificateError(
-                f"no freezing gauge on the chamber: root {space.roots[r].label()} "
+                f"no freezing gauge on the chamber: root {spaces[m].roots[r].label()} "
                 f"leaves the residual {cert.root_residuals[r]:.3e}")
 
     # a stage at a wall evaluates to inf/nan: the error norm rejects it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        samples, counts, stats = _step_batch(space, sys, y0, grids, tol, t_end, stopped)
+        samples, counts, stats = _step_batch(sys, sid, y0, grids, tol, t_end, stopped)
 
-    out = []
-    for m, pt0 in enumerate(pts):
+    out = [None] * B
+    for m, (space, pt0) in enumerate(zip(spaces, pts)):
+        n, K = space.n_coords, space.K
         exc, wall_time, freeze_residual = stopped[m], None, None
         times = grids[m][:counts[m]]
         if isinstance(exc, WallProximityError) and on_wall == "truncate":
             exc, wall_time = None, exc.t
+        y = samples[m, :counts[m]]
         if exc is None and freeze:
             # the independent N x N check at the samples, from the run's z_r
-            _, linear, frozen, ok = certs[m].at(samples[m, :counts[m], :nc])
+            _, linear, frozen, ok = certs[m].at(y[:, :n])
             freeze_residual = float(max(certs[m].root_residuals.max(), frozen.max()))
             if not ok.all():
                 k = int(np.argmin(ok))
@@ -576,24 +670,25 @@ def integrate_direct_batch(space: SymmetricSpaceData, pts, t_end: float,
                     f"no freezing gauge at the sample t = {times[k]:.6g} (linear residual "
                     f"{linear[k]:.3e}, frozen residual {frozen[k]:.3e})")
         if exc is not None:
-            out.append(exc)
+            out[order[m]] = exc
             continue
-        y = samples[m, :counts[m]]
         if freeze:  # the spin does not move: the initial one's bits
             xi = SpinPoint(xi=np.broadcast_to(pt0.xi.xi, (len(y), space.N, space.N)),
-                           coeffs=np.broadcast_to(pt0.xi.coeffs, (len(y), space.K)))
+                           coeffs=np.broadcast_to(pt0.xi.coeffs, (len(y), K)))
         else:
-            xi = SpinPoint(xi=algebra.reconstruct(space, cplus=y[:, 2 * nc:]),
-                           coeffs=y[:, 2 * nc:])
-        path = PhasePoint(q=y[:, :nc], p=y[:, nc:2 * nc], xi=xi)
+            cplus = y[:, 2 * nc:2 * nc + K]
+            xi = SpinPoint(xi=algebra.reconstruct(space, cplus=cplus), coeffs=cplus)
+        path = PhasePoint(q=y[:, :n], p=y[:, nc:nc + n], xi=xi)
         # the M-part of xi' vanishes on the slice; its largest value at the
         # samples is kept as a consistency diagnostic (np.max keeps a NaN)
         m_drift = 0.0 if freeze else float(np.max(eom_rhs(space, path).m_part_norm))
         lax_x, invariants = monitors[m]
-        out.append(_attach_monitors(space, times, path, lax_x, invariants,
-                                    m_drift=m_drift, wall_time=wall_time,
-                                    freeze_residual=freeze_residual,
-                                    **{name: int(v[m]) for name, v in stats.items()}))
+        counters = {name: v[m].item() for name, v in stats.items()}
+        if not counters["n_steps"]:
+            counters["h_min"] = counters["h_max"] = None
+        out[order[m]] = _attach_monitors(space, times, path, lax_x, invariants, m_drift=m_drift,
+                                         wall_time=wall_time, freeze_residual=freeze_residual,
+                                         **counters)
     return out
 
 
@@ -635,65 +730,77 @@ def _extension_at(y0, F, th):
     return y0 + th * y
 
 
-def _step_batch(space, sys, y0, grids, tol, t_end, stopped):
-    """DOP853 on [0, t_end] for the rows of y0 whose member has not stopped,
-    with member m's samples at the times grids[m] on each step's continuous
-    extension.  Returns the samples, shape (B, T, 2n+K) for the longest grid
-    T, how many each member reached, and per member its ``n_steps``
-    (accepted), ``n_rejected`` and ``n_rhs`` (right-hand-side rows).  A
-    member that stalls (at a wall, where every step is rejected), underflows
-    or exceeds the step budget gets its exception in ``stopped``."""
-    B, D = y0.shape
+def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
+    """DOP853 on [0, t_end] for the rows of y0 whose member has not stopped;
+    member m is of the space sys.spaces[sid[m]] (sid sorted) and has its
+    samples at the times grids[m] on each step's continuous extension.
+    Returns the samples, shape (B, T, width) for the longest grid T, how many
+    each member reached, and per member its ``n_steps`` (accepted),
+    ``n_rejected``, ``n_rhs`` (right-hand-side rows), ``h_min`` and ``h_max``
+    (its smallest and largest accepted step) and ``min_alpha`` (its smallest
+    root value at the start and at the accepted step ends).  A member that
+    stalls (at a wall, where every step is rejected), underflows or exceeds
+    the step budget gets its exception in ``stopped``."""
+    B, width = y0.shape
+    spaces = [sys.spaces[s] for s in sid]
+    dims = np.array([2 * s.n_coords + s.K for s in spaces])  # each member's own D
     # the grids padded with inf: grid[m, counts[m]] is member m's next sample time
     grid = np.full((B, max(len(g) for g in grids)), np.inf)
     for m, g in enumerate(grids):
         grid[m, :len(g)] = g
-    samples = np.empty((B, grid.shape[1], D))
+    samples = np.empty((B, grid.shape[1], width))
     samples[:, 0] = y0
     counts = np.ones(B, dtype=int)
     stats = {name: np.zeros(B, dtype=int) for name in ("n_steps", "n_rejected", "n_rhs")}
-    n_steps, n_rejected, n_rhs = stats.values()
+    stats.update(h_min=np.full(B, np.inf), h_max=np.zeros(B), min_alpha=np.full(B, np.inf))
+    n_steps, n_rejected, n_rhs, h_lo, h_hi, alpha_lo = stats.values()
     rows = np.array([m for m in range(B) if stopped[m] is None], dtype=int)  # active members
     Y = y0[rows]
     t = np.zeros(rows.size)
     h = np.full(rows.size, 0.005)  # the first trial step, whatever the sample grid
-    ks = np.empty((rows.size, 16, D))
+    ks = np.empty((rows.size, 16, width))
     if rows.size:
-        ks[:, 0] = sys(t, Y)  # the first stage at (t, y), kept over a rejected step
+        active, dims_rows = sys.rows(sid[rows]), dims[rows].tolist()
+        ks[:, 0] = active(t, Y)  # the first stage at (t, y), kept over a rejected step
         n_rhs[rows] += 1
+        alpha_lo[rows] = active.min_root_values(Y)
     h_min = 1e-14 * max(1.0, t_end)
     attempts = 0
     while rows.size:
         if h.min() < h_min:
             tiny = h < h_min
             for r in np.flatnonzero(tiny):
+                space = spaces[rows[r]]
                 # persistent rejection right at a chamber wall is a wall event
-                if algebra.min_root_value(space, Y[r, :sys.nc]) < 1e-3:
+                if algebra.min_root_value(space, Y[r, :space.n_coords]) < 1e-3:
                     stopped[rows[r]] = WallProximityError(
                         f"trajectory stalled against a chamber wall at t = {t[r]:.6g}",
                         t=float(t[r]))
                 else:
                     stopped[rows[r]] = StepSizeError(f"step size underflow at t = {t[r]:.6g}")
             rows, Y, t, h, ks = (a[~tiny] for a in (rows, Y, t, h, ks))
+            if rows.size:
+                active, dims_rows = sys.rows(sid[rows]), dims[rows].tolist()
             continue
         h = np.minimum(h, t_end - t)
         attempts += 1
-        y1 = _stages(sys, t, Y, ks, h)
-        n_rhs[rows] += 12
+        y1 = _stages(active, t, Y, ks, h)  # twelve right-hand sides, counted at the end
         # |e5|^2 and |e3|^2 per row, each estimate scaled by tol (1 + max(|y0|, |y1|))
         est = (_DOP_E @ ks[:, :12]) / (tol + tol * np.maximum(np.abs(Y), np.abs(y1)))[:, None]
         sq = algebra.row_dots(est, est)
         # a non-finite error, or a step ending within EPS_WALL of a wall, fails
         bad = ~np.isfinite(sq).all(axis=1)
-        bad |= (y1[:, :sys.nc] @ sys.root_coef_t).min(axis=1) < algebra.EPS_WALL
+        alpha = active.min_root_values(y1)
+        bad |= alpha < algebra.EPS_WALL
         err = [math.inf if b else (hk * e5 / math.sqrt((e5 + 0.01 * e3) * D) if e5 else 0.0)
-               for hk, (e5, e3), b in zip(h.tolist(), sq.tolist(), bad.tolist())]
+               for hk, (e5, e3), b, D in zip(h.tolist(), sq.tolist(), bad.tolist(), dims_rows)]
         # a failed step retries with a fifth of h
         h_step, h = h, h * np.array([min(5.0, max(0.2, 0.9 * (e + 1e-300) ** -0.125))
                                      for e in err])
         passed = np.array([e <= 1.0 for e in err])
-        n_rejected[rows[~passed]] += 1
         ok = np.flatnonzero(passed)
+        if ok.size < rows.size:
+            n_rejected[rows[~passed]] += 1
         if not ok.size:
             continue
         acc = slice(None) if ok.size == rows.size else ok
@@ -707,7 +814,8 @@ def _step_batch(space, sys, y0, grids, tol, t_end, stopped):
         if take.any():
             s = np.flatnonzero(take)  # the accepted steps that hold a sample
             y0s = Y[ok[s]]
-            F = _extension(sys, t0[s], y0s, y1[s], ks[ok[s]], h_acc[s])
+            F = _extension(active if active.sid is not None else sys.rows(sid[members[s]]),
+                           t0[s], y0s, y1[s], ks[ok[s]], h_acc[s])
             n_rhs[members[s]] += 3
             i = np.repeat(np.arange(s.size), take[s])  # the step of each new sample
             k = n_new[s][i] - (np.cumsum(take[s])[i] - np.arange(i.size))
@@ -718,6 +826,9 @@ def _step_batch(space, sys, y0, grids, tol, t_end, stopped):
         Y[acc] = y1
         t[acc] = t1
         n_steps[members] += 1
+        h_lo[members] = np.minimum(h_lo[members], h_acc)
+        h_hi[members] = np.maximum(h_hi[members], h_acc)
+        alpha_lo[members] = np.minimum(alpha_lo[members], alpha[acc])
         ks[acc, 0] = ks[acc, 12]  # first same as last: the stage at y1 starts the next step
         done = t1 >= t_end
         if attempts > _MAX_STEPS:  # no member takes more steps than there were attempts
@@ -729,6 +840,9 @@ def _step_batch(space, sys, y0, grids, tol, t_end, stopped):
             keep = np.ones(rows.size, dtype=bool)
             keep[ok[done]] = False
             rows, Y, t, h, ks = (a[keep] for a in (rows, Y, t, h, ks))
+            if rows.size:
+                active, dims_rows = sys.rows(sid[rows]), dims[rows].tolist()
+    n_rhs += 12 * (n_steps + n_rejected)  # each attempt is accepted or rejected
     return samples, counts, stats
 
 

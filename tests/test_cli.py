@@ -139,6 +139,10 @@ def test_simulate_reports_freeze_residual_on_freeze_runs_only(tmp_path):
     for report in (freeze, zero):
         assert report["n_rhs"] >= 1 + 12 * (report["n_steps"] + report["n_rejected"])
     assert "n_rhs" not in proj and "n_rejected" not in proj
+    for report in (freeze, zero):
+        assert 0.0 < report["h_min"] <= report["h_max"]
+        assert algebra.EPS_WALL <= report["min_alpha"]
+    assert not {"h_min", "h_max", "min_alpha"} & set(proj)
 
 
 def test_projection_run_skips_gauge_alignment(tmp_path, monkeypatch):
@@ -335,6 +339,60 @@ def test_runs_differing_in_sample_dt_share_a_batch(monkeypatch):
                                          invariants=cfg.monitors)
         assert len(got) == round(cfg.t_end / cfg.sample_dt) + 1
         assert_same_run(got, want)
+
+
+def test_runs_on_two_spaces_share_one_stepper_loop(monkeypatch):
+    # direct runs on su(2,2) and su(3,2) with one gauge, t_end and tol are one
+    # integrate_direct_batch call, and each stage is one right-hand-side call
+    # over the rows of both, not one call per space
+    su22 = {"family": "su_mn", "m": 2, "n": 2}
+    orbit = {"type": "orbit", "kappa_n": 0.5, "x": 0.2}
+    runs = cli.parse_runs({"runs": [
+        base_run_config(name="a", space=su22, t_end=1.0, initial={"q": [1.6, 0.7], "p": [0.1, 0.0]},
+                        model={**orbit, "kappa_m": 1.0, "seed": 1}),
+        base_run_config(name="b", t_end=1.0, model={**orbit, "kappa_m": 1.5, "seed": 2})]})
+    batches, rows = [], []
+    real, rhs = dynamics.integrate_direct_batch, dynamics._DirectSystem.__call__
+
+    def counted(space, pts, *args, **kwargs):
+        batches.append(len(pts))
+        return real(space, pts, *args, **kwargs)
+
+    def counted_rhs(self, t, Y):
+        rows.append(len(Y))
+        return rhs(self, t, Y)
+
+    monkeypatch.setattr(dynamics, "integrate_direct_batch", counted)
+    monkeypatch.setattr(dynamics._DirectSystem, "__call__", counted_rhs)
+    batch = cli.run_trajectories(runs)
+    monkeypatch.undo()
+    assert batches == [2] and rows[0] == 2
+    assert sum(rows) == sum(traj.n_rhs for traj in batch)
+    # one call to start and twelve per attempt of the run with the most, plus
+    # at most three per accepted step that holds a sample
+    attempts = max(traj.n_steps + traj.n_rejected for traj in batch)
+    assert 1 + 12 * attempts <= len(rows) <= 1 + 12 * attempts + 3 * sum(
+        len(traj) - 1 for traj in batch)
+    assert len(rows) < 2 + 12 * sum(traj.n_steps + traj.n_rejected for traj in batch)
+    for cfg, got in zip(runs, batch):
+        want = dynamics.integrate_direct(cfg.space, cfg.pt0, cfg.t_end, tol=cfg.tol,
+                                         sample_dt=cfg.sample_dt, lax_x=cfg.lax_x,
+                                         invariants=cfg.monitors)
+        assert_same_run(got, want)
+
+
+def test_wall_run_reports_its_step_sizes_and_wall_margin(tmp_path):
+    # free su(2,2) motion aimed at the q1 = q2 wall (the CI wall run): the
+    # accepted steps end at or above EPS_WALL and the last ones close to it
+    cfg = write_config(tmp_path / "wall.json", {
+        "space": {"family": "su_mn", "m": 2, "n": 2}, "model": {"type": "free"},
+        "initial": {"q": [1.5, 1.0], "p": [-0.3, 0.3]}, "t_end": 5.0, "tol": 1e-10,
+        "sample_dt": 0.5})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_WALL
+    report = json.loads((tmp_path / "o" / "drift_report.json").read_text())
+    assert report["status"] == "wall_collision"
+    assert algebra.EPS_WALL <= report["min_alpha"] < 1e-3
+    assert 0.0 < report["h_min"] <= report["h_max"]
 
 
 def test_freeze_run_far_along_the_chamber(tmp_path):

@@ -217,7 +217,7 @@ def test_direct_rhs_matches_matrix_reference(label, seed):
         dynamics.integrate_direct(space, pt, 1e-3, sample_dt=1e-3)
     nc = space.n_coords
     assert {y.size for y in states} == {2 * nc + space.K}
-    dy, = rhs(dynamics._DirectSystem(space, "zero"), np.zeros(1), states[0][None])
+    dy, = rhs(dynamics._DirectSystem([space], "zero"), np.zeros(1), states[0][None])
     ref = dynamics.eom_rhs(space, pt)
     dc_ref = -np.einsum("ab,jba->j", ref.dxi, space.eplus).real
     for got, want in ((dy[:nc], ref.dq), (dy[nc:2 * nc], ref.dp), (dy[2 * nc:], dc_ref)):
@@ -400,6 +400,24 @@ def assert_same_run(got, want):
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
+def assert_batch_matches_single_runs(space, spaces, pts, order, **kwargs):
+    """Each member of integrate_direct_batch(space, pts), in the given order
+    and shuffled by ``order``, is its own integrate_direct run on
+    spaces[i]; ``space`` is one space, or None for one space per member."""
+    singles = []
+    for member_space, pt in zip(spaces, pts):
+        try:
+            singles.append(dynamics.integrate_direct(member_space, pt, 1.0, **kwargs))
+        except (algebra.StepSizeError, algebra.FreezeCertificateError) as exc:
+            singles.append(exc)
+    shuffled = [i for i in order if i < len(pts)]
+    for members in (range(len(pts)), shuffled):
+        batch = dynamics.integrate_direct_batch(
+            space or [spaces[i] for i in members], [pts[i] for i in members], 1.0, **kwargs)
+        for i, got in zip(members, batch):
+            assert_same_run(got, singles[i])
+
+
 @settings(max_examples=40, deadline=None)
 @given(label=st.sampled_from(sorted(CORE_SPACES)), seed=st.integers(0, 2 ** 32 - 1),
        size=st.integers(2, 5), near_wall=st.lists(st.booleans(), min_size=5, max_size=5),
@@ -410,19 +428,25 @@ def test_batch_members_match_single_runs(label, seed, size, near_wall, free, ord
     # accepted steps
     space = CORE_SPACES[label]
     pts = [member_point(space, seed + i, near_wall[i], free[i]) for i in range(size)]
-    kwargs = dict(tol=1e-10, sample_dt=0.25, on_wall="truncate")
-    singles = []
-    for pt in pts:
-        try:
-            singles.append(dynamics.integrate_direct(space, pt, 1.0, **kwargs))
-        except algebra.StepSizeError as exc:
-            singles.append(exc)
-    for got, want in zip(dynamics.integrate_direct_batch(space, pts, 1.0, **kwargs), singles):
-        assert_same_run(got, want)
-    shuffled = [i for i in order if i < size]
-    batch = dynamics.integrate_direct_batch(space, [pts[i] for i in shuffled], 1.0, **kwargs)
-    for i, got in zip(shuffled, batch):
-        assert_same_run(got, singles[i])
+    assert_batch_matches_single_runs(space, [space] * size, pts, order, tol=1e-10,
+                                     sample_dt=0.25, on_wall="truncate")
+
+
+@pytest.mark.parametrize("gauge", ["zero", "freeze"])
+@settings(max_examples=20, deadline=None)
+@given(labels=st.lists(st.sampled_from(sorted(CORE_SPACES)), min_size=2, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1),
+       near_wall=st.lists(st.booleans(), min_size=5, max_size=5),
+       free=st.lists(st.booleans(), min_size=5, max_size=5), order=st.permutations(range(5)))
+def test_batch_across_spaces_matches_single_runs(gauge, labels, seed, near_wall, free, order):
+    # members of several spaces share one stepper loop: each, free or
+    # spinning, near a wall or not, in the given order and shuffled, is its
+    # own integrate_direct run to roundoff, with the same accepted steps (in
+    # the freezing gauge a generic spin fails its certificate, as alone)
+    spaces = [CORE_SPACES[label] for label in labels]
+    pts = [member_point(space, seed + i, near_wall[i], free[i]) for i, space in enumerate(spaces)]
+    assert_batch_matches_single_runs(None, spaces, pts, order, tol=1e-10, sample_dt=0.25,
+                                     on_wall="truncate", gauge=gauge)
 
 
 # a start and a freezable catalog spin per space of the sample-grid tests
@@ -470,6 +494,19 @@ def test_continuous_extension_matches_runs_ending_at_the_samples(label, gauge):
     for t_k, state in zip(traj.times[1:], states[1:]):
         end = packed(dynamics.integrate_direct(space, pt, t_k, sample_dt=t_k, gauge=gauge))[-1]
         assert np.abs(state - end).max() <= 1e-8 * max(1.0, np.abs(end).max())
+
+
+def test_freeze_batch_across_spaces_matches_single_runs():
+    # catalog spins on four spaces, frozen, in one loop and in the order
+    # sl(3,C), su(2,2), su(6,3), su(3,2), su(2,2): each member is its own run
+    labels = ["sl(3,C)", "su(2,2)", "su(6,3)", "su(3,2)", "su(2,2)"]
+    spaces, pts = zip(*(grid_start(label, "freeze") for label in labels))
+    batch = dynamics.integrate_direct_batch(spaces, pts, 2.0, sample_dt=0.5, gauge="freeze")
+    for space, pt, got in zip(spaces, pts, batch):
+        want = dynamics.integrate_direct(space, pt, 2.0, sample_dt=0.5, gauge="freeze")
+        assert got.n_steps == want.n_steps > 0 and got.freeze_residual < 1e-8
+        assert_same_run(got, want)
+        assert got.path.xi.coeffs.shape == (5, space.K)
 
 
 def test_batch_mixes_free_and_spinning_members(su22, rng):

@@ -1,5 +1,5 @@
 """Per-trajectory throughput of the direct integrator at batch sizes 1, 16
-and 256.
+and 256, and on a batch that spans four spaces.
 
 Usage (from the repository root):
 
@@ -10,11 +10,15 @@ Each batch holds B generic-spin orbit runs on su(3,2) (seeded starts, t_end
 2, sample_dt 0.5, tol 1e-10, zero gauge).  The batch is timed as one
 ``integrate_direct_batch`` call and as B ``integrate_direct`` calls; a
 checkout without ``integrate_direct_batch`` is timed one by one only.  The
-median and the minimum of the repeats, in seconds per trajectory, and the
-median in trajectories per second are appended, as one run with its label,
-to ``throughput.runs`` in the output JSON; other keys of an existing file
-are kept.  Alternate the labels over several invocations: the machine's
-speed drifts between runs.  BLAS runs single-threaded.
+``mixed`` row holds 4 such runs on each of su(2,2), su(3,2), su(6,3) and
+sl(4,C), timed as one ``integrate_direct_batch`` call over all 16 and as
+four calls, one per space; a checkout whose ``integrate_direct_batch``
+takes one space only is timed per space only.  The median and the minimum
+of the repeats, in seconds per trajectory, and the median in trajectories
+per second are appended, as one run with its label, to ``throughput.runs``
+in the output JSON; other keys of an existing file are kept.  Alternate the
+labels over several invocations: the machine's speed drifts between runs.
+BLAS runs single-threaded.
 """
 
 from __future__ import annotations
@@ -35,18 +39,49 @@ SIZES = (1, 16, 256)
 T_END, SAMPLE_DT, TOL = 2.0, 0.5, 1e-10
 
 
-def members(size: int) -> tuple:
+def members(size: int, spec=None) -> tuple:
+    """A space (su(3,2) by default) and ``size`` seeded generic-spin starts on
+    it, with the orbit of ``checks.default_orbit_spec``."""
     import numpy as np
-    from spincal import algebra, dynamics, orbits
-    space = algebra.build_space(algebra.SpaceSpec.su(3, 2))
-    spec = orbits.OrbitSpec.su(kappa_m=1.5, kappa_n=0.5, x=0.2)
+    from spincal import algebra, checks, dynamics, orbits
+    space = algebra.build_space(spec or algebra.SpaceSpec.su(3, 2))
+    orbit = checks.default_orbit_spec(space)
+    n = space.n_coords
     pts = []
     for i in range(size):
         rng = np.random.default_rng([8, i])
-        xi = orbits.random_slice_spin(space, spec, rng)
-        q = np.cumsum(rng.uniform(0.6, 1.2, size=2)[::-1])[::-1]
-        pts.append(dynamics.make_phase_point(space, q, 0.3 * rng.standard_normal(2), xi))
+        xi = orbits.random_slice_spin(space, orbit, rng)
+        q = np.cumsum(rng.uniform(0.6, 1.2, size=n)[::-1])[::-1]
+        p = 0.3 * rng.standard_normal(n)
+        if space.spec.family == "sl_kc":
+            q, p = q - q.mean(), p - p.mean()
+        pts.append(dynamics.make_phase_point(space, q, p, xi))
     return space, pts
+
+
+def mixed_row(repeats: int) -> dict:
+    """4 runs on each of su(2,2), su(3,2), su(6,3) and sl(4,C): one batch per
+    space, and one batch of all 16 where integrate_direct_batch takes one
+    space per member."""
+    from spincal import algebra, dynamics
+    groups = [members(4, spec) for spec in (algebra.SpaceSpec.su(2, 2), algebra.SpaceSpec.su(3, 2),
+                                            algebra.SpaceSpec.su(6, 3), algebra.SpaceSpec.sl(4))]
+    size = sum(len(pts) for _, pts in groups)
+    per_space, per_space_min = timed(lambda: [dynamics.integrate_direct_batch(
+        space, pts, T_END, tol=TOL, sample_dt=SAMPLE_DT) for space, pts in groups], repeats)
+    row = {"per_space_s_per_traj": per_space / size,
+           "per_space_min_s_per_traj": per_space_min / size,
+           "per_space_traj_per_s": size / per_space}
+    spaces = [space for space, pts in groups for _ in pts]
+    every = [pt for _, pts in groups for pt in pts]
+    try:
+        one, one_min = timed(lambda: dynamics.integrate_direct_batch(
+            spaces, every, T_END, tol=TOL, sample_dt=SAMPLE_DT), repeats)
+    except AttributeError:  # a list of spaces where one space is expected
+        return row
+    row.update({"one_call_s_per_traj": one / size, "one_call_min_s_per_traj": one_min / size,
+                "one_call_traj_per_s": size / one, "speedup_vs_per_space": per_space / one})
+    return row
 
 
 def timed(fn, repeats: int) -> tuple:
@@ -91,13 +126,18 @@ def main() -> int:
         rows[str(size)] = row
         print(f"B = {size}: " + ", ".join(f"{k} {v:.4g}" for k, v in row.items()))
 
+    if hasattr(dynamics, "integrate_direct_batch"):
+        rows["mixed"] = mixed_row(args.repeats)
+        print("mixed: " + ", ".join(f"{k} {v:.4g}" for k, v in rows["mixed"].items()))
+
     payload = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             payload = json.load(fh)
     section = payload.setdefault("throughput", {})
     section["what"] = (f"su(3,2) generic-spin orbit runs, t_end {T_END}, sample_dt {SAMPLE_DT}, "
-                       f"tol {TOL}, zero gauge; median of {args.repeats} repeats; "
+                       f"tol {TOL}, zero gauge; the mixed row: 4 such runs on each of su(2,2), "
+                       f"su(3,2), su(6,3) and sl(4,C); median of {args.repeats} repeats; "
                        "tools/batch_throughput.py")
     section.setdefault("runs", []).append({
         "label": args.label, "numpy": np.__version__, "python": platform.python_version(),
