@@ -278,8 +278,10 @@ def freezing_checks(rng: np.random.Generator, n_points: int = 20) -> list:
         qs = np.array([algebra.random_chamber_point(space, rng) for _ in range(n_points)])
         algebra.require_off_wall(space, qs)
         _, linear, frozen, _ = cert.at(qs)
-        out.append(CheckResult(f"{model.label()}: freezing solve residual", _worst(linear), 1e-9))
-        out.append(CheckResult(f"{model.label()}: frozen-spin condition", _worst(frozen), 1e-8))
+        out.append(CheckResult(f"{model.label()}: freezing solve residual", _worst(linear),
+                               dynamics.FREEZE_LINEAR_TOL))
+        out.append(CheckResult(f"{model.label()}: frozen-spin condition", _worst(frozen),
+                               dynamics.FREEZE_FROZEN_TOL))
     return out
 
 

@@ -18,9 +18,9 @@ for a fixed config and seed.  Exit codes: 0 success, 1 configuration or
 usage error, 2 chamber-wall collision (the report carries the last safe
 time: on direct runs the time the path reaches min alpha(q) = 1e-6, on
 projection runs the last sample before the contact), 3 integration
-failure: step-size underflow, degenerate spectrum, spin off the slice or a
-failed freezing-gauge certificate (the report carries the status and the
-error).
+failure: step-size underflow or more than 5,000,000 accepted steps,
+degenerate spectrum, spin off the slice or a failed freezing-gauge
+certificate (the report carries the status and the error).
 """
 
 from __future__ import annotations

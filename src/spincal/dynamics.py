@@ -48,8 +48,13 @@ from .algebra import (
 from .orbits import SpinPoint
 
 _EPS = float(np.finfo(float).eps)
+# the freezing gauge's bounds on its linear and on its frozen residual
+FREEZE_LINEAR_TOL = 1e-9
+FREEZE_FROZEN_TOL = 1e-8
 
 __all__ = [
+    "FREEZE_LINEAR_TOL",
+    "FREEZE_FROZEN_TOL",
     "PhasePoint",
     "InvariantSpec",
     "Trajectory",
@@ -473,31 +478,27 @@ class _DirectSystem:
              padded(s.root_coef.T, nc, R, s.root_coef[0]))
             for s in self.spaces))]
         self.neg_fplus = [-s.fplus.reshape(s.K ** 2, s.K) for s in self.spaces]
-        self._select(np.zeros(1, dtype=int))
-
-    def _select(self, sid):
-        """Set the rows to those of the spaces sid (sorted): the space's own
-        tables when they are all of one space, else one table per row, and
-        the row block of each space."""
-        if sid[0] == sid[-1]:
-            self.sid = s = int(sid[0])
-            self.coef_t, self.force_coef, self.root_coef_t = (t[s] for t in self.tables)
-            self.product = operator.matmul
-            self.blocks = [(slice(None), self.spaces[s].K, self.neg_fplus[s])]
-        else:
-            self.sid = None
-            self.coef_t, self.force_coef, self.root_coef_t = (t[sid] for t in self.tables)
-            self.product = _row_product
-            edges = np.searchsorted(sid, np.arange(len(self.spaces) + 1)).tolist()
-            self.blocks = [(slice(a, b), space.K, neg_fplus) for space, neg_fplus, a, b
-                           in zip(self.spaces, self.neg_fplus, edges, edges[1:]) if a < b]
+        self.sid = self.blocks = None  # no rows yet: take those of the first space
+        self.rows(np.zeros(1, dtype=int))
 
     def rows(self, sid):
-        """This system on rows of the spaces sid (sorted, not empty)."""
+        """This system on rows of the spaces sid (sorted, not empty): the
+        space's own tables when they are all of one space, else one table per
+        row, and the row block of each space.  A fresh system takes its rows
+        in place (a copy would give it a __dict__, and slower attributes)."""
         if sid[0] == sid[-1] == self.sid:
             return self
-        view = copy.copy(self)
-        view._select(sid)
+        view = copy.copy(self) if self.blocks else self
+        ids = sid.tolist()
+        present = sorted(set(ids))
+        view.sid = present[0] if len(present) == 1 else None
+        view.coef_t, view.force_coef, view.root_coef_t = (
+            t[sid if view.sid is None else view.sid] for t in self.tables)
+        view.product = _row_product if view.sid is None else operator.matmul
+        # the last block runs to the end, so that one space's view serves any rows of it
+        starts = [ids.index(s) for s in present]
+        view.blocks = [(slice(a, b), self.spaces[s].K, self.neg_fplus[s])
+                       for s, a, b in zip(present, starts, starts[1:] + [None])]
         return view
 
     def __call__(self, t, Y):
@@ -572,7 +573,8 @@ def integrate_direct(space: SymmetricSpaceData, pt0: PhasePoint, t_end: float,
     wall stalls at the time t it reaches that level: :class:`WallProximityError`
     at t, or with ``on_wall="truncate"`` the samples up to t, with
     ``wall_time`` = t.
-    A step-size underflow away from a wall raises :class:`StepSizeError`.
+    A step-size underflow away from a wall, or more than 5,000,000 accepted
+    steps, raises :class:`StepSizeError`.
     """
     traj, = integrate_direct_batch(space, [pt0], t_end, tol=tol, sample_dt=sample_dt,
                                    monitors=[(lax_x, invariants)], gauge=gauge,
@@ -605,8 +607,8 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
     :class:`FreezeCertificateError`, or with ``on_wall="raise"``
     :class:`WallProximityError`).
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     if gauge not in ("zero", "freeze"):
         raise ValueError("gauge must be 'zero' or 'freeze'")
     if on_wall not in ("raise", "truncate"):
@@ -621,6 +623,8 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
     dts = list(sample_dt) if np.iterable(sample_dt) else [sample_dt] * B
     if len(spaces) != B or len(dts) != B:
         raise ValueError("space and sample_dt must be one value or one per member")
+    if not B:
+        return []
     first = {}  # spec -> its first member's space, in order of appearance
     for s in spaces:
         first.setdefault(s.spec, s)
@@ -643,7 +647,7 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
     certs = [FreezeCertificate(s, pt.xi) for s, pt in zip(spaces, pts)] if freeze else []
     for m, cert in enumerate(certs):
         r = int(np.argmax(cert.root_residuals))
-        if not cert.root_residuals[r] < 1e-9:
+        if not cert.root_residuals[r] < FREEZE_LINEAR_TOL:
             stopped[m] = FreezeCertificateError(
                 f"no freezing gauge on the chamber: root {spaces[m].roots[r].label()} "
                 f"leaves the residual {cert.root_residuals[r]:.3e}")
@@ -738,9 +742,12 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
     each member reached, and per member its ``n_steps`` (accepted),
     ``n_rejected``, ``n_rhs`` (right-hand-side rows), ``h_min`` and ``h_max``
     (its smallest and largest accepted step) and ``min_alpha`` (its smallest
-    root value at the start and at the accepted step ends).  A member that
-    stalls (at a wall, where every step is rejected), underflows or exceeds
-    the step budget gets its exception in ``stopped``."""
+    root value at the start and at the accepted step ends).  Members leave
+    the active rows at one point, before every attempt: past _MAX_STEPS
+    accepted steps with StepSizeError, even on a step that reaches t_end;
+    else at t_end; else with a next step below 1e-14 max(1, t_end), as
+    WallProximityError at a wall (min alpha(q) < 1e-3, where every step is
+    rejected) and StepSizeError elsewhere.  The exceptions go into ``stopped``."""
     B, width = y0.shape
     spaces = [sys.spaces[s] for s in sid]
     dims = np.array([2 * s.n_coords + s.K for s in spaces])  # each member's own D
@@ -765,25 +772,28 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
         n_rhs[rows] += 1
         alpha_lo[rows] = active.min_root_values(Y)
     h_min = 1e-14 * max(1.0, t_end)
-    attempts = 0
     while rows.size:
-        if h.min() < h_min:
-            tiny = h < h_min
-            for r in np.flatnonzero(tiny):
-                space = spaces[rows[r]]
+        # the one exit point (see above): the step budget, then t_end, then the floor
+        over = n_steps[rows] > _MAX_STEPS
+        done = over | (t >= t_end)
+        leave = done | (h < h_min)
+        if leave.any():
+            for r in np.flatnonzero(over | leave & ~done):  # the members that fail
+                m, space = rows[r], spaces[rows[r]]
+                if over[r]:
+                    stopped[m] = StepSizeError("maximum number of steps exceeded")
                 # persistent rejection right at a chamber wall is a wall event
-                if algebra.min_root_value(space, Y[r, :space.n_coords]) < 1e-3:
-                    stopped[rows[r]] = WallProximityError(
+                elif algebra.min_root_value(space, Y[r, :space.n_coords]) < 1e-3:
+                    stopped[m] = WallProximityError(
                         f"trajectory stalled against a chamber wall at t = {t[r]:.6g}",
                         t=float(t[r]))
                 else:
-                    stopped[rows[r]] = StepSizeError(f"step size underflow at t = {t[r]:.6g}")
-            rows, Y, t, h, ks = (a[~tiny] for a in (rows, Y, t, h, ks))
-            if rows.size:
-                active, dims_rows = sys.rows(sid[rows]), dims[rows].tolist()
-            continue
+                    stopped[m] = StepSizeError(f"step size underflow at t = {t[r]:.6g}")
+            rows, Y, t, h, ks = (a[~leave] for a in (rows, Y, t, h, ks))
+            if not rows.size:
+                break
+            active, dims_rows = active.rows(sid[rows]), dims[rows].tolist()
         h = np.minimum(h, t_end - t)
-        attempts += 1
         y1 = _stages(active, t, Y, ks, h)  # twelve right-hand sides, counted at the end
         # |e5|^2 and |e3|^2 per row, each estimate scaled by tol (1 + max(|y0|, |y1|))
         est = (_DOP_E @ ks[:, :12]) / (tol + tol * np.maximum(np.abs(Y), np.abs(y1)))[:, None]
@@ -814,8 +824,7 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
         if take.any():
             s = np.flatnonzero(take)  # the accepted steps that hold a sample
             y0s = Y[ok[s]]
-            F = _extension(active if active.sid is not None else sys.rows(sid[members[s]]),
-                           t0[s], y0s, y1[s], ks[ok[s]], h_acc[s])
+            F = _extension(active.rows(sid[members[s]]), t0[s], y0s, y1[s], ks[ok[s]], h_acc[s])
             n_rhs[members[s]] += 3
             i = np.repeat(np.arange(s.size), take[s])  # the step of each new sample
             k = n_new[s][i] - (np.cumsum(take[s])[i] - np.arange(i.size))
@@ -830,18 +839,6 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
         h_hi[members] = np.maximum(h_hi[members], h_acc)
         alpha_lo[members] = np.minimum(alpha_lo[members], alpha[acc])
         ks[acc, 0] = ks[acc, 12]  # first same as last: the stage at y1 starts the next step
-        done = t1 >= t_end
-        if attempts > _MAX_STEPS:  # no member takes more steps than there were attempts
-            over = n_steps[members] > _MAX_STEPS
-            for m in members[over]:
-                stopped[m] = StepSizeError("maximum number of steps exceeded")
-            done |= over
-        if done.any():
-            keep = np.ones(rows.size, dtype=bool)
-            keep[ok[done]] = False
-            rows, Y, t, h, ks = (a[keep] for a in (rows, Y, t, h, ks))
-            if rows.size:
-                active, dims_rows = sys.rows(sid[rows]), dims[rows].tolist()
     n_rhs += 12 * (n_steps + n_rejected)  # each attempt is accepted or rejected
     return samples, counts, stats
 
@@ -991,14 +988,15 @@ class FreezeCertificate:
 
     def at(self, qs) -> tuple:
         """At each row of qs: y_M (N x N), the linear residual, the frozen
-        residual |[y_M - w^2(ad_q) mu, mu]| and whether they are below 1e-9, 1e-8."""
+        residual |[y_M - w^2(ad_q) mu, mu]| and whether they are below
+        FREEZE_LINEAR_TOL and FREEZE_FROZEN_TOL."""
         space, mu = self.space, self.mu
         w2 = algebra.PHI_FUNCTIONS["inv_sinh_sq"][0](qs @ space.root_coef.T)  # (T, roots)
         y_m = np.einsum("tb,bij->tij", w2 @ self.z, space.m_basis)
         d = y_m - np.einsum("tj,jab->tab", w2[:, space.e_root] * mu.coeffs, space.eplus)
         linear = np.linalg.norm(w2 @ self.defect, axis=1)
         frozen = np.linalg.norm(d @ mu.xi - mu.xi @ d, axis=(1, 2))
-        return y_m, linear, frozen, (linear < 1e-9) & (frozen < 1e-8)
+        return y_m, linear, frozen, (linear < FREEZE_LINEAR_TOL) & (frozen < FREEZE_FROZEN_TOL)
 
 
 def freezing_solve(space: SymmetricSpaceData, q, mu) -> FreezingResult:

@@ -549,6 +549,38 @@ def test_batch_failures_stay_per_member(su22, rng):
     assert frozen.n_steps > 0 and frozen.freeze_residual < 1e-8
 
 
+def test_step_budget_stops_its_member_alone(su22, rng, monkeypatch):
+    # a spinning run of n accepted steps finishes under a budget of n steps;
+    # under n - 1 it fails on its last step, the one that reaches t_end, so
+    # the budget beats finishing.  A free member next to it, with fewer
+    # steps, is its own run either way
+    pts = [generic_su22_point(su22, rng),
+           dynamics.make_phase_point(su22, np.array([1.6, 0.7]), np.array([0.1, 0.0]))]
+    spinning, free = (dynamics.integrate_direct(su22, pt, 2.0, sample_dt=0.5) for pt in pts)
+    n = spinning.n_steps
+    assert free.n_steps < n - 1
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", n)
+    for got, want in zip(dynamics.integrate_direct_batch(su22, pts, 2.0, sample_dt=0.5),
+                         (spinning, free)):
+        assert_same_run(got, want)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", n - 1)
+    over, got = dynamics.integrate_direct_batch(su22, pts, 2.0, sample_dt=0.5)
+    assert isinstance(over, algebra.StepSizeError)
+    assert str(over) == "maximum number of steps exceeded"
+    assert_same_run(got, free)
+
+
+def test_empty_batch_has_no_members(su22):
+    assert dynamics.integrate_direct_batch(su22, [], 1.0) == []
+    assert dynamics.integrate_direct_batch([], [], 1.0) == []
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+def test_batch_rejects_non_finite_t_end(su22, rng, t_end):
+    with pytest.raises(ValueError, match="t_end must be positive and finite"):
+        dynamics.integrate_direct_batch(su22, [generic_su22_point(su22, rng)], t_end)
+
+
 def test_eom_frozen_spin(su21, sl3):
     # with the solved gauge the catalog spin data are stationary
     cases = [(su21, orbits.xi_red(su21, "bc", 1.0, 0.3), np.array([0.9])),
