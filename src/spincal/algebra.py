@@ -61,6 +61,7 @@ __all__ = [
     "random_algebra_element",
     "random_gplus_element",
     "random_chamber_point",
+    "chamber_points",
     "MembershipError",
     "AdmissibilityError",
     "WallProximityError",
@@ -708,12 +709,21 @@ def random_gplus_element(space: SymmetricSpaceData, rng: np.random.Generator,
     return split(space, random_algebra_element(space, rng, scale))[0]
 
 
+def chamber_points(space: SymmetricSpaceData, r, lo: float = 0.4,
+                   hi: float = 1.2) -> np.ndarray:
+    """The coordinates of :func:`random_chamber_point` for its uniform
+    doubles r in [0, 1), one row per row of r: the gaps lo + (hi - lo) r
+    (as rng.uniform(lo, hi) rounds them) summed from the last, so strictly
+    decreasing and positive; on sl(k,C) shifted to mean zero."""
+    gaps = lo + (hi - lo) * np.asarray(r, dtype=float)
+    q = np.cumsum(gaps[..., ::-1], axis=-1)[..., ::-1].copy()
+    if space.spec.family == "sl_kc":
+        q = q - q.mean(axis=-1, keepdims=True)
+    return q
+
+
 def random_chamber_point(space: SymmetricSpaceData, rng: np.random.Generator,
                          lo: float = 0.4, hi: float = 1.2) -> np.ndarray:
-    """Coordinates strictly inside the open Weyl chamber, away from walls."""
-    nc = space.n_coords
-    gaps = rng.uniform(lo, hi, size=nc)
-    q = np.cumsum(gaps[::-1])[::-1].astype(float)  # strictly decreasing, positive
-    if space.spec.family == "sl_kc":
-        q = q - q.mean()
-    return q
+    """Coordinates strictly inside the open Weyl chamber, away from walls:
+    :func:`chamber_points` of one ``rng.random`` of n_coords doubles."""
+    return chamber_points(space, rng.random(space.n_coords), lo, hi)

@@ -9,11 +9,15 @@ non-involution witness for compact-only invariants, single-point orbit
 reduction and the slice-emptiness probe, the quadratic coupling relation,
 and agreement of the reduced Hamiltonian with the closed-form catalog.
 
-The slice, bracket, catalog and freezing checks draw their random numbers
-one draw at a time, in the order of the per-draw functions
-(:func:`random_phase_point` and friends), and then evaluate all draws of a
-space or model at once on stacked arrays.  A residual is the largest over
-the draws, and a NaN draw makes it NaN, so the check fails.
+Each check builds its draw rule once per space (or model): the slice
+verdict and the moduli the slice fixes (:func:`orbits.slice_draw_rule`).
+Its draw loop then makes only generator calls, one per random quantity of
+a draw, in the order of the per-draw functions (:func:`random_phase_point`
+and friends), so a seed gives the same draws and leaves the generator in
+the same state.  All other arithmetic (moduli, phases, chamber sums, mean
+shifts, projectors) and every check evaluation run once on the stacked
+draws.  A residual is the largest over the draws, and a NaN draw makes it
+NaN, so the check fails.
 """
 
 from __future__ import annotations
@@ -75,26 +79,41 @@ def default_orbit_spec(space: SymmetricSpaceData) -> OrbitSpec:
 
 def random_phase_point(space: SymmetricSpaceData, rng: np.random.Generator,
                        spec: OrbitSpec | None = None) -> dynamics.PhasePoint:
-    spec = spec or default_orbit_spec(space)
-    u, v, q, p = _phase_draw(space, spec, rng)
-    return dynamics.make_phase_point(space, q, p, orbits.slice_spin(space, spec, u, v))
+    """A random phase point with on-slice spin data of the orbit (default
+    :func:`default_orbit_spec`): one draw of its :class:`_PhaseDrawRule`."""
+    rule = _PhaseDrawRule(space, spec or default_orbit_spec(space))
+    return rule.points(*rule.draw(rng))
 
 
-def _phase_draw(space: SymmetricSpaceData, spec: OrbitSpec, rng: np.random.Generator) -> tuple:
-    """The random numbers of one :func:`random_phase_point`, in its order:
-    the spin's vectors, then q and p."""
-    u, v = orbits.draw_slice_vectors(space, spec, rng)
-    q = algebra.random_chamber_point(space, rng)
-    p = rng.standard_normal(space.n_coords)
-    if space.spec.family == "sl_kc":
-        p -= p.mean()
-    return u, v, q, p
+class _PhaseDrawRule:
+    """How :func:`random_phase_point` draws on one space and orbit, built
+    once: the orbit's :class:`orbits.SliceDrawRule`, then q's chamber gaps
+    (in the spin phases' ``rng.random`` call) and p."""
+
+    def __init__(self, space: SymmetricSpaceData, spec: OrbitSpec):
+        self.space, self.spec = space, spec
+        self.spin = orbits.slice_draw_rule(space, spec)
+
+    def draw(self, rng: np.random.Generator) -> tuple:
+        """One draw's generator calls."""
+        nc = self.space.n_coords
+        return (*self.spin.draw(rng, extra=nc), rng.standard_normal(nc))
+
+    def points(self, e, r, p) -> dynamics.PhasePoint:
+        """The phase point of draws of :meth:`draw`, stacked along a leading
+        axis (:func:`_stack`) or not."""
+        space, k = self.space, self.spin.n_phases
+        u, v = self.spin.vectors(e, r[..., :k])
+        q = algebra.chamber_points(space, r[..., k:])
+        if space.spec.family == "sl_kc":
+            p = p - p.mean(axis=-1, keepdims=True)
+        return dynamics.make_phase_point(space, q, p, orbits.slice_spin(space, self.spec, u, v))
 
 
-def _phase_points(space: SymmetricSpaceData, spec: OrbitSpec, draws: list) -> dynamics.PhasePoint:
-    """The phase points of draws of :func:`_phase_draw`, as one stacked point."""
-    u, v, q, p = (None if col[0] is None else np.array(col) for col in zip(*draws))
-    return dynamics.make_phase_point(space, q, p, orbits.slice_spin(space, spec, u, v))
+def _stack(draws: list) -> list:
+    """The draws of one generator call site as arrays, one row per draw
+    (None where a call site made no call)."""
+    return [None if col[0] is None else np.array(col) for col in zip(*draws)]
 
 
 def _worst(values) -> float:
@@ -142,8 +161,8 @@ def basis_checks(space: SymmetricSpaceData, rng: np.random.Generator,
 def slice_checks(space: SymmetricSpaceData, rng: np.random.Generator,
                  n_draws: int = 100) -> list:
     """Momentum map vanishes on slice points built from admissible data."""
-    spec = default_orbit_spec(space)
-    pt = _phase_points(space, spec, [_phase_draw(space, spec, rng) for _ in range(n_draws)])
+    rule = _PhaseDrawRule(space, default_orbit_spec(space))
+    pt = rule.points(*_stack([rule.draw(rng) for _ in range(n_draws)]))
     psi = orbits.moment_map(space, orbits.build_slice_point(space, pt.q, pt.p, pt.xi))
     return [CheckResult(f"{space.label()}: slice momentum-map residual ({n_draws} draws)",
                         _worst(np.linalg.norm(psi, axis=(-2, -1))), 1e-10)]
@@ -170,18 +189,18 @@ def bracket_checks(space: SymmetricSpaceData, rng: np.random.Generator,
     dynamics.identity_413 at y."""
     name = space.label()
     has_block = space.spec.family == "su_mn"
-    spec = default_orbit_spec(space)
-    draws, xy, orders, block_orders, ysigns = [], [], [], [], []
+    rule = _PhaseDrawRule(space, default_orbit_spec(space))
+    draws, xy, orders, block_orders, coins = [], [], [], [], []
     for _ in range(n_draws):
-        draws.append(_phase_draw(space, spec, rng))
-        xy.append(rng.uniform(-2.0, 2.0, size=2))
-        orders.append((int(rng.integers(2, 5)), int(rng.integers(2, 5))))
+        draws.append(rule.draw(rng))
+        xy.append(rng.random(2))
+        orders.append(rng.integers(2, 5, size=2))
         if has_block:
-            block_orders.append(int(rng.integers(1, 3)))
-            ysigns.append(1.0 if rng.uniform() < 0.5 else -1.0)
-    pt = _phase_points(space, spec, draws)
+            block_orders.append(rng.integers(1, 3))
+            coins.append(rng.random())
+    pt = rule.points(*_stack(draws))
     xi = pt.xi.xi
-    x, y = np.array(xy).T
+    x, y = -2.0 + 4.0 * np.array(xy).T  # on [-2, 2), as rng.uniform(-2, 2) rounds them
     kf, kh = np.array(orders).T
     lax_x = dynamics.lax(space, pt, x)
     grad_h = _gradients(space, "trace_power", kh, dynamics.lax(space, pt, y))
@@ -194,7 +213,7 @@ def bracket_checks(space: SymmetricSpaceData, rng: np.random.Generator,
                     _worst(np.abs(y * plus - x * minus)), 1e-10),
     ]
     if has_block:
-        ysign = np.array(ysigns)
+        ysign = np.where(np.array(coins) < 0.5, 1.0, -1.0)
         grad_b = _gradients(space, "block_invariant", np.array(block_orders), lax_x)
         grad_s = _gradients(space, "trace_power", kh, dynamics.lax(space, pt, ysign))
         plus, minus = dynamics.gradient_pairings(space, xi, grad_b, grad_s)
@@ -247,12 +266,15 @@ def reduction_checks(rng: np.random.Generator) -> list:
         np.inf if margin <= 0 else 1.0 / margin, 1e3,  # a NaN margin stays NaN
         details=f"min M-part norm over 10^4 samples = {margin:.6g}"))
 
-    residuals = []
+    ns, rs = [], []
     for _ in range(1000):
-        n = int(rng.integers(1, 6))
-        kappa = float(rng.uniform(0.05, 4.0))
-        x = float(rng.uniform(-kappa, kappa / n))
-        residuals.append(models.coupling_relation_residual(n, kappa, x))
+        ns.append(rng.integers(1, 6))
+        rs.append(rng.uniform(size=2))
+    n, r = np.array(ns), np.array(rs)
+    # kappa on [0.05, 4) and x on [-kappa, kappa / n), as rng.uniform rounds them
+    kappa = 0.05 + (4.0 - 0.05) * r[:, 0]
+    x = -kappa + (kappa / n + kappa) * r[:, 1]
+    residuals = models.coupling_relation_residual(n, kappa, x)
     out.append(CheckResult("coupling relation g1^2 - 2g^2 + sqrt(2) g g2 (1000 draws)",
                            _worst(residuals), 1e-13))
     return out
@@ -275,7 +297,7 @@ def freezing_checks(rng: np.random.Generator, n_points: int = 20) -> list:
     for model in models.CATALOG:
         space = models.model_space(model)
         cert = dynamics.FreezeCertificate(space, models.model_spin(space, model))
-        qs = np.array([algebra.random_chamber_point(space, rng) for _ in range(n_points)])
+        qs = algebra.chamber_points(space, rng.uniform(size=(n_points, space.n_coords)))
         algebra.require_off_wall(space, qs)
         _, linear, frozen, _ = cert.at(qs)
         out.append(CheckResult(f"{model.label()}: freezing solve residual", _worst(linear),

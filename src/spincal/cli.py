@@ -334,9 +334,12 @@ def atomic_write(path: str, text: str):
 
 
 def write_csv(path: str, header: list, rows: list):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    atomic_write(path, "\n".join(lines) + "\n")
+    """One line per row, each value as :func:`_fmt` writes it ("%.17g" is
+    the same format, applied to a whole row at once)."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[-1])
+    atomic_write(path, "\n".join([",".join(header)]
+                                 + [line % tuple(row) for row in rows.tolist()]) + "\n")
 
 
 def write_json(path: str, payload: dict):
@@ -496,7 +499,7 @@ def cmd_couplings(args) -> int:
         g, g1, g2 = orbits.bc_couplings(args.n, args.kappa, args.x)  # inadmissible: exit 1
         residual = models.coupling_relation_residual(args.n, args.kappa, args.x)
         finite = all(map(math.isfinite, (g, g1, g2, residual)))
-    except OverflowError:  # g ** 2, or the float of a huge n
+    except OverflowError:  # the float of a huge n; overflowing couplings are not finite
         finite = False
     if not finite:
         raise ConfigError(f"the couplings overflow a float (n = {args.n}, "

@@ -609,6 +609,8 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
     """
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if gauge not in ("zero", "freeze"):
         raise ValueError("gauge must be 'zero' or 'freeze'")
     if on_wall not in ("raise", "truncate"):
@@ -623,6 +625,8 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
     dts = list(sample_dt) if np.iterable(sample_dt) else [sample_dt] * B
     if len(spaces) != B or len(dts) != B:
         raise ValueError("space and sample_dt must be one value or one per member")
+    if not all(dt is None or 0 < dt < math.inf for dt in dts):
+        raise ValueError("sample_dt must be positive and finite")
     if not B:
         return []
     first = {}  # spec -> its first member's space, in order of appearance
@@ -766,11 +770,14 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
     t = np.zeros(rows.size)
     h = np.full(rows.size, 0.005)  # the first trial step, whatever the sample grid
     ks = np.empty((rows.size, 16, width))
+    # the running extremes of the active rows, kept as t and h are and written
+    # to stats as their members leave: h_min, -h_max and min_alpha, all minima
+    ext = np.tile([np.inf, -0.0, np.inf], (rows.size, 1))
     if rows.size:
         active, dims_rows = sys.rows(sid[rows]), dims[rows].tolist()
         ks[:, 0] = active(t, Y)  # the first stage at (t, y), kept over a rejected step
         n_rhs[rows] += 1
-        alpha_lo[rows] = active.min_root_values(Y)
+        ext[:, 2] = active.min_root_values(Y)
     h_min = 1e-14 * max(1.0, t_end)
     while rows.size:
         # the one exit point (see above): the step budget, then t_end, then the floor
@@ -789,7 +796,9 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
                         t=float(t[r]))
                 else:
                     stopped[m] = StepSizeError(f"step size underflow at t = {t[r]:.6g}")
-            rows, Y, t, h, ks = (a[~leave] for a in (rows, Y, t, h, ks))
+            gone = rows[leave]
+            h_lo[gone], h_hi[gone], alpha_lo[gone] = ext[leave, 0], -ext[leave, 1], ext[leave, 2]
+            rows, Y, t, h, ks, ext = (a[~leave] for a in (rows, Y, t, h, ks, ext))
             if not rows.size:
                 break
             active, dims_rows = active.rows(sid[rows]), dims[rows].tolist()
@@ -835,9 +844,7 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
         Y[acc] = y1
         t[acc] = t1
         n_steps[members] += 1
-        h_lo[members] = np.minimum(h_lo[members], h_acc)
-        h_hi[members] = np.maximum(h_hi[members], h_acc)
-        alpha_lo[members] = np.minimum(alpha_lo[members], alpha[acc])
+        ext[acc] = np.minimum(ext[acc], np.array([h_acc, -h_acc, alpha[acc]]).T)
         ks[acc, 0] = ks[acc, 12]  # first same as last: the stage at y1 starts the next step
     n_rhs += 12 * (n_steps + n_rejected)  # each attempt is accepted or rejected
     return samples, counts, stats

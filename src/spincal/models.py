@@ -92,9 +92,16 @@ def model_spin(space: SymmetricSpaceData, model: SpinlessModel) -> SpinPoint:
     return orbits.xi_red(space, case, model.kappa, model.x)
 
 
-def coupling_relation_residual(n: int, kappa: float, x: float) -> float:
+def coupling_relation_residual(n, kappa, x):
+    """|g1^2 - 2 g^2 + sqrt(2) g g2| of :func:`bc_couplings`; arrays of data
+    give one residual per entry.  The squares are C ``pow``, as Python's
+    ``**`` takes them, so that each entry has the bits of its own call;
+    couplings that overflow give an infinite or NaN residual."""
     g, g1, g2 = bc_couplings(n, kappa, x)
-    return abs(g1 ** 2 - 2.0 * g ** 2 + math.sqrt(2.0) * g * g2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.abs(np.float_power(g1, 2) - 2.0 * np.float_power(g, 2)
+                     + math.sqrt(2.0) * g * g2)
+    return _value(res)
 
 
 def _pair_terms(q):
@@ -147,17 +154,19 @@ def _value(val):
 
 def machinery_equals_closed_form(model: SpinlessModel, rng: np.random.Generator,
                                  n_samples: int = 100) -> float:
-    """Max |H_reduced - H_closed_form| over random phase-space draws; the
-    draws are made one by one, both sides evaluated on all of them at once."""
+    """Max |H_reduced - H_closed_form| over random phase-space draws: per
+    draw the generator calls of algebra.random_chamber_point, then p; both
+    sides evaluated on all draws at once."""
     space = model_space(model)
-    qs, ps = [], []
+    nc = space.n_coords
+    rs, ps = [], []
     for _ in range(n_samples):
-        qs.append(algebra.random_chamber_point(space, rng))
-        p = rng.standard_normal(space.n_coords)
-        if space.spec.family == "sl_kc":
-            p -= p.mean()
-        ps.append(p)
-    q, p = np.array(qs), np.array(ps)
+        rs.append(rng.random(nc))
+        ps.append(rng.standard_normal(nc))
+    q = algebra.chamber_points(space, np.array(rs))
+    p = np.array(ps)
+    if space.spec.family == "sl_kc":
+        p -= p.mean(axis=-1, keepdims=True)
     pt = dynamics.make_phase_point(space, q, p, model_spin(space, model))
     return float(np.max(np.abs(dynamics.hamiltonian(space, pt) - closed_form_H(model, q, p))))
 

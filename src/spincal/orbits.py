@@ -18,6 +18,7 @@ points along leading axes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,8 @@ __all__ = [
     "random_orbit_point",
     "random_slice_spin",
     "draw_slice_vectors",
+    "SliceDrawRule",
+    "slice_draw_rule",
     "slice_spin",
     "spin_point",
     "zero_spin",
@@ -445,14 +448,17 @@ def xi_red(space: SymmetricSpaceData, case: str, kappa: float, x: float = 0.0) -
     return slice_spin(space, spec, None, np.full(n, math.sqrt(kappa)) if kappa > 0 else None)
 
 
-def bc_couplings(n: int, kappa: float, x: float):
+def bc_couplings(n, kappa, x):
     """(g, g1, g2) of the two-coupling BC_n model; they satisfy
-    g1^2 - 2 g^2 + sqrt(2) g g2 = 0."""
-    _require_admissible("bc", n, kappa, x)
+    g1^2 - 2 g^2 + sqrt(2) g g2 = 0.  One datum must pass the verdict of
+    :func:`validate_params`; arrays of data (broadcast together) give the
+    couplings entry by entry, unchecked, so that a NaN entry gives NaNs."""
+    if np.ndim(n) == np.ndim(kappa) == np.ndim(x) == 0:
+        _require_admissible("bc", n, kappa, x)
     g = 0.5 * (kappa + x)
-    g1 = math.sqrt(max((kappa + x) * (kappa - n * x), 0.0) / 2.0)
+    g1 = np.sqrt(np.maximum((kappa + x) * (kappa - n * x), 0.0) / 2.0)
     g2 = (n + 1) * x / math.sqrt(2.0)
-    return g, g1, g2
+    return tuple(float(c) if np.ndim(c) == 0 else c for c in (g, g1, g2))
 
 
 @dataclass(frozen=True)
@@ -489,27 +495,32 @@ def reduce_orbit_check(space: SymmetricSpaceData, kappa: float, x: float,
 
     moduli = np.concatenate([np.full(n, math.sqrt(max(kappa + x, 0.0))),
                              [math.sqrt(max(kappa - n * x, 0.0))]])
-    res_diag, res_norm, res_match = [], [], []  # per sample: a NaN one is kept
-    for _ in range(n_samples):
-        beta = rng.uniform(0.0, 2.0 * math.pi, size=m)
-        u = moduli * np.exp(1j * beta)
-        eta = eta_of_u(u, kappa)
-        res_diag.append(np.abs(np.diag(eta) - diag_target).max())
-        # torus phase solve: phase differences against component n+1 align all
-        # components onto a common phase (which drops out of eta)
-        phases = np.concatenate([beta[-1] - beta[:-1], [0.0]])
-        t = np.exp(1j * phases)
-        t = t * np.exp(-1j * np.angle(np.prod(t)) / m)  # det correction inside SU(m)
-        u_hat = t * u
-        common = u_hat[-1] / abs(u_hat[-1])
-        res_norm.append(np.abs(u_hat - common * np.abs(u_hat)).max())
-        xi_rot = _embed_su_factor(space, eta_of_u(u_hat, kappa), "m") + x * C
-        res_match.append(np.abs(xi_rot - target.xi).max())
-        # the same rotation realized by an honest centralizer group element
-        # (phases repeated in both size-n blocks) must agree
-        g = np.diag(np.concatenate([t, t[:n]]))
-        res_match.append(np.abs(
-            g @ (_embed_su_factor(space, eta, "m") + x * C) @ g.conj().T - xi_rot).max())
+    # one row of phases per sample; every step below acts on all rows at once
+    beta = rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, m))
+    u = moduli * np.exp(1j * beta)
+    eta = eta_of_u(u, kappa)
+    res_diag = np.abs(np.diagonal(eta, axis1=-2, axis2=-1) - diag_target).max(axis=-1, initial=0.0)
+    # torus phase solve: phase differences against component n+1 align all
+    # components onto a common phase (which drops out of eta)
+    phases = np.concatenate([beta[:, -1:] - beta[:, :-1], np.zeros((n_samples, 1))], axis=1)
+    t = np.exp(1j * phases)
+    # det correction inside SU(m); one sample's -1j * angle / m is Python
+    # complex arithmetic, whose division by m is a real one
+    t = t * np.exp(-1j * (np.angle(np.prod(t, axis=-1)) / m))[:, None]
+    u_hat = t * u
+    last = u_hat[:, -1:]
+    common = last / np.hypot(last.real, last.imag)  # abs() of one numpy complex is hypot
+    res_norm = np.abs(u_hat - common * np.abs(u_hat)).max(axis=-1, initial=0.0)
+    xi_rot = _embed_su_factor(space, eta_of_u(u_hat, kappa), "m") + x * C
+    # the same rotation realized by an honest centralizer group element
+    # (phases repeated in both size-n blocks) must agree
+    g = np.zeros((n_samples, space.N, space.N), complex)
+    g[:, np.arange(space.N), np.arange(space.N)] = np.concatenate([t, t[:, :n]], axis=1)
+    res_match = np.concatenate([
+        np.abs(xi_rot - target.xi).max(axis=(-2, -1), initial=0.0),
+        np.abs(g @ (_embed_su_factor(space, eta, "m") + x * C) @ algebra.dagger(g)
+               - xi_rot).max(axis=(-2, -1), initial=0.0)])
+    # a NaN sample makes its residual NaN
     return ReductionReport(n_samples, *(float(np.max(r, initial=0.0))
                                         for r in (res_diag, res_norm, res_match)))
 
@@ -549,11 +560,12 @@ def emptiness_probe(space: SymmetricSpaceData, kappa: float, x: float,
 # Generic on-slice spin data
 # ---------------------------------------------------------------------------
 
-def _slice_moduli_su(space: SymmetricSpaceData, spec: OrbitSpec,
-                     rng: np.random.Generator | None = None):
-    """Squared moduli (t for the size-m factor, s for the size-n one) of an
-    on-slice spin of the orbit; rng draws them where the slice leaves them
-    free, which needs both constituents (no catalog orbit has them).
+def _slice_moduli_su(space: SymmetricSpaceData, spec: OrbitSpec) -> tuple:
+    """Squared moduli (t for the size-m factor, s for the size-n one) of the
+    on-slice spins of the orbit, and the part the slice leaves free: None, or
+    (n, total_t, T) when both constituents are present (no catalog orbit has
+    them).  Then each spin has t[:n] = total_t w for a Dirichlet(1, ..., 1)
+    draw w with total_t w_j <= T (up to 1e-14), and s = max(T - t[:n], 0).
 
     This is the admissibility verdict of an orbit on su(m,n), for random
     spins and catalog ones (:func:`xi_red`) alike: AdmissibilityError when a
@@ -580,7 +592,7 @@ def _slice_moduli_su(space: SymmetricSpaceData, spec: OrbitSpec,
             raise AdmissibilityError(
                 "O~(n, kappa) + x C misses the slice for x != 0 on su(m>n, n)")
         s[:] = kn
-        return t, s
+        return t, s, None
     if m - n >= 2:
         x_req = km / n
         if abs(x - x_req) > 1e-12 * max(1.0, abs(x_req)):
@@ -603,41 +615,101 @@ def _slice_moduli_su(space: SymmetricSpaceData, spec: OrbitSpec,
     # the bounds hold up to roundoff or the slack: no modulus is negative
     if kn == 0:
         t[:n] = max(total_t / n, 0.0)
-        return t, s
+        return t, s, None
+    return t, s, (n, total_t, T)
+
+
+def _dirichlet_draw(rng: np.random.Generator, n: int, total_t: float, T: float) -> np.ndarray:
+    """The exponentials e of the first of up to 200 Dirichlet(1, ..., 1)
+    draws w = e / sum(e) with total_t w_j <= T + 1e-14, or NaNs when all 200
+    miss (the barycenter then stands in).  ``rng.dirichlet(np.ones(n))`` is
+    this e = rng.standard_exponential(n) times the reciprocal of its running
+    sum, so the test below rounds as that draw times total_t does."""
+    bound = T + 1e-14
     for _ in range(200):
-        cand = rng.dirichlet(np.ones(n)) * total_t
-        if np.all(cand <= T + 1e-14):
-            break
-    else:  # fall back to the barycenter, where s_j = kappa_n
-        cand = np.full(n, total_t / n)
-    t[:n] = cand
-    return t, np.maximum(T - cand, 0.0)
+        e = rng.standard_exponential(n)
+        el = e.tolist()
+        acc = 0.0
+        for w in el:
+            acc += w
+        inv = 1.0 / acc
+        if all(w * inv * total_t <= bound for w in el):
+            return e
+    return np.full(n, np.nan)
+
+
+@dataclass(frozen=True)
+class SliceDrawRule:
+    """How :func:`random_slice_spin` draws the spins of one orbit on one
+    space, built once by :func:`slice_draw_rule`: the squared moduli of u
+    (size-m factor, or sl(k,C)) and v (size-n factor) that the slice fixes,
+    None for an absent factor, and the Dirichlet part it leaves free (see
+    :func:`_slice_moduli_su`).  :meth:`draw` makes one draw's generator
+    calls and nothing else; :meth:`vectors` gives the vectors of any number
+    of draws at once."""
+
+    t: np.ndarray | None
+    s: np.ndarray | None
+    free: tuple | None   # (n, total_t, T)
+
+    @functools.cached_property
+    def n_phases(self) -> int:
+        return sum(len(w) for w in (self.t, self.s) if w is not None)
+
+    def draw(self, rng: np.random.Generator, extra: int = 0) -> tuple:
+        """One draw's generator calls: the exponentials of its Dirichlet part
+        (None when the slice fixes every modulus), then one ``rng.random`` for
+        the phases of u and v and ``extra`` more uniform doubles."""
+        e = None if self.free is None else _dirichlet_draw(rng, *self.free)
+        return e, rng.random(self.n_phases + extra)
+
+    def vectors(self, e, r) -> tuple:
+        """(u, v) of draws (e, r) of :meth:`draw`, stacked along leading axes
+        or not, r holding only the phases: sqrt(t) exp(i beta) with beta the
+        uniform phase 2 pi r on [0, 2 pi), as rng.uniform(0, 2 pi) rounds it."""
+        t, s = self.t, self.s
+        if self.free is not None:
+            n, total_t, T = self.free
+            # w = e / sum(e) as rng.dirichlet rounds it: one reciprocal of the
+            # running sum; a NaN row is the barycenter, where s_j = kappa_n
+            cand = e * (1.0 / np.cumsum(e, axis=-1)[..., -1:]) * total_t
+            cand = np.where(np.isnan(cand), total_t / n, cand)
+            t = np.concatenate([cand, np.broadcast_to(t[n:], cand.shape[:-1] + t[n:].shape)],
+                               axis=-1)
+            s = np.maximum(T - cand, 0.0)
+        beta = 2.0 * math.pi * r
+        k = 0 if t is None else t.shape[-1]  # u's phases come first
+        u = None if t is None else np.sqrt(t) * np.exp(1j * beta[..., :k])
+        v = None if s is None else np.sqrt(s) * np.exp(1j * beta[..., k:])
+        return u, v
+
+
+def slice_draw_rule(space: SymmetricSpaceData, spec: OrbitSpec) -> SliceDrawRule:
+    """The :class:`SliceDrawRule` of an orbit on a space, under the verdict
+    of :func:`_slice_moduli_su` on su(m,n)."""
+    if spec.family != space.spec.family:
+        raise AdmissibilityError("orbit family does not match the space")
+    if space.spec.family == "sl_kc":
+        return SliceDrawRule(np.full(space.spec.k, spec.kappa), None, None)
+    t, s, free = _slice_moduli_su(space, spec)
+    return SliceDrawRule(t if spec.kappa_m > 0 else None, s if spec.kappa_n > 0 else None, free)
 
 
 def random_slice_spin(space: SymmetricSpaceData, spec: OrbitSpec,
                       rng: np.random.Generator) -> SpinPoint:
-    """Random element of (orbit intersect M-perp): valid initial spin data."""
+    """Random element of (orbit intersect M-perp): valid initial spin data,
+    the :func:`slice_spin` of one draw of :func:`draw_slice_vectors`."""
     return slice_spin(space, spec, *draw_slice_vectors(space, spec, rng))
 
 
 def draw_slice_vectors(space: SymmetricSpaceData, spec: OrbitSpec,
                        rng: np.random.Generator) -> tuple:
-    """The random numbers of one :func:`random_slice_spin`, drawn in its
-    order: the vectors (u, v) of the rank-one projectors of the size-m (or
-    sl(k,C)) and size-n factors, None for an absent factor."""
-    if spec.family != space.spec.family:
-        raise AdmissibilityError("orbit family does not match the space")
-    if space.spec.family == "sl_kc":
-        beta = rng.uniform(0.0, 2.0 * math.pi, size=space.spec.k)
-        return math.sqrt(spec.kappa) * np.exp(1j * beta), None
-    m, n = space.spec.m, space.spec.n
-    t, s = _slice_moduli_su(space, spec, rng)
-    u = v = None
-    if spec.kappa_m > 0:
-        u = np.sqrt(t) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=m))
-    if spec.kappa_n > 0:
-        v = np.sqrt(s) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
-    return u, v
+    """The vectors (u, v) of the rank-one projectors of one
+    :func:`random_slice_spin` (size-m or sl(k,C) factor, then size-n
+    factor, None for an absent factor): one draw of the orbit's
+    :class:`SliceDrawRule`."""
+    rule = slice_draw_rule(space, spec)
+    return rule.vectors(*rule.draw(rng))
 
 
 def slice_spin(space: SymmetricSpaceData, spec: OrbitSpec, u, v) -> SpinPoint:

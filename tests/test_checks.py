@@ -141,6 +141,188 @@ def test_stacked_catalog_and_freezing_checks_match_the_loop(seed, n_samples):
 
 
 # ---------------------------------------------------------------------------
+# the draw rules keep the per-draw stream
+# ---------------------------------------------------------------------------
+
+def reference_slice_vectors(space, spec, rng):
+    """The per-draw sequence that the slice draw rule keeps: the free moduli
+    by rng.dirichlet (rejected until they fit, else the barycenter), then one
+    rng.uniform call per phase vector."""
+    if space.spec.family == "sl_kc":
+        beta = rng.uniform(0.0, 2.0 * math.pi, size=space.spec.k)
+        return math.sqrt(spec.kappa) * np.exp(1j * beta), None
+    m, n = space.spec.m, space.spec.n
+    t, s, free = orbits._slice_moduli_su(space, spec)
+    if free is not None:
+        n_free, total_t, T = free
+        for _ in range(200):
+            cand = rng.dirichlet(np.ones(n_free)) * total_t
+            if np.all(cand <= T + 1e-14):
+                break
+        else:
+            cand = np.full(n_free, total_t / n_free)
+        t[:n_free] = cand
+        s = np.maximum(T - cand, 0.0)
+    u = v = None
+    if spec.kappa_m > 0:
+        u = np.sqrt(t) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=m))
+    if spec.kappa_n > 0:
+        v = np.sqrt(s) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
+    return u, v
+
+
+def reference_phase_draw(space, spec, rng):
+    """The per-draw sequence of random_phase_point: the spin's vectors, the
+    chamber gaps by rng.uniform, then p."""
+    u, v = reference_slice_vectors(space, spec, rng)
+    gaps = rng.uniform(0.4, 1.2, size=space.n_coords)
+    q = np.cumsum(gaps[::-1])[::-1].astype(float)
+    p = rng.standard_normal(space.n_coords)
+    if space.spec.family == "sl_kc":
+        q = q - q.mean()
+        p -= p.mean()
+    return u, v, q, p
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _draw_case(spec, orbit=None):
+    space = algebra.build_space(spec)
+    return space, orbit or checks.default_orbit_spec(space)
+
+
+DRAW_CASES = {
+    "su(2,1)": (SpaceSpec.su(2, 1), None),
+    "su(2,2)": (SpaceSpec.su(2, 2), None),
+    "su(3,2) rejection": (SpaceSpec.su(3, 2), None),
+    "su(6,3) forced x": (SpaceSpec.su(6, 3), None),
+    "su(6,3) forced x, both constituents": (
+        SpaceSpec.su(6, 3), orbits.OrbitSpec.su(kappa_m=1.0, kappa_n=0.5, x=1.0 / 3.0)),
+    "sl(3,C)": (SpaceSpec.sl(3), None),
+    "sl(4,C)": (SpaceSpec.sl(4), None),
+    "sl(9,C)": (SpaceSpec.sl(9), None),
+    "su(2,2) kappa_n = 0": (SpaceSpec.su(2, 2), orbits.OrbitSpec.su(kappa_m=1.0, x=0.2)),
+    "su(2,2) kappa_m = 0": (SpaceSpec.su(2, 2), orbits.OrbitSpec.su(kappa_n=0.5, x=0.3)),
+    "su(2,2) central": (SpaceSpec.su(2, 2), orbits.OrbitSpec.su(x=0.9)),
+    # a Dirichlet draw fits with probability about 1e-4: mostly the barycenter
+    "su(2,2) barycenter": (SpaceSpec.su(2, 2), orbits.OrbitSpec.su(kappa_m=1.0, kappa_n=1e-4)),
+    # eight free moduli: numpy's sum would pair them, rng.dirichlet adds in turn
+    "su(8,8)": (SpaceSpec.su(8, 8), None),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DRAW_CASES))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_draws=st.integers(1, 6))
+def test_draw_rules_keep_the_per_draw_stream(label, seed, n_draws):
+    """The per-draw functions and the stacked rule of the checks give the
+    draws of the reference sequence bit for bit, and leave the generator in
+    its state."""
+    space, spec = _draw_case(*DRAW_CASES[label])
+    ref_rng = np.random.default_rng(seed)
+    ref = [reference_phase_draw(space, spec, ref_rng) for _ in range(n_draws)]
+    state = ref_rng.bit_generator.state
+
+    rng = np.random.default_rng(seed)
+    for u, v, q, p in ref:
+        got = orbits.draw_slice_vectors(space, spec, rng)
+        assert same_bits(got[0], u) and same_bits(got[1], v)
+        assert same_bits(algebra.random_chamber_point(space, rng), q)
+        p_got = rng.standard_normal(space.n_coords)
+        if space.spec.family == "sl_kc":
+            p_got -= p_got.mean()
+        assert same_bits(p_got, p)
+    assert rng.bit_generator.state == state
+
+    rng = np.random.default_rng(seed)
+    for u, v, q, p in ref:
+        pt = checks.random_phase_point(space, rng, spec)
+        assert same_bits(pt.q, q) and same_bits(pt.p, p)
+        assert same_bits(pt.xi.xi, orbits.slice_spin(space, spec, u, v).xi)
+    assert rng.bit_generator.state == state
+
+    rng = np.random.default_rng(seed)
+    rule = checks._PhaseDrawRule(space, spec)
+    e, r, p = checks._stack([rule.draw(rng) for _ in range(n_draws)])
+    k = rule.spin.n_phases
+    u, v = rule.spin.vectors(e, r[:, :k])
+    pt = rule.points(e, r, p)
+    for i, col in enumerate((u, v, pt.q, pt.p)):
+        want = [draw[i] for draw in ref]
+        assert same_bits(col, None if want[0] is None else np.array(want))
+    assert rng.bit_generator.state == state
+
+
+def reference_reduce_orbit_check(space, kappa, x, rng, n_samples):
+    """reduce_orbit_check one sample at a time, with one rng.uniform call
+    per sample: the per-sample residuals."""
+    m, n = space.spec.m, space.spec.n
+    target = orbits.xi_red(space, "bc", kappa, x)
+    C = orbits._central_element(m, n)
+    diag_target = np.concatenate([1j * x * np.ones(n), [-1j * x * n]])
+    moduli = np.concatenate([np.full(n, math.sqrt(max(kappa + x, 0.0))),
+                             [math.sqrt(max(kappa - n * x, 0.0))]])
+    out = []
+    for _ in range(n_samples):
+        beta = rng.uniform(0.0, 2.0 * math.pi, size=m)
+        u = moduli * np.exp(1j * beta)
+        eta = orbits.eta_of_u(u, kappa)
+        phases = np.concatenate([beta[-1] - beta[:-1], [0.0]])
+        t = np.exp(1j * phases)
+        t = t * np.exp(-1j * np.angle(np.prod(t)) / m)
+        u_hat = t * u
+        common = u_hat[-1] / abs(u_hat[-1])
+        xi_rot = orbits._embed_su_factor(space, orbits.eta_of_u(u_hat, kappa), "m") + x * C
+        g = np.diag(np.concatenate([t, t[:n]]))
+        rotated = g @ (orbits._embed_su_factor(space, eta, "m") + x * C) @ g.conj().T
+        out.append((np.abs(np.diag(eta) - diag_target).max(),
+                    np.abs(u_hat - common * np.abs(u_hat)).max(),
+                    max(np.abs(xi_rot - target.xi).max(), np.abs(rotated - xi_rot).max())))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from([(1, 1.0, 0.4), (2, 3.0, 1.0), (3, 2.0, 0.5)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_reduction_has_the_per_sample_bits(case, seed):
+    """Each sample's residuals, taken alone (n_samples = 1), are those of
+    the per-sample loop; so are the largest over several samples."""
+    n, kappa, x = case
+    space = algebra.build_space(SpaceSpec.su(n + 1, n))
+    for n_samples in (1, 5):
+        rng_check, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        rep = orbits.reduce_orbit_check(space, kappa, x, rng_check, n_samples=n_samples)
+        want = np.max(reference_reduce_orbit_check(space, kappa, x, rng_loop, n_samples), axis=0)
+        got = (rep.diag_constraint_residual, rep.normal_form_residual, rep.xi_match_residual)
+        assert got == tuple(want.tolist())
+        assert rng_check.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_coupling_residuals_on_arrays_have_the_scalar_bits():
+    """An array of data gives each entry the residual of its own call, and
+    both are the float arithmetic of the formulas (Python's ** squares by
+    C pow, not by x * x)."""
+    rng = np.random.default_rng(3)
+    n = rng.integers(1, 6, size=2000)
+    kappa = rng.uniform(0.05, 4.0, size=2000)
+    x = -kappa + (kappa / n + kappa) * rng.uniform(size=2000)
+    got = models.coupling_relation_residual(n, kappa, x)
+    want = []
+    for k, c, y in zip(n.tolist(), kappa.tolist(), x.tolist()):
+        g, g1, g2 = 0.5 * (c + y), math.sqrt(max((c + y) * (c - k * y), 0.0) / 2.0), \
+            (k + 1) * y / math.sqrt(2.0)
+        assert orbits.bc_couplings(k, c, y) == (g, g1, g2)
+        want.append(abs(g1 ** 2 - 2.0 * g ** 2 + math.sqrt(2.0) * g * g2))
+        assert models.coupling_relation_residual(k, c, y) == want[-1]
+    assert got.tolist() == want
+
+
+# ---------------------------------------------------------------------------
 # a NaN draw fails its check
 # ---------------------------------------------------------------------------
 
@@ -193,6 +375,17 @@ def test_a_nan_draw_fails_its_check(run, method):
     assert failed and all(math.isnan(r.residual) for r in failed)
 
 
+def test_a_nan_phase_makes_the_reduction_residuals_nan():
+    """reduction_checks makes one phase call per orbit, so the case above
+    poisons its coupling draws; a NaN phase of one sample makes each
+    residual of the stacked reduction NaN."""
+    space = algebra.build_space(SpaceSpec.su(3, 2))
+    with np.errstate(invalid="ignore"):
+        rep = orbits.reduce_orbit_check(space, 3.0, 1.0, nan_on_call(7, "uniform", 0), n_samples=5)
+    assert all(map(math.isnan, (rep.diag_constraint_residual, rep.normal_form_residual,
+                                rep.xi_match_residual)))
+
+
 # ---------------------------------------------------------------------------
 # the README config
 # ---------------------------------------------------------------------------
@@ -210,8 +403,11 @@ def test_stacked_certificates_still_raise():
     space = SU32
     spec = checks.default_orbit_spec(space)
     rng = np.random.default_rng(1)
-    draws = [checks._phase_draw(space, spec, rng) for _ in range(4)]
-    u, v, q, p = (np.array(col) for col in zip(*draws))
+    rule = checks._PhaseDrawRule(space, spec)
+    e, r, p = checks._stack([rule.draw(rng) for _ in range(4)])
+    k = rule.spin.n_phases
+    u, v = rule.spin.vectors(e, r[:, :k])
+    q = algebra.chamber_points(space, r[:, k:])
     xi = orbits.slice_spin(space, spec, u, v)
     assert xi.xi.shape == (4, space.N, space.N) and xi.coeffs.shape == (4, space.K)
 

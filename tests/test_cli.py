@@ -823,6 +823,22 @@ def test_spectrum_csv_reads_back_the_lax_spectra(tmp_path):
     assert np.abs(traj.lax_spectra[0.5].imag).max() > 0.0
 
 
+def test_write_csv_formats_as_the_value_formatter(tmp_path):
+    """The row format string writes each value as _fmt does, edge values
+    included."""
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((21, 8)) * 10.0 ** rng.integers(-300, 300, size=(21, 8))
+    rows[0] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 / 3.0, 0.0, -5e-324]
+    rows[1, :3] = [1e308, -1.7976931348623157e308, 2.2250738585072014e-308]
+    header = [f"c{i}" for i in range(8)]
+    path = tmp_path / "rows.csv"
+    cli.write_csv(str(path), header, rows)
+    want = [",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    assert path.read_text() == "\n".join(want) + "\n"
+    assert path.read_text().splitlines()[1] == (
+        "nan,inf,-inf,-0,4.9406564584124654e-324,0.33333333333333331,0,-4.9406564584124654e-324")
+
+
 # ---------------------------------------------------------------------------
 # verify and couplings
 # ---------------------------------------------------------------------------

@@ -581,6 +581,25 @@ def test_batch_rejects_non_finite_t_end(su22, rng, t_end):
         dynamics.integrate_direct_batch(su22, [generic_su22_point(su22, rng)], t_end)
 
 
+@pytest.mark.parametrize("tol", [-1e-10, 0.0, math.nan, math.inf])
+def test_batch_rejects_a_bad_tol(su22, rng, tol):
+    """Before, -1e-10 returned a trajectory and 0 or NaN reported a step
+    size underflow at t = 0."""
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        dynamics.integrate_direct_batch(su22, [generic_su22_point(su22, rng)], 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("sample_dt", [math.nan, 0.0, math.inf, -0.5])
+def test_batch_rejects_a_bad_sample_dt(su22, rng, sample_dt):
+    """Before, NaN failed converting to an integer, 0 divided by zero, and
+    inf or -0.5 gave one segment; one bad member's value is enough."""
+    pts = [generic_su22_point(su22, rng) for _ in range(2)]
+    with pytest.raises(ValueError, match="sample_dt must be positive and finite"):
+        dynamics.integrate_direct_batch(su22, pts, 1.0, sample_dt=sample_dt)
+    with pytest.raises(ValueError, match="sample_dt must be positive and finite"):
+        dynamics.integrate_direct_batch(su22, pts, 1.0, sample_dt=[0.25, sample_dt])
+
+
 def test_eom_frozen_spin(su21, sl3):
     # with the solved gauge the catalog spin data are stationary
     cases = [(su21, orbits.xi_red(su21, "bc", 1.0, 0.3), np.array([0.9])),
