@@ -853,11 +853,20 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
 def _attach_monitors(space, times, path, lax_x, invariants, **stats):
     """The :class:`Trajectory` of the samples ``path`` (one stacked
     :class:`PhasePoint`) at ``times``: energy, the Lax spectra at each x and
-    each invariant, every one evaluated once on the whole stack."""
+    each invariant, every one evaluated once on the whole stack.
+
+    L(0) is Hermitian, and so is lax_cal, which is isospectral with L(1)
+    and L(-1): there the spectra are eigvalsh's, real and sorted, which is
+    already the optimal matching.  At any other x, L(x) is not normal and
+    its spectra are matched tracks of eigvals (see :func:`_match_spectra`)."""
     # L(x) = L(0) - x xi: one Lax matrix per sample serves every x
     lax0 = lax(space, path, 0.0)
     xis = path.xi.xi
-    spectra = {float(x): _match_spectra(sorted_spectrum(lax0 - x * xis)) for x in lax_x}
+    hermitian = {0.0: lax0}
+    if any(abs(float(x)) == 1.0 for x in lax_x):
+        hermitian[1.0] = hermitian[-1.0] = lax_cal(space, path)
+    spectra = {x: np.linalg.eigvalsh(hermitian[x]).astype(complex) if x in hermitian
+               else _match_spectra(sorted_spectrum(lax0 - x * xis)) for x in map(float, lax_x)}
     inv = {spec.label(): invariant_value(space, spec, lax0 - spec.x * xis)
            for spec in invariants}
     return Trajectory(times=np.asarray(times, dtype=float), path=path,
@@ -1025,117 +1034,103 @@ def _polar_orthonormalize(A: np.ndarray) -> np.ndarray:
     return U @ Vh
 
 
-def _require_chamber_coords(space, q):
-    if not algebra.is_in_chamber(space, q, margin=algebra.EPS_WALL):
-        raise WallProximityError(f"projected point is outside the open chamber: q = {q}")
-    gaps = np.abs(np.diff(np.sort(q)))
-    if gaps.size and gaps.min() < 1e-9:
-        raise algebra.DegenerateSpectrumError(
-            f"near-degenerate flat coordinates: min gap {gaps.min():.3e}")
-
-
-def _chamber_gauge_su(space, W):
-    """(q, g) with W W+ = g exp(2 embed(q)) g+ from the dominant singular
-    triplets of the half-factor only.
-
-    Eigenvectors of W W+ for the large eigenvalues e^{2 q_k} have the paired
-    form (U0 e_k (+) V0 e_k)/sqrt(2), so the compact gauge blocks are read
-    off the top-n left singular vectors; the small singular values, which
-    carry no relative accuracy when the exponent spread is large, are never
-    used.
-    """
+def _chamber_gauge_su(space, U):
+    """The gauge g with W W+ = g exp(2 embed(q)) g+ on su(m,n), per sample,
+    from the left singular vectors U of the half-factor W.  Eigenvectors of
+    W W+ for the large eigenvalues e^{2 q_k} have the paired form
+    (U0 e_k (+) V0 e_k)/sqrt(2), so the compact gauge blocks are the polar
+    factors of the blocks of the top n vectors; the others are never used."""
     m, n = space.spec.m, space.spec.n
-    U, sig, _ = np.linalg.svd(W)
-    q_t = np.log(sig[:n])
-    _require_chamber_coords(space, q_t)
-    A = math.sqrt(2.0) * U[:m, :n]
-    B = math.sqrt(2.0) * U[m:, :n]
-    A = _polar_orthonormalize(A)
-    B = _polar_orthonormalize(B)
+    A = _polar_orthonormalize(U[..., :m, :n])
+    B = _polar_orthonormalize(U[..., m:, :n])
     if m > n:
-        w, V = np.linalg.eigh(np.eye(m) - A @ A.conj().T)
-        A = np.hstack([A, V[:, n - m:]])  # orthonormal completion of the column space
-    g = np.zeros((space.N, space.N), complex)
-    g[:m, :m] = A
-    g[m:, m:] = B
-    return q_t, g
-
-
-def _chamber_gauge_sl(space, W, W_inv):
-    """(q, g) for the sl(k,C) family, merging dominant singular data of the
-    half-factor and of its inverse (computed from the flow, not by matrix
-    inversion) so that every exponent is read where it is large.
-
-    Lambda = W W+ has the left singular vectors of W as eigenvectors, while
-    Lambda^{-1} = (W^{-1})+ W^{-1} has the RIGHT singular vectors of W^{-1};
-    each candidate split is validated by reconstructing both Lambda and its
-    inverse, which makes errors in the large and the small exponent
-    directions visible respectively.
-    """
-    k = space.spec.k
-    U, sig, _ = np.linalg.svd(W)
-    _, sigi, Vhi = np.linalg.svd(W_inv)
-    Vi = Vhi.conj().T
-    Lam = W @ W.conj().T
-    Lam_inv = W_inv.conj().T @ W_inv
-    for j_pos in _split_candidates(sig, k):
-        q_t = np.concatenate([np.log(sig[:j_pos]), -np.log(sigi[:k - j_pos])[::-1]])
-        g = np.hstack([U[:, :j_pos], Vi[:, :k - j_pos][:, ::-1]])
-        if np.abs(g.conj().T @ g - np.eye(k)).max() > 1e-6 or abs(q_t.sum()) > 1e-6:
-            continue
-        g_o = _polar_orthonormalize(g)
-        rec = (g_o * np.exp(2.0 * q_t)) @ g_o.conj().T
-        rec_inv = (g_o * np.exp(-2.0 * q_t)) @ g_o.conj().T
-        res = np.abs(rec - Lam).max() / np.abs(Lam).max()
-        res_inv = np.abs(rec_inv - Lam_inv).max() / np.abs(Lam_inv).max()
-        if max(res, res_inv) < 1e-8:
-            q_t = q_t - q_t.mean()
-            _require_chamber_coords(space, q_t)
-            return q_t, g_o
-    raise algebra.DegenerateSpectrumError(
-        "could not assemble a consistent eigenbasis from the half-factors")
-
-
-def _split_candidates(sig, k):
-    j0 = int(np.sum(sig >= 1.0))
-    seen = []
-    for j in (j0, j0 - 1, j0 + 1):
-        if 0 <= j <= k and j not in seen:
-            seen.append(j)
-    return seen
+        _, V = np.linalg.eigh(np.eye(m) - A @ algebra.dagger(A))
+        A = np.concatenate([A, V[..., n - m:]], axis=-1)  # orthonormal completion
+    g = np.zeros(U.shape, complex)
+    g[..., :m, :m] = A
+    g[..., m:, m:] = B
+    return g
 
 
 def _projection_lift(space: SymmetricSpaceData, pt0: PhasePoint, spec: InvariantSpec) -> tuple:
-    """pt0's spin, L(0), G = grad f(L(1)), S0 = exp(embed(q_0)) and on sl(k,C) S0^-1."""
+    """pt0's spin and L(0), and the flow's graded factor: S0 V and the rates r
+    of its columns, by decreasing Re r.  lax_cal(pt0) = V diag(lambda) V+ is
+    Hermitian and L(1) = S0 lax_cal(pt0) S0^-1 with S0 = exp(embed(q0)), so
+    G = grad f(L(1)) = c (L(1)^(k-1) - tr(L(1)^(k-1)) / N), a polynomial in
+    L(1), has the rates r = c (lambda^(k-1) - mean), and the half-factor
+    exp(t G) S0 is S0 V exp(t diag(r)) V+: one eigh, and no matrix exponential,
+    for every trace power."""
     if spec.cls != "trace_power":
         raise AdmissibilityError("the projection flow requires a fully invariant generator")
-    H0 = algebra.embed(space, pt0.q)
-    return (pt0.xi.xi, lax(space, pt0, 0.0), gradient(space, spec, lax(space, pt0, 1.0)),
-            orbits.expm_herm(H0), None if space.spec.family == "su_mn" else orbits.expm_herm(-H0))
+    lam, V = np.linalg.eigh(lax_cal(space, pt0))
+    powers = lam[::-1] ** (spec.k - 1)  # eigh's order reversed: lambda decreasing
+    rate = _trace_power_coef(space, spec.k) * (powers - powers.mean())
+    order = np.argsort(-rate.real, kind="stable")
+    S0V = orbits.expm_herm(algebra.embed(space, pt0.q)) @ V[:, ::-1]
+    return pt0.xi.xi, lax(space, pt0, 0.0), S0V[:, order], rate[order]
 
 
-def _projection_at(space: SymmetricSpaceData, lift: tuple, t: float) -> PhasePoint:
-    """The projection flow of :func:`_projection_lift` at time t."""
-    xi0, j_minus, G, S0, S0_inv = lift
-    # Lambda(t) = E Lambda_0 E+ with E = expm(t grad f) is never assembled (its
-    # condition number squares the exponent spread): the gauge is recovered from
-    # the accurate large singular data of the half-factor W = E Lambda_0^(1/2).
-    # An overflowing flow is a spectrum too spread to recover the gauge from.
+def _projection_at(space: SymmetricSpaceData, lift: tuple, t, partial: bool = False):
+    """The projection flow of :func:`_projection_lift` at the time t, or at
+    each of an array of times as one stacked point.
+
+    Neither Lambda(t) = W W+ (its condition number squares the exponent
+    spread) nor W = S0 V exp(t diag(r)) V+ is formed: q and the gauge are
+    read from the column-graded B_t = S0 V exp(t diag(r)), which has W's
+    left singular vectors and singular values, through its Householder QR
+    (columnwise backward stable: Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 19) and the SVD of R, with B_t's columns by decreasing
+    |exp(t r)|.  On su(m,n), q is the log of the top singular values (gauge:
+    :func:`_chamber_gauge_su`); on sl(k,C), the log of all of them, centred
+    (gauge: the left singular vectors).  A sample fails when its flow leaves
+    the float range, q leaves the chamber or has a near-degenerate gap, or
+    the transported spin has an M-part above 1e-7, in that order.  The first
+    failing sample raises; with ``partial`` the samples before it and the
+    failure (None without one) are returned instead.
+    """
+    xi0, j_minus, S0V, rate = lift
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        W = orbits.expm(t * G) @ S0
-        W_inv = None if S0_inv is None else S0_inv @ orbits.expm(-t * G)
-    if not (np.isfinite(W).all() and (W_inv is None or np.isfinite(W_inv).all())):
-        raise algebra.DegenerateSpectrumError(
-            f"the projection flow overflows a float at t = {t:.6g}")
-    q_t, g = _chamber_gauge_su(space, W) if W_inv is None else _chamber_gauge_sl(space, W, W_inv)
-    p_t = algebra.coords_of(space, g.conj().T @ j_minus @ g)
+        grade = np.exp(ts[:, None] * rate)
+        B = S0V * grade[:, None, :]
+    B = np.where((ts < 0.0)[:, None, None], B[..., ::-1], B)
+    # a column scaled to 0 is an overflow of the inverse flow; index of the
+    # first True entry of a mask, or its length: np.append(mask, True).argmax()
+    T = int(np.append(~(np.isfinite(B).all(axis=(1, 2)) & grade.all(axis=1)), True).argmax())
+    Q, R = np.linalg.qr(B[:T])
+    U_R, sig, _ = np.linalg.svd(R)
+    U = Q @ U_R
+    if space.spec.family == "su_mn":
+        q, g = np.log(sig[:, :space.spec.n]), _chamber_gauge_su(space, U)
+    else:
+        q, g = np.log(sig), U
+        q -= q.mean(axis=1, keepdims=True)
+    gaps = np.abs(np.diff(np.sort(q, axis=1), axis=1)).min(axis=1, initial=np.inf)
+    gh = algebra.dagger(g)
+    p = algebra.coords_of(space, gh @ j_minus @ g)
     # drop the numerical M-part before re-certifying the slice condition
-    _, cm, cplus, _ = algebra.decompose(space, g.conj().T @ xi0 @ g)
-    if np.linalg.norm(cm) > 1e-7:
-        raise algebra.OffSliceError(
-            f"projected spin drifted off the slice (M-part {np.linalg.norm(cm):.3e})")
-    return PhasePoint(q=q_t, p=p_t, xi=SpinPoint(
-        xi=algebra.reconstruct(space, cplus=cplus), coeffs=cplus))
+    _, cm, cplus, _ = algebra.decompose(space, gh @ xi0 @ g)
+    m_part = np.sqrt(algebra.row_dots(cm, cm))
+    bad = np.array([~(space.root_values(q).min(axis=1) > algebra.EPS_WALL), gaps < 1e-9,
+                    m_part > 1e-7])
+    n = int(np.append(bad.any(axis=0), True).argmax())
+    failure = None
+    if n < T:  # the first check that sample n fails
+        failure = [WallProximityError(f"projected point is outside the open chamber: q = {q[n]}"),
+                   algebra.DegenerateSpectrumError(
+                       f"near-degenerate flat coordinates: min gap {gaps[n]:.3e}"),
+                   algebra.OffSliceError(
+                       f"projected spin drifted off the slice (M-part {m_part[n]:.3e})")
+                   ][bad[:, n].argmax()]
+    elif T < len(ts):
+        failure = algebra.DegenerateSpectrumError(
+            f"the projection flow overflows a float at t = {ts[T]:.6g}")
+    if failure is not None and not partial:
+        raise failure
+    rows = slice(n) if np.ndim(t) else 0
+    path = PhasePoint(q=q[rows], p=p[rows], xi=SpinPoint(
+        xi=algebra.reconstruct(space, cplus=cplus[rows]), coeffs=cplus[rows]))
+    return (path, failure) if partial else path
 
 
 def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
@@ -1146,12 +1141,12 @@ def flow_projection(space: SymmetricSpaceData, pt0: PhasePoint, t: float,
     The slice datum is lifted to (Lambda_0, J_-^0 = L(0), xi^0), transported
     along Lambda(t) = exp(t grad f(J_0)) Lambda_0 exp(-t theta(grad f(J_0)))
     and projected back to the chamber by re-diagonalizing Lambda(t).  Only
-    exp(t grad f) depends on t: :func:`projection_trajectory` lifts once per
-    run and evaluates this same flow at every sample.  Only trace powers
-    (fully group-invariant) admit this closed flow; spec = trace_power(2) is
-    the model's Hamiltonian flow.  The spin comes back in whatever residual
-    M-gauge the re-diagonalization picks: q, p, the energy, Lax spectra and
-    invariants do not depend on it.
+    the column scales exp(t r) depend on t: :func:`projection_trajectory`
+    lifts once per run and evaluates this same flow at all samples in one
+    call.  Only trace powers (fully group-invariant) admit this closed flow;
+    spec = trace_power(2) is the model's Hamiltonian flow.  The spin comes
+    back in whatever residual M-gauge the re-diagonalization picks: q, p,
+    the energy, Lax spectra and invariants do not depend on it.
     """
     return _projection_at(space, _projection_lift(space, pt0, spec), t)
 
@@ -1187,39 +1182,42 @@ def _wall_contact(space, lift, speed, t_a, q_a, t_b, q_b) -> bool:
 def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
                           lax_x: tuple = (0.0, 1.0), invariants: tuple = (),
                           on_wall: str = "raise") -> Trajectory:
-    """Sample the projection-method Hamiltonian flow, lifted once, on a time grid.
+    """Sample the projection-method Hamiltonian flow, lifted once, on a time
+    grid: finite, strictly increasing and starting at 0, where the sample is
+    pt0 itself.  The other samples are one :func:`_projection_at` call.
 
     A wall contact, at a sample or between two samples (see
     :func:`_wall_contact`), raises :class:`WallProximityError`; with
     ``on_wall="truncate"`` the samples before it are returned instead, with
-    ``wall_time`` set to the last of them.
+    ``wall_time`` set to the last of them.  Any other failing sample raises,
+    unless a contact comes before it.
     """
     if on_wall not in ("raise", "truncate"):
         raise ValueError("on_wall must be 'raise' or 'truncate'")
     times = np.asarray(times, dtype=float)
+    if not (times.ndim == 1 and times.size and times[0] == 0.0 and np.isfinite(times).all()
+            and (np.diff(times) > 0.0).all()):
+        raise ValueError("times must be finite, strictly increasing and start at 0")
     lift = _projection_lift(space, pt0, InvariantSpec("trace_power", 2))
     speed = np.linalg.norm(space.root_coef, axis=1) * math.sqrt(2.0 * hamiltonian(space, pt0))
-    pts = []
-    wall_time = None
-    for t in times:
-        t_prev = float(times[len(pts) - 1]) if pts else None
-        try:
-            pt = _projection_at(space, lift, t) if t != 0.0 else pt0
-            if pts and _wall_contact(space, lift, speed, t_prev, pts[-1].q, t, pt.q):
-                raise WallProximityError(
-                    f"trajectory reached a chamber wall in ({t_prev:.6g}, {t:.6g}]",
-                    t=t_prev)
-        except WallProximityError:
-            if on_wall == "raise" or not pts:
-                raise
-            wall_time = t_prev
+    moved, failure = _projection_at(space, lift, times[1:], partial=True)
+    q = np.concatenate([pt0.q[None], moved.q])
+    n = len(q)  # the samples kept: all, or those before a contact or the failing sample
+    for j in range(1, n):  # wall bisection, pointwise from the samples that bracket it
+        if _wall_contact(space, lift, speed, times[j - 1], q[j - 1], times[j], q[j]):
+            failure, n = WallProximityError(
+                f"trajectory reached a chamber wall in ({times[j - 1]:.6g}, {times[j]:.6g}]",
+                t=float(times[j - 1])), j
             break
-        pts.append(pt)
-    path = PhasePoint(q=np.array([pt.q for pt in pts]), p=np.array([pt.p for pt in pts]),
-                      xi=SpinPoint(xi=np.array([pt.xi.xi for pt in pts]),
-                                   coeffs=np.array([pt.xi.coeffs for pt in pts])))
-    return _attach_monitors(space, times[:len(pts)], path, lax_x, invariants,
-                            wall_time=wall_time)
+    wall_time = None
+    if failure is not None:
+        if on_wall == "raise" or not isinstance(failure, WallProximityError):
+            raise failure
+        wall_time = float(times[n - 1])
+    path = PhasePoint(q=q[:n], p=np.concatenate([pt0.p[None], moved.p])[:n], xi=SpinPoint(
+        xi=np.concatenate([pt0.xi.xi[None], moved.xi.xi])[:n],
+        coeffs=np.concatenate([pt0.xi.coeffs[None], moved.xi.coeffs])[:n]))
+    return _attach_monitors(space, times[:n], path, lax_x, invariants, wall_time=wall_time)
 
 
 # ---------------------------------------------------------------------------

@@ -770,18 +770,25 @@ def test_verify_rejects_fewer_than_one_draw(tmp_path, capsys, n_draws):
 # ---------------------------------------------------------------------------
 
 def test_spectrum_isospectral_and_real_at_zero(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", base_run_config(lax_x=[0.0, 0.5]))
-    out = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
-    assert out.returncode == 0, out.stderr
-    report = json.loads((tmp_path / "o" / "spectrum_report.json").read_text())
-    for key, drift in report["isospectrality_drift"].items():
-        assert drift < 1e-7, (key, drift)
-    data = np.genfromtxt(tmp_path / "o" / "spectrum.csv", delimiter=",", names=True)
-    im_cols = [c for c in data.dtype.names if c.startswith("ev") and
-               "x0_" in c and c.endswith("_im")]
-    assert im_cols
-    for c in im_cols:
-        assert np.abs(data[c]).max() < 1e-10  # L(0) has a real spectrum
+    # L(0) and lax_cal (isospectral with L(1) and L(-1)) are Hermitian: their
+    # eigvalsh spectra have imaginary parts of exactly 0 in the CSV, by
+    # either method
+    for method in ("direct", "projection"):
+        cfg = write_config(tmp_path / f"{method}.json", base_run_config(
+            lax_x=[-1.0, 0.0, 0.5, 1.0], method=method))
+        out = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / method))
+        assert out.returncode == 0, out.stderr
+        report = json.loads((tmp_path / method / "spectrum_report.json").read_text())
+        for key, drift in report["isospectrality_drift"].items():
+            assert drift < 1e-7, (key, drift)
+        path = tmp_path / method / "spectrum.csv"
+        header = path.read_text().splitlines()[0].split(",")
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        for x in ("-1", "0", "1"):
+            cols = [j for j, name in enumerate(header) if name.endswith(f"_x={x}_im")]
+            assert len(cols) == 5 and not data[:, cols].any()
+        cols = [j for j, name in enumerate(header) if name.endswith("_x=0.5_im")]
+        assert data[:, cols].any()  # L(0.5) is not normal: a complex pair
 
 
 def test_spectrum_free_constant_eigenvalues(tmp_path):

@@ -778,7 +778,7 @@ def test_monitor_spectra_equal_per_sample_eigvals(label, kind):
     elif kind == "free":
         pt = dynamics.make_phase_point(space, pt.q, pt.p)
     specs = monitor_specs(space)
-    kwargs = dict(lax_x=(0.0, 0.5, 1.0), invariants=specs, on_wall="truncate")
+    kwargs = dict(lax_x=(-1.0, 0.0, 0.5, 1.0), invariants=specs, on_wall="truncate")
     if kind == "projection":
         traj = dynamics.projection_trajectory(space, pt, np.linspace(0.0, 1.0, 9), **kwargs)
     else:
@@ -789,9 +789,19 @@ def test_monitor_spectra_equal_per_sample_eigvals(label, kind):
     assert traj.path.xi.xi.shape == (len(traj), space.N, space.N)
     samples = [sample_point(traj.path, i) for i in range(len(traj))]
     for x, spectra in traj.lax_spectra.items():
+        # the general path, matched eigvals tracks: the bits at x = 0.5, and
+        # within roundoff of the Hermitian forms' eigvalsh at x = 0 and +-1
         per_sample = [dynamics.sorted_spectrum(dynamics.lax(space, p, 0.0) - x * p.xi.xi)
                       for p in samples]
-        assert spectra.tobytes() == dynamics._match_spectra(np.array(per_sample)).tobytes()
+        general = dynamics._match_spectra(np.array(per_sample))
+        if x == 0.5:
+            assert spectra.tobytes() == general.tobytes()
+            continue
+        form = dynamics.lax_minus if x == 0.0 else dynamics.lax_cal
+        hermitian = [np.linalg.eigvalsh(form(space, p)) for p in samples]
+        assert spectra.tobytes() == np.array(hermitian, dtype=complex).tobytes()
+        assert not spectra.imag.any()
+        assert np.abs(spectra - general).max() < 1e-12 * max(1.0, np.abs(general).max())
     energy = [dynamics.hamiltonian(space, p) for p in samples]
     assert traj.energy.tobytes() == np.array(energy).tobytes()
     for spec in specs:
@@ -826,9 +836,10 @@ def test_stacked_eom_rhs_and_invariants_equal_per_point_calls(label):
 @given(index=st.integers(0, len(models.CATALOG) - 1), seed=st.integers(0, 2 ** 32 - 1),
        t=st.floats(-5.0, 5.0), compact=st.booleans())
 def test_expm_matches_scipy_on_projection_generators(index, seed, t, compact):
-    # flow_projection's exp(t grad f(L(1))) for f = tr X^2 / 2 on the catalog
-    # models, and random_orbit_point's group element exp(t Z), Z in g-plus
-    # (a unitary), on their spaces
+    # exp(t grad f(L(1))) for f = tr X^2 / 2 on the catalog models, a
+    # non-normal generator (the projection flow now takes it from one eigh),
+    # and random_orbit_point's group element exp(t Z), Z in g-plus (a
+    # unitary), on their spaces
     space = CATALOG_SPACES[index]
     rng = np.random.default_rng(seed)
     if compact:
@@ -1272,7 +1283,9 @@ def test_projection_bounce_or_wall_contact_matches_direct(sl3, kappa, monkeypatc
     flows = count_calls(monkeypatch, dynamics, "_projection_at")
     traj = dynamics.projection_trajectory(sl3, pt, np.linspace(0.0, 2.0, 3),
                                           on_wall="truncate")
-    assert [t for _, _, t in flows if 0.0 < t < 2.0 and t != 1.0]
+    # one stacked call on the samples after t = 0, then pointwise midpoints
+    assert flows[0][2].tolist() == [1.0, 2.0]
+    assert [t for _, _, t in flows[1:] if np.ndim(t) == 0 and 0.0 < t < 2.0 and t != 1.0]
     direct = dynamics.integrate_direct(sl3, pt, 2.0, tol=1e-10, sample_dt=1.0,
                                        on_wall="truncate")
     assert (traj.wall_time is None) == (direct.wall_time is None)
@@ -1314,6 +1327,84 @@ def test_projection_samples_are_flow_projection_bits(label):
         for a, b in ((got.q, want.q), (got.p, want.p), (got.xi.xi, want.xi.xi),
                      (got.xi.coeffs, want.xi.coeffs)):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("times", [[0.3, 0.6], [0.0, 1.0, 0.5], [0.0, -1.0],
+                                   [0.0, 0.5, math.nan]])
+def test_projection_times_must_be_a_grid_from_zero(su22, times):
+    pt = checks.random_phase_point(su22, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="strictly increasing and start at 0"):
+        dynamics.projection_trajectory(su22, pt, times)
+
+
+# seed 7's orbit-ensemble members su63_0 and su63_3 (perfbench/workloads.py):
+# forming expm(t G) S0 lost their small singular directions, and the spin
+# drifted off the slice (M-part 1.2e-7 and 1.6e-7) at t = 9
+SU63_MEMBERS = {
+    "su63_0": ([2.312248369771, 1.675261828794, 0.940080341043],
+               [0.189116312751, 0.512328015252, 0.131777934874], 489468142),
+    "su63_3": ([2.802888739799, 1.761030858832, 1.126433521283],
+               [0.007074782734, 0.749431948691, 0.319565480474], 1145989172),
+}
+
+
+def su63_member(name):
+    space = CORE_SPACES["su(6,3)"]
+    q, p, seed = SU63_MEMBERS[name]
+    xi = orbits.random_slice_spin(space, OrbitSpec.su(kappa_m=1.0, x=1.0 / 3.0),
+                                  np.random.default_rng(seed))
+    return space, dynamics.make_phase_point(space, q, p, xi)
+
+
+def test_projection_runs_su63_member_to_t10_and_matches_direct():
+    space, pt = su63_member("su63_0")
+    times = dynamics.sample_grid(10.0, 0.5)[1]
+    traj = dynamics.projection_trajectory(space, pt, times)
+    direct = dynamics.integrate_direct(space, pt, 10.0, tol=1e-12, sample_dt=0.5)
+    assert traj.times.tolist() == direct.times.tolist() and traj.wall_time is None
+    assert np.abs(traj.path.q - direct.path.q).max() < 1e-6
+    assert np.abs(traj.path.p - direct.path.p).max() < 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(SU63_MEMBERS))
+def test_projection_backward_in_time_is_the_reversed_flow(name):
+    # (q, p, xi) at -t is (q, -p, -xi) at t from (q0, -p0, -xi0); the graded
+    # columns are taken by decreasing |exp(t r)| for t < 0 too (in the t > 0
+    # order, su63_3 at t = -10 is off by 5e-12)
+    space, pt = su63_member(name)
+    rev = dynamics.make_phase_point(space, pt.q, -pt.p, orbits.SpinPoint(xi=-pt.xi.xi,
+                                                                       coeffs=-pt.xi.coeffs))
+    back = dynamics.flow_projection(space, pt, -10.0)
+    ahead = dynamics.flow_projection(space, rev, 10.0)
+    assert np.abs(back.q - ahead.q).max() < 1e-12
+    assert np.abs(back.p + ahead.p).max() < 1e-12
+
+
+@pytest.mark.parametrize("label", sorted(CORE_SPACES))
+def test_lax_forms_are_hermitian_and_lift_the_flow(label):
+    # L(0) and lax_cal = exp(-Q) L(1) exp(Q) are Hermitian, and lax_cal has
+    # the spectrum of L(1) and of L(-1); every trace power's gradient at L(1)
+    # is the polynomial c (L(1)^(k-1) - mean) that _projection_lift's rates
+    # give on the eigenvectors S0 V
+    space = CORE_SPACES[label]
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        pt = checks.random_phase_point(space, rng)
+        L0, cal = dynamics.lax_minus(space, pt), dynamics.lax_cal(space, pt)
+        assert np.array_equal(cal, cal.conj().T)
+        assert np.abs(L0 - L0.conj().T).max() <= 1e-15 * np.abs(L0).max()
+        want = np.linalg.eigvalsh(cal)
+        scale = max(1.0, np.abs(want).max())
+        for x in (1.0, -1.0):
+            got = dynamics.sorted_spectrum(dynamics.lax(space, pt, x))
+            assert np.abs(got - want).max() < 1e-11 * scale
+        L1 = dynamics.lax(space, pt, 1.0)
+        for k in (1, 2, 3, 4):
+            spec = InvariantSpec("trace_power", k)
+            _, _, S0V, rate = dynamics._projection_lift(space, pt, spec)
+            G = (S0V * rate) @ np.linalg.inv(S0V)
+            want = dynamics.gradient(space, spec, L1)
+            assert np.abs(G - want).max() < 1e-11 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("case", ["su21_spin", "su22_spin", "su22_spinless"])

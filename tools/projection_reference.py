@@ -1,0 +1,98 @@
+"""The projection flow of the su(6,3) members of an ``orbit-ensemble``
+benchmark config against a 60-digit mpmath reference.
+
+Usage (from the repository root):
+
+    python3 tools/projection_reference.py --seed 7
+    python3 tools/projection_reference.py --seed 7 --src OTHER/src
+
+The members are the su(6,3) runs of ``perfbench/workloads.py``'s
+``orbit_ensemble(seed)`` config, sampled every 0.5 to t = 10.  The
+reference is built in mpmath at 60 digits from the double inputs of each
+run (q0, p0, the spin coefficients and the basis matrices, all exact in
+binary): lax_cal(pt0) = V diag(lambda) V+, S0 = exp(embed(q0)) and
+Lambda(t) = S0 V exp(2 t lambda) V+ S0.  q(t) is half the log of the top n
+eigenvalues of Lambda(t), and p(t) = q'(t) by a central difference of step
+1e-25.  Each member's line gives the largest |q - ref| and |p - ref| over
+the samples that ``dynamics._projection_at`` returns, or the error that
+stopped it and the samples before.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def mp_matrix(mp, X):
+    return mp.matrix([[mp.mpc(float(v.real), float(v.imag)) for v in row] for row in X])
+
+
+def reference(mp, space, pt, times):
+    """(q, p) of the exact flow at times, one row per time."""
+    from spincal import algebra
+    n = space.n_coords
+    q0 = [mp.mpf(float(v)) for v in pt.q]
+    cal = mp_matrix(mp, algebra.embed(space, pt.p))
+    for j in range(space.K):
+        alpha = mp.fsum(q0[i] * mp.mpf(float(space.col_coef_t[i, j])) for i in range(n))
+        cal -= (mp.mpf(float(pt.xi.coeffs[j])) / mp.sinh(alpha)) * mp_matrix(mp, space.eminus[j])
+    lam, V = mp.eighe(cal)
+    S0V = mp.expm(mp_matrix(mp, algebra.embed(space, pt.q))) * V  # embed only places q's entries
+
+    def q_at(t):
+        lam_t = S0V * mp.diag([mp.exp(2 * t * v) for v in lam]) * S0V.transpose_conj()
+        ev = sorted((mp.re(e) for e in mp.eighe(lam_t, eigvals_only=True)), reverse=True)
+        return [mp.log(e) / 2 for e in ev[:n]]
+
+    h = mp.mpf("1e-25")
+    qs, ps = [], []
+    for t in times:
+        t = mp.mpf(float(t))
+        qs.append([float(v) for v in q_at(t)])
+        ps.append([float((a - b) / (2 * h)) for a, b in zip(q_at(t + h), q_at(t - h))])
+    return qs, ps
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
+    parser.add_argument("--dps", type=int, default=60)
+    args = parser.parse_args()
+    sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
+    import mpmath as mp
+    import numpy as np
+    import workloads
+    from spincal import cli, dynamics
+    mp.mp.dps = args.dps
+    with tempfile.TemporaryDirectory() as work:
+        workloads.orbit_ensemble(args.seed, work)
+        with open(os.path.join(work, "ensemble.json"), encoding="utf-8") as fh:
+            runs = [r for r in json.load(fh)["runs"] if r["space"] == workloads.SU63]
+    times = np.linspace(0.0, 10.0, 21)
+    for raw in runs:
+        cfg = cli.parse_run(raw)
+        flow = dynamics.InvariantSpec("trace_power", 2)
+        lift = dynamics._projection_lift(cfg.space, cfg.pt0, flow)
+        got, error = [], ""
+        for t in times[1:]:
+            try:
+                got.append(dynamics._projection_at(cfg.space, lift, float(t)))
+            except RuntimeError as exc:
+                error = f", then at t = {t:g}: {exc}"
+                break
+        qs, ps = reference(mp, cfg.space, cfg.pt0, times[1:1 + len(got)])
+        dq = max((np.abs(pt.q - q).max() for pt, q in zip(got, qs)), default=0.0)
+        dp = max((np.abs(pt.p - p).max() for pt, p in zip(got, ps)), default=0.0)
+        print(f"{raw['name']}: t <= {times[len(got)]:g}: max |q - ref| {dq:.2e}, "
+              f"max |p - ref| {dp:.2e}{error}")
+
+
+if __name__ == "__main__":
+    main()
