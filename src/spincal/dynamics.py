@@ -320,6 +320,16 @@ def eom_rhs(space: SymmetricSpaceData, pt: PhasePoint, y_m: np.ndarray | None = 
     return EomRhs(dq=pt.p.copy(), dp=dp, dxi=dxi, m_part_norm=np.sqrt(algebra.row_dots(cm, cm)))
 
 
+def _m_part_norm(space: SymmetricSpaceData, pt: PhasePoint) -> np.ndarray:
+    """``eom_rhs(space, pt).m_part_norm`` to the bit, from W2, [-W2, xi] and
+    the M-coefficients alone."""
+    algebra.require_off_wall(space, pt.q)
+    w2 = pt.xi.coeffs / algebra.sinh_sq(space.alpha_cols(pt.q))
+    W2 = np.einsum("...j,jab->...ab", w2, space.eplus)
+    cm = -np.einsum("...ab,jba->...j", _comm(-W2, pt.xi.xi), space.m_basis).real
+    return np.sqrt(algebra.row_dots(cm, cm))
+
+
 # ---------------------------------------------------------------------------
 # Direct adaptive integration (DOP853: Hairer, Norsett & Wanner, Solving
 # ODEs I, II.10; the coefficients of Hairer's dop853.f)
@@ -478,27 +488,43 @@ class _DirectSystem:
              padded(s.root_coef.T, nc, R, s.root_coef[0]))
             for s in self.spaces))]
         self.neg_fplus = [-s.fplus.reshape(s.K ** 2, s.K) for s in self.spaces]
-        self.sid = self.blocks = None  # no rows yet: take those of the first space
+        # per space, fplus's nonzero triples sorted by k (for views of several spaces): their
+        # count and columns i, 2nc + j, -fplus_ijk and 2nc + k on each k's first (else 0)
+        cols = []
+        for s in self.spaces:
+            k, i, j = np.nonzero(s.fplus.transpose(2, 0, 1))
+            first = np.diff(k, prepend=-1) != 0
+            cols.append((i, 2 * nc + j, -s.fplus[i, j, k], np.where(first, 2 * nc + k, 0)))
+        n = np.array([len(c[0]) for c in cols])
+        self.triples = n, np.cumsum(n) - n, [np.concatenate(c) for c in zip(*cols)]
+        self.sid = self.spin = None  # no rows yet: take those of the first space
         self.rows(np.zeros(1, dtype=int))
 
     def rows(self, sid):
         """This system on rows of the spaces sid (sorted, not empty): the
-        space's own tables when they are all of one space, else one table per
-        row, and the row block of each space.  A fresh system takes its rows
-        in place (a copy would give it a __dict__, and slower attributes)."""
+        space's own tables when they are all of one space, else one table and
+        one index of fplus triples per row.  A fresh system takes its rows in
+        place (a copy would give it a __dict__, and slower attributes)."""
         if sid[0] == sid[-1] == self.sid:
             return self
-        view = copy.copy(self) if self.blocks else self
-        ids = sid.tolist()
-        present = sorted(set(ids))
-        view.sid = present[0] if len(present) == 1 else None
+        view = copy.copy(self) if self.spin is not None else self
+        view.sid = int(sid[0]) if sid[0] == sid[-1] else None
         view.coef_t, view.force_coef, view.root_coef_t = (
             t[sid if view.sid is None else view.sid] for t in self.tables)
         view.product = _row_product if view.sid is None else operator.matmul
-        # the last block runs to the end, so that one space's view serves any rows of it
-        starts = [ids.index(s) for s in present]
-        view.blocks = [(slice(a, b), self.spaces[s].K, self.neg_fplus[s])
-                       for s, a, b in zip(present, starts, starts[1:] + [None])]
+        if view.sid is not None:  # one space's view serves any rows of it
+            view.spin = self.neg_fplus[view.sid]
+        elif self.gauge == "zero":  # the freezing gauge never reads the spin rate
+            # the triples of each row's space, row after row, at their places in the tables
+            n, offsets, columns = self.triples
+            n = n[sid]
+            at = np.repeat(offsets[sid] - np.cumsum(n) + n, n)
+            at += np.arange(at.size)
+            row = np.repeat(np.arange(len(sid)), n)
+            i, j, neg_f, k = (c.take(at) for c in columns)
+            starts = np.flatnonzero(k)  # one segment per row and k
+            view.spin = (row * (self.width - 2 * self.nc) + i, row * self.width + j, neg_f,
+                         starts, row[starts] * self.width + k[starts])
         return view
 
     def __call__(self, t, Y):
@@ -508,23 +534,22 @@ class _DirectSystem:
         cplus = Y[:, 2 * nc:]
         av = self.product(Y[:, :nc], self.coef_t)
         w2 = cplus / np.sinh(av) ** 2
-        out = np.empty_like(Y)
+        out = np.zeros(Y.shape)  # C order: out.ravel() is a view
         out[:, :nc] = Y[:, nc:2 * nc]
         # p' = -grad V = (1/s) sum_j c_j^2 cosh(alpha_j) / sinh^3(alpha_j) coef_j
         out[:, nc:2 * nc] = self.product(cplus * w2 / np.tanh(av), self.force_coef)
         if self.gauge == "freeze":
-            # the spin is held still; its gauge is certified before the first step
-            out[:, 2 * nc:] = 0.0
-            return out
-        # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk,
-        # one (rows, K^2) @ (K^2, K) product per space block
-        # (dense: over fplus's nonzero (i, j) pairs alone it is slower for blocks of a few rows)
-        dc = out[:, 2 * nc:]
-        for blk, K, neg_fplus in self.blocks:
-            pairs = (w2[blk, :K, None] * cplus[blk, None, :K]).reshape(-1, K * K)
-            dc[blk, :K] = pairs @ neg_fplus
-            if K < dc.shape[1]:
-                dc[blk, K:] = 0.0
+            return out  # the spin is held still; its gauge is certified before the first step
+        # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk.  One
+        # space: a dense (rows, K^2) @ (K^2, K) product, there the faster.  Several: a flat sum
+        # over each row's own nonzero fplus_ijk; a product per space block costs more in calls
+        if self.sid is not None:
+            K = self.spin.shape[1]
+            pairs = (w2[:, :K, None] * cplus[:, None, :K]).reshape(-1, K * K)
+            out[:, 2 * nc:2 * nc + K] = pairs @ self.spin
+        elif self.spin[3].size:  # su(1,1) and sl(2,C) have no nonzero fplus_ijk
+            w_at, c_at, neg_f, starts, slots = self.spin
+            out.ravel()[slots] = np.add.reduceat(w2.take(w_at) * Y.take(c_at) * neg_f, starts)
         return out
 
     def min_root_values(self, Y):
@@ -689,7 +714,7 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
         path = PhasePoint(q=y[:, :n], p=y[:, nc:nc + n], xi=xi)
         # the M-part of xi' vanishes on the slice; its largest value at the
         # samples is kept as a consistency diagnostic (np.max keeps a NaN)
-        m_drift = 0.0 if freeze else float(np.max(eom_rhs(space, path).m_part_norm))
+        m_drift = 0.0 if freeze else float(np.max(_m_part_norm(space, path)))
         lax_x, invariants = monitors[m]
         counters = {name: v[m].item() for name, v in stats.items()}
         if not counters["n_steps"]:

@@ -1,7 +1,6 @@
 """The verify battery: the stacked checks against loops over the per-draw
 public functions, NaN draws, and the shape of the README config's report."""
 
-import itertools
 import math
 
 import numpy as np
@@ -326,11 +325,12 @@ def test_coupling_residuals_on_arrays_have_the_scalar_bits():
 # a NaN draw fails its check
 # ---------------------------------------------------------------------------
 
-def nan_on_call(seed, method, call):
-    """A generator of the seed whose call-th call (from 0) of one method
-    returns NaN as its first value; everything else is the generator's."""
+def nan_at_draw(seed, method, k):
+    """A generator of the seed whose method draws NaN as its k-th value (from
+    0), counted over its calls in order whatever their sizes; everything else
+    is the generator's."""
     rng = np.random.default_rng(seed)
-    calls = itertools.count()
+    drawn = 0
 
     class Poisoned:
         def __getattr__(self, name):
@@ -339,10 +339,12 @@ def nan_on_call(seed, method, call):
                 return fn
 
             def poisoned(*args, **kwargs):
+                nonlocal drawn
                 out = fn(*args, **kwargs)
-                if next(calls) == call:
+                if drawn <= k < drawn + np.size(out):
                     out = np.array(out, dtype=float)
-                    out.flat[0] = np.nan
+                    out.flat[k - drawn] = np.nan
+                drawn += np.size(out)
                 return out
             return poisoned
 
@@ -353,35 +355,38 @@ SU32 = algebra.build_space(SpaceSpec.su(3, 2))
 SL3 = algebra.build_space(SpaceSpec.sl(3))
 
 
-@pytest.mark.parametrize("run, method", [
-    (lambda rng: checks.slice_checks(SU32, rng, n_draws=10), "standard_normal"),
-    (lambda rng: checks.slice_checks(SL3, rng, n_draws=10), "standard_normal"),
-    (lambda rng: checks.bracket_checks(SU32, rng, n_draws=10), "standard_normal"),
-    (lambda rng: checks.bracket_checks(SL3, rng, n_draws=10), "standard_normal"),
-    (lambda rng: checks.catalog_checks(rng, n_samples=5), "standard_normal"),
-    (lambda rng: checks.freezing_checks(rng, n_points=5), "uniform"),
-    (lambda rng: checks.basis_checks(SU32, rng), "standard_normal"),
-    (checks.reduction_checks, "uniform"),
-    (checks.reduction_checks, "standard_normal"),
+# k is the value the NaN replaces: the first of the check's fourth draw (a
+# draw of 2 or 3 normals per slice or bracket sample, 1 or 2 per catalog
+# sample); in reduction_checks, the first coupling draw after the phases of
+# three orbits' 24 samples, and a value of the emptiness probe's samples
+@pytest.mark.parametrize("run, method, k", [
+    (lambda rng: checks.slice_checks(SU32, rng, n_draws=10), "standard_normal", 6),
+    (lambda rng: checks.slice_checks(SL3, rng, n_draws=10), "standard_normal", 9),
+    (lambda rng: checks.bracket_checks(SU32, rng, n_draws=10), "standard_normal", 6),
+    (lambda rng: checks.bracket_checks(SL3, rng, n_draws=10), "standard_normal", 9),
+    (lambda rng: checks.catalog_checks(rng, n_samples=5), "standard_normal", 3),
+    (lambda rng: checks.freezing_checks(rng, n_points=5), "uniform", 30),
+    (lambda rng: checks.basis_checks(SU32, rng), "standard_normal", 6),
+    (checks.reduction_checks, "uniform", 216),
+    (checks.reduction_checks, "standard_normal", 24576),
 ], ids=["slice-su32", "slice-sl3", "bracket-su32", "bracket-sl3", "catalog", "freezing",
         "basis", "reduction", "emptiness-probe"])
-def test_a_nan_draw_fails_its_check(run, method):
+def test_a_nan_draw_fails_its_check(run, method, k):
     assert all(r.passed for r in run(np.random.default_rng(7)))
     # numpy may warn on the NaN (the suite makes a warning an error); the
     # check must still see it
     with np.errstate(invalid="ignore"):
-        results = run(nan_on_call(7, method, 3))
+        results = run(nan_at_draw(7, method, k))
     failed = [r for r in results if not r.passed]
     assert failed and all(math.isnan(r.residual) for r in failed)
 
 
 def test_a_nan_phase_makes_the_reduction_residuals_nan():
-    """reduction_checks makes one phase call per orbit, so the case above
-    poisons its coupling draws; a NaN phase of one sample makes each
-    residual of the stacked reduction NaN."""
+    """The reduction case above poisons a coupling draw; a NaN phase of one
+    sample makes each residual of the stacked reduction NaN."""
     space = algebra.build_space(SpaceSpec.su(3, 2))
     with np.errstate(invalid="ignore"):
-        rep = orbits.reduce_orbit_check(space, 3.0, 1.0, nan_on_call(7, "uniform", 0), n_samples=5)
+        rep = orbits.reduce_orbit_check(space, 3.0, 1.0, nan_at_draw(7, "uniform", 0), n_samples=5)
     assert all(map(math.isnan, (rep.diag_constraint_residual, rep.normal_form_residual,
                                 rep.xi_match_residual)))
 

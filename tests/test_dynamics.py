@@ -224,6 +224,76 @@ def test_direct_rhs_matches_matrix_reference(label, seed):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def packed_rows(system, spaces, pts):
+    """The stepper's padded state rows (q, p, c+) of the points."""
+    nc = system.nc
+    Y = np.zeros((len(pts), system.width))
+    for row, space, pt in zip(Y, spaces, pts):
+        n = space.n_coords
+        row[:n], row[nc:nc + n], row[2 * nc:2 * nc + space.K] = pt.q, pt.p, pt.xi.coeffs
+    return Y
+
+
+@st.composite
+def mixed_views(draw):
+    """2-5 member spaces of CORE_SPACES in any order, a nonempty subset of
+    the rows they take once sorted by space, and None or one of those rows."""
+    labels = draw(st.lists(st.sampled_from(sorted(CORE_SPACES)), min_size=2, max_size=5))
+    rows = sorted(draw(st.sets(st.integers(0, len(labels) - 1), min_size=1)))
+    return labels, rows, draw(st.sampled_from([None, *rows]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(view=mixed_views(), seed=st.integers(0, 2 ** 32 - 1))
+def test_direct_rhs_of_any_rows_of_several_spaces_matches_matrix_reference(view, seed):
+    # a system of several spaces on any of its rows, sorted by space as the
+    # stepper keeps them (one row, one space's rows or several spaces'),
+    # against eom_rhs row by row; a row at a wall (sinh alpha = 0) makes its
+    # own field non-finite and no other
+    labels, rows, wall = view
+    first = {CORE_SPACES[label].spec: CORE_SPACES[label] for label in labels}
+    block = {spec: b for b, spec in enumerate(first)}
+    labels = sorted(labels, key=lambda label: block[CORE_SPACES[label].spec])
+    spaces = [CORE_SPACES[labels[r]] for r in rows]
+    pts = [member_point(space, seed + r, False, False) for r, space in zip(rows, spaces)]
+    system = dynamics._DirectSystem(first.values(), "zero")
+    Y = packed_rows(system, spaces, pts)
+    if wall is not None:  # alpha = q_0 - q_1 (q_0 on su(2,1)) is exactly 0
+        r = rows.index(wall)
+        if spaces[r].n_coords > 1:
+            Y[r, 1] = Y[r, 0]
+        else:
+            Y[r, 0] = 0.0
+    sid = np.array([block[space.spec] for space in spaces])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dY = system.rows(sid)(np.zeros(len(rows)), Y)
+    nc = system.nc
+    for r, (space, pt, dy) in enumerate(zip(spaces, pts, dY)):
+        if rows[r] == wall:
+            assert not np.isfinite(dy).all()
+            continue
+        n, K = space.n_coords, space.K
+        ref = dynamics.eom_rhs(space, pt)
+        dc_ref = algebra.decompose(space, ref.dxi)[2]
+        for got, want in ((dy[:n], ref.dq), (dy[nc:nc + n], ref.dp),
+                          (dy[2 * nc:2 * nc + K], dc_ref)):
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert not dy[n:nc].any() and not dy[nc + n:2 * nc].any() and not dy[2 * nc + K:].any()
+
+
+@pytest.mark.parametrize("label", sorted(CORE_SPACES))
+def test_m_drift_is_the_bits_of_eom_rhs(label):
+    # integrate_direct_batch reads the M-part of xi' at the samples without
+    # the rest of eom_rhs, to the bit, on the stacked samples of a run
+    space = CORE_SPACES[label]
+    pt = checks.random_phase_point(space, np.random.default_rng(3))
+    traj = dynamics.integrate_direct(space, pt, 1.0, sample_dt=0.125)
+    got = dynamics._m_part_norm(space, traj.path)
+    want = dynamics.eom_rhs(space, traj.path).m_part_norm
+    assert got.shape == (len(traj),) and got.tobytes() == want.tobytes()
+    assert traj.m_drift == float(np.max(want))
+
+
 @settings(max_examples=30, deadline=None)
 @given(label=st.sampled_from(sorted(CORE_SPACES)), seed=st.integers(0, 2 ** 32 - 1),
        x=st.sampled_from([0.0, 0.5, 1.0]))
@@ -507,6 +577,31 @@ def test_freeze_batch_across_spaces_matches_single_runs():
         assert got.n_steps == want.n_steps > 0 and got.freeze_residual < 1e-8
         assert_same_run(got, want)
         assert got.path.xi.coeffs.shape == (5, space.K)
+
+
+def test_batch_with_spaces_without_structure_constants_matches_single_runs():
+    # su(1,1) and sl(2,C) have no nonzero fplus_ijk: with su(2,2), and alone
+    # as a batch, each member is its own run (su(1,1) has no nonzero orbit:
+    # its spin is any nonzero coefficient)
+    su11, sl2 = (algebra.build_space(spec) for spec in (algebra.SpaceSpec.su(1, 1),
+                                                         algebra.SpaceSpec.sl(2)))
+    su22 = CORE_SPACES["su(2,2)"]
+    assert not su11.fplus.any() and not sl2.fplus.any()
+    c = np.array([0.7])
+    xi11 = orbits.SpinPoint(xi=algebra.reconstruct(su11, cplus=c), coeffs=c)
+    xi2 = orbits.random_slice_spin(sl2, OrbitSpec.kks(1.0), np.random.default_rng(2))
+    start = {
+        "su11": (su11, dynamics.make_phase_point(su11, np.array([1.2]), np.array([0.3]), xi11)),
+        "sl2": (sl2, dynamics.make_phase_point(sl2, np.array([0.8, -0.8]), np.array([0.1, -0.1]),
+                                               xi2)),
+        "su22": (su22, member_point(su22, 4, False, False)),
+    }
+    for names in (["su11", "sl2", "su22", "su11"], ["sl2", "su11"]):
+        spaces, pts = zip(*(start[name] for name in names))
+        batch = dynamics.integrate_direct_batch(spaces, pts, 2.0, sample_dt=0.5)
+        for space, pt, got in zip(spaces, pts, batch):
+            assert got.n_steps > 0
+            assert_same_run(got, dynamics.integrate_direct(space, pt, 2.0, sample_dt=0.5))
 
 
 def test_batch_mixes_free_and_spinning_members(su22, rng):

@@ -1,5 +1,5 @@
 """Per-trajectory throughput of the direct integrator at batch sizes 1, 16
-and 256, and on a batch that spans four spaces.
+and 256, and on batches of 16 and 256 that span four spaces.
 
 Usage (from the repository root):
 
@@ -10,15 +10,15 @@ Each batch holds B generic-spin orbit runs on su(3,2) (seeded starts, t_end
 2, sample_dt 0.5, tol 1e-10, zero gauge).  The batch is timed as one
 ``integrate_direct_batch`` call and as B ``integrate_direct`` calls; a
 checkout without ``integrate_direct_batch`` is timed one by one only.  The
-``mixed`` row holds 4 such runs on each of su(2,2), su(3,2), su(6,3) and
-sl(4,C), timed as one ``integrate_direct_batch`` call over all 16 and as
-four calls, one per space; a checkout whose ``integrate_direct_batch``
-takes one space only is timed per space only.  The median and the minimum
-of the repeats, in seconds per trajectory, and the median in trajectories
-per second are appended, as one run with its label, to ``throughput.runs``
-in the output JSON; other keys of an existing file are kept.  Alternate the
-labels over several invocations: the machine's speed drifts between runs.
-BLAS runs single-threaded.
+``mixed`` and ``mixed_256`` rows hold 4 and 64 such runs on each of
+su(2,2), su(3,2), su(6,3) and sl(4,C), timed as one ``integrate_direct_batch``
+call over all 16 or 256 and as four calls, one per space; a checkout whose
+``integrate_direct_batch`` takes one space only is timed per space only.
+The median and the minimum of the repeats, in seconds per trajectory, and
+the median in trajectories per second are appended, as one run with its
+label, to ``throughput.runs`` in the output JSON; other keys of an existing
+file are kept.  Alternate the labels over several invocations: the
+machine's speed drifts between runs.  BLAS runs single-threaded.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (1, 16, 256)
+MIXED = {"mixed": 4, "mixed_256": 64}  # row name: runs per space of the mixed batches
 T_END, SAMPLE_DT, TOL = 2.0, 0.5, 1e-10
 
 
@@ -59,13 +60,14 @@ def members(size: int, spec=None) -> tuple:
     return space, pts
 
 
-def mixed_row(repeats: int) -> dict:
-    """4 runs on each of su(2,2), su(3,2), su(6,3) and sl(4,C): one batch per
-    space, and one batch of all 16 where integrate_direct_batch takes one
-    space per member."""
+def mixed_row(runs_per_space: int, repeats: int) -> dict:
+    """``runs_per_space`` runs on each of su(2,2), su(3,2), su(6,3) and sl(4,C):
+    one batch per space, and one batch of all of them where
+    integrate_direct_batch takes one space per member."""
     from spincal import algebra, dynamics
-    groups = [members(4, spec) for spec in (algebra.SpaceSpec.su(2, 2), algebra.SpaceSpec.su(3, 2),
-                                            algebra.SpaceSpec.su(6, 3), algebra.SpaceSpec.sl(4))]
+    specs = (algebra.SpaceSpec.su(2, 2), algebra.SpaceSpec.su(3, 2), algebra.SpaceSpec.su(6, 3),
+             algebra.SpaceSpec.sl(4))
+    groups = [members(runs_per_space, spec) for spec in specs]
     size = sum(len(pts) for _, pts in groups)
     per_space, per_space_min = timed(lambda: [dynamics.integrate_direct_batch(
         space, pts, T_END, tol=TOL, sample_dt=SAMPLE_DT) for space, pts in groups], repeats)
@@ -127,8 +129,9 @@ def main() -> int:
         print(f"B = {size}: " + ", ".join(f"{k} {v:.4g}" for k, v in row.items()))
 
     if hasattr(dynamics, "integrate_direct_batch"):
-        rows["mixed"] = mixed_row(args.repeats)
-        print("mixed: " + ", ".join(f"{k} {v:.4g}" for k, v in rows["mixed"].items()))
+        for name, runs_per_space in MIXED.items():
+            rows[name] = mixed_row(runs_per_space, args.repeats)
+            print(f"{name}: " + ", ".join(f"{k} {v:.4g}" for k, v in rows[name].items()))
 
     payload = {}
     if os.path.exists(args.out):
@@ -136,8 +139,9 @@ def main() -> int:
             payload = json.load(fh)
     section = payload.setdefault("throughput", {})
     section["what"] = (f"su(3,2) generic-spin orbit runs, t_end {T_END}, sample_dt {SAMPLE_DT}, "
-                       f"tol {TOL}, zero gauge; the mixed row: 4 such runs on each of su(2,2), "
-                       f"su(3,2), su(6,3) and sl(4,C); median of {args.repeats} repeats; "
+                       f"tol {TOL}, zero gauge; the mixed and mixed_256 rows: 4 and 64 such "
+                       f"runs on each of su(2,2), su(3,2), su(6,3) and sl(4,C); median of "
+                       f"{args.repeats} repeats; "
                        "tools/batch_throughput.py")
     section.setdefault("runs", []).append({
         "label": args.label, "numpy": np.__version__, "python": platform.python_version(),
