@@ -453,14 +453,14 @@ class _DirectSystem:
     """Packed-state view (q, p, c+) of the reduced equations for the stepper,
     one run per row, with the flat basis arrays its right-hand side works on.
 
-    The rows may be of several spaces, sorted so that each space's rows form
-    one block.  A row is padded to the widest of them, ``[q (nc) | p (nc) |
-    c+ (K)]``, and its pad entries stay zero.  Each space's coefficient tables
-    are padded to those widths: a pad column of alpha(q) or of the root
-    values repeats the space's column 0, so c / sinh^2 is 0 there where
-    column 0 is finite (a step where it is not fails anyway) and the smallest
-    root value is unchanged; the force has zero pad rows.  A fresh system has
-    the rows of its first space; :meth:`rows` gives the system of other rows."""
+    The rows may be of several spaces, in any order.  A row is padded to the
+    widest of them, ``[q (nc) | p (nc) | c+ (K)]``, and its pad entries stay
+    zero.  Each space's coefficient tables are padded to those widths: a pad
+    column of alpha(q) or of the root values repeats the space's column 0, so
+    c / sinh^2 is 0 there where column 0 is finite (a step where it is not
+    fails anyway) and the smallest root value is unchanged; the force has
+    zero pad rows.  A fresh system has the rows of its first space;
+    :meth:`rows` gives the system of other rows."""
 
     def __init__(self, spaces, gauge: str):
         self.spaces = tuple(spaces)
@@ -501,14 +501,15 @@ class _DirectSystem:
         self.rows(np.zeros(1, dtype=int))
 
     def rows(self, sid):
-        """This system on rows of the spaces sid (sorted, not empty): the
-        space's own tables when they are all of one space, else one table and
-        one index of fplus triples per row.  A fresh system takes its rows in
-        place (a copy would give it a __dict__, and slower attributes)."""
-        if sid[0] == sid[-1] == self.sid:
+        """This system on rows of the spaces sid (not empty): the space's own
+        tables when they are all of one space, else one table and one index
+        of fplus triples per row.  A fresh system takes its rows in place (a
+        copy would give it a __dict__, and slower attributes)."""
+        one = (sid == sid[0]).all()
+        if one and sid[0] == self.sid:
             return self
         view = copy.copy(self) if self.spin is not None else self
-        view.sid = int(sid[0]) if sid[0] == sid[-1] else None
+        view.sid = int(sid[0]) if one else None
         view.coef_t, view.force_coef, view.root_coef_t = (
             t[sid if view.sid is None else view.sid] for t in self.tables)
         view.product = _row_product if view.sid is None else operator.matmul
@@ -542,7 +543,7 @@ class _DirectSystem:
             return out  # the spin is held still; its gauge is certified before the first step
         # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk.  One
         # space: a dense (rows, K^2) @ (K^2, K) product, there the faster.  Several: a flat sum
-        # over each row's own nonzero fplus_ijk; a product per space block costs more in calls
+        # over each row's own nonzero fplus_ijk; a product per space costs more in calls
         if self.sid is not None:
             K = self.spin.shape[1]
             pairs = (w2[:, :K, None] * cplus[:, None, :K]).reshape(-1, K * K)
@@ -565,9 +566,11 @@ def _row_product(a, tables):
 def sample_grid(t_end: float, sample_dt: float | None = None) -> tuple:
     """(sample_dt, times) of a run on [0, t_end]: sample_dt defaults to
     t_end / 200, and the times cut [0, t_end] into round(t_end / sample_dt)
-    equal segments, at least one."""
+    equal segments, at least one (ValueError where that is not finite)."""
     if sample_dt is None:
         sample_dt = t_end / 200.0
+    if not math.isfinite(t_end / sample_dt):
+        raise ValueError("sample_dt is too small for t_end: t_end / sample_dt is not finite")
     n_seg = max(1, int(round(t_end / sample_dt)))
     return sample_dt, np.linspace(0.0, t_end, n_seg + 1)
 
@@ -617,15 +620,14 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
 
     ``space`` is one space for every member or one per member, as
     ``sample_dt`` is one value or one per member (the steps do not depend on
-    it).  The members are sorted stably by space, so that each space's rows
-    form one block, and every row is padded to the widest space (see
-    :class:`_DirectSystem`).  Each member keeps its own time, step size,
-    accept/reject decision, wall check, counters and samples, exactly as
-    :func:`integrate_direct` describes for one run; finished members drop out
-    of the active rows.  Every Runge-Kutta stage is one right-hand-side call
-    over the active rows, and the continuous extension's stages one call over
-    the rows of the steps that hold a sample.  ``monitors`` holds one
-    ``(lax_x, invariants)`` pair per member (default ``(0, 1)`` and none).
+    it).  Each member keeps its own time, step size, accept/reject decision,
+    wall check, counters and samples, exactly as :func:`integrate_direct`
+    describes for one run; finished members drop out of the active rows.
+    Every Runge-Kutta stage is one right-hand-side call over the active rows,
+    whatever their spaces (see :class:`_DirectSystem`), and the continuous
+    extension's stages one call over the rows of the steps that hold a
+    sample.  ``monitors`` holds one ``(lax_x, invariants)`` pair per member
+    (default ``(0, 1)`` and none).
 
     Returns one entry per member, in input order: its :class:`Trajectory`, or
     the exception that stopped it alone (:class:`StepSizeError`,
@@ -654,17 +656,13 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
         raise ValueError("sample_dt must be positive and finite")
     if not B:
         return []
-    first = {}  # spec -> its first member's space, in order of appearance
+    block = {}  # spec -> its number and first member's space, in order of appearance
     for s in spaces:
-        first.setdefault(s.spec, s)
-    block = {spec: i for i, spec in enumerate(first)}
-    # from here on the members are in block order; the results go back at the end
-    order = sorted(range(B), key=lambda m: block[spaces[m].spec])
-    pts, spaces, dts, monitors = ([a[m] for m in order] for a in (pts, spaces, dts, monitors))
-    sid = np.array([block[s.spec] for s in spaces], dtype=int)
+        block.setdefault(s.spec, (len(block), s))
+    sid = np.array([block[s.spec][0] for s in spaces], dtype=int)
     grids = [sample_grid(t_end, dt)[1] for dt in dts]
 
-    sys = _DirectSystem(first.values(), gauge)
+    sys = _DirectSystem([s for _, s in block.values()], gauge)
     nc = sys.nc
     freeze = gauge == "freeze"
     y0 = np.zeros((B, sys.width))
@@ -685,7 +683,7 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         samples, counts, stats = _step_batch(sys, sid, y0, grids, tol, t_end, stopped)
 
-    out = [None] * B
+    out = []
     for m, (space, pt0) in enumerate(zip(spaces, pts)):
         n, K = space.n_coords, space.K
         exc, wall_time, freeze_residual = stopped[m], None, None
@@ -703,7 +701,7 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
                     f"no freezing gauge at the sample t = {times[k]:.6g} (linear residual "
                     f"{linear[k]:.3e}, frozen residual {frozen[k]:.3e})")
         if exc is not None:
-            out[order[m]] = exc
+            out.append(exc)
             continue
         if freeze:  # the spin does not move: the initial one's bits
             xi = SpinPoint(xi=np.broadcast_to(pt0.xi.xi, (len(y), space.N, space.N)),
@@ -719,9 +717,9 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
         counters = {name: v[m].item() for name, v in stats.items()}
         if not counters["n_steps"]:
             counters["h_min"] = counters["h_max"] = None
-        out[order[m]] = _attach_monitors(space, times, path, lax_x, invariants, m_drift=m_drift,
-                                         wall_time=wall_time, freeze_residual=freeze_residual,
-                                         **counters)
+        out.append(_attach_monitors(space, times, path, lax_x, invariants, m_drift=m_drift,
+                                    wall_time=wall_time, freeze_residual=freeze_residual,
+                                    **counters))
     return out
 
 
@@ -765,8 +763,8 @@ def _extension_at(y0, F, th):
 
 def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
     """DOP853 on [0, t_end] for the rows of y0 whose member has not stopped;
-    member m is of the space sys.spaces[sid[m]] (sid sorted) and has its
-    samples at the times grids[m] on each step's continuous extension.
+    member m is of the space sys.spaces[sid[m]] and has its samples at the
+    times grids[m] on each step's continuous extension.
     Returns the samples, shape (B, T, width) for the longest grid T, how many
     each member reached, and per member its ``n_steps`` (accepted),
     ``n_rejected``, ``n_rhs`` (right-hand-side rows), ``h_min`` and ``h_max``

@@ -54,7 +54,6 @@ __all__ = [
     "ReductionReport",
     "expm_herm",
     "logm_herm",
-    "expm",
     "diagonalize_flat",
 ]
 
@@ -73,41 +72,9 @@ def expm_herm(H: np.ndarray) -> np.ndarray:
     return (V * np.exp(w)[..., None, :]) @ algebra.dagger(V)
 
 
-# The degree-13 Pade approximant of exp is exact to double precision for
-# 1-norms up to _THETA13 (Higham 2005, Table 2.3).  Its numerator is V + U
-# and denominator V - U, with U = A (A6 W1 + W2), V = A6 Z1 + Z2 and each of
-# W1, W2, Z1, Z2 a combination of I, A2, A4, A6 (rows of _PADE13, from the
-# coefficients b_0..b_13 of (2.2) there)
-_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-        33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_PADE13 = np.array([[0.0, _B13[9], _B13[11], _B13[13]],
-                    [_B13[1], _B13[3], _B13[5], _B13[7]],
-                    [0.0, _B13[8], _B13[10], _B13[12]],
-                    [_B13[0], _B13[2], _B13[4], _B13[6]]])
-_THETA13 = 5.371920351148152
-
-
-def expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) for a general square matrix: the degree-13 Pade approximant
-    with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)
-    1179-1193)."""
-    n = len(A)
-    norm = float(np.abs(A).sum(axis=0).max())
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    if s:
-        A = A * 2.0 ** -s
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    powers = np.array([np.eye(n), A2, A4, A6]).reshape(4, n * n)
-    W1, W2, Z1, Z2 = (_PADE13 @ powers).reshape(4, n, n)
-    U = A @ (A6 @ W1 + W2)
-    V = A6 @ Z1 + Z2
-    R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
-    return R
+def _expm_antiherm(Z: np.ndarray) -> np.ndarray:
+    w, V = np.linalg.eigh(-1j * Z)
+    return (V * np.exp(1j * w)[..., None, :]) @ algebra.dagger(V)
 
 
 def logm_herm(P: np.ndarray) -> np.ndarray:
@@ -288,7 +255,7 @@ def random_orbit_point(space: SymmetricSpaceData, spec: OrbitSpec,
                        rng: np.random.Generator) -> np.ndarray:
     """The base point Ad-conjugated by exp(Z), Z a random element of g-plus:
     an orbit element, on the slice or not."""
-    g = expm(algebra.random_gplus_element(space, rng, scale=1.0))
+    g = _expm_antiherm(algebra.random_gplus_element(space, rng, scale=1.0))
     return g @ orbit_base_point(space, spec) @ g.conj().T
 
 

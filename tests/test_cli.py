@@ -696,6 +696,17 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, key, payload):
     assert not (tmp_path / "o").exists()
 
 
+def test_sample_dt_too_small_for_t_end_is_a_config_error(tmp_path):
+    # t_end / 5e-324 is not finite: an error line, not an OverflowError
+    # traceback, and no file
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(sample_dt=5e-324))
+    out = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: sample_dt is too small for t_end")
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "o").exists()
+
+
 SU22 = {"family": "su_mn", "m": 2, "n": 2}
 
 

@@ -237,23 +237,21 @@ def packed_rows(system, spaces, pts):
 @st.composite
 def mixed_views(draw):
     """2-5 member spaces of CORE_SPACES in any order, a nonempty subset of
-    the rows they take once sorted by space, and None or one of those rows."""
+    their rows in any order, and None or one of those rows."""
     labels = draw(st.lists(st.sampled_from(sorted(CORE_SPACES)), min_size=2, max_size=5))
-    rows = sorted(draw(st.sets(st.integers(0, len(labels) - 1), min_size=1)))
+    rows = draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, unique=True))
     return labels, rows, draw(st.sampled_from([None, *rows]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(view=mixed_views(), seed=st.integers(0, 2 ** 32 - 1))
 def test_direct_rhs_of_any_rows_of_several_spaces_matches_matrix_reference(view, seed):
-    # a system of several spaces on any of its rows, sorted by space as the
-    # stepper keeps them (one row, one space's rows or several spaces'),
-    # against eom_rhs row by row; a row at a wall (sinh alpha = 0) makes its
-    # own field non-finite and no other
+    # a system of several spaces on any of its rows in any order (one row,
+    # one space's rows or several spaces'), against eom_rhs row by row; a row
+    # at a wall (sinh alpha = 0) makes its own field non-finite and no other
     labels, rows, wall = view
     first = {CORE_SPACES[label].spec: CORE_SPACES[label] for label in labels}
     block = {spec: b for b, spec in enumerate(first)}
-    labels = sorted(labels, key=lambda label: block[CORE_SPACES[label].spec])
     spaces = [CORE_SPACES[labels[r]] for r in rows]
     pts = [member_point(space, seed + r, False, False) for r, space in zip(rows, spaces)]
     system = dynamics._DirectSystem(first.values(), "zero")
@@ -519,6 +517,42 @@ def test_batch_across_spaces_matches_single_runs(gauge, labels, seed, near_wall,
                                      on_wall="truncate", gauge=gauge)
 
 
+def run_bytes(run):
+    """A member's trajectory, energy and counters as bytes (or its failure)."""
+    if isinstance(run, Exception):
+        return type(run), str(run)
+    counters = (run.n_steps, run.n_rejected, run.n_rhs, run.h_min, run.h_max, run.min_alpha,
+                run.m_drift, run.wall_time)
+    return packed(run).tobytes(), run.energy.tobytes(), run.times.tobytes(), repr(counters)
+
+
+@settings(max_examples=20, deadline=None)
+@given(labels=st.lists(st.sampled_from(sorted(CORE_SPACES)), min_size=3, max_size=8)
+       .filter(lambda labels: len(set(labels)) > 1),
+       seed=st.integers(0, 2 ** 32 - 1),
+       near_wall=st.lists(st.booleans(), min_size=8, max_size=8),
+       free=st.lists(st.booleans(), min_size=8, max_size=8),
+       space_order=st.permutations(sorted(CORE_SPACES)))
+def test_batch_member_bytes_do_not_depend_on_space_order(labels, seed, near_wall, free,
+                                                         space_order):
+    # a batch over several spaces, interleaved and with each space's members
+    # together (the spaces in any order, a space's members in input order):
+    # each member keeps the bytes of its packed trajectory, energy and
+    # counters.  Members of one space keep their order, since the rows of
+    # one space share one BLAS product, whose bits may depend on a row's
+    # place (OpenBLAS's Haswell and Nehalem kernels)
+    spaces = [CORE_SPACES[label] for label in labels]
+    pts = [member_point(space, seed + i, near_wall[i], free[i]) for i, space in enumerate(spaces)]
+    grouped = sorted(range(len(pts)), key=lambda i: space_order.index(labels[i]))
+    runs = []
+    for members in (range(len(pts)), grouped):
+        batch = dynamics.integrate_direct_batch([spaces[i] for i in members],
+                                                [pts[i] for i in members], 1.0, sample_dt=0.25,
+                                                on_wall="truncate")
+        runs.append(dict(zip(members, map(run_bytes, batch))))
+    assert runs[0] == runs[1]
+
+
 # a start and a freezable catalog spin per space of the sample-grid tests
 GRID_STARTS = {
     "su(2,2)": ((1.6, 0.7), ("c", 1.0, 0.7)),
@@ -693,6 +727,14 @@ def test_batch_rejects_a_bad_sample_dt(su22, rng, sample_dt):
         dynamics.integrate_direct_batch(su22, pts, 1.0, sample_dt=sample_dt)
     with pytest.raises(ValueError, match="sample_dt must be positive and finite"):
         dynamics.integrate_direct_batch(su22, pts, 1.0, sample_dt=[0.25, sample_dt])
+
+
+def test_sample_dt_too_small_for_t_end_is_a_value_error(su22, rng):
+    """Before, t_end / 5e-324 = inf raised OverflowError in sample_grid."""
+    with pytest.raises(ValueError, match="t_end / sample_dt is not finite"):
+        dynamics.sample_grid(1.0, 5e-324)
+    with pytest.raises(ValueError, match="t_end / sample_dt is not finite"):
+        dynamics.integrate_direct(su22, generic_su22_point(su22, rng), 1.0, sample_dt=5e-324)
 
 
 def test_eom_frozen_spin(su21, sl3):
@@ -929,29 +971,16 @@ def test_stacked_eom_rhs_and_invariants_equal_per_point_calls(label):
 
 @settings(max_examples=60, deadline=None)
 @given(index=st.integers(0, len(models.CATALOG) - 1), seed=st.integers(0, 2 ** 32 - 1),
-       t=st.floats(-5.0, 5.0), compact=st.booleans())
-def test_expm_matches_scipy_on_projection_generators(index, seed, t, compact):
-    # exp(t grad f(L(1))) for f = tr X^2 / 2 on the catalog models, a
-    # non-normal generator (the projection flow now takes it from one eigh),
-    # and random_orbit_point's group element exp(t Z), Z in g-plus (a
-    # unitary), on their spaces
+       t=st.floats(-5.0, 5.0))
+def test_orbit_point_exponential_matches_scipy_on_catalog_spaces(index, seed, t):
+    # random_orbit_point's group element exp(t Z), Z in g-plus (a unitary
+    # from one eigh), on the catalog models' spaces
     space = CATALOG_SPACES[index]
-    rng = np.random.default_rng(seed)
-    if compact:
-        G = algebra.random_gplus_element(space, rng, scale=1.0)
-    else:
-        q = algebra.random_chamber_point(space, rng)
-        p = rng.standard_normal(space.n_coords)
-        if space.spec.family == "sl_kc":
-            p -= p.mean()
-        pt = dynamics.make_phase_point(space, q, p,
-                                       models.model_spin(space, models.CATALOG[index]))
-        G = dynamics.gradient(space, InvariantSpec("trace_power", 2), dynamics.lax(space, pt, 1.0))
+    G = algebra.random_gplus_element(space, np.random.default_rng(seed), scale=1.0)
     want = scipy.linalg.expm(t * G)
-    got = orbits.expm(t * G)
+    got = orbits._expm_antiherm(t * G)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    if compact:
-        assert np.abs(got @ got.conj().T - np.eye(space.N)).max() < 1e-13
+    assert np.abs(got @ got.conj().T - np.eye(space.N)).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
