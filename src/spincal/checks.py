@@ -80,34 +80,26 @@ def default_orbit_spec(space: SymmetricSpaceData) -> OrbitSpec:
 def random_phase_point(space: SymmetricSpaceData, rng: np.random.Generator,
                        spec: OrbitSpec | None = None) -> dynamics.PhasePoint:
     """A random phase point with on-slice spin data of the orbit (default
-    :func:`default_orbit_spec`): one draw of its :class:`_PhaseDrawRule`."""
-    rule = _PhaseDrawRule(space, spec or default_orbit_spec(space))
-    return rule.points(*rule.draw(rng))
+    :func:`default_orbit_spec`): one :func:`_phase_draw` of its draw rule."""
+    rule = orbits.slice_draw_rule(space, spec or default_orbit_spec(space))
+    return _phase_points(rule, *_phase_draw(rule, rng))
 
 
-class _PhaseDrawRule:
-    """How :func:`random_phase_point` draws on one space and orbit, built
-    once: the orbit's :class:`orbits.SliceDrawRule`, then q's chamber gaps
-    (in the spin phases' ``rng.random`` call) and p."""
+def _phase_draw(rule: orbits.SliceDrawRule, rng: np.random.Generator) -> tuple:
+    """One phase point's generator calls: the rule's spin draw with q's
+    chamber gaps in its phases' ``rng.random`` call, then p."""
+    nc = rule.space.n_coords
+    return (*rule.draw(rng, extra=nc), rng.standard_normal(nc))
 
-    def __init__(self, space: SymmetricSpaceData, spec: OrbitSpec):
-        self.space, self.spec = space, spec
-        self.spin = orbits.slice_draw_rule(space, spec)
 
-    def draw(self, rng: np.random.Generator) -> tuple:
-        """One draw's generator calls."""
-        nc = self.space.n_coords
-        return (*self.spin.draw(rng, extra=nc), rng.standard_normal(nc))
-
-    def points(self, e, r, p) -> dynamics.PhasePoint:
-        """The phase point of draws of :meth:`draw`, stacked along a leading
-        axis (:func:`_stack`) or not."""
-        space, k = self.space, self.spin.n_phases
-        u, v = self.spin.vectors(e, r[..., :k])
-        q = algebra.chamber_points(space, r[..., k:])
-        if space.spec.family == "sl_kc":
-            p = p - p.mean(axis=-1, keepdims=True)
-        return dynamics.make_phase_point(space, q, p, orbits.slice_spin(space, self.spec, u, v))
+def _phase_points(rule: orbits.SliceDrawRule, e, r, p) -> dynamics.PhasePoint:
+    """The phase point of draws of :func:`_phase_draw`, stacked along a
+    leading axis (:func:`_stack`) or not."""
+    space = rule.space
+    q = algebra.chamber_points(space, r[..., rule.n_phases:])
+    if space.spec.family == "sl_kc":
+        p = p - p.mean(axis=-1, keepdims=True)
+    return dynamics.make_phase_point(space, q, p, rule.spins(e, r))
 
 
 def _stack(draws: list) -> list:
@@ -161,8 +153,8 @@ def basis_checks(space: SymmetricSpaceData, rng: np.random.Generator,
 def slice_checks(space: SymmetricSpaceData, rng: np.random.Generator,
                  n_draws: int = 100) -> list:
     """Momentum map vanishes on slice points built from admissible data."""
-    rule = _PhaseDrawRule(space, default_orbit_spec(space))
-    pt = rule.points(*_stack([rule.draw(rng) for _ in range(n_draws)]))
+    rule = orbits.slice_draw_rule(space, default_orbit_spec(space))
+    pt = _phase_points(rule, *_stack([_phase_draw(rule, rng) for _ in range(n_draws)]))
     psi = orbits.moment_map(space, orbits.build_slice_point(space, pt.q, pt.p, pt.xi))
     return [CheckResult(f"{space.label()}: slice momentum-map residual ({n_draws} draws)",
                         _worst(np.linalg.norm(psi, axis=(-2, -1))), 1e-10)]
@@ -189,16 +181,16 @@ def bracket_checks(space: SymmetricSpaceData, rng: np.random.Generator,
     dynamics.identity_413 at y."""
     name = space.label()
     has_block = space.spec.family == "su_mn"
-    rule = _PhaseDrawRule(space, default_orbit_spec(space))
+    rule = orbits.slice_draw_rule(space, default_orbit_spec(space))
     draws, xy, orders, block_orders, coins = [], [], [], [], []
     for _ in range(n_draws):
-        draws.append(rule.draw(rng))
+        draws.append(_phase_draw(rule, rng))
         xy.append(rng.random(2))
         orders.append(rng.integers(2, 5, size=2))
         if has_block:
             block_orders.append(rng.integers(1, 3))
             coins.append(rng.random())
-    pt = rule.points(*_stack(draws))
+    pt = _phase_points(rule, *_stack(draws))
     xi = pt.xi.xi
     x, y = -2.0 + 4.0 * np.array(xy).T  # on [-2, 2), as rng.uniform(-2, 2) rounds them
     kf, kh = np.array(orders).T
@@ -229,12 +221,12 @@ def noninvolution_witness(rng: np.random.Generator, n_draws: int = 60) -> CheckR
     """Find a configuration where two compact-only invariants fail to
     Poisson-commute (threshold 1e-4); reported with its reproduction data."""
     space = algebra.build_space(SpaceSpec.su(2, 2))
-    spec = OrbitSpec.su(kappa_m=1.0, kappa_n=0.5, x=0.2)
+    rule = orbits.slice_draw_rule(space, OrbitSpec.su(kappa_m=1.0, kappa_n=0.5, x=0.2))
     f = InvariantSpec("block_invariant", 1)
     h = InvariantSpec("block_invariant", 2)
     best, details = 0.0, ""
     for i in range(n_draws):
-        pt = random_phase_point(space, rng, spec)
+        pt = _phase_points(rule, *_phase_draw(rule, rng))
         x, y = rng.uniform(-2.0, 2.0, size=2)
         val = abs(dynamics.bracket_formula(space, f, x, h, y, pt))
         if val > best:

@@ -127,19 +127,18 @@ def _integer(val) -> int:
     return int(val)
 
 
-def _reals(val) -> np.ndarray:
-    """A number or array of numbers as floats, all finite: Python's json
-    reads NaN and Infinity, which no config value may be."""
-    items = np.asarray(val, dtype=object)
-    out = np.array([_number(v) for v in items.flat], dtype=float).reshape(items.shape)
-    if not np.isfinite(out).all():
+def _real(val) -> float:
+    """A finite float config value: Python's json reads NaN and Infinity,
+    which no config value may be."""
+    out = float(_number(val))
+    if not math.isfinite(out):
         raise ValueError("not finite")
     return out
 
 
-def _real(val) -> float:
-    """A finite float config value (see :func:`_reals`)."""
-    return float(_reals(_number(val)))
+def _reals(val) -> list:
+    """A flat list of finite floats: a number or a nested list is none."""
+    return [_real(v) for v in val]
 
 
 def _run_name(val) -> str:
@@ -262,8 +261,7 @@ def parse_run(obj: dict, default_name: str = "run", overrides=None) -> RunConfig
             raise ConfigError("block invariants require the su(m,n) family")
         monitors.append(spec)
 
-    lax_x = _value(obj, "lax_x", lambda v: tuple(_real(x) for x in v), "run config",
-                   DEFAULT_LAX_X)
+    lax_x = _value(obj, "lax_x", lambda v: tuple(_reals(v)), "run config", DEFAULT_LAX_X)
     method = obj.get("method", "direct")
     if method not in ("direct", "projection"):
         raise ConfigError("method must be 'direct' or 'projection'")

@@ -51,10 +51,12 @@ _EPS = float(np.finfo(float).eps)
 # the freezing gauge's bounds on its linear and on its frozen residual
 FREEZE_LINEAR_TOL = 1e-9
 FREEZE_FROZEN_TOL = 1e-8
+MAX_SAMPLES = 1_000_000  # the most sample segments of a run's grid (default 200)
 
 __all__ = [
     "FREEZE_LINEAR_TOL",
     "FREEZE_FROZEN_TOL",
+    "MAX_SAMPLES",
     "PhasePoint",
     "InvariantSpec",
     "Trajectory",
@@ -565,13 +567,15 @@ def _row_product(a, tables):
 
 def sample_grid(t_end: float, sample_dt: float | None = None) -> tuple:
     """(sample_dt, times) of a run on [0, t_end]: sample_dt defaults to
-    t_end / 200, and the times cut [0, t_end] into round(t_end / sample_dt)
-    equal segments, at least one (ValueError where that is not finite)."""
+    t_end / 200, and the times cut [0, t_end] into max(1, round(t_end /
+    sample_dt)) <= MAX_SAMPLES equal segments (else ValueError)."""
     if sample_dt is None:
         sample_dt = t_end / 200.0
     if not math.isfinite(t_end / sample_dt):
         raise ValueError("sample_dt is too small for t_end: t_end / sample_dt is not finite")
     n_seg = max(1, int(round(t_end / sample_dt)))
+    if n_seg > MAX_SAMPLES:
+        raise ValueError(f"sample_dt is too small for t_end: over {MAX_SAMPLES} samples")
     return sample_dt, np.linspace(0.0, t_end, n_seg + 1)
 
 
@@ -1099,17 +1103,16 @@ def _projection_at(space: SymmetricSpaceData, lift: tuple, t, partial: bool = Fa
 
     Neither Lambda(t) = W W+ (its condition number squares the exponent
     spread) nor W = S0 V exp(t diag(r)) V+ is formed: q and the gauge are
-    read from the column-graded B_t = S0 V exp(t diag(r)), which has W's
-    left singular vectors and singular values, through its Householder QR
-    (columnwise backward stable: Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 19) and the SVD of R, with B_t's columns by decreasing
-    |exp(t r)|.  On su(m,n), q is the log of the top singular values (gauge:
-    :func:`_chamber_gauge_su`); on sl(k,C), the log of all of them, centred
-    (gauge: the left singular vectors).  A sample fails when its flow leaves
-    the float range, q leaves the chamber or has a near-degenerate gap, or
-    the transported spin has an M-part above 1e-7, in that order.  The first
-    failing sample raises; with ``partial`` the samples before it and the
-    failure (None without one) are returned instead.
+    read from the SVD of the column-graded B_t = S0 V exp(t diag(r)), its
+    columns by decreasing |exp(t r)| (an order its accuracy depends on),
+    which has W's left singular vectors and singular values.  On su(m,n), q
+    is the log of the top singular values (gauge: :func:`_chamber_gauge_su`);
+    on sl(k,C), the log of all of them, centred (gauge: the left singular
+    vectors).  A sample fails when its flow leaves the float range, q leaves
+    the chamber or has a near-degenerate gap, or the transported spin has an
+    M-part above 1e-7, in that order.  The first failing sample raises; with
+    ``partial`` the samples before it and the failure (None without one) are
+    returned instead.
     """
     xi0, j_minus, S0V, rate = lift
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -1120,9 +1123,7 @@ def _projection_at(space: SymmetricSpaceData, lift: tuple, t, partial: bool = Fa
     # a column scaled to 0 is an overflow of the inverse flow; index of the
     # first True entry of a mask, or its length: np.append(mask, True).argmax()
     T = int(np.append(~(np.isfinite(B).all(axis=(1, 2)) & grade.all(axis=1)), True).argmax())
-    Q, R = np.linalg.qr(B[:T])
-    U_R, sig, _ = np.linalg.svd(R)
-    U = Q @ U_R
+    U, sig, _ = np.linalg.svd(B[:T])
     if space.spec.family == "su_mn":
         q, g = np.log(sig[:, :space.spec.n]), _chamber_gauge_su(space, U)
     else:

@@ -39,7 +39,6 @@ __all__ = [
     "orbit_base_point",
     "random_orbit_point",
     "random_slice_spin",
-    "draw_slice_vectors",
     "SliceDrawRule",
     "slice_draw_rule",
     "slice_spin",
@@ -608,13 +607,15 @@ def _dirichlet_draw(rng: np.random.Generator, n: int, total_t: float, T: float) 
 @dataclass(frozen=True)
 class SliceDrawRule:
     """How :func:`random_slice_spin` draws the spins of one orbit on one
-    space, built once by :func:`slice_draw_rule`: the squared moduli of u
-    (size-m factor, or sl(k,C)) and v (size-n factor) that the slice fixes,
-    None for an absent factor, and the Dirichlet part it leaves free (see
-    :func:`_slice_moduli_su`).  :meth:`draw` makes one draw's generator
-    calls and nothing else; :meth:`vectors` gives the vectors of any number
-    of draws at once."""
+    space, built once by :func:`slice_draw_rule`: the space and orbit, the
+    squared moduli of u (size-m factor, or sl(k,C)) and v (size-n factor)
+    that the slice fixes, None for an absent factor, and the Dirichlet part
+    it leaves free (see :func:`_slice_moduli_su`).  :meth:`draw` makes one
+    draw's generator calls and nothing else; :meth:`vectors` and
+    :meth:`spins` give the vectors and spins of any number of draws at once."""
 
+    space: SymmetricSpaceData
+    spec: OrbitSpec
     t: np.ndarray | None
     s: np.ndarray | None
     free: tuple | None   # (n, total_t, T)
@@ -650,6 +651,12 @@ class SliceDrawRule:
         v = None if s is None else np.sqrt(s) * np.exp(1j * beta[..., k:])
         return u, v
 
+    def spins(self, e, r) -> SpinPoint:
+        """The :func:`slice_spin` of draws (e, r) of :meth:`draw`, stacked
+        along leading axes or not; r may carry its ``extra`` doubles after
+        the phases."""
+        return slice_spin(self.space, self.spec, *self.vectors(e, r[..., :self.n_phases]))
+
 
 def slice_draw_rule(space: SymmetricSpaceData, spec: OrbitSpec) -> SliceDrawRule:
     """The :class:`SliceDrawRule` of an orbit on a space, under the verdict
@@ -657,30 +664,22 @@ def slice_draw_rule(space: SymmetricSpaceData, spec: OrbitSpec) -> SliceDrawRule
     if spec.family != space.spec.family:
         raise AdmissibilityError("orbit family does not match the space")
     if space.spec.family == "sl_kc":
-        return SliceDrawRule(np.full(space.spec.k, spec.kappa), None, None)
+        return SliceDrawRule(space, spec, np.full(space.spec.k, spec.kappa), None, None)
     t, s, free = _slice_moduli_su(space, spec)
-    return SliceDrawRule(t if spec.kappa_m > 0 else None, s if spec.kappa_n > 0 else None, free)
+    return SliceDrawRule(space, spec, t if spec.kappa_m > 0 else None,
+                         s if spec.kappa_n > 0 else None, free)
 
 
 def random_slice_spin(space: SymmetricSpaceData, spec: OrbitSpec,
                       rng: np.random.Generator) -> SpinPoint:
     """Random element of (orbit intersect M-perp): valid initial spin data,
-    the :func:`slice_spin` of one draw of :func:`draw_slice_vectors`."""
-    return slice_spin(space, spec, *draw_slice_vectors(space, spec, rng))
-
-
-def draw_slice_vectors(space: SymmetricSpaceData, spec: OrbitSpec,
-                       rng: np.random.Generator) -> tuple:
-    """The vectors (u, v) of the rank-one projectors of one
-    :func:`random_slice_spin` (size-m or sl(k,C) factor, then size-n
-    factor, None for an absent factor): one draw of the orbit's
-    :class:`SliceDrawRule`."""
+    the spin of one draw of the orbit's :class:`SliceDrawRule`."""
     rule = slice_draw_rule(space, spec)
-    return rule.vectors(*rule.draw(rng))
+    return rule.spins(*rule.draw(rng))
 
 
 def slice_spin(space: SymmetricSpaceData, spec: OrbitSpec, u, v) -> SpinPoint:
-    """The on-slice spin of the vectors of :func:`draw_slice_vectors`, or of
-    stacks of them along leading axes (one stacked SpinPoint); both vectors
+    """The on-slice spin of the vectors of :meth:`SliceDrawRule.vectors`, or
+    of stacks of them along leading axes (one stacked SpinPoint); both vectors
     are absent (None) for a purely central orbit."""
     return spin_point(space, _orbit_element(space, spec, u, v))

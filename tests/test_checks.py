@@ -229,7 +229,8 @@ def test_draw_rules_keep_the_per_draw_stream(label, seed, n_draws):
 
     rng = np.random.default_rng(seed)
     for u, v, q, p in ref:
-        got = orbits.draw_slice_vectors(space, spec, rng)
+        rule = orbits.slice_draw_rule(space, spec)
+        got = rule.vectors(*rule.draw(rng))
         assert same_bits(got[0], u) and same_bits(got[1], v)
         assert same_bits(algebra.random_chamber_point(space, rng), q)
         p_got = rng.standard_normal(space.n_coords)
@@ -246,14 +247,14 @@ def test_draw_rules_keep_the_per_draw_stream(label, seed, n_draws):
     assert rng.bit_generator.state == state
 
     rng = np.random.default_rng(seed)
-    rule = checks._PhaseDrawRule(space, spec)
-    e, r, p = checks._stack([rule.draw(rng) for _ in range(n_draws)])
-    k = rule.spin.n_phases
-    u, v = rule.spin.vectors(e, r[:, :k])
-    pt = rule.points(e, r, p)
+    rule = orbits.slice_draw_rule(space, spec)
+    e, r, p = checks._stack([checks._phase_draw(rule, rng) for _ in range(n_draws)])
+    u, v = rule.vectors(e, r[:, :rule.n_phases])
+    pt = checks._phase_points(rule, e, r, p)
     for i, col in enumerate((u, v, pt.q, pt.p)):
         want = [draw[i] for draw in ref]
         assert same_bits(col, None if want[0] is None else np.array(want))
+    assert same_bits(pt.xi.xi, orbits.slice_spin(space, spec, u, v).xi)
     assert rng.bit_generator.state == state
 
 
@@ -408,10 +409,10 @@ def test_stacked_certificates_still_raise():
     space = SU32
     spec = checks.default_orbit_spec(space)
     rng = np.random.default_rng(1)
-    rule = checks._PhaseDrawRule(space, spec)
-    e, r, p = checks._stack([rule.draw(rng) for _ in range(4)])
-    k = rule.spin.n_phases
-    u, v = rule.spin.vectors(e, r[:, :k])
+    rule = orbits.slice_draw_rule(space, spec)
+    e, r, p = checks._stack([checks._phase_draw(rule, rng) for _ in range(4)])
+    k = rule.n_phases
+    u, v = rule.vectors(e, r[:, :k])
     q = algebra.chamber_points(space, r[:, k:])
     xi = orbits.slice_spin(space, spec, u, v)
     assert xi.xi.shape == (4, space.N, space.N) and xi.coeffs.shape == (4, space.K)

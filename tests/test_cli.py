@@ -707,6 +707,51 @@ def test_sample_dt_too_small_for_t_end_is_a_config_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_sample_grid_over_its_size_limit_is_a_config_error(tmp_path, capsys):
+    # 10^10 samples would ask numpy for 74.5 GiB: the limit stops the run
+    # while its config is parsed, with an error line and no file
+    cfg = write_config(tmp_path / "cfg.json", base_run_config(t_end=10.0, sample_dt=1e-9))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: sample_dt is too small for t_end")
+    assert not (tmp_path / "o").exists()
+
+
+def test_nested_initial_point_is_a_config_error(tmp_path):
+    # make_phase_point takes stacks of points; a config's q and p are one
+    # point's flat lists, so a nested one is an error line, not a TypeError
+    # traceback, and no file
+    cfg = write_config(tmp_path / "cfg.json", {
+        "space": {"family": "su_mn", "m": 2, "n": 2}, "model": {"type": "free"},
+        "initial": {"q": [[1.5, 1.0]], "p": [[0.1, 0.2]]}, "t_end": 1.0, "tol": 1e-10})
+    out = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: invalid value for 'q' in initial")
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def _nested(depth):
+    """Numbers nested in lists to the depth (0: a number alone)."""
+    numbers = st.integers(-5, 5) | st.floats(-3.0, 3.0)
+    return numbers if depth == 0 else st.lists(_nested(depth - 1), max_size=3)
+
+
+def _flat(val):
+    return isinstance(val, list) and not any(isinstance(v, list) for v in val)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(["q", "p"]), depth=st.integers(0, 3), data=st.data())
+def test_initial_point_must_be_flat_lists_of_its_coordinates(key, depth, data):
+    # su(3,2) has two coordinates: any other q or p, a number, a nested list
+    # or a flat list of another length, is a ConfigError
+    val = data.draw(_nested(depth).filter(lambda v: not (_flat(v) and len(v) == 2)))
+    initial = {"q": [2.0, 1.0], "p": [0.1, -0.2], key: val}
+    want = "initial data of the bc run" if _flat(val) else f"invalid value for {key!r} in initial"
+    with pytest.raises(cli.ConfigError, match=want):
+        cli.parse_run(base_run_config(initial=initial))
+
+
 SU22 = {"family": "su_mn", "m": 2, "n": 2}
 
 

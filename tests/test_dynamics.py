@@ -735,6 +735,10 @@ def test_sample_dt_too_small_for_t_end_is_a_value_error(su22, rng):
         dynamics.sample_grid(1.0, 5e-324)
     with pytest.raises(ValueError, match="t_end / sample_dt is not finite"):
         dynamics.integrate_direct(su22, generic_su22_point(su22, rng), 1.0, sample_dt=5e-324)
+    # 10^10 samples are refused before any array is made; 10^6 are not
+    with pytest.raises(ValueError, match="over 1000000 samples"):
+        dynamics.sample_grid(10.0, 1e-9)
+    assert len(dynamics.sample_grid(1.0, 1.0 / dynamics.MAX_SAMPLES)[1]) == dynamics.MAX_SAMPLES + 1
 
 
 def test_eom_frozen_spin(su21, sl3):
@@ -1494,7 +1498,7 @@ def test_projection_runs_su63_member_to_t10_and_matches_direct():
 def test_projection_backward_in_time_is_the_reversed_flow(name):
     # (q, p, xi) at -t is (q, -p, -xi) at t from (q0, -p0, -xi0); the graded
     # columns are taken by decreasing |exp(t r)| for t < 0 too (in the t > 0
-    # order, su63_3 at t = -10 is off by 5e-12)
+    # order, su63_3 at t = -10 is off by 1.8e-12 in p)
     space, pt = su63_member(name)
     rev = dynamics.make_phase_point(space, pt.q, -pt.p, orbits.SpinPoint(xi=-pt.xi.xi,
                                                                        coeffs=-pt.xi.coeffs))

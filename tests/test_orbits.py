@@ -312,7 +312,8 @@ def test_purely_central_orbit_meets_the_slice_on_su_nn(su22, rng):
     want = orbits.xi_red(su22, "c", 0.0, 0.9)
     assert spin.xi.tobytes() == want.xi.tobytes()
     assert spin.coeffs.tobytes() == want.coeffs.tobytes()
-    assert orbits.draw_slice_vectors(su22, OrbitSpec.su(x=0.9), rng) == (None, None)
+    rule = orbits.slice_draw_rule(su22, OrbitSpec.su(x=0.9))
+    assert rule.vectors(*rule.draw(rng)) == (None, None)
 
 
 @pytest.mark.parametrize("m,n,kappa_n", [(1, 1, 1.0), (2, 1, 0.7)])

@@ -86,7 +86,7 @@ def test_direct_orbit_run_loads_no_scipy(tmp_path):
 
 
 def test_projection_run_loads_no_scipy(tmp_path):
-    # the projection flow is one eigh per run and a QR and an SVD per sample, numpy alone
+    # the projection flow is one eigh per run and one SVD per sample, numpy alone
     assert scipy_loaded_after(cli_call("simulate", SU32_BC_RUN, tmp_path), tmp_path) == set()
 
 

@@ -1,20 +1,27 @@
-"""The projection flow of the su(6,3) members of an ``orbit-ensemble``
-benchmark config against a 60-digit mpmath reference.
+"""The projection flow of the su(6,3) or sl(4,C) members of an
+``orbit-ensemble`` benchmark config against an mpmath reference.
 
 Usage (from the repository root):
 
     python3 tools/projection_reference.py --seed 7
     python3 tools/projection_reference.py --seed 7 --src OTHER/src
+    python3 tools/projection_reference.py --space sl4c --dps 200 --seed 3 --t-end 30
 
-The members are the su(6,3) runs of ``perfbench/workloads.py``'s
-``orbit_ensemble(seed)`` config, sampled every 0.5 to t = 10.  The
-reference is built in mpmath at 60 digits from the double inputs of each
-run (q0, p0, the spin coefficients and the basis matrices, all exact in
-binary): lax_cal(pt0) = V diag(lambda) V+, S0 = exp(embed(q0)) and
-Lambda(t) = S0 V exp(2 t lambda) V+ S0.  q(t) is half the log of the top n
-eigenvalues of Lambda(t), and p(t) = q'(t) by a central difference of step
-1e-25.  Each member's line gives the largest |q - ref| and |p - ref| over
-the samples that ``dynamics._projection_at`` returns, or the error that
+The members are the runs of ``perfbench/workloads.py``'s
+``orbit_ensemble(seed)`` config on the space, sampled every 0.5 to
+``--t-end`` (default 10).  The reference is built in mpmath at ``--dps``
+digits (default 60) from the double inputs of each run (q0, p0, the spin
+coefficients and the basis matrices, all exact in binary):
+lax_cal(pt0) = V diag(lambda) V+, S0 = exp(embed(q0)) and
+Lambda(t) = S0 V exp(2 t lambda) V+ S0.  On su(6,3), q(t) is half the log
+of the top n eigenvalues of Lambda(t).  On sl(4,C) it is half the log of
+all k of them, centred; since the smallest eigenvalues are read too, the
+reference needs more digits than Lambda(t) spans (200 to t = 30).
+p(t) is the derivative of q(t) before centring, by a central difference
+of step 1e-25: the flow keeps the mean of p0, which a config's p rounded
+to 12 digits may hold (of size 2.5e-13 on seed 7's sl(4,C) members 1 and
+2).  Each member's line gives the largest |q - ref| and |p - ref| over the
+samples that ``dynamics._projection_at`` returns, or the error that
 stopped it and the samples before.
 """
 
@@ -54,7 +61,11 @@ def reference(mp, space, pt, times):
     qs, ps = [], []
     for t in times:
         t = mp.mpf(float(t))
-        qs.append([float(v) for v in q_at(t)])
+        q = q_at(t)
+        if space.spec.family == "sl_kc":
+            mean = mp.fsum(q) / n
+            q = [v - mean for v in q]
+        qs.append([float(v) for v in q])
         ps.append([float((a - b) / (2 * h)) for a, b in zip(q_at(t + h), q_at(t - h))])
     return qs, ps
 
@@ -64,6 +75,8 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     parser.add_argument("--dps", type=int, default=60)
+    parser.add_argument("--space", choices=("su63", "sl4c"), default="su63")
+    parser.add_argument("--t-end", type=float, default=10.0)
     args = parser.parse_args()
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
     import mpmath as mp
@@ -74,8 +87,9 @@ def main():
     with tempfile.TemporaryDirectory() as work:
         workloads.orbit_ensemble(args.seed, work)
         with open(os.path.join(work, "ensemble.json"), encoding="utf-8") as fh:
-            runs = [r for r in json.load(fh)["runs"] if r["space"] == workloads.SU63]
-    times = np.linspace(0.0, 10.0, 21)
+            space = {"su63": workloads.SU63, "sl4c": workloads.SL4}[args.space]
+            runs = [r for r in json.load(fh)["runs"] if r["space"] == space]
+    times = np.linspace(0.0, args.t_end, int(round(2 * args.t_end)) + 1)
     for raw in runs:
         cfg = cli.parse_run(raw)
         flow = dynamics.InvariantSpec("trace_power", 2)
