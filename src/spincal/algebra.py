@@ -34,44 +34,13 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "SpaceSpec",
-    "Root",
-    "SymmetricSpaceData",
-    "build_space",
-    "theta",
-    "split",
-    "dagger",
-    "project",
-    "decompose",
-    "reconstruct",
-    "ad_fn",
-    "ad_fn_slice",
-    "sinh_sq",
-    "weyl_act",
-    "membership_residual",
-    "project_to_algebra",
-    "pair",
-    "row_dots",
-    "embed",
-    "coords_of",
-    "is_regular",
-    "is_in_chamber",
-    "min_root_value",
-    "require_off_wall",
-    "random_algebra_element",
-    "random_gplus_element",
-    "random_chamber_point",
-    "chamber_points",
-    "MembershipError",
-    "AdmissibilityError",
-    "WallProximityError",
-    "DegenerateSpectrumError",
-    "StepSizeError",
-    "OffSliceError",
-    "FreezeCertificateError",
-    "EPS_MEMBERSHIP",
-    "EPS_WALL",
-    "EPS_REGULAR",
+    "SpaceSpec", "Root", "SymmetricSpaceData", "build_space", "theta", "split", "dagger",
+    "project", "decompose", "reconstruct", "ad_fn", "ad_fn_slice", "sinh_sq", "weyl_act",
+    "membership_residual", "project_to_algebra", "pair", "row_dots", "embed", "coords_of",
+    "is_regular", "is_in_chamber", "min_root_value", "require_off_wall", "random_algebra_element",
+    "random_gplus_element", "random_chamber_point", "chamber_points", "MembershipError",
+    "AdmissibilityError", "WallProximityError", "DegenerateSpectrumError", "StepSizeError",
+    "OffSliceError", "FreezeCertificateError", "EPS_MEMBERSHIP", "EPS_WALL", "EPS_REGULAR",
     "FAR_ROOT",
 ]
 

@@ -32,17 +32,9 @@ from .dynamics import InvariantSpec
 from .orbits import OrbitSpec
 
 __all__ = [
-    "CheckResult",
-    "default_orbit_spec",
-    "random_phase_point",
-    "basis_checks",
-    "slice_checks",
-    "bracket_checks",
-    "noninvolution_witness",
-    "reduction_checks",
-    "catalog_checks",
-    "freezing_checks",
-    "run_verify",
+    "CheckResult", "default_orbit_spec", "random_phase_point", "basis_checks", "slice_checks",
+    "bracket_checks", "noninvolution_witness", "reduction_checks", "catalog_checks",
+    "freezing_checks", "run_verify",
 ]
 
 

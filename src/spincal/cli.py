@@ -183,34 +183,36 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _initial_spin(space: SymmetricSpaceData, model: dict, seed: int) -> orbits.SpinPoint:
+def _orbit_spec(space_spec: SpaceSpec, model: dict) -> orbits.OrbitSpec:
+    """The orbit of an orbit model on its space."""
+    if space_spec.family == "sl_kc":
+        return orbits.OrbitSpec.kks(model.get("kappa", 1.0))
+    return orbits.OrbitSpec.su(kappa_m=model.get("kappa_m", 0.0),
+                               kappa_n=model.get("kappa_n", 0.0), x=model.get("x", 0.0))
+
+
+def _initial_spin(space: SymmetricSpaceData, model: dict, seed: int, spins) -> orbits.SpinPoint:
     """The run's initial spin: zero, the catalog model's frozen
-    representative, or a random slice point of the orbit drawn with seed."""
+    representative, or a random slice point of the orbit drawn with seed,
+    from ``spins`` when it holds it (see :func:`_slice_spins`)."""
     mtype = model["type"]
     if mtype == "free":
         return orbits.zero_spin(space)
     if mtype in CATALOG_TYPES:
         return orbits.xi_red(space, "kks" if mtype == "a" else mtype,
                              model.get("kappa", 0.0), model.get("x", 0.0))
-    if space.spec.family == "sl_kc":
-        spec = orbits.OrbitSpec.kks(model.get("kappa", 1.0))
-    else:
-        spec = orbits.OrbitSpec.su(kappa_m=model.get("kappa_m", 0.0),
-                                   kappa_n=model.get("kappa_n", 0.0), x=model.get("x", 0.0))
-    return orbits.random_slice_spin(space, spec, np.random.default_rng(seed))
+    spec = _orbit_spec(space.spec, model)
+    return (spins.get((space.spec, spec, seed))
+            or orbits.random_slice_spin(space, spec, np.random.default_rng(seed)))
 
 
-def parse_run(obj: dict, default_name: str = "run", overrides=None) -> RunConfig:
-    """The run of a config object, its initial phase point built: any model,
-    orbit or initial-point error is a ConfigError.  ``overrides`` (the
-    CLI's ``--method``/``--seed``) are merged into the object first; a
-    ``--seed`` also beats the model's own seed."""
+def _run_head(obj: dict, overrides) -> tuple:
+    """The effective config object of a run, its space's spec, model and
+    seed: what its initial spin depends on."""
     _check_keys(obj, RUN_KEYS, "run config")
     overrides = overrides or {}
     obj = {**obj, **overrides}  # the hash covers the effective config
     space_spec = parse_space(_need(obj, "space", "run config"))
-    space = algebra.build_space(space_spec)
-
     model = _need(obj, "model", "run config")
     _check_keys(model, MODEL_KEYS, "model")
     model = {key: _value(model, key, MODEL_NUMBERS[key], "model") if key in MODEL_NUMBERS
@@ -221,12 +223,22 @@ def parse_run(obj: dict, default_name: str = "run", overrides=None) -> RunConfig
     seed = _value(obj, "seed", _integer, "run config", 0)
     if "seed" not in overrides:
         seed = model.get("seed", seed)
+    return obj, space_spec, model, seed
 
+
+def parse_run(obj: dict, default_name: str = "run", overrides=None, spins=None) -> RunConfig:
+    """The run of a config object, its initial phase point built: any model,
+    orbit or initial-point error is a ConfigError.  ``overrides`` (the
+    CLI's ``--method``/``--seed``) are merged into the object first; a
+    ``--seed`` also beats the model's own seed.  ``spins`` holds orbit spins
+    already drawn, by (space, orbit, seed)."""
+    obj, space_spec, model, seed = _run_head(obj, overrides)
+    space, mtype = algebra.build_space(space_spec), model["type"]
     initial = _need(obj, "initial", "run config")
     _check_keys(initial, {"q", "p"}, "initial")
     q, p = (_value(initial, key, _reals, "initial") for key in ("q", "p"))
     try:
-        pt0 = dynamics.make_phase_point(space, q, p, _initial_spin(space, model, seed))
+        pt0 = dynamics.make_phase_point(space, q, p, _initial_spin(space, model, seed, spins or {}))
         # no integrator steps from inside the wall margin, where this raises,
         # or from an energy that overflows
         with np.errstate(over="ignore", invalid="ignore"):
@@ -296,13 +308,44 @@ def parse_runs(raw: dict, overrides=None) -> list:
             raise ConfigError(f"unknown top-level keys next to 'runs': {sorted(extra)}")
         if not isinstance(raw["runs"], list) or not raw["runs"]:
             raise ConfigError("'runs' must be a non-empty list")
-        runs = [parse_run(obj, default_name=f"run{i:02d}", overrides=overrides)
+        spins = _slice_spins(raw["runs"], overrides)
+        runs = [parse_run(obj, default_name=f"run{i:02d}", overrides=overrides, spins=spins)
                 for i, obj in enumerate(raw["runs"])]
         names = [r.name for r in runs]
         if len(set(names)) != len(names):
             raise ConfigError("run names must be unique")
         return runs
     return [parse_run(raw, overrides=overrides)]
+
+
+def _slice_spins(objs, overrides) -> dict:
+    """The initial spins of a batch's orbit runs, by (space, orbit, seed): one
+    :class:`orbits.SliceDrawRule` per space and orbit, and one certificate of
+    its draws stacked, each draw from its run's own default_rng(seed), as
+    :func:`orbits.random_slice_spin` makes it.  A run whose config fails
+    before its spin, or whose stack fails the certificate, is left to
+    :func:`parse_run`, which raises the first invalid run's error."""
+    draws = {}
+    for obj in objs:
+        try:
+            _, space_spec, model, seed = _run_head(obj, overrides)
+            if model["type"] == "orbit":
+                draws.setdefault((space_spec, _orbit_spec(space_spec, model)), {})[seed] = 0
+        except ValueError:  # a ConfigError, or an inadmissible orbit
+            continue
+    spins = {}
+    for (space_spec, spec), seeds in draws.items():
+        try:
+            rule = orbits.slice_draw_rule(algebra.build_space(space_spec), spec)
+            e, r = zip(*(rule.draw(np.random.default_rng(seed)) for seed in seeds))
+            stack = rule.spins(None if e[0] is None else np.array(e), np.array(r))
+        except ValueError:
+            continue
+        S, space = len(seeds), rule.space  # a purely central orbit draws nothing: one spin
+        spins.update(((space_spec, spec, seed), orbits.SpinPoint(xi=xi, coeffs=c)) for seed, xi, c
+                     in zip(seeds, np.broadcast_to(stack.xi, (S, space.N, space.N)),
+                            np.broadcast_to(stack.coeffs, (S, space.K))))
+    return spins
 
 
 def config_hash(raw: dict) -> str:

@@ -54,37 +54,12 @@ FREEZE_FROZEN_TOL = 1e-8
 MAX_SAMPLES = 1_000_000  # the most sample segments of a run's grid (default 200)
 
 __all__ = [
-    "FREEZE_LINEAR_TOL",
-    "FREEZE_FROZEN_TOL",
-    "MAX_SAMPLES",
-    "PhasePoint",
-    "InvariantSpec",
-    "Trajectory",
-    "EomRhs",
-    "FreezingResult",
-    "FreezeCertificate",
-    "make_phase_point",
-    "hamiltonian",
-    "hamiltonian_via_lax",
-    "lax",
-    "lax_minus",
-    "lax_cal",
-    "eom_rhs",
-    "sample_grid",
-    "integrate_direct",
-    "integrate_direct_batch",
-    "flow_projection",
-    "projection_trajectory",
-    "invariant_value",
-    "gradient",
-    "bracket_pairings",
-    "gradient_pairings",
-    "bracket_formula",
-    "identity_413",
-    "identity_416",
-    "freezing_solve",
-    "r12_build",
-    "monitor",
+    "FREEZE_LINEAR_TOL", "FREEZE_FROZEN_TOL", "MAX_SAMPLES", "PhasePoint", "InvariantSpec",
+    "Trajectory", "EomRhs", "FreezingResult", "FreezeCertificate", "make_phase_point",
+    "hamiltonian", "hamiltonian_via_lax", "lax", "lax_minus", "lax_cal", "eom_rhs", "sample_grid",
+    "integrate_direct", "integrate_direct_batch", "flow_projection", "projection_trajectory",
+    "invariant_value", "gradient", "bracket_pairings", "gradient_pairings", "bracket_formula",
+    "identity_413", "identity_416", "freezing_solve", "r12_build", "monitor",
 ]
 
 
@@ -158,8 +133,8 @@ class EomRhs:
 class Trajectory:
     """Time-stamped reduced trajectory with invariant monitors.  ``path`` is
     the samples as one stacked :class:`PhasePoint`: q, p (T, n), xi (T, N, N)
-    and its coefficients (T, K); in the freezing gauge the spin is a read-only
-    broadcast of the run's initial spin."""
+    and its coefficients (T, K); in the freezing gauge the spin is the run's
+    initial spin at every sample."""
 
     times: np.ndarray
     path: PhasePoint
@@ -628,10 +603,11 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
     wall check, counters and samples, exactly as :func:`integrate_direct`
     describes for one run; finished members drop out of the active rows.
     Every Runge-Kutta stage is one right-hand-side call over the active rows,
-    whatever their spaces (see :class:`_DirectSystem`), and the continuous
-    extension's stages one call over the rows of the steps that hold a
-    sample.  ``monitors`` holds one ``(lax_x, invariants)`` pair per member
-    (default ``(0, 1)`` and none).
+    whatever their spaces (see :class:`_DirectSystem`); the continuous
+    extension's stages are one call per B buffered steps that hold a sample,
+    and the monitors one evaluation per space and monitor set on the samples
+    of its members stacked.  ``monitors`` holds one ``(lax_x, invariants)``
+    pair per member (default ``(0, 1)`` and none).
 
     Returns one entry per member, in input order: its :class:`Trajectory`, or
     the exception that stopped it alone (:class:`StepSizeError`,
@@ -687,43 +663,45 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         samples, counts, stats = _step_batch(sys, sid, y0, grids, tol, t_end, stopped)
 
-    out = []
-    for m, (space, pt0) in enumerate(zip(spaces, pts)):
-        n, K = space.n_coords, space.K
-        exc, wall_time, freeze_residual = stopped[m], None, None
-        times = grids[m][:counts[m]]
-        if isinstance(exc, WallProximityError) and on_wall == "truncate":
-            exc, wall_time = None, exc.t
-        y = samples[m, :counts[m]]
-        if exc is None and freeze:
+    out, groups = stopped, {}  # each member's failure, else its Trajectory fields
+    for m, space in enumerate(spaces):
+        fields = dict(times=grids[m][:counts[m]], wall_time=None, freeze_residual=None)
+        if isinstance(out[m], WallProximityError) and on_wall == "truncate":
+            out[m], fields["wall_time"] = None, out[m].t
+        if out[m] is None and freeze:
             # the independent N x N check at the samples, from the run's z_r
-            _, linear, frozen, ok = certs[m].at(y[:, :n])
-            freeze_residual = float(max(certs[m].root_residuals.max(), frozen.max()))
+            _, linear, frozen, ok = certs[m].at(samples[m, :counts[m], :space.n_coords])
+            fields["freeze_residual"] = float(max(certs[m].root_residuals.max(), frozen.max()))
             if not ok.all():
                 k = int(np.argmin(ok))
-                exc = FreezeCertificateError(
-                    f"no freezing gauge at the sample t = {times[k]:.6g} (linear residual "
-                    f"{linear[k]:.3e}, frozen residual {frozen[k]:.3e})")
-        if exc is not None:
-            out.append(exc)
-            continue
-        if freeze:  # the spin does not move: the initial one's bits
-            xi = SpinPoint(xi=np.broadcast_to(pt0.xi.xi, (len(y), space.N, space.N)),
-                           coeffs=np.broadcast_to(pt0.xi.coeffs, (len(y), K)))
+                out[m] = FreezeCertificateError(
+                    f"no freezing gauge at the sample t = {fields['times'][k]:.6g} (linear "
+                    f"residual {linear[k]:.3e}, frozen residual {frozen[k]:.3e})")
+        if out[m] is None:
+            out[m] = dict(fields, **{name: v[m].item() for name, v in stats.items()})
+            if not out[m]["n_steps"]:
+                out[m]["h_min"] = out[m]["h_max"] = None
+            groups.setdefault((space.spec, repr(monitors[m])), []).append(m)
+    # the monitors of the members of one space and one monitor set (repr tells
+    # -0.0 from 0.0, as the labels do), on their samples stacked
+    for ms in groups.values():
+        space, reps, (lax_x, invariants) = spaces[ms[0]], counts[ms], monitors[ms[0]]
+        n, K = space.n_coords, space.K
+        y = np.concatenate([samples[m, :counts[m]] for m in ms])
+        if freeze:  # the spin does not move: each member's initial one, at each sample
+            xi = SpinPoint(xi=np.repeat([pts[m].xi.xi for m in ms], reps, axis=0),
+                           coeffs=np.repeat([pts[m].xi.coeffs for m in ms], reps, axis=0))
         else:
             cplus = y[:, 2 * nc:2 * nc + K]
             xi = SpinPoint(xi=algebra.reconstruct(space, cplus=cplus), coeffs=cplus)
         path = PhasePoint(q=y[:, :n], p=y[:, nc:nc + n], xi=xi)
-        # the M-part of xi' vanishes on the slice; its largest value at the
-        # samples is kept as a consistency diagnostic (np.max keeps a NaN)
-        m_drift = 0.0 if freeze else float(np.max(_m_part_norm(space, path)))
-        lax_x, invariants = monitors[m]
-        counters = {name: v[m].item() for name, v in stats.items()}
-        if not counters["n_steps"]:
-            counters["h_min"] = counters["h_max"] = None
-        out.append(_attach_monitors(space, times, path, lax_x, invariants, m_drift=m_drift,
-                                    wall_time=wall_time, freeze_residual=freeze_residual,
-                                    **counters))
+        # the M-part of xi' vanishes on the slice; its largest value at each
+        # member's samples is kept as a consistency diagnostic (maximum keeps a NaN)
+        drifts = np.zeros(len(ms)) if freeze else np.maximum.reduceat(
+            _m_part_norm(space, path), np.cumsum(reps) - reps)
+        runs = [dict(out[m], m_drift=drift) for m, drift in zip(ms, drifts.tolist())]
+        for m, traj in zip(ms, _attach_monitors(space, path, lax_x, invariants, runs)):
+            out[m] = traj
     return out
 
 
@@ -778,10 +756,12 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
     accepted steps with StepSizeError, even on a step that reaches t_end;
     else at t_end; else with a next step below 1e-14 max(1, t_end), as
     WallProximityError at a wall (min alpha(q) < 1e-3, where every step is
-    rejected) and StepSizeError elsewhere.  The exceptions go into ``stopped``."""
+    rejected) and StepSizeError elsewhere.  The exceptions go into ``stopped``.
+    An accepted step that holds a sample waits, with its stages, in a buffer;
+    one :func:`_dense_output` call evaluates the extension of the buffered
+    steps before it would hold more than :func:`_buffer_rows` and at the end."""
     B, width = y0.shape
     spaces = [sys.spaces[s] for s in sid]
-    dims = np.array([2 * s.n_coords + s.K for s in spaces])  # each member's own D
     # the grids padded with inf: grid[m, counts[m]] is member m's next sample time
     grid = np.full((B, max(len(g) for g in grids)), np.inf)
     for m, g in enumerate(grids):
@@ -792,8 +772,11 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
     stats = {name: np.zeros(B, dtype=int) for name in ("n_steps", "n_rejected", "n_rhs")}
     stats.update(h_min=np.full(B, np.inf), h_max=np.zeros(B), min_alpha=np.full(B, np.inf))
     n_steps, n_rejected, n_rhs, h_lo, h_hi, alpha_lo = stats.values()
+    # the buffered steps, at most cap rows of ks, with their samples
+    buffer, n_buf, cap = [], 0, _buffer_rows(B)
     rows = np.array([m for m in range(B) if stopped[m] is None], dtype=int)  # active members
     Y = y0[rows]
+    D = np.array([2 * spaces[m].n_coords + spaces[m].K for m in rows])  # each row's own D
     t = np.zeros(rows.size)
     h = np.full(rows.size, 0.005)  # the first trial step, whatever the sample grid
     ks = np.empty((rows.size, 16, width))
@@ -801,7 +784,7 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
     # to stats as their members leave: h_min, -h_max and min_alpha, all minima
     ext = np.tile([np.inf, -0.0, np.inf], (rows.size, 1))
     if rows.size:
-        active, dims_rows = sys.rows(sid[rows]), dims[rows].tolist()
+        active = sys.rows(sid[rows])
         ks[:, 0] = active(t, Y)  # the first stage at (t, y), kept over a rejected step
         n_rhs[rows] += 1
         ext[:, 2] = active.min_root_values(Y)
@@ -825,25 +808,24 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
                     stopped[m] = StepSizeError(f"step size underflow at t = {t[r]:.6g}")
             gone = rows[leave]
             h_lo[gone], h_hi[gone], alpha_lo[gone] = ext[leave, 0], -ext[leave, 1], ext[leave, 2]
-            rows, Y, t, h, ks, ext = (a[~leave] for a in (rows, Y, t, h, ks, ext))
+            rows, Y, t, h, ks, ext, D = (a[~leave] for a in (rows, Y, t, h, ks, ext, D))
             if not rows.size:
                 break
-            active, dims_rows = active.rows(sid[rows]), dims[rows].tolist()
+            active = active.rows(sid[rows])
         h = np.minimum(h, t_end - t)
         y1 = _stages(active, t, Y, ks, h)  # twelve right-hand sides, counted at the end
         # |e5|^2 and |e3|^2 per row, each estimate scaled by tol (1 + max(|y0|, |y1|))
         est = (_DOP_E @ ks[:, :12]) / (tol + tol * np.maximum(np.abs(Y), np.abs(y1)))[:, None]
-        sq = algebra.row_dots(est, est)
+        e5, e3 = algebra.row_dots(est, est).T
         # a non-finite error, or a step ending within EPS_WALL of a wall, fails
-        bad = ~np.isfinite(sq).all(axis=1)
         alpha = active.min_root_values(y1)
-        bad |= alpha < algebra.EPS_WALL
-        err = [math.inf if b else (hk * e5 / math.sqrt((e5 + 0.01 * e3) * D) if e5 else 0.0)
-               for hk, (e5, e3), b, D in zip(h.tolist(), sq.tolist(), bad.tolist(), dims_rows)]
-        # a failed step retries with a fifth of h
-        h_step, h = h, h * np.array([min(5.0, max(0.2, 0.9 * (e + 1e-300) ** -0.125))
-                                     for e in err])
-        passed = np.array([e <= 1.0 for e in err])
+        err = np.where(e5 > 0.0, h * e5 / np.sqrt((e5 + 0.01 * e3) * D), 0.0)
+        err[~(np.isfinite(e5) & np.isfinite(e3)) | (alpha < algebra.EPS_WALL)] = np.inf
+        # a failed step retries with a fifth of h; Python's ** rounds the factor
+        # as numpy's power may not
+        grow = list(map(operator.pow, (err + 1e-300).tolist(), [-0.125] * err.size))
+        h_step, h = h, h * np.minimum(5.0, np.maximum(0.2, 0.9 * np.array(grow)))
+        passed = err <= 1.0
         ok = np.flatnonzero(passed)
         if ok.size < rows.size:
             n_rejected[rows[~passed]] += 1
@@ -859,46 +841,81 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
         take = n_new - counts[members]
         if take.any():
             s = np.flatnonzero(take)  # the accepted steps that hold a sample
-            y0s = Y[ok[s]]
-            F = _extension(active.rows(sid[members[s]]), t0[s], y0s, y1[s], ks[ok[s]], h_acc[s])
+            if n_buf + s.size > cap and buffer:
+                n_buf = _dense_output(sys, buffer, samples)
             n_rhs[members[s]] += 3
             i = np.repeat(np.arange(s.size), take[s])  # the step of each new sample
             k = n_new[s][i] - (np.cumsum(take[s])[i] - np.arange(i.size))
             m = members[s][i]
-            th = (grid[m, k] - t0[s][i]) / h_acc[s][i]
-            samples[m, k] = _extension_at(y0s[i], F[i], th[:, None])
+            buffer.append((sid[members[s]], t0[s], h_acc[s], Y[ok[s]], y1[s], ks[ok[s]],
+                           m, k, n_buf + i, (grid[m, k] - t0[s][i]) / h_acc[s][i]))
+            n_buf += s.size
             counts[members] = n_new
         Y[acc] = y1
         t[acc] = t1
         n_steps[members] += 1
         ext[acc] = np.minimum(ext[acc], np.array([h_acc, -h_acc, alpha[acc]]).T)
         ks[acc, 0] = ks[acc, 12]  # first same as last: the stage at y1 starts the next step
+    if buffer:
+        _dense_output(sys, buffer, samples)
     n_rhs += 12 * (n_steps + n_rejected)  # each attempt is accepted or rejected
     return samples, counts, stats
 
 
-def _attach_monitors(space, times, path, lax_x, invariants, **stats):
-    """The :class:`Trajectory` of the samples ``path`` (one stacked
-    :class:`PhasePoint`) at ``times``: energy, the Lax spectra at each x and
-    each invariant, every one evaluated once on the whole stack.
+def _buffer_rows(B: int) -> int:
+    """The step rows a batch of B members buffers for one dense output."""
+    return B
+
+
+def _dense_output(sys, buffer, samples) -> int:
+    """Write the samples of the steps in ``buffer`` (see :func:`_step_batch`)
+    from one :func:`_extension` call on one view of their rows (a step's
+    extension depends on its own data alone), and empty it: returns the
+    buffer's new row count, 0."""
+    sid, t0, h, y0, y1, ks, m, k, j, th = (buffer[0] if len(buffer) == 1  # nothing to stack
+                                           else map(np.concatenate, zip(*buffer)))
+    F = _extension(sys.rows(sid), t0, y0, y1, ks, h)
+    samples[m, k] = _extension_at(y0[j], F[j], th[:, None])
+    buffer.clear()
+    return 0
+
+
+def _attach_monitors(space, path, lax_x, invariants, runs) -> list:
+    """The :class:`Trajectory` of each of the runs whose samples ``path``
+    (one stacked :class:`PhasePoint`) holds, run after run: ``runs`` holds
+    per run its further fields, its ``times`` among them.  Energy, the Lax
+    spectra at each x and each invariant are evaluated once on the whole
+    stack, and each run holds its part of them and of ``path``.
 
     L(0) is Hermitian, and so is lax_cal, which is isospectral with L(1)
     and L(-1): there the spectra are eigvalsh's, real and sorted, which is
     already the optimal matching.  At any other x, L(x) is not normal and
-    its spectra are matched tracks of eigvals (see :func:`_match_spectra`)."""
+    each run's spectra are eigvals tracks matched against its first sample
+    (see :func:`_match_spectra`)."""
     # L(x) = L(0) - x xi: one Lax matrix per sample serves every x
     lax0 = lax(space, path, 0.0)
     xis = path.xi.xi
     hermitian = {0.0: lax0}
     if any(abs(float(x)) == 1.0 for x in lax_x):
         hermitian[1.0] = hermitian[-1.0] = lax_cal(space, path)
+    lax_x = tuple(map(float, lax_x))
     spectra = {x: np.linalg.eigvalsh(hermitian[x]).astype(complex) if x in hermitian
-               else _match_spectra(sorted_spectrum(lax0 - x * xis)) for x in map(float, lax_x)}
+               else sorted_spectrum(lax0 - x * xis) for x in lax_x}
     inv = {spec.label(): invariant_value(space, spec, lax0 - spec.x * xis)
            for spec in invariants}
-    return Trajectory(times=np.asarray(times, dtype=float), path=path,
-                      energy=hamiltonian(space, path), lax_x=tuple(float(x) for x in lax_x),
-                      lax_spectra=spectra, invariants=inv, **stats)
+    energy = hamiltonian(space, path)
+    out, stop = [], 0
+    for fields in runs:
+        run = slice(stop, stop + len(fields["times"]))
+        stop = run.stop
+        samples = PhasePoint(q=path.q[run], p=path.p[run],
+                             xi=SpinPoint(xi=xis[run], coeffs=path.xi.coeffs[run]))
+        out.append(Trajectory(
+            path=samples, energy=energy[run], lax_x=lax_x,
+            lax_spectra={x: v[run] if x in hermitian else _match_spectra(v[run])
+                         for x, v in spectra.items()},
+            invariants={label: v[run] for label, v in inv.items()}, **fields))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1108,11 +1125,11 @@ def _projection_at(space: SymmetricSpaceData, lift: tuple, t, partial: bool = Fa
     which has W's left singular vectors and singular values.  On su(m,n), q
     is the log of the top singular values (gauge: :func:`_chamber_gauge_su`);
     on sl(k,C), the log of all of them, centred (gauge: the left singular
-    vectors).  A sample fails when its flow leaves the float range, q leaves
-    the chamber or has a near-degenerate gap, or the transported spin has an
-    M-part above 1e-7, in that order.  The first failing sample raises; with
-    ``partial`` the samples before it and the failure (None without one) are
-    returned instead.
+    vectors).  A sample fails when its flow or a singular value q is read
+    from leaves the float range, q leaves the chamber or has a near-degenerate
+    gap, or the transported spin has an M-part above 1e-7, in that order.
+    The first failing sample raises; with ``partial`` the samples before it
+    and the failure (None without one) are returned instead.
     """
     xi0, j_minus, S0V, rate = lift
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -1124,11 +1141,12 @@ def _projection_at(space: SymmetricSpaceData, lift: tuple, t, partial: bool = Fa
     # first True entry of a mask, or its length: np.append(mask, True).argmax()
     T = int(np.append(~(np.isfinite(B).all(axis=(1, 2)) & grade.all(axis=1)), True).argmax())
     U, sig, _ = np.linalg.svd(B[:T])
-    if space.spec.family == "su_mn":
-        q, g = np.log(sig[:, :space.spec.n]), _chamber_gauge_su(space, U)
-    else:
-        q, g = np.log(sig), U
-        q -= q.mean(axis=1, keepdims=True)
+    su = space.spec.family == "su_mn"
+    sig = sig[:, :space.spec.n] if su else sig
+    # so is a singular value q is read from that over- or underflows, though B_t is finite
+    T = int(np.append(~((0.0 < sig) & (sig < np.inf)).all(axis=1), True).argmax())
+    q, U = np.log(sig[:T]), U[:T]
+    q, g = (q, _chamber_gauge_su(space, U)) if su else (q - q.mean(axis=1, keepdims=True), U)
     gaps = np.abs(np.diff(np.sort(q, axis=1), axis=1)).min(axis=1, initial=np.inf)
     gh = algebra.dagger(g)
     p = algebra.coords_of(space, gh @ j_minus @ g)
@@ -1241,7 +1259,8 @@ def projection_trajectory(space: SymmetricSpaceData, pt0: PhasePoint, times,
     path = PhasePoint(q=q[:n], p=np.concatenate([pt0.p[None], moved.p])[:n], xi=SpinPoint(
         xi=np.concatenate([pt0.xi.xi[None], moved.xi.xi])[:n],
         coeffs=np.concatenate([pt0.xi.coeffs[None], moved.xi.coeffs])[:n]))
-    return _attach_monitors(space, times[:n], path, lax_x, invariants, wall_time=wall_time)
+    return _attach_monitors(space, path, lax_x, invariants,
+                            [{"times": times[:n], "wall_time": wall_time}])[0]
 
 
 # ---------------------------------------------------------------------------

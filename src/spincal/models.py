@@ -32,15 +32,8 @@ from .algebra import AdmissibilityError, SpaceSpec, SymmetricSpaceData
 from .orbits import SpinPoint, bc_couplings, validate_params
 
 __all__ = [
-    "SpinlessModel",
-    "SUTHERLAND_COUPLING_FACTOR",
-    "validate_params",
-    "model_space",
-    "model_spin",
-    "closed_form_H",
-    "machinery_equals_closed_form",
-    "coupling_relation_residual",
-    "CATALOG",
+    "SpinlessModel", "SUTHERLAND_COUPLING_FACTOR", "validate_params", "model_space", "model_spin",
+    "closed_form_H", "machinery_equals_closed_form", "coupling_relation_residual", "CATALOG",
 ]
 
 #: Sutherland pair coupling is g^2 = SUTHERLAND_COUPLING_FACTOR * kappa^2 in

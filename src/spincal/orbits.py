@@ -32,27 +32,10 @@ from .algebra import (
 )
 
 __all__ = [
-    "OrbitSpec",
-    "SpinPoint",
-    "UnreducedPoint",
-    "eta_of_u",
-    "orbit_base_point",
-    "random_orbit_point",
-    "random_slice_spin",
-    "SliceDrawRule",
-    "slice_draw_rule",
-    "slice_spin",
-    "spin_point",
-    "zero_spin",
-    "moment_map",
-    "build_slice_point",
-    "validate_params",
-    "xi_red",
-    "reduce_orbit_check",
-    "emptiness_probe",
-    "ReductionReport",
-    "expm_herm",
-    "logm_herm",
+    "OrbitSpec", "SpinPoint", "UnreducedPoint", "eta_of_u", "orbit_base_point",
+    "random_orbit_point", "random_slice_spin", "SliceDrawRule", "slice_draw_rule", "slice_spin",
+    "spin_point", "zero_spin", "moment_map", "build_slice_point", "validate_params", "xi_red",
+    "reduce_orbit_check", "emptiness_probe", "ReductionReport", "expm_herm", "logm_herm",
     "diagonalize_flat",
 ]
 

@@ -14,7 +14,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spincal import algebra, cli, dynamics
+from spincal import algebra, cli, dynamics, orbits
 from test_dynamics import assert_same_run
 
 
@@ -591,6 +591,91 @@ def test_overflowing_projection_flow_is_a_degenerate_spectrum(tmp_path, capsys, 
     assert report["status"] == "degenerate_spectrum"
     assert report["error"] == "the projection flow overflows a float at t = 0.5"
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+
+
+def test_projection_run_whose_singular_value_underflows_exits_3(tmp_path):
+    # seed 7's orbit-ensemble member sl4C_0 by projection to t = 300: at
+    # t = 265 the smallest singular value of the graded flow underflows.  That
+    # is the float overflow (exit 3), not a wall contact (exit 2) at t = 264
+    cfg = write_config(tmp_path / "cfg.json", {
+        "space": {"family": "sl_kc", "k": 4},
+        "model": {"type": "orbit", "kappa": 1.0, "seed": 947955533},
+        "initial": {"q": [1.338149242606, 0.281438769981, -0.325881667327, -1.29370634526],
+                    "p": [0.067399487415, 0.018238137012, 0.084818632303, -0.17045625673]},
+        "method": "projection", "t_end": 300.0, "sample_dt": 1.0, "tol": 1e-10})
+    out = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert out.returncode == 3, out.stderr
+    report = json.loads((tmp_path / "o" / "drift_report.json").read_text())
+    assert report["status"] == "degenerate_spectrum" and "last_safe_time" not in report
+    assert report["error"] == "the projection flow overflows a float at t = 265"
+
+
+# an admissible orbit per space family and shape, as orbit models give them
+ORBIT_MODELS = (
+    [({"family": "su_mn", "m": m, "n": n}, model) for m, n in ((2, 1), (2, 2), (3, 2), (6, 3))
+     for model in ({"kappa_m": 1.5, "x": 0.2}, {"kappa_m": 1.0, "kappa_n": 0.5, "x": 0.2},
+                   {"kappa_m": 1.0, "x": 1.0 / n}, {"x": 0.9})]
+    + [({"family": "sl_kc", "k": k}, {"kappa": kappa}) for k in (3, 4) for kappa in (1.0, 0.3)])
+
+
+def test_batch_spins_are_the_bits_of_one_draw_per_run():
+    # parse_runs draws the spins of a batch's orbit runs per space and orbit,
+    # each from its run's own seed, and certifies them stacked: every run's
+    # spin is the bits of its own random_slice_spin draw
+    raws, want = [], []
+    for space_obj, model in ORBIT_MODELS:
+        space = algebra.build_space(cli.parse_space(space_obj))
+        try:
+            spec = cli._orbit_spec(space.spec, {"type": "orbit", **model})
+            orbits.slice_draw_rule(space, spec)
+        except algebra.AdmissibilityError:  # this orbit has no slice on this space
+            continue
+        for seed in (0, 3, 2 ** 40):
+            raws.append({"space": space_obj, "model": {"type": "orbit", **model, "seed": seed}})
+            want.append(orbits.random_slice_spin(space, spec, np.random.default_rng(seed)))
+    assert len(raws) > 20
+    spins = cli._slice_spins(raws, None)
+    assert len(spins) == len(raws)
+    for raw, spin in zip(raws, want):
+        space_spec = cli.parse_space(raw["space"])
+        got = spins[space_spec, cli._orbit_spec(space_spec, raw["model"]), raw["model"]["seed"]]
+        assert got.xi.tobytes() == spin.xi.tobytes()
+        assert got.coeffs.tobytes() == spin.coeffs.tobytes()
+    # parse_runs certifies one stack per space and orbit, and its runs hold those spins
+    orbit = {"type": "orbit", "kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2}
+    runs = [base_run_config(name=f"r{i}", model={**orbit, "seed": i}) for i in range(3)]
+    with mock.patch.object(orbits, "spin_point", wraps=orbits.spin_point) as certified:
+        parsed = cli.parse_runs({"runs": runs})
+    assert certified.call_count == 1
+    for i, run in enumerate(parsed):
+        alone = cli.parse_run(runs[i])
+        assert run.pt0.xi.xi.tobytes() == alone.pt0.xi.xi.tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    # the su(6,3) slice needs x = kappa_m / n
+    {"space": {"family": "su_mn", "m": 6, "n": 3}, "model": {"kappa_m": 1.0, "x": 0.2}},
+    # kappa_n on a size-one factor
+    {"space": {"family": "su_mn", "m": 2, "n": 1}, "model": {"kappa_n": 0.7}},
+    # a seed no generator takes, among good draws of its space and orbit
+    {"space": {"family": "su_mn", "m": 3, "n": 2},
+     "model": {"kappa_m": 1.5, "kappa_n": 0.5, "x": 0.2, "seed": -1}},
+])
+def test_bad_orbit_run_among_good_ones_keeps_its_error(bad):
+    # a batch whose orbit runs are drawn stacked stops at the first invalid
+    # run with the error that run gives alone
+    good = [base_run_config(name=f"g{i}", model={"type": "orbit", "kappa_m": 1.5,
+                                                  "kappa_n": 0.5, "x": 0.2, "seed": i})
+            for i in range(3)]
+    q = [3.0, 2.0, 1.0] if bad["space"].get("m") == 6 else [2.0, 1.0][:bad["space"]["n"]]
+    bad = base_run_config(name="bad", space=bad["space"], model={"type": "orbit", **bad["model"]},
+                          initial={"q": q, "p": [0.0] * len(q)}, monitors=[])
+    with pytest.raises(cli.ConfigError) as alone:
+        cli.parse_run(bad)
+    for runs in ([*good, bad], [good[0], bad, *good[1:]]):
+        with pytest.raises(cli.ConfigError) as batch:
+            cli.parse_runs({"runs": runs})
+        assert str(batch.value) == str(alone.value)
 
 
 # ---------------------------------------------------------------------------

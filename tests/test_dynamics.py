@@ -553,6 +553,112 @@ def test_batch_member_bytes_do_not_depend_on_space_order(labels, seed, near_wall
     assert runs[0] == runs[1]
 
 
+def batch_with_bound(bound, spaces, pts, **kwargs):
+    """integrate_direct_batch(spaces, pts, 1.0) with the dense-output buffer
+    bounded at ``bound`` step rows (None: the batch's own bound), and the
+    step rows of each of its dense-output calls."""
+    dense, flushes = dynamics._dense_output, []
+
+    def counted(sys, buffer, samples):
+        flushes.append(sum(len(step[0]) for step in buffer))
+        return dense(sys, buffer, samples)
+
+    rows = dynamics._buffer_rows if bound is None else (lambda B: bound)
+    with mock.patch.object(dynamics, "_buffer_rows", rows), \
+            mock.patch.object(dynamics, "_dense_output", counted):
+        return dynamics.integrate_direct_batch(spaces, pts, 1.0, **kwargs), flushes
+
+
+def assert_same_dense_output(got, want):
+    """Byte-equal counters and times, and samples within 1e-15 of the run's
+    largest value (the extension stages of a buffer of one space share one
+    BLAS product, whose bits may depend on the rows around them)."""
+    for a, b in zip(got, want):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and str(a) == str(b)
+            continue
+        counters = [repr((r.n_steps, r.n_rejected, r.n_rhs, r.h_min, r.h_max, r.min_alpha,
+                          r.wall_time)) for r in (a, b)]
+        assert counters[0] == counters[1]
+        assert a.times.tobytes() == b.times.tobytes()
+        assert np.abs(packed(a) - packed(b)).max() <= 1e-15 * np.abs(packed(b)).max()
+
+
+# the CI wall run: free su(2,2) motion that meets q1 - q2 = EPS_WALL at t = 0.8333
+WALL_START = ([1.5, 1.0], [-0.3, 0.3])
+
+
+def check_buffered_dense_output(gauge, spaces, pts, dts, wall):
+    """The batch with its buffered dense output against one dense output
+    per step (bound 1), its last member stopped at a wall if ``wall``;
+    returns the step rows of each dense-output call of the batch."""
+    if wall:
+        spaces, pts = [*spaces, CORE_SPACES["su(2,2)"]], [*pts, dynamics.make_phase_point(
+            CORE_SPACES["su(2,2)"], *WALL_START)]
+    kwargs = dict(sample_dt=dts[:len(pts)], on_wall="truncate", gauge=gauge)
+    (got, flushes), (want, single) = (batch_with_bound(bound, spaces, pts, **kwargs)
+                                      for bound in (None, 1))
+    assert_same_dense_output(got, want)
+    assert sum(flushes) == sum(single) and max(flushes, default=0) <= len(pts)
+    if wall:
+        assert want[-1].wall_time is not None and got[-1].times[-1] <= got[-1].wall_time
+    return flushes
+
+
+@pytest.mark.parametrize("gauge", ["zero", "freeze"])
+@settings(max_examples=15, deadline=None)
+@given(labels=st.lists(st.sampled_from(sorted(CORE_SPACES)), min_size=2, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1),
+       dts=st.lists(st.floats(0.01, 1.0), min_size=7, max_size=7),
+       near_wall=st.lists(st.booleans(), min_size=6, max_size=6),
+       free=st.lists(st.booleans(), min_size=6, max_size=6), wall=st.booleans())
+def test_buffered_dense_output_matches_a_flush_per_step(gauge, labels, seed, dts, near_wall,
+                                                         free, wall):
+    # the extension stages of the steps that hold samples, buffered up to
+    # one step row per member and evaluated at once, give the counters of a
+    # dense output per step and its samples to roundoff, in both gauges and
+    # with a sample grid per member; a member stopped at a wall keeps its
+    # samples up to its wall time (in the freezing gauge a generic spin fails
+    # its certificate, as alone)
+    spaces = [CORE_SPACES[label] for label in labels]
+    pts = [member_point(space, seed + i, near_wall[i], free[i]) for i, space in enumerate(spaces)]
+    check_buffered_dense_output(gauge, spaces, pts, dts, wall)
+
+
+def test_buffered_dense_output_flushes_as_the_buffer_fills():
+    # fine sample grids: most steps hold samples, and the buffer of one step
+    # row per member fills and flushes many times, a wall member among them
+    spaces = [CORE_SPACES[label] for label in ("su(2,2)", "sl(3,C)", "su(6,3)")]
+    pts = [member_point(space, 4 + i, False, False) for i, space in enumerate(spaces)]
+    flushes = check_buffered_dense_output("zero", spaces, pts, [0.01, 0.02, 0.03, 0.05], True)
+    assert len(flushes) > 2 and max(flushes) == len(pts) + 1
+
+
+def test_members_of_one_space_get_their_own_monitor_bits(su32):
+    # members of one space with other lax_x and invariants are monitored
+    # apart; members that share them are stacked: each run's monitors are
+    # the bits of _attach_monitors on its own samples
+    rng = np.random.default_rng(2)
+    pts = [checks.random_phase_point(su32, rng) for _ in range(4)]
+    first = ((0.0, 0.5, 1.0), (InvariantSpec("trace_power", 2, 1.0),))
+    other = ((0.5, -1.0), (InvariantSpec("trace_power", 3, 0.5),
+                           InvariantSpec("block_invariant", 1, 0.0)))
+    monitors = [first, other, first, first]
+    runs = dynamics.integrate_direct_batch(su32, pts, 1.0, sample_dt=[0.25, 0.1, 0.5, 0.2],
+                                           monitors=monitors)
+    for run, (lax_x, invariants) in zip(runs, monitors):
+        want, = dynamics._attach_monitors(su32, run.path, lax_x, invariants,
+                                          [{"times": run.times}])
+        assert run.lax_x == want.lax_x and run.energy.tobytes() == want.energy.tobytes()
+        assert run.lax_spectra.keys() == want.lax_spectra.keys()
+        for x, v in want.lax_spectra.items():
+            assert run.lax_spectra[x].tobytes() == v.tobytes()
+        assert run.invariants.keys() == want.invariants.keys()
+        for label, v in want.invariants.items():
+            assert run.invariants[label].tobytes() == v.tobytes()
+        assert run.m_drift == float(np.max(dynamics._m_part_norm(su32, run.path)))
+
+
 # a start and a freezable catalog spin per space of the sample-grid tests
 GRID_STARTS = {
     "su(2,2)": ((1.6, 0.7), ("c", 1.0, 0.7)),
@@ -1457,6 +1563,28 @@ def test_projection_samples_are_flow_projection_bits(label):
             assert a.tobytes() == b.tobytes()
 
 
+# orbit-ensemble member sl4C_0 of perfbench seed 7 (perfbench/workloads.py)
+SL4_MEMBER = ([1.338149242606, 0.281438769981, -0.325881667327, -1.29370634526],
+              [0.067399487415, 0.018238137012, 0.084818632303, -0.17045625673], 947955533)
+
+
+def test_projection_overflowing_singular_value_is_a_float_overflow():
+    # at t = 265 every entry of the graded B_t is finite, but its smallest
+    # singular value underflows to 0: the flow overflows a float there
+    # (DegenerateSpectrumError), it does not leave the chamber
+    space = CORE_SPACES["sl(4,C)"]
+    q, p, seed = SL4_MEMBER
+    xi = orbits.random_slice_spin(space, OrbitSpec.kks(1.0), np.random.default_rng(seed))
+    pt = dynamics.make_phase_point(space, q, p, xi)
+    times = np.arange(301.0)
+    with pytest.raises(algebra.DegenerateSpectrumError, match="overflows a float at t = 265"):
+        dynamics.projection_trajectory(space, pt, times, on_wall="truncate")
+    lift = dynamics._projection_lift(space, pt, InvariantSpec("trace_power", 2))
+    path, failure = dynamics._projection_at(space, lift, times[1:], partial=True)
+    assert isinstance(failure, algebra.DegenerateSpectrumError) and len(path.q) == 264
+    assert (space.root_values(path.q).min(axis=1) > 1.0).all()
+
+
 @pytest.mark.parametrize("times", [[0.3, 0.6], [0.0, 1.0, 0.5], [0.0, -1.0],
                                    [0.0, 0.5, math.nan]])
 def test_projection_times_must_be_a_grid_from_zero(su22, times):
@@ -1556,8 +1684,8 @@ def test_cross_integrator_agreement(case, su21, su22, rng):
              InvariantSpec("block_invariant", 1, 0.5))
     ptraj = dynamics.projection_trajectory(sp, pt, traj.times, lax_x=(0.0, 1.0),
                                            invariants=specs)
-    dtraj_inv = dynamics._attach_monitors(sp, traj.times, traj.path,
-                                          (0.0, 1.0), specs)
+    dtraj_inv, = dynamics._attach_monitors(sp, traj.path, (0.0, 1.0), specs,
+                                           [{"times": traj.times}])
     for i in range(len(traj.times)):
         assert np.abs(traj.path.q[i] - ptraj.path.q[i]).max() < 1e-6
         assert np.abs(traj.path.p[i] - ptraj.path.p[i]).max() < 1e-6
@@ -1679,8 +1807,9 @@ def test_r12_term_count_su32(su32, rng):
 
 def test_monitor_single_sample_zero_drift(su22, rng):
     pt = generic_su22_point(su22, rng)
-    traj = dynamics._attach_monitors(su22, np.array([0.0]), stack_points([pt]), (0.0, 1.0),
-                                     (InvariantSpec("trace_power", 2, 1.0),))
+    traj, = dynamics._attach_monitors(su22, stack_points([pt]), (0.0, 1.0),
+                                      (InvariantSpec("trace_power", 2, 1.0),),
+                                      [{"times": np.array([0.0])}])
     rep = dynamics.monitor(su22, traj)
     assert rep["energy"] == 0.0
     assert all(v == 0.0 for v in rep["lax_spectra"].values())
