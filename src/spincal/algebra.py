@@ -35,13 +35,13 @@ import numpy as np
 
 __all__ = [
     "SpaceSpec", "Root", "SymmetricSpaceData", "build_space", "theta", "split", "dagger",
-    "project", "decompose", "reconstruct", "ad_fn", "ad_fn_slice", "sinh_sq", "weyl_act",
-    "membership_residual", "project_to_algebra", "pair", "row_dots", "embed", "coords_of",
-    "is_regular", "is_in_chamber", "min_root_value", "require_off_wall", "random_algebra_element",
-    "random_gplus_element", "random_chamber_point", "chamber_points", "MembershipError",
-    "AdmissibilityError", "WallProximityError", "DegenerateSpectrumError", "StepSizeError",
-    "OffSliceError", "FreezeCertificateError", "EPS_MEMBERSHIP", "EPS_WALL", "EPS_REGULAR",
-    "FAR_ROOT",
+    "project", "decompose", "coefficients", "reconstruct", "ad_fn", "ad_fn_slice", "sinh_sq",
+    "weyl_act", "membership_residual", "project_to_algebra", "pair", "row_dots", "embed",
+    "coords_of", "is_regular", "is_in_chamber", "min_root_value", "require_off_wall",
+    "random_algebra_element", "random_gplus_element", "random_chamber_point", "chamber_points",
+    "MembershipError", "AdmissibilityError", "WallProximityError", "DegenerateSpectrumError",
+    "StepSizeError", "OffSliceError", "FreezeCertificateError", "EPS_MEMBERSHIP", "EPS_WALL",
+    "EPS_REGULAR", "FAR_ROOT",
 ]
 
 EPS_MEMBERSHIP = 1e-10   # entrywise tolerance for algebra membership
@@ -502,11 +502,17 @@ def decompose(space: SymmetricSpaceData, X: np.ndarray):
     M-perp / A-perp coefficient vectors.
     """
     X = np.asarray(X, dtype=complex)
-    cplus = -np.einsum("...ab,jba->...j", X, space.eplus).real
-    cminus = np.einsum("...ab,jba->...j", X, space.eminus).real
-    cm = -np.einsum("...ab,jba->...j", X, space.m_basis).real
-    a = coords_of(space, X)
-    return a, cm, cplus, cminus
+    return (coords_of(space, X), coefficients(space, X, "m"), coefficients(space, X, "mperp"),
+            coefficients(space, X, "aperp"))
+
+
+def coefficients(space: SymmetricSpaceData, X: np.ndarray, part: str) -> np.ndarray:
+    """X's coefficients in one basis block of :func:`decompose`, part "m",
+    "mperp" or "aperp", with that block alone contracted: the bits of the
+    matching entry of ``decompose(space, X)``."""
+    basis = {"m": space.m_basis, "mperp": space.eplus, "aperp": space.eminus}[part]
+    c = np.einsum("...ab,jba->...j", np.asarray(X, dtype=complex), basis).real
+    return c if part == "aperp" else -c
 
 
 def reconstruct(space: SymmetricSpaceData, a=None, cm=None, cplus=None, cminus=None) -> np.ndarray:

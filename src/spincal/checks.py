@@ -33,8 +33,8 @@ from .orbits import OrbitSpec
 
 __all__ = [
     "CheckResult", "default_orbit_spec", "random_phase_point", "basis_checks", "slice_checks",
-    "bracket_checks", "noninvolution_witness", "reduction_checks", "catalog_checks",
-    "freezing_checks", "run_verify",
+    "bracket_checks", "noninvolution_witness", "reduction_checks", "catalog_spins",
+    "catalog_checks", "freezing_checks", "run_verify",
 ]
 
 
@@ -186,8 +186,11 @@ def bracket_checks(space: SymmetricSpaceData, rng: np.random.Generator,
     xi = pt.xi.xi
     x, y = -2.0 + 4.0 * np.array(xy).T  # on [-2, 2), as rng.uniform(-2, 2) rounds them
     kf, kh = np.array(orders).T
-    lax_x = dynamics.lax(space, pt, x)
-    grad_h = _gradients(space, "trace_power", kh, dynamics.lax(space, pt, y))
+    ysign = np.where(np.array(coins) < 0.5, 1.0, -1.0)
+    # one Lax matrix per draw at each of x, y and (su(m,n) only) +-1, in one call
+    params = [x, y, ysign] if has_block else [x, y]
+    lax_x, lax_y, *lax_s = dynamics.lax(space, pt, np.array(params))
+    grad_h = _gradients(space, "trace_power", kh, lax_y)
     plus, minus = dynamics.gradient_pairings(
         space, xi, _gradients(space, "trace_power", kf, lax_x), grad_h)
     out = [
@@ -197,9 +200,8 @@ def bracket_checks(space: SymmetricSpaceData, rng: np.random.Generator,
                     _worst(np.abs(y * plus - x * minus)), 1e-10),
     ]
     if has_block:
-        ysign = np.where(np.array(coins) < 0.5, 1.0, -1.0)
         grad_b = _gradients(space, "block_invariant", np.array(block_orders), lax_x)
-        grad_s = _gradients(space, "trace_power", kh, dynamics.lax(space, pt, ysign))
+        grad_s = _gradients(space, "trace_power", kh, lax_s[0])
         plus, minus = dynamics.gradient_pairings(space, xi, grad_b, grad_s)
         out.append(CheckResult(f"{name}: mixed brackets vanish at unit parameter",
                                _worst(np.abs(x * ysign * plus - minus)), 1e-10))
@@ -219,7 +221,7 @@ def noninvolution_witness(rng: np.random.Generator, n_draws: int = 60) -> CheckR
     best, details = 0.0, ""
     for i in range(n_draws):
         pt = _phase_points(rule, *_phase_draw(rule, rng))
-        x, y = rng.uniform(-2.0, 2.0, size=2)
+        x, y = -2.0 + 4.0 * rng.random(2)  # the doubles of rng.uniform(-2, 2, size=2)
         val = abs(dynamics.bracket_formula(space, f, x, h, y, pt))
         if val > best:
             best = val
@@ -253,7 +255,7 @@ def reduction_checks(rng: np.random.Generator) -> list:
     ns, rs = [], []
     for _ in range(1000):
         ns.append(rng.integers(1, 6))
-        rs.append(rng.uniform(size=2))
+        rs.append(rng.random(2))  # the doubles of rng.uniform(size=2)
     n, r = np.array(ns), np.array(rs)
     # kappa on [0.05, 4) and x on [-kappa, kappa / n), as rng.uniform rounds them
     kappa = 0.05 + (4.0 - 0.05) * r[:, 0]
@@ -264,23 +266,33 @@ def reduction_checks(rng: np.random.Generator) -> list:
     return out
 
 
-def catalog_checks(rng: np.random.Generator, n_samples: int = 50) -> list:
-    """Reduced Hamiltonian equals the closed-form catalog entry."""
+def catalog_spins() -> list:
+    """The frozen spin of each catalog model (:func:`models.model_spin`), in
+    catalog order."""
+    return [models.model_spin(models.model_space(model), model) for model in models.CATALOG]
+
+
+def catalog_checks(rng: np.random.Generator, n_samples: int = 50,
+                   spins: list | None = None) -> list:
+    """Reduced Hamiltonian equals the closed-form catalog entry, with the
+    models' spins (default :func:`catalog_spins`)."""
     out = []
-    for model in models.CATALOG:
-        res = models.machinery_equals_closed_form(model, rng, n_samples=n_samples)
+    for model, spin in zip(models.CATALOG, catalog_spins() if spins is None else spins):
+        res = models.machinery_equals_closed_form(model, rng, n_samples=n_samples, spin=spin)
         out.append(CheckResult(f"{model.label()}: machinery vs closed form", res, 1e-12))
     return out
 
 
-def freezing_checks(rng: np.random.Generator, n_points: int = 20) -> list:
+def freezing_checks(rng: np.random.Generator, n_points: int = 20,
+                    spins: list | None = None) -> list:
     """Freezing gauge solvable at random chamber points for every catalog
-    entry: one dynamics.FreezeCertificate per model, evaluated at all of its
-    points (dynamics.freezing_solve at each point)."""
+    entry: one dynamics.FreezeCertificate per model and spin (default
+    :func:`catalog_spins`), evaluated at all of its points
+    (dynamics.freezing_solve at each point)."""
     out = []
-    for model in models.CATALOG:
+    for model, spin in zip(models.CATALOG, catalog_spins() if spins is None else spins):
         space = models.model_space(model)
-        cert = dynamics.FreezeCertificate(space, models.model_spin(space, model))
+        cert = dynamics.FreezeCertificate(space, spin)
         qs = algebra.chamber_points(space, rng.uniform(size=(n_points, space.n_coords)))
         algebra.require_off_wall(space, qs)
         _, linear, frozen, _ = cert.at(qs)
@@ -302,8 +314,9 @@ def run_verify(space_specs: list, seed: int = 0, n_draws: int = 100) -> dict:
         results += bracket_checks(space, rng, n_draws=max(50, n_draws))
     results.append(noninvolution_witness(rng))
     results += reduction_checks(rng)
-    results += catalog_checks(rng)
-    results += freezing_checks(rng)
+    spins = catalog_spins()  # built once, for both catalog checks
+    results += catalog_checks(rng, spins=spins)
+    results += freezing_checks(rng, spins=spins)
     return {
         "checks": [r.row() for r in results],
         "n_checks": len(results),

@@ -193,7 +193,8 @@ def lax(space: SymmetricSpaceData, pt: PhasePoint, x: float) -> np.ndarray:
     L(1) = J_minus + tanh(ad_q) J_minus.  The spin is on the slice, so
     coth(ad_q) xi is a scaling of its coefficients (:func:`algebra.ad_fn_slice`).
     A stacked point gives a stack of Lax matrices, with x a float or one
-    value per point.
+    value per point; rows of such values give one stack per row, each with
+    the bits of its own call.
     """
     algebra.require_off_wall(space, pt.q)
     x = np.asarray(x, dtype=float)
@@ -303,7 +304,7 @@ def _m_part_norm(space: SymmetricSpaceData, pt: PhasePoint) -> np.ndarray:
     algebra.require_off_wall(space, pt.q)
     w2 = pt.xi.coeffs / algebra.sinh_sq(space.alpha_cols(pt.q))
     W2 = np.einsum("...j,jab->...ab", w2, space.eplus)
-    cm = -np.einsum("...ab,jba->...j", _comm(-W2, pt.xi.xi), space.m_basis).real
+    cm = algebra.coefficients(space, _comm(-W2, pt.xi.xi), "m")
     return np.sqrt(algebra.row_dots(cm, cm))
 
 
@@ -640,7 +641,8 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
     for s in spaces:
         block.setdefault(s.spec, (len(block), s))
     sid = np.array([block[s.spec][0] for s in spaces], dtype=int)
-    grids = [sample_grid(t_end, dt)[1] for dt in dts]
+    grid_of = {dt: sample_grid(t_end, dt)[1] for dt in dict.fromkeys(dts)}  # one per value
+    grids = [grid_of[dt] for dt in dts]
 
     sys = _DirectSystem([s for _, s in block.values()], gauge)
     nc = sys.nc
@@ -665,7 +667,7 @@ def integrate_direct_batch(space, pts, t_end: float, tol: float = 1e-10, sample_
 
     out, groups = stopped, {}  # each member's failure, else its Trajectory fields
     for m, space in enumerate(spaces):
-        fields = dict(times=grids[m][:counts[m]], wall_time=None, freeze_residual=None)
+        fields = dict(times=grids[m][:counts[m]].copy(), wall_time=None, freeze_residual=None)
         if isinstance(out[m], WallProximityError) and on_wall == "truncate":
             out[m], fields["wall_time"] = None, out[m].t
         if out[m] is None and freeze:
@@ -817,10 +819,13 @@ def _step_batch(sys, sid, y0, grids, tol, t_end, stopped):
         # |e5|^2 and |e3|^2 per row, each estimate scaled by tol (1 + max(|y0|, |y1|))
         est = (_DOP_E @ ks[:, :12]) / (tol + tol * np.maximum(np.abs(Y), np.abs(y1)))[:, None]
         e5, e3 = algebra.row_dots(est, est).T
-        # a non-finite error, or a step ending within EPS_WALL of a wall, fails
+        # a step whose error norm's denominator is not finite (e5 or e3 not
+        # finite, or the sum overflowing), or that ends within EPS_WALL of a
+        # wall, fails
         alpha = active.min_root_values(y1)
-        err = np.where(e5 > 0.0, h * e5 / np.sqrt((e5 + 0.01 * e3) * D), 0.0)
-        err[~(np.isfinite(e5) & np.isfinite(e3)) | (alpha < algebra.EPS_WALL)] = np.inf
+        den = (e5 + 0.01 * e3) * D
+        err = np.where(e5 > 0.0, h * e5 / np.sqrt(den), 0.0)
+        err[~np.isfinite(den) | (alpha < algebra.EPS_WALL)] = np.inf
         # a failed step retries with a fifth of h; Python's ** rounds the factor
         # as numpy's power may not
         grow = list(map(operator.pow, (err + 1e-300).tolist(), [-0.125] * err.size))
@@ -1038,9 +1043,8 @@ class FreezeCertificate:
         c = mu.coeffs
         R = np.zeros((len(space.roots), space.K))
         np.add.at(R, space.e_root, c[:, None] * (space.fplus.transpose(0, 2, 1) @ c))
-        # M-perp coefficients, contracted as algebra.decompose does
-        comms = space.m_basis @ mu.xi - mu.xi @ space.m_basis
-        cols = -np.einsum("kab,jba->jk", comms, space.eplus).real
+        cols = algebra.coefficients(space, space.m_basis @ mu.xi - mu.xi @ space.m_basis,
+                                    "mperp").T
         z, *_ = np.linalg.lstsq(cols, R.T, rcond=None)
         self.space, self.mu, self.z = space, mu, z.T  # z_r: M coefficients, one row per root
         self.defect = (cols @ z).T - R  # cols z_r - R_r, one row per root
@@ -1151,7 +1155,8 @@ def _projection_at(space: SymmetricSpaceData, lift: tuple, t, partial: bool = Fa
     gh = algebra.dagger(g)
     p = algebra.coords_of(space, gh @ j_minus @ g)
     # drop the numerical M-part before re-certifying the slice condition
-    _, cm, cplus, _ = algebra.decompose(space, gh @ xi0 @ g)
+    xi = gh @ xi0 @ g
+    cm, cplus = algebra.coefficients(space, xi, "m"), algebra.coefficients(space, xi, "mperp")
     m_part = np.sqrt(algebra.row_dots(cm, cm))
     bad = np.array([~(space.root_values(q).min(axis=1) > algebra.EPS_WALL), gaps < 1e-9,
                     m_part > 1e-7])

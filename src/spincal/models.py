@@ -146,11 +146,14 @@ def _value(val):
 
 
 def machinery_equals_closed_form(model: SpinlessModel, rng: np.random.Generator,
-                                 n_samples: int = 100) -> float:
+                                 n_samples: int = 100, spin: SpinPoint | None = None) -> float:
     """Max |H_reduced - H_closed_form| over random phase-space draws: per
     draw the generator calls of algebra.random_chamber_point, then p; both
-    sides evaluated on all draws at once."""
+    sides evaluated on all draws at once, with the model's spin (default
+    :func:`model_spin`)."""
     space = model_space(model)
+    if spin is None:
+        spin = model_spin(space, model)
     nc = space.n_coords
     rs, ps = [], []
     for _ in range(n_samples):
@@ -160,7 +163,7 @@ def machinery_equals_closed_form(model: SpinlessModel, rng: np.random.Generator,
     p = np.array(ps)
     if space.spec.family == "sl_kc":
         p -= p.mean(axis=-1, keepdims=True)
-    pt = dynamics.make_phase_point(space, q, p, model_spin(space, model))
+    pt = dynamics.make_phase_point(space, q, p, spin)
     return float(np.max(np.abs(dynamics.hamiltonian(space, pt) - closed_form_H(model, q, p))))
 
 

@@ -141,7 +141,7 @@ def spin_point(space: SymmetricSpaceData, xi: np.ndarray) -> SpinPoint:
                      np.abs(gminus_part).max(axis=(-2, -1), initial=0.0))
     if np.any(res > algebra.EPS_MEMBERSHIP):
         raise MembershipError(f"xi is not in g+ (residual {np.max(res):.3e})")
-    _, cm, cplus, _ = algebra.decompose(space, xi)
+    cm, cplus = algebra.coefficients(space, xi, "m"), algebra.coefficients(space, xi, "mperp")
     m_norm = np.linalg.norm(cm, axis=-1)
     if np.any(m_norm > EPS_ONSLICE):
         raise MembershipError(f"xi has a nonzero M-part (norm {np.max(m_norm):.3e})")
@@ -280,7 +280,8 @@ def moment_map(space: SymmetricSpaceData, point: UnreducedPoint) -> np.ndarray:
     Jm_rot = g_inv @ point.j_minus @ g
     # tanh(ad_q) componentwise: it kills the A- and M-parts and needs no
     # regular q (tanh(0) = 0; a vanishing flat is the Lambda = 1 case)
-    _, _, cplus, cminus = algebra.decompose(space, Jm_rot)
+    cplus = algebra.coefficients(space, Jm_rot, "mperp")
+    cminus = algebra.coefficients(space, Jm_rot, "aperp")
     vals = np.tanh(space.alpha_cols(q))
     Jp_rot = algebra.reconstruct(space, cplus=vals * cminus, cminus=vals * cplus)
     return g @ Jp_rot @ g_inv + point.xi
@@ -500,7 +501,9 @@ def emptiness_probe(space: SymmetricSpaceData, kappa: float, x: float,
         norm2 = np.einsum("si,si->s", v.conj(), v).real
         if np.any(np.abs(norm2 - n * kappa) > _EPS_NORM * max(1.0, n * kappa)):
             raise AdmissibilityError(f"norm constraint |v|^2 = {n * kappa:.12g} violated")
-        cm = np.einsum("si,bij,sj->sb", v.conj(), B, v).imag + const
+        # pairwise: v-bar with every B_b first (one matrix product), then with v
+        cm = np.einsum("si,bij,sj->sb", v.conj(), B, v,
+                       optimize=["einsum_path", (0, 1), (0, 1)]).imag + const
         margin = np.minimum(margin, np.linalg.norm(cm, axis=1).min())  # keeps a NaN
     return float(margin)
 

@@ -2,6 +2,8 @@
 public functions, NaN draws, and the shape of the README config's report."""
 
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -358,8 +360,8 @@ SL3 = algebra.build_space(SpaceSpec.sl(3))
 
 # k is the value the NaN replaces: the first of the check's fourth draw (a
 # draw of 2 or 3 normals per slice or bracket sample, 1 or 2 per catalog
-# sample); in reduction_checks, the first coupling draw after the phases of
-# three orbits' 24 samples, and a value of the emptiness probe's samples
+# sample); in reduction_checks, the first coupling draw (its first
+# rng.random value), and a value of the emptiness probe's samples
 @pytest.mark.parametrize("run, method, k", [
     (lambda rng: checks.slice_checks(SU32, rng, n_draws=10), "standard_normal", 6),
     (lambda rng: checks.slice_checks(SL3, rng, n_draws=10), "standard_normal", 9),
@@ -368,7 +370,7 @@ SL3 = algebra.build_space(SpaceSpec.sl(3))
     (lambda rng: checks.catalog_checks(rng, n_samples=5), "standard_normal", 3),
     (lambda rng: checks.freezing_checks(rng, n_points=5), "uniform", 30),
     (lambda rng: checks.basis_checks(SU32, rng), "standard_normal", 6),
-    (checks.reduction_checks, "uniform", 216),
+    (checks.reduction_checks, "random", 0),
     (checks.reduction_checks, "standard_normal", 24576),
 ], ids=["slice-su32", "slice-sl3", "bracket-su32", "bracket-sl3", "catalog", "freezing",
         "basis", "reduction", "emptiness-probe"])
@@ -395,6 +397,40 @@ def test_a_nan_phase_makes_the_reduction_residuals_nan():
 # ---------------------------------------------------------------------------
 # the README config
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40 + 3])
+def test_random_draws_the_doubles_of_uniform(seed):
+    """reduction_checks and noninvolution_witness draw rng.random(2) where
+    the per-draw references call rng.uniform: the same doubles, and the same
+    generator state after."""
+    for draw, ref in ((lambda rng: rng.random(2), lambda rng: rng.uniform(size=2)),
+                      (lambda rng: -2.0 + 4.0 * rng.random(2),
+                       lambda rng: rng.uniform(-2.0, 2.0, size=2))):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            assert draw(rng).tobytes() == ref(ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_run_verify_builds_each_catalog_spin_once():
+    """One xi_red call per catalog model (and one per reduce_orbit_check),
+    with the catalog and freezing rows of standalone calls on the same
+    generator, which build their own spins."""
+    with mock.patch.object(orbits, "xi_red", wraps=orbits.xi_red) as xi_red:
+        report = checks.run_verify([], seed=5)
+    calls = Counter((c.args[0].spec, *c.args[1:]) for c in xi_red.call_args_list)
+    want = Counter((models.model_space(model).spec,
+                    {"bc": "bc", "c": "c", "d": "d", "a": "kks"}[model.family],
+                    model.kappa, model.x) for model in models.CATALOG)
+    want.update((SpaceSpec.su(n + 1, n), "bc", kappa, x)
+                for n, kappa, x in [(1, 1.0, 0.4), (2, 3.0, 1.0), (3, 2.0, 0.5)])
+    assert xi_red.call_count == len(models.CATALOG) + 3 and calls == want
+    rng = np.random.default_rng(5)
+    checks.noninvolution_witness(rng)
+    checks.reduction_checks(rng)
+    rows = [r.row() for r in checks.catalog_checks(rng) + checks.freezing_checks(rng)]
+    assert report["checks"][-len(rows):] == rows
+
 
 def test_readme_config_report_shape():
     report = checks.run_verify(README_SPACES, seed=0, n_draws=100)

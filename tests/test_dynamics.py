@@ -331,6 +331,32 @@ def test_lax_is_the_slice_lift(label, seed):
     assert np.abs(dynamics.lax(space, pt, 1.0) - j0).max() <= 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(label=st.sampled_from(sorted(CORE_SPACES)), seed=st.integers(0, 2 ** 32 - 1),
+       draws=st.integers(1, 4))
+def test_stacked_lax_and_block_coefficients_are_the_bits_of_separate_calls(label, seed,
+                                                                           draws):
+    # checks.bracket_checks takes its Lax matrices at x, y and +-1 from one lax
+    # call on the stacked parameters; spin_point, moment_map and _projection_at
+    # contract only the coefficient blocks they read
+    space = CORE_SPACES[label]
+    rng = np.random.default_rng(seed)
+    rule = orbits.slice_draw_rule(space, checks.default_orbit_spec(space))
+    pt = checks._phase_points(rule, *checks._stack([checks._phase_draw(rule, rng)
+                                                    for _ in range(draws)]))
+    params = np.array([-2.0 + 4.0 * rng.random(draws), -2.0 + 4.0 * rng.random(draws),
+                       np.where(rng.random(draws) < 0.5, 1.0, -1.0)])
+    stacked = dynamics.lax(space, pt, params)
+    assert stacked.shape == (3, draws, space.N, space.N)
+    for got, x in zip(stacked, params):
+        assert got.tobytes() == dynamics.lax(space, pt, x).tobytes()
+    X = np.concatenate([pt.xi.xi, stacked[0], [algebra.random_algebra_element(space, rng)]])
+    _, cm, cplus, cminus = algebra.decompose(space, X)
+    for part, want in (("m", cm), ("mperp", cplus), ("aperp", cminus)):
+        assert algebra.coefficients(space, X, part).tobytes() == want.tobytes()
+    assert orbits.spin_point(space, pt.xi.xi).coeffs.tobytes() == cplus[:draws].tobytes()
+
+
 @pytest.mark.parametrize("label", sorted(CORE_SPACES))
 def test_flat_basis_round_trip_matches_reconstruct(label):
     # integrate_direct builds the path spin from c+ with algebra.reconstruct:
@@ -803,6 +829,50 @@ def test_step_budget_stops_its_member_alone(su22, rng, monkeypatch):
     assert isinstance(over, algebra.StepSizeError)
     assert str(over) == "maximum number of steps exceeded"
     assert_same_run(got, free)
+
+
+class _OneStageField:
+    """A stand-in for _DirectSystem on rows of one space: its field is 1 at
+    the first attempt's stage 9 and 0 everywhere else (the first call is the
+    stage at the start)."""
+
+    def __init__(self, space):
+        self.spaces, self.calls = (space,), 0
+
+    def rows(self, sid):
+        return self
+
+    def __call__(self, t, Y):
+        self.calls += 1
+        return np.full(Y.shape, float(self.calls == 10))
+
+    def min_root_values(self, Y):
+        return np.ones(len(Y))
+
+
+def test_a_step_whose_error_norm_overflows_fails(su22):
+    """At stage 9, E5 = 0.334 and E3 = -0.152: for the first step,
+    e5 = D (E5_9 / tol)^2 and e3 = D (E3_9 / tol)^2, as |y| stays below 1e-3.
+    At this tol e5 and e3 are finite, but the error norm's denominator
+    (e5 + 0.01 e3) D overflows.  Before, that step's error read 0, and it
+    was accepted with a step factor of 5."""
+    D = 2 * su22.n_coords + su22.K
+    tol = abs(dynamics._DOP_E5[9]) * math.sqrt(3.0 * D / np.finfo(float).max)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _, _, stats = dynamics._step_batch(_OneStageField(su22), np.zeros(1, dtype=int),
+                                           np.zeros((1, D)), [np.array([0.0, 0.005])], tol,
+                                           0.005, [None])
+    # the retry at h / 5 sees a zero field: accepted, and one more step to t_end
+    assert stats["n_rejected"].tolist() == [1] and stats["n_steps"].tolist() == [2]
+    assert stats["h_max"][0] < 0.005
+
+
+def test_members_of_one_sample_dt_share_one_grid_but_own_their_times(su22, rng):
+    pts = [generic_su22_point(su22, rng) for _ in range(3)]
+    runs = dynamics.integrate_direct_batch(su22, pts, 1.0, sample_dt=[0.25, 0.5, 0.25])
+    for run, dt in zip(runs, (0.25, 0.5, 0.25)):
+        assert run.times.tobytes() == dynamics.sample_grid(1.0, dt)[1].tobytes()
+    assert not np.shares_memory(runs[0].times, runs[2].times)
 
 
 def test_empty_batch_has_no_members(su22):
