@@ -79,17 +79,29 @@ class PhasePoint:
 
 def make_phase_point(space: SymmetricSpaceData, q, p, xi: SpinPoint | None = None) -> PhasePoint:
     """A checked phase point; rows of q and p (with one spin, or a stack of
-    as many) give a stacked point for the functions that take stacks."""
+    as many) give a stacked point for the functions that take stacks.  On
+    sl(k,C) they are put on the zero-sum plane (see :func:`_zero_sum`)."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.shape[-1:] != (space.n_coords,) or p.shape != q.shape:
         raise ValueError(f"q and p must have {space.n_coords} coordinates")
     if space.spec.family == "sl_kc":
-        if np.abs(q.sum(axis=-1)).max() > 1e-9 or np.abs(p.sum(axis=-1)).max() > 1e-9:
-            raise ValueError("sl(k,C) coordinates and momenta must sum to zero")
+        q, p = _zero_sum(q), _zero_sum(p)
     if not algebra.is_in_chamber(space, q):
         raise WallProximityError(f"q = {q} is not in the open Weyl chamber")
     return PhasePoint(q=q, p=p, xi=orbits.zero_spin(space) if xi is None else xi)
+
+
+def _zero_sum(v):
+    """The rows of v (k entries each) on the sl(k,C) zero-sum plane, where
+    both integrators keep them: a row whose sum is within 1e-9 of zero (else
+    ValueError) but above the roundoff of a centring, 1e-14 k max(1, max
+    |v|), is centred; a centred row keeps its bits."""
+    s = np.abs(v.sum(axis=-1, keepdims=True))
+    if s.max() > 1e-9:
+        raise ValueError("sl(k,C) coordinates and momenta must sum to zero")
+    off = s > 1e-14 * v.shape[-1] * np.maximum(1.0, np.abs(v).max(axis=-1, keepdims=True))
+    return np.where(off, v - v.mean(axis=-1, keepdims=True), v)
 
 
 @dataclass(frozen=True)
@@ -437,8 +449,11 @@ class _DirectSystem:
     column of alpha(q) or of the root values repeats the space's column 0, so
     c / sinh^2 is 0 there where column 0 is finite (a step where it is not
     fails anyway) and the smallest root value is unchanged; the force has
-    zero pad rows.  A fresh system has the rows of its first space;
-    :meth:`rows` gives the system of other rows."""
+    zero pad rows.  Every row is reduced on its own: its table products are
+    its own (:func:`_row_product`) and its spin rate sums its own nonzero
+    fplus_ijk, so the bits of a row do not depend on the rows beside it.  A
+    fresh system has the rows of its first space; :meth:`rows` gives the
+    system of other rows."""
 
     def __init__(self, spaces, gauge: str):
         self.spaces = tuple(spaces)
@@ -465,9 +480,8 @@ class _DirectSystem:
              padded(s.root_coef[s.e_root] / s.coord_weight, K, nc, None),
              padded(s.root_coef.T, nc, R, s.root_coef[0]))
             for s in self.spaces))]
-        self.neg_fplus = [-s.fplus.reshape(s.K ** 2, s.K) for s in self.spaces]
-        # per space, fplus's nonzero triples sorted by k (for views of several spaces): their
-        # count and columns i, 2nc + j, -fplus_ijk and 2nc + k on each k's first (else 0)
+        # per space, fplus's nonzero triples sorted by k: their count and columns i,
+        # 2nc + j, -fplus_ijk and 2nc + k on each k's first (else 0)
         cols = []
         for s in self.spaces:
             k, i, j = np.nonzero(s.fplus.transpose(2, 0, 1))
@@ -475,25 +489,23 @@ class _DirectSystem:
             cols.append((i, 2 * nc + j, -s.fplus[i, j, k], np.where(first, 2 * nc + k, 0)))
         n = np.array([len(c[0]) for c in cols])
         self.triples = n, np.cumsum(n) - n, [np.concatenate(c) for c in zip(*cols)]
-        self.sid = self.spin = None  # no rows yet: take those of the first space
+        self.sid = None  # no rows yet: take those of the first space
         self.rows(np.zeros(1, dtype=int))
 
     def rows(self, sid):
-        """This system on rows of the spaces sid (not empty): the space's own
-        tables when they are all of one space, else one table and one index
-        of fplus triples per row.  A fresh system takes its rows in place (a
-        copy would give it a __dict__, and slower attributes)."""
-        one = (sid == sid[0]).all()
-        if one and sid[0] == self.sid:
+        """This system on rows of the spaces sid (not empty), itself if sid
+        holds its rows: the space's own tables when they are all of one
+        space, else one table per row, and the index of the rows' fplus
+        triples.  A fresh system takes its rows in place (a copy would give
+        it a __dict__, and slower attributes)."""
+        if self.sid is not None and np.array_equal(sid, self.sid):
             return self
-        view = copy.copy(self) if self.spin is not None else self
-        view.sid = int(sid[0]) if one else None
+        view = copy.copy(self) if self.sid is not None else self
+        view.sid = sid
+        one = (sid == sid[0]).all()
         view.coef_t, view.force_coef, view.root_coef_t = (
-            t[sid if view.sid is None else view.sid] for t in self.tables)
-        view.product = _row_product if view.sid is None else operator.matmul
-        if view.sid is not None:  # one space's view serves any rows of it
-            view.spin = self.neg_fplus[view.sid]
-        elif self.gauge == "zero":  # the freezing gauge never reads the spin rate
+            t[sid[0] if one else sid] for t in self.tables)
+        if self.gauge == "zero":  # the freezing gauge never reads the spin rate
             # the triples of each row's space, row after row, at their places in the tables
             n, offsets, columns = self.triples
             n = n[sid]
@@ -511,33 +523,30 @@ class _DirectSystem:
         (the field is autonomous)."""
         nc = self.nc
         cplus = Y[:, 2 * nc:]
-        av = self.product(Y[:, :nc], self.coef_t)
+        av = _row_product(Y[:, :nc], self.coef_t)
         w2 = cplus / np.sinh(av) ** 2
         out = np.zeros(Y.shape)  # C order: out.ravel() is a view
         out[:, :nc] = Y[:, nc:2 * nc]
         # p' = -grad V = (1/s) sum_j c_j^2 cosh(alpha_j) / sinh^3(alpha_j) coef_j
-        out[:, nc:2 * nc] = self.product(cplus * w2 / np.tanh(av), self.force_coef)
+        out[:, nc:2 * nc] = _row_product(cplus * w2 / np.tanh(av), self.force_coef)
         if self.gauge == "freeze":
             return out  # the spin is held still; its gauge is certified before the first step
-        # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk.  One
-        # space: a dense (rows, K^2) @ (K^2, K) product, there the faster.  Several: a flat sum
-        # over each row's own nonzero fplus_ijk; a product per space costs more in calls
-        if self.sid is not None:
-            K = self.spin.shape[1]
-            pairs = (w2[:, :K, None] * cplus[:, None, :K]).reshape(-1, K * K)
-            out[:, 2 * nc:2 * nc + K] = pairs @ self.spin
-        elif self.spin[3].size:  # su(1,1) and sl(2,C) have no nonzero fplus_ijk
+        # xi' = [xi, w^2(ad_q) xi]: dc_k = -sum_ij (c_i / sinh^2 alpha_i) c_j fplus_ijk, a flat
+        # sum over each row's own nonzero fplus_ijk
+        if self.spin[3].size:  # su(1,1) and sl(2,C) have no nonzero fplus_ijk
             w_at, c_at, neg_f, starts, slots = self.spin
             out.ravel()[slots] = np.add.reduceat(w2.take(w_at) * Y.take(c_at) * neg_f, starts)
         return out
 
     def min_root_values(self, Y):
         """min alpha(q) at each row of Y."""
-        return self.product(Y[:, :self.nc], self.root_coef_t).min(axis=1)
+        return _row_product(Y[:, :self.nc], self.root_coef_t).min(axis=1)
 
 
 def _row_product(a, tables):
-    """Row r of a times tables[r]."""
+    """Row r of a times tables[r], or times tables itself if it is one 2-D
+    table: a product per row, whose bits do not depend on the other rows (a
+    product across rows may block them differently)."""
     return (a[:, None] @ tables)[:, 0]
 
 

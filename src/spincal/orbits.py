@@ -136,17 +136,18 @@ def spin_point(space: SymmetricSpaceData, xi: np.ndarray) -> SpinPoint:
     M-perp basis.  A stack of elements gives one SpinPoint holding the
     stack, certified matrix by matrix."""
     xi = np.asarray(xi, dtype=complex)
+    # every bound scales with the spin, as its roundoff does
+    scale = np.maximum(1.0, np.abs(xi).max(axis=(-2, -1)))
     gminus_part = algebra.project(space, xi, "gminus")
     res = np.maximum(algebra.membership_residual(space, xi),
                      np.abs(gminus_part).max(axis=(-2, -1), initial=0.0))
-    if np.any(res > algebra.EPS_MEMBERSHIP):
+    if np.any(res > algebra.EPS_MEMBERSHIP * scale):
         raise MembershipError(f"xi is not in g+ (residual {np.max(res):.3e})")
     cm, cplus = algebra.coefficients(space, xi, "m"), algebra.coefficients(space, xi, "mperp")
     m_norm = np.linalg.norm(cm, axis=-1)
-    if np.any(m_norm > EPS_ONSLICE):
+    if np.any(m_norm > EPS_ONSLICE * scale):
         raise MembershipError(f"xi has a nonzero M-part (norm {np.max(m_norm):.3e})")
     recon = algebra.reconstruct(space, cplus=cplus)
-    scale = np.maximum(1.0, np.abs(xi).max(axis=(-2, -1)))
     if np.any(np.abs(recon - xi).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise MembershipError("xi is not spanned by the M-perp basis")
     return SpinPoint(xi=xi, coeffs=cplus)

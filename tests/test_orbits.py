@@ -330,6 +330,29 @@ def test_constituent_on_a_size_one_factor_is_inadmissible(m, n, kappa_n):
     assert orbits.validate_params("c", 1, kappa_n, 0.0) is not None
 
 
+@pytest.mark.parametrize("kappa,x", [(3e6, 7e5), (3e8, 7e5), (3e8, 7e7)])
+def test_slice_certificate_scales_with_the_spin(kappa, x):
+    # a catalog spin at scale carries a g- part and an M-part of its
+    # roundoff (M-part 5.7e-10 at kappa 3e6, 5.4e-8 at 3e8): the datum
+    # validate_params admits builds, on every BLAS kernel, and is the normal
+    # form
+    space = algebra.build_space(SpaceSpec.su(4, 3))
+    assert orbits.validate_params("bc", 3, kappa, x) is None
+    want = normal_form(space, "bc", kappa, x)
+    assert np.abs(orbits.xi_red(space, "bc", kappa, x).xi - want).max() <= 1e-15 * kappa
+
+
+def test_slice_certificate_keeps_its_bound_at_unit_scale():
+    # on a spin of size 1 an M-part of 1e-9 is ten times the bound
+    space = algebra.build_space(SpaceSpec.su(4, 3))
+    xi = orbits.xi_red(space, "bc", 1.0, 0.0).xi
+    assert np.abs(xi).max() == pytest.approx(1.0)
+    bad = xi + 1e-9 * space.m_basis[0]
+    assert np.linalg.norm(algebra.coefficients(space, bad, "m")) == pytest.approx(1e-9)
+    with pytest.raises(orbits.MembershipError, match="M-part"):
+        orbits.spin_point(space, bad)
+
+
 def test_bc_boundary_at_scale_has_one_verdict(rng):
     # kappa = n x with x = nextafter(1000): kappa - n x = -4.5e-13, within
     # the slack 1e-14 max(1, kappa, n |x|) that both routes now apply
